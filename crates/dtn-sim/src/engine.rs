@@ -768,20 +768,27 @@ fn validate_and_expand(
     Ok((messages, injected, coded))
 }
 
-/// A calendar/bucket event queue: lazily generates the Poisson contact
-/// stream of a sparse pair set, in exactly ascending `(time, a, b)`
-/// order, without ever materializing the full schedule.
+/// A calendar event queue (Brown, CACM 1988): lazily generates the
+/// Poisson contact stream of a sparse pair set, in exactly ascending
+/// `(time, a, b)` order, without ever materializing the full schedule.
 ///
-/// The time axis `[0, horizon]` is split into uniform buckets, each
-/// holding a small min-heap of pending arrivals keyed by
+/// Every active pair has at most one pending arrival, keyed by
 /// `(time bits, pair index)` — for the non-negative times exponential
 /// sampling produces, IEEE-754 bit patterns order like the floats, and
-/// pair indices ascend in `(a, b)` order, so the emission order matches
-/// the derived `Ord` on [`ContactEvent`] that [`ContactSchedule`]
-/// sorting uses. Each pop draws that pair's *next* exponential arrival
-/// from the queue's own RNG and re-files it, so memory stays
-/// `O(active pairs)` and per-event work is `O(log bucket-occupancy)` —
-/// `O(active contacts)` per step overall, independent of `n`.
+/// pair indices ascend in `(a, b)` order, so the key order is the derived
+/// `Ord` on [`ContactEvent`] that [`ContactSchedule`] sorting uses. The
+/// time axis is cut into buckets sized from the total rate `Σλ`, so a
+/// bucket holds a handful of arrivals whatever the pair count. Buckets
+/// live on a power-of-two ring (about one slot per pair) that is reused
+/// as time advances; a bucket's pending arrivals are threaded through
+/// per-pair links, so the ring needs no per-bucket storage. Arrivals
+/// beyond the ring's window wait in a small min-heap. The current bucket
+/// is sorted on entry, and each pop draws that pair's *next* exponential
+/// arrival from the queue's own RNG and re-files it.
+///
+/// Memory is `O(active pairs)` and fixed at construction (see
+/// [`CalendarQueue::approx_bytes`]); per-event work is `O(1)` expected
+/// plus a sort of a handful of keys per bucket, independent of `n`.
 ///
 /// Feed it to [`run_stream`]:
 ///
@@ -797,18 +804,47 @@ fn validate_and_expand(
 /// assert!(events.windows(2).all(|w| w[0] <= w[1]));
 /// ```
 pub struct CalendarQueue<R: RngCore> {
-    /// Pair endpoints (`a < b`), ascending by `(a, b)` — the index into
-    /// this list is the heap tie-break key.
-    pairs: Vec<(NodeId, NodeId)>,
-    /// Contact rate of each pair (all positive).
-    rates: Vec<f64>,
+    /// Per-pair state, ascending by `(a, b)` — the index into this list
+    /// is the key's tie-break.
+    pairs: Vec<PairSlot>,
     horizon: f64,
-    /// `buckets per time unit`; bucket of `t` is `(t * scale) as usize`.
-    scale: f64,
-    buckets: Vec<BinaryHeap<Reverse<(u64, u32)>>>,
-    /// First possibly non-empty bucket.
-    current: usize,
+    /// Buckets per time unit: arrival `t` lies in absolute bucket
+    /// `(t * inv_width) as u64`.
+    inv_width: f64,
+    /// List head (a pair index, or [`NIL`]) of each ring slot; absolute
+    /// bucket `k` uses slot `k & (ring.len() - 1)`. The ring covers
+    /// buckets `cur + 1 .. cur + ring.len()`, so a slot holds one bucket.
+    ring: Vec<u32>,
+    /// Arrivals threaded through the ring.
+    in_ring: usize,
+    /// Absolute bucket whose arrivals are in `current`.
+    cur: u64,
+    /// Bucket `cur`'s arrivals, sorted descending so the minimum pops off
+    /// the end.
+    current: Vec<(u64, u32)>,
+    /// Arrivals filed at or past bucket `cur + ring.len()`; each joins
+    /// `current` when its bucket is entered.
+    overflow: BinaryHeap<Reverse<(u64, u32)>>,
     rng: R,
+}
+
+/// Ring link terminator.
+const NIL: u32 = u32::MAX;
+
+/// Mean arrivals per bucket the width is sized for: enough to amortize a
+/// bucket's entry, few enough that sorting it is a short insertion sort.
+const ARRIVALS_PER_BUCKET: f64 = 8.0;
+
+/// One active pair: its endpoints and rate, plus its pending arrival
+/// while that arrival is threaded on the ring.
+struct PairSlot {
+    a: NodeId,
+    b: NodeId,
+    rate: f64,
+    /// Time bits of the pending arrival (valid while on the ring).
+    bits: u64,
+    /// Next pair in the same ring slot, or [`NIL`].
+    next: u32,
 }
 
 impl<R: RngCore> CalendarQueue<R> {
@@ -830,64 +866,107 @@ impl<R: RngCore> CalendarQueue<R> {
     ///
     /// Panics on a self-loop pair.
     pub fn new(pairs: Vec<(NodeId, NodeId, Rate)>, horizon: Time, rng: R) -> Self {
-        let mut norm: Vec<(NodeId, NodeId, f64)> = pairs
+        let mut norm: Vec<PairSlot> = pairs
             .into_iter()
             .filter(|(_, _, r)| !r.is_zero())
             .map(|(a, b, r)| {
                 assert!(a != b, "a node has no contact process with itself");
-                if a < b {
-                    (a, b, r.as_f64())
-                } else {
-                    (b, a, r.as_f64())
+                PairSlot {
+                    a: a.min(b),
+                    b: a.max(b),
+                    rate: r.as_f64(),
+                    bits: 0,
+                    next: NIL,
                 }
             })
             .collect();
-        norm.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        norm.sort_unstable_by_key(|p| (p.a, p.b));
         assert!(
-            norm.len() <= u32::MAX as usize,
-            "calendar queue supports at most 2^32 pairs"
+            norm.len() < NIL as usize,
+            "calendar queue supports fewer than 2^32 - 1 pairs"
         );
 
-        let horizon_f = horizon.as_f64().max(0.0);
-        // Aim for a handful of pending arrivals per bucket: at most one
-        // arrival per pair is pending at a time, so pairs/4 buckets keeps
-        // heap occupancy small without allocating absurd bucket arrays.
-        let nbuckets = (norm.len() / 4).clamp(1, 1 << 20);
-        let scale = if horizon_f > 0.0 {
-            nbuckets as f64 / horizon_f
-        } else {
-            0.0
-        };
+        // Size buckets by event rate: the stream runs at `Σλ` arrivals
+        // per time unit.
+        let total_rate: f64 = norm.iter().map(|p| p.rate).sum();
+        let inv_width = total_rate / ARRIVALS_PER_BUCKET;
+        let n = norm.len();
         let mut queue = CalendarQueue {
-            pairs: norm.iter().map(|&(a, b, _)| (a, b)).collect(),
-            rates: norm.iter().map(|&(_, _, r)| r).collect(),
-            horizon: horizon_f,
-            scale,
-            buckets: std::iter::repeat_with(BinaryHeap::new)
-                .take(nbuckets)
-                .collect(),
-            current: 0,
+            pairs: norm,
+            horizon: horizon.as_f64().max(0.0),
+            inv_width,
+            ring: vec![NIL; n.next_power_of_two()],
+            in_ring: 0,
+            cur: 0,
+            // At most one arrival per pair is pending, so neither buffer
+            // ever grows past this: the footprint is fixed from here on.
+            current: Vec::with_capacity(n),
+            overflow: BinaryHeap::with_capacity(n),
             rng,
         };
-        for i in 0..queue.pairs.len() {
-            let rate = queue.rates[i];
+        for i in 0..n {
+            let rate = queue.pairs[i].rate;
             if let Some(d) = sample_intercontact(Rate::new(rate), &mut queue.rng) {
-                queue.file(d.as_f64(), i as u32);
+                // `0.0 + d` turns the `-0.0` a zero uniform draw yields
+                // into `+0.0`, so every key's bits order like its time.
+                queue.file(0.0 + d.as_f64(), i as u32);
             }
         }
         queue
     }
 
-    /// Files the arrival `(t, pair)` into its bucket, discarding times
-    /// past the horizon.
+    /// Absolute bucket of time `t` (monotone in `t`).
+    #[inline]
+    fn bucket_of(&self, t: f64) -> u64 {
+        (t * self.inv_width) as u64
+    }
+
+    /// Files the arrival `(t, pair)`, discarding times past the horizon.
+    #[inline]
     fn file(&mut self, t: f64, pair: u32) {
         if t > self.horizon {
             return;
         }
-        let bucket = ((t * self.scale) as usize).min(self.buckets.len() - 1);
-        // Arrivals are filed from a pop at a time <= t, so `bucket` can
-        // never precede `current`.
-        self.buckets[bucket].push(Reverse((t.to_bits(), pair)));
+        let key = (t.to_bits(), pair);
+        let k = self.bucket_of(t);
+        // Arrivals are filed at or after the time just popped (or during
+        // construction, at bucket 0), so `k >= cur`.
+        let ahead = k - self.cur;
+        if ahead == 0 {
+            let at = self.current.partition_point(|&e| e > key);
+            self.current.insert(at, key);
+        } else if ahead < self.ring.len() as u64 {
+            let slot = k as usize & (self.ring.len() - 1);
+            let p = &mut self.pairs[pair as usize];
+            p.bits = key.0;
+            p.next = self.ring[slot];
+            self.ring[slot] = pair;
+            self.in_ring += 1;
+        } else {
+            self.overflow.push(Reverse(key));
+        }
+    }
+
+    /// Makes bucket `k` current: collects its ring slot and the overflow
+    /// arrivals now due, sorted for popping.
+    fn enter(&mut self, k: u64) {
+        self.cur = k;
+        let slot = k as usize & (self.ring.len() - 1);
+        let mut p = std::mem::replace(&mut self.ring[slot], NIL);
+        while p != NIL {
+            let s = &self.pairs[p as usize];
+            self.current.push((s.bits, p));
+            p = s.next;
+            self.in_ring -= 1;
+        }
+        while let Some(&Reverse(key)) = self.overflow.peek() {
+            if self.bucket_of(f64::from_bits(key.0)) != k {
+                break;
+            }
+            self.overflow.pop();
+            self.current.push(key);
+        }
+        self.current.sort_unstable_by(|x, y| y.cmp(x));
     }
 
     /// Number of active pairs driving the queue.
@@ -895,16 +974,14 @@ impl<R: RngCore> CalendarQueue<R> {
         self.pairs.len()
     }
 
-    /// Approximate heap footprint in bytes (pair table plus buckets).
+    /// Heap footprint in bytes, by capacity. Every buffer is sized for
+    /// its worst case at construction and never grows, so the figure a
+    /// fresh queue reports bounds the queue for its whole drain.
     pub fn approx_bytes(&self) -> usize {
-        self.pairs.capacity() * size_of::<(NodeId, NodeId)>()
-            + self.rates.capacity() * size_of::<f64>()
-            + self.buckets.capacity() * size_of::<BinaryHeap<Reverse<(u64, u32)>>>()
-            + self
-                .buckets
-                .iter()
-                .map(|h| h.capacity() * size_of::<Reverse<(u64, u32)>>())
-                .sum::<usize>()
+        self.pairs.capacity() * size_of::<PairSlot>()
+            + self.ring.capacity() * size_of::<u32>()
+            + self.current.capacity() * size_of::<(u64, u32)>()
+            + self.overflow.capacity() * size_of::<Reverse<(u64, u32)>>()
     }
 }
 
@@ -912,26 +989,31 @@ impl<R: RngCore> Iterator for CalendarQueue<R> {
     type Item = ContactEvent;
 
     fn next(&mut self) -> Option<ContactEvent> {
-        loop {
-            if self.current >= self.buckets.len() {
-                return None;
+        let (bits, pair) = loop {
+            if let Some(key) = self.current.pop() {
+                break key;
             }
-            let Some(Reverse((bits, pair))) = self.buckets[self.current].pop() else {
-                self.current += 1;
-                continue;
+            // Step to the next bucket, or jump straight to the overflow's
+            // earliest one when the ring is empty.
+            let k = if self.in_ring > 0 {
+                self.cur + 1
+            } else {
+                let &Reverse((bits, _)) = self.overflow.peek()?;
+                self.bucket_of(f64::from_bits(bits))
             };
-            let t = f64::from_bits(bits);
-            let rate = self.rates[pair as usize];
-            if let Some(d) = sample_intercontact(Rate::new(rate), &mut self.rng) {
-                self.file(t + d.as_f64(), pair);
-            }
-            let (a, b) = self.pairs[pair as usize];
-            return Some(ContactEvent {
-                time: Time::new(t),
-                a,
-                b,
-            });
+            self.enter(k);
+        };
+        let t = f64::from_bits(bits);
+        let p = &self.pairs[pair as usize];
+        let (a, b, rate) = (p.a, p.b, p.rate);
+        if let Some(d) = sample_intercontact(Rate::new(rate), &mut self.rng) {
+            self.file(t + d.as_f64(), pair);
         }
+        Some(ContactEvent {
+            time: Time::new(t),
+            a,
+            b,
+        })
     }
 }
 
@@ -2499,7 +2581,7 @@ mod calendar_tests {
     use super::*;
     use crate::baselines::Epidemic;
     use contact_graph::{SparseContacts, TimeDelta, UniformGraphBuilder};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
@@ -2553,6 +2635,196 @@ mod calendar_tests {
         );
         let count = q.count() as f64;
         assert!((1800.0..=2200.0).contains(&count), "count {count}");
+    }
+
+    #[test]
+    fn build_time_footprint_bounds_the_whole_drain() {
+        // The sparse drivers sample `approx_bytes` once, before the drain,
+        // into `sparse.calendar_bytes_hwm`: that figure must cover every
+        // buffer the drain later grows.
+        let sparse = SparseContacts::poisson_proximity(
+            2_000,
+            10.0,
+            (TimeDelta::new(1.0), TimeDelta::new(36.0)),
+            &mut rng(41),
+        );
+        let mut q = CalendarQueue::from_sparse(&sparse, Time::new(720.0), rng(42));
+        let built = q.approx_bytes();
+        assert!(q.by_ref().count() > 100_000, "expected a busy stream");
+        assert!(
+            q.approx_bytes() <= built,
+            "drained footprint {} exceeds build-time figure {built}",
+            q.approx_bytes()
+        );
+    }
+
+    /// An `RngCore` that returns one word forever: every draw for a given
+    /// rate is the same gap, so equal-rate pairs arrive at identical times.
+    struct ConstRng(u64);
+
+    impl RngCore for ConstRng {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// The reference queue: every pending arrival in one min-heap keyed by
+    /// `(time bits, pair index)`, fed the same RNG draws in the same order
+    /// (each pair's first arrival in pair order, then one per pop). Takes
+    /// a normalized pair list: `a < b`, ascending, distinct, rates > 0.
+    fn oracle_stream<R: RngCore>(
+        pairs: &[(NodeId, NodeId, Rate)],
+        horizon: f64,
+        mut rng: R,
+    ) -> Vec<ContactEvent> {
+        let mut heap = BinaryHeap::new();
+        for (i, &(_, _, rate)) in pairs.iter().enumerate() {
+            let t = 0.0 + sample_intercontact(rate, &mut rng).unwrap().as_f64();
+            if t <= horizon {
+                heap.push(Reverse((t.to_bits(), i as u32)));
+            }
+        }
+        let mut out = Vec::new();
+        while let Some(Reverse((bits, i))) = heap.pop() {
+            let t = f64::from_bits(bits);
+            let (a, b, rate) = pairs[i as usize];
+            let next = t + sample_intercontact(rate, &mut rng).unwrap().as_f64();
+            if next <= horizon {
+                heap.push(Reverse((next.to_bits(), i)));
+            }
+            out.push(ContactEvent {
+                time: Time::new(t),
+                a,
+                b,
+            });
+        }
+        out
+    }
+
+    /// Which filing paths a drain took.
+    #[derive(Default)]
+    struct Paths {
+        overflow: bool,
+        current_insert: bool,
+    }
+
+    /// Drains `q`, noting whether arrivals waited in the overflow heap and
+    /// whether a re-arrival was inserted into the bucket being popped.
+    fn filing_paths<R: RngCore>(mut q: CalendarQueue<R>) -> Paths {
+        let mut paths = Paths::default();
+        loop {
+            paths.overflow |= !q.overflow.is_empty();
+            let before = q.current.len();
+            if q.next().is_none() {
+                return paths;
+            }
+            // A pop shrinks a non-empty bucket by one; only an insert of
+            // the re-arrival restores its length.
+            paths.current_insert |= before > 0 && q.current.len() == before;
+        }
+    }
+
+    /// `count` distinct normalized pairs over `nodes` nodes with
+    /// log-uniform rates on `[1e-3, 1e-3 · 10^decades]`, ascending by `(a, b)`.
+    fn random_pairs(
+        seed: u64,
+        nodes: u32,
+        count: usize,
+        decades: f64,
+    ) -> Vec<(NodeId, NodeId, Rate)> {
+        let mut r = rng(seed);
+        let mut set = BTreeMap::new();
+        while set.len() < count {
+            let (a, b) = (r.gen_range(0..nodes), r.gen_range(0..nodes));
+            if a != b {
+                let rate = 10f64.powf(-3.0 + decades * r.gen::<f64>());
+                set.insert((a.min(b), a.max(b)), rate);
+            }
+        }
+        set.into_iter()
+            .map(|((a, b), rate)| (NodeId(a), NodeId(b), Rate::new(rate)))
+            .collect()
+    }
+
+    /// A horizon for `pairs` of the given kind: 0 → zero, 1 → inside the
+    /// first bucket, otherwise `events` expected arrivals long.
+    fn horizon_for(pairs: &[(NodeId, NodeId, Rate)], kind: u8, events: f64, frac: f64) -> f64 {
+        let total: f64 = pairs.iter().map(|p| p.2.as_f64()).sum();
+        match kind {
+            0 => 0.0,
+            1 => frac * ARRIVALS_PER_BUCKET / total,
+            _ => events / total,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The calendar ring pops exactly the reference min-heap's stream
+        /// over pair sets whose rates span 4–6 decades, at zero horizons,
+        /// horizons inside the first bucket, and long horizons.
+        #[test]
+        fn calendar_matches_heap_oracle(
+            seed in proptest::any::<u64>(),
+            count in 1usize..80,
+            decades in 4.0f64..6.0,
+            kind in 0u8..4,
+            events in 200.0f64..6_000.0,
+            frac in 0.0f64..1.0,
+        ) {
+            let pairs = random_pairs(seed, 40, count, decades);
+            let horizon = horizon_for(&pairs, kind, events, frac);
+            let oracle = oracle_stream(&pairs, horizon, rng(seed ^ 1));
+            let queue = CalendarQueue::new(pairs, Time::new(horizon), rng(seed ^ 1));
+            let ring: Vec<ContactEvent> = queue.collect();
+            proptest::prop_assert_eq!(ring, oracle);
+        }
+
+        /// With a constant RNG word, equal-rate pairs arrive at identical
+        /// times: ties must break by pair index, as in the oracle.
+        #[test]
+        fn calendar_breaks_time_ties_by_pair_index(
+            seed in proptest::any::<u64>(),
+            count in 4usize..60,
+            word in (1u64 << 60)..(15u64 << 60),
+            horizon in 6.0f64..40.0,
+        ) {
+            // Pairs 0 and 3 share rate 0.5; the word's uniform lies in
+            // [1/16, 15/16), so their shared first arrival is before 5.6.
+            let pairs: Vec<_> = random_pairs(seed, 30, count, 4.0)
+                .into_iter()
+                .enumerate()
+                .map(|(i, (a, b, _))| (a, b, Rate::new([0.5, 1.0, 2.0][i % 3])))
+                .collect();
+            let oracle = oracle_stream(&pairs, horizon, ConstRng(word));
+            let queue = CalendarQueue::new(pairs, Time::new(horizon), ConstRng(word));
+            let ring: Vec<ContactEvent> = queue.collect();
+            proptest::prop_assert!(ring.windows(2).any(|w| w[0].time == w[1].time));
+            proptest::prop_assert_eq!(ring, oracle);
+        }
+    }
+
+    #[test]
+    fn oracle_cases_reach_overflow_and_current_bucket_inserts() {
+        // The proptest's long-horizon cases must exercise both filing
+        // paths a plain ring walk would miss.
+        let mut reached = Paths::default();
+        for seed in 0..16 {
+            let pairs = random_pairs(seed, 40, 60, 4.0);
+            let horizon = horizon_for(&pairs, 2, 4_000.0, 0.0);
+            let queue = CalendarQueue::new(pairs, Time::new(horizon), rng(seed));
+            let paths = filing_paths(queue);
+            reached.overflow |= paths.overflow;
+            reached.current_insert |= paths.current_insert;
+        }
+        assert!(reached.overflow, "no arrival waited in the overflow heap");
+        assert!(
+            reached.current_insert,
+            "no re-arrival landed in the current bucket"
+        );
     }
 
     #[test]
