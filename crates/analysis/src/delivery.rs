@@ -183,6 +183,18 @@ mod tests {
     }
 
     #[test]
+    fn astronomical_deadlines_deliver_surely() {
+        // Λt ≈ 5·10²⁹⁹ saturates the uniformization window instead of
+        // overflowing it (a debug-build panic before), and the evaluation
+        // stops on the chain's constant tail instead of stepping Λt rows.
+        let rates = uniform_onion_path_rates(0.1, 5, 3).unwrap();
+        for t in [1e12, 1e300, f64::MAX, f64::INFINITY] {
+            assert_eq!(delivery_rate(&rates, t).unwrap(), 1.0, "t = {t}");
+        }
+        assert_eq!(delivery_rate_multicopy(&rates, 3, 1e12).unwrap(), 1.0);
+    }
+
+    #[test]
     fn graph_rates_match_uniform_abstraction() {
         // On a perfectly uniform graph, Eq. 4 reduces to the closed form.
         let lambda = 0.05;

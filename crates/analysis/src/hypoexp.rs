@@ -11,6 +11,45 @@
 //! back to a uniformization (randomization) evaluation of the underlying
 //! absorbing Markov chain, which is unconditionally stable. The
 //! `ablation_hypoexp` bench quantifies the difference.
+//!
+//! # The uniformization evaluator
+//!
+//! Uniformizing at `Λ = max_k λ_k` gives a discrete chain whose stage `i`
+//! stays put with probability `1 − λ_i/Λ` and advances with `λ_i/Λ`; then
+//! `p_i(t) = Σ_m Pois(m; Λt)·v_m[i]` with `v_m = e_1·Pᵐ`. Only the Poisson
+//! weights depend on `t`. The chain rows `v_m`, their sums (the early-exit
+//! test) and `ln m!` do not, so a crate-private evaluator keeps them per
+//! rate vector and grows them on demand: one evaluation then costs its
+//! window `m_lo..=m_end` of weighted terms (one `exp` and `k`
+//! multiply-adds each) plus whatever rows were not stepped yet.
+//! [`crate::delay_quantile`] holds one evaluator for its whole
+//! bracket-and-bisect search. [`HypoExp::cdf`] and [`HypoExp::pdf`] run
+//! the same code for a single point, where nothing is reused: they store
+//! no rows past `v_0` and stream the chain in `O(k)` memory.
+//!
+//! * **Constant tail.** The mass drains into absorption, so the rows fall
+//!   into the subnormal range and then stop changing: to all zeros, or —
+//!   when a stage keeps more than half its mass per step (`g ≥ 3` under
+//!   the uniform abstraction) — to a few multiples of the smallest
+//!   subnormal that rounding holds in place. Every row after one equal to
+//!   its predecessor is equal to it too, so the evaluator stops stepping
+//!   there (≈ `745·Λ/λ_min` rows; `745·g + K` under the uniform
+//!   abstraction) and reads later rows from that one. A window starting
+//!   past it takes one term and exits, the tail's mass being far below
+//!   the exit test's 1e-18, so an evaluation's cost no longer grows with
+//!   `Λt`: a deadline of 10¹² costs what 10⁴ does.
+//! * **Memory.** A stored row takes `k + 2` values (row, sum, `ln m!`),
+//!   at most `CHAIN_CAP_VALUES` = 2¹⁷ values (1 MiB) per evaluator. Rows
+//!   past the cap stream through two scratch rows in `O(k)` memory,
+//!   stopping at the constant tail too, and are re-stepped on every
+//!   evaluation, as the former per-call loop did.
+//! * **Bit-identity.** Every returned `f64` has the bits of the former
+//!   per-call loop, which the tests keep as an oracle: the same rows from
+//!   the same operations in the same order, the same weight expression
+//!   `−Λt + m·ln(Λt) − ln m!`, the same per-stage accumulation over
+//!   ascending `m`, and the same exit test `Σ v_{m+1} < 1e-18`. Past the
+//!   constant tail the old loop added the same row's terms the evaluator
+//!   adds, reading it from storage instead of recomputing it.
 
 use crate::error::AnalysisError;
 use crate::special::ln_factorial;
@@ -22,6 +61,14 @@ const CONDITION_LIMIT: f64 = 1e8;
 /// Minimal relative separation enforced when computing the (possibly
 /// ill-conditioned) coefficients, to avoid division by zero on exact ties.
 const TIE_NUDGE: f64 = 1e-12;
+
+/// Most `f64` values one uniformization evaluator stores (1 MiB): chain
+/// rows of `k` values plus each row's sum and `ln m!`. Later rows stream.
+const CHAIN_CAP_VALUES: usize = 1 << 17;
+
+/// Early-exit threshold on the transient mass `Σ v_{m+1}` left in the
+/// chain once the window has started.
+const EXIT_MASS: f64 = 1e-18;
 
 /// A hypoexponential (generalized Erlang) distribution.
 ///
@@ -108,41 +155,12 @@ impl HypoExp {
     /// `P(T ≤ t)` — Eq. 6: the probability the whole chain completes
     /// within `t`. Clamped to `[0, 1]`.
     pub fn cdf(&self, t: f64) -> f64 {
-        if t <= 0.0 {
-            return 0.0;
-        }
-        if self.well_conditioned {
-            let sum: f64 = self
-                .rates
-                .iter()
-                .zip(&self.coefficients)
-                .map(|(&rate, &a)| a * (1.0 - (-rate * t).exp()))
-                .sum();
-            sum.clamp(0.0, 1.0)
-        } else {
-            let transient = self.transient_probabilities(t);
-            (1.0 - transient.iter().sum::<f64>()).clamp(0.0, 1.0)
-        }
+        self.single_point().cdf(t)
     }
 
     /// Probability density at `t`.
     pub fn pdf(&self, t: f64) -> f64 {
-        if t < 0.0 {
-            return 0.0;
-        }
-        if self.well_conditioned {
-            let sum: f64 = self
-                .rates
-                .iter()
-                .zip(&self.coefficients)
-                .map(|(&rate, &a)| a * rate * (-rate * t).exp())
-                .sum();
-            sum.max(0.0)
-        } else {
-            // Absorption flux: the last stage's occupancy times its rate.
-            let transient = self.transient_probabilities(t);
-            (transient[self.rates.len() - 1] * self.rates[self.rates.len() - 1]).max(0.0)
-        }
+        self.single_point().pdf(t)
     }
 
     /// Draws one end-to-end delay: the sum of one exponential sample per
@@ -157,60 +175,271 @@ impl HypoExp {
             .sum()
     }
 
-    /// Transient stage-occupancy probabilities `p_i(t)` of the absorbing
-    /// birth chain, via uniformization with Poisson weights computed in
-    /// the log domain (stable for any `Λt`).
-    fn transient_probabilities(&self, t: f64) -> Vec<f64> {
-        let k = self.rates.len();
-        let lambda_max = self.rates.iter().cloned().fold(0.0f64, f64::max);
-        let lt = lambda_max * t;
-        if lt == 0.0 {
-            let mut p = vec![0.0; k];
-            p[0] = 1.0;
-            return p;
-        }
-
-        // Poisson(lt) window: mode ± 12 standard deviations (tail mass
-        // far below 1e-16), always including m = 0 region for small lt.
-        let std12 = 12.0 * (lt.sqrt() + 1.0);
-        let m_lo = ((lt - std12).floor()).max(0.0) as usize;
-        let m_hi = (lt + std12).ceil() as usize + 10;
-
-        // v_m: distribution over transient stages after m uniformized
-        // jumps, starting in stage 0.
-        let mut v = vec![0.0f64; k];
-        v[0] = 1.0;
-        let stay: Vec<f64> = self.rates.iter().map(|&r| 1.0 - r / lambda_max).collect();
-        let advance: Vec<f64> = self.rates.iter().map(|&r| r / lambda_max).collect();
-
-        let mut acc = vec![0.0f64; k];
-        for m in 0..=m_hi {
-            if m >= m_lo {
-                // ln Pois(m; lt) = −lt + m·ln lt − ln m!
-                let ln_w = -lt + (m as f64) * lt.ln() - ln_factorial(m as f64);
-                let w = ln_w.exp();
-                if w > 0.0 {
-                    for i in 0..k {
-                        acc[i] += w * v[i];
-                    }
-                }
-            }
-            // v_{m+1} = v_m · P (upper bidiagonal chain).
-            let mut next = vec![0.0f64; k];
-            for i in 0..k {
-                next[i] += v[i] * stay[i];
-                if i + 1 < k {
-                    next[i + 1] += v[i] * advance[i];
-                }
-            }
-            v = next;
-            // Early exit once all transient mass is gone.
-            if m >= m_lo && v.iter().sum::<f64>() < 1e-18 {
-                break;
-            }
-        }
-        acc
+    /// An evaluator for many points of this distribution; it keeps the
+    /// uniformization chain between calls (see the module docs).
+    pub(crate) fn evaluator(&self) -> Evaluator<'_> {
+        self.evaluator_storing(CHAIN_CAP_VALUES / (self.rates.len() + 2))
     }
+
+    /// An evaluator for one point: nothing is reused, so it stores only
+    /// `v_0` and streams the chain in `O(k)` memory.
+    fn single_point(&self) -> Evaluator<'_> {
+        self.evaluator_storing(1)
+    }
+
+    fn evaluator_storing(&self, max_rows: usize) -> Evaluator<'_> {
+        Evaluator {
+            h: self,
+            chain: (!self.well_conditioned).then(|| Uniformization::new(&self.rates, max_rows)),
+        }
+    }
+}
+
+/// Evaluates one [`HypoExp`] at any number of points: Eq. 5 when it is
+/// well conditioned, otherwise one [`Uniformization`] reused throughout.
+pub(crate) struct Evaluator<'a> {
+    h: &'a HypoExp,
+    chain: Option<Uniformization>,
+}
+
+impl Evaluator<'_> {
+    /// [`HypoExp::cdf`].
+    pub(crate) fn cdf(&mut self, t: f64) -> f64 {
+        if t <= 0.0 {
+            return 0.0;
+        }
+        match &mut self.chain {
+            None => {
+                let sum: f64 = self
+                    .h
+                    .rates
+                    .iter()
+                    .zip(&self.h.coefficients)
+                    .map(|(&rate, &a)| a * (1.0 - (-rate * t).exp()))
+                    .sum();
+                sum.clamp(0.0, 1.0)
+            }
+            Some(chain) => (1.0 - chain.transient(t).iter().sum::<f64>()).clamp(0.0, 1.0),
+        }
+    }
+
+    /// [`HypoExp::pdf`].
+    pub(crate) fn pdf(&mut self, t: f64) -> f64 {
+        if t < 0.0 {
+            return 0.0;
+        }
+        match &mut self.chain {
+            None => {
+                let sum: f64 = self
+                    .h
+                    .rates
+                    .iter()
+                    .zip(&self.h.coefficients)
+                    .map(|(&rate, &a)| a * rate * (-rate * t).exp())
+                    .sum();
+                sum.max(0.0)
+            }
+            Some(chain) => {
+                // Absorption flux: the last stage's occupancy times its rate.
+                let last = self.h.rates.len() - 1;
+                (chain.transient(t)[last] * self.h.rates[last]).max(0.0)
+            }
+        }
+    }
+}
+
+/// The uniformized absorbing birth chain of one rate vector, with the
+/// parts of `p_i(t)` that do not depend on `t` kept between evaluations:
+/// the rows `v_m`, their sums and `ln m!`, grown on demand.
+struct Uniformization {
+    /// `Λ = max_k λ_k`.
+    lambda_max: f64,
+    /// Per-stage probability of staying put on one uniformized jump.
+    stay: Vec<f64>,
+    /// Per-stage probability of advancing on one uniformized jump.
+    advance: Vec<f64>,
+    /// Stored rows `v_0, v_1, …`, `k` values each; `v_0 = e_1`.
+    rows: Vec<f64>,
+    /// `Σ v_m` per stored row; NaN until an exit test first needs it.
+    sums: Vec<f64>,
+    /// `ln m!` per stored row; NaN until a window first needs it.
+    ln_fact: Vec<f64>,
+    /// Set once a stepped row equals its predecessor: the index of the
+    /// last stored row, which every later row equals.
+    tail: Option<usize>,
+    /// Most rows stored (at least `v_0`); later rows stream.
+    max_rows: usize,
+    /// `p_i(t)` of the latest evaluation.
+    acc: Vec<f64>,
+}
+
+impl Uniformization {
+    fn new(rates: &[f64], max_rows: usize) -> Uniformization {
+        let k = rates.len();
+        let lambda_max = rates.iter().cloned().fold(0.0f64, f64::max);
+        let mut rows = vec![0.0f64; k];
+        rows[0] = 1.0;
+        Uniformization {
+            lambda_max,
+            stay: rates.iter().map(|&r| 1.0 - r / lambda_max).collect(),
+            advance: rates.iter().map(|&r| r / lambda_max).collect(),
+            sums: vec![f64::NAN],
+            rows,
+            ln_fact: vec![f64::NAN],
+            tail: None,
+            max_rows: max_rows.max(1),
+            acc: vec![0.0; k],
+        }
+    }
+
+    /// Transient stage-occupancy probabilities `p_i(t)`: the Poisson(Λt)
+    /// mixture of the rows over the window `m_lo..=m_end`, with weights
+    /// computed in the log domain (stable for any `Λt`).
+    fn transient(&mut self, t: f64) -> &[f64] {
+        self.accumulate(t);
+        &self.acc
+    }
+
+    /// Fills `acc` with `p_i(t)` and returns the last `m` whose term was
+    /// taken (the tests read it to tell which path ran).
+    fn accumulate(&mut self, t: f64) -> usize {
+        let k = self.stay.len();
+        self.acc.fill(0.0);
+        let lt = self.lambda_max * t;
+        if lt == 0.0 {
+            self.acc[0] = 1.0;
+            return 0;
+        }
+        let (m_lo, m_hi) = poisson_window(lt);
+        let ln_lt = lt.ln();
+        // ln Pois(m; lt) = −lt + m·ln lt − ln m!
+        let weight = |m: usize, ln_fact: f64| (-lt + (m as f64) * ln_lt - ln_fact).exp();
+        let mut m = m_lo;
+        // Stored rows, and the constant tail past them.
+        while self.reach(m.saturating_add(1)) {
+            let w = weight(m, self.ln_fact_at(m));
+            let row = self.stored(m) * k;
+            add_term(&mut self.acc, w, &self.rows[row..row + k]);
+            if m == m_hi || self.sum_at(m + 1) < EXIT_MASS {
+                return m;
+            }
+            m += 1;
+        }
+        // Past the cap: step on from the last stored row through two
+        // scratch rows, jumping ahead once a row repeats.
+        let mut j = self.sums.len() - 1;
+        let mut cur = self.rows[j * k..].to_vec();
+        let mut next = vec![0.0f64; k];
+        while j < m {
+            step(&cur, &self.stay, &self.advance, &mut next);
+            j = if same_bits(&cur, &next) { m } else { j + 1 };
+            std::mem::swap(&mut cur, &mut next);
+        }
+        loop {
+            step(&cur, &self.stay, &self.advance, &mut next);
+            let w = weight(m, self.ln_fact_at(m));
+            add_term(&mut self.acc, w, &cur);
+            if m == m_hi || next.iter().sum::<f64>() < EXIT_MASS {
+                return m;
+            }
+            std::mem::swap(&mut cur, &mut next);
+            m += 1;
+        }
+    }
+
+    /// Steps the stored chain until row `m` is known — stored, or equal
+    /// to the constant tail. False when row `m` lies past the cap.
+    fn reach(&mut self, m: usize) -> bool {
+        let k = self.stay.len();
+        while self.tail.is_none() && self.sums.len() <= m {
+            let len = self.sums.len();
+            if len == self.max_rows {
+                return false;
+            }
+            let start = (len - 1) * k;
+            self.rows.resize(start + 2 * k, 0.0);
+            let (prev, next) = self.rows[start..].split_at_mut(k);
+            step(prev, &self.stay, &self.advance, next);
+            if same_bits(prev, next) {
+                self.rows.truncate(start + k);
+                self.tail = Some(len - 1);
+            } else {
+                self.sums.push(f64::NAN);
+                self.ln_fact.push(f64::NAN);
+            }
+        }
+        true
+    }
+
+    /// Storage index of row `m` (every row past the tail equals it).
+    fn stored(&self, m: usize) -> usize {
+        self.tail.map_or(m, |tail| m.min(tail))
+    }
+
+    /// `Σ v_m` of a known row, cached.
+    fn sum_at(&mut self, m: usize) -> f64 {
+        let row = self.stored(m);
+        let slot = &mut self.sums[row];
+        if slot.is_nan() {
+            let k = self.stay.len();
+            *slot = self.rows[row * k..(row + 1) * k].iter().sum::<f64>();
+        }
+        *slot
+    }
+
+    /// `ln m!`, cached for stored rows.
+    fn ln_fact_at(&mut self, m: usize) -> f64 {
+        match self.ln_fact.get_mut(m) {
+            Some(slot) => {
+                if slot.is_nan() {
+                    *slot = ln_factorial(m as f64);
+                }
+                *slot
+            }
+            None => ln_factorial(m as f64),
+        }
+    }
+}
+
+/// The Poisson(`lt`) window `m_lo..=m_hi`: the mode ± 12 standard
+/// deviations (tail mass far below 1e-16) plus 10, always including the
+/// `m = 0` region for small `lt`. Saturates instead of overflowing for
+/// huge `lt`.
+fn poisson_window(lt: f64) -> (usize, usize) {
+    let std12 = 12.0 * (lt.sqrt() + 1.0);
+    let m_lo = ((lt - std12).floor()).max(0.0) as usize;
+    let m_hi = ((lt + std12).ceil() as usize).saturating_add(10);
+    (m_lo, m_hi)
+}
+
+/// One uniformized jump, `next = v · P` for the upper-bidiagonal `P`:
+/// `next[i] = (0.0 + v[i−1]·advance[i−1]) + v[i]·stay[i]`, the sums in
+/// the order the former loop's zeroed `next[i] +=` updates made them.
+/// The last stage's advance is the absorbed mass and is dropped.
+fn step(v: &[f64], stay: &[f64], advance: &[f64], next: &mut [f64]) {
+    let mut carry = 0.0;
+    for (((n, &v), &s), &a) in next.iter_mut().zip(v).zip(stay).zip(advance) {
+        *n = carry + v * s;
+        carry = 0.0 + v * a;
+    }
+}
+
+/// `acc += w·row`, skipping weights that underflowed to zero.
+fn add_term(acc: &mut [f64], w: f64, row: &[f64]) {
+    if w > 0.0 {
+        for (a, &v) in acc.iter_mut().zip(row) {
+            *a += w * v;
+        }
+    }
+}
+
+/// Bitwise equality of two rows, compared from the last stage back, where
+/// the mass of a draining chain still moves.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter()
+        .rev()
+        .zip(b.iter().rev())
+        .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Separates exact ties so the Eq. 5 product is at least computable.
@@ -268,6 +497,9 @@ fn eq5_coefficients(rates: &[f64]) -> Vec<f64> {
         })
         .collect()
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -479,6 +711,25 @@ mod tests {
                 "t = {t}: {frac} vs {}",
                 h.cdf(t)
             );
+        }
+    }
+
+    #[test]
+    fn uniform_chains_settle_after_about_745_g_rows() {
+        // The cost model of the module docs: under the uniform abstraction
+        // the chain stops changing within ≈ 745·g + K rows, to all zeros
+        // for g ≤ 2 and to a rounding-held subnormal row otherwise.
+        for g in 1..=12usize {
+            for k in [1usize, 3, 5] {
+                let rates = crate::uniform_onion_path_rates(0.1, g, k).unwrap();
+                let mut chain = Uniformization::new(&rates, usize::MAX);
+                chain.accumulate(1e300);
+                let tail = chain.tail.expect("chain settles");
+                assert!(tail <= 745 * g + k, "g = {g}, K = {k}: tail row {tail}");
+                let last = &chain.rows[tail * (k + 1)..];
+                assert_eq!(last.iter().all(|&v| v == 0.0), g <= 2, "g = {g}: {last:?}");
+                assert!(last.iter().all(|&v| v < f64::MIN_POSITIVE), "{last:?}");
+            }
         }
     }
 

@@ -6,6 +6,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+/// Mean pairwise contact rate of the Table II random graph: `E[1/X]` for
+/// `X ~ U(1, 36)` minutes (the serving daemon's default `lambda`).
+const TABLE2_MEAN_RATE: f64 = 0.102_388_208_690_712_36;
+
 fn bench_hypoexp(c: &mut Criterion) {
     let mut group = c.benchmark_group("hypoexp");
 
@@ -26,6 +30,19 @@ fn bench_hypoexp(c: &mut Criterion) {
     let equal_k11 = analysis::HypoExp::new(vec![0.25; 11]).expect("valid");
     group.bench_function("cdf/uniformization_K11", |b| {
         b.iter(|| equal_k11.cdf(std::hint::black_box(1080.0)))
+    });
+
+    // The served delivery model at Table II defaults: g = 5, K = 3 ties
+    // the group stages, so both rows run the uniformization evaluator.
+    let table2 = analysis::uniform_onion_path_rates(TABLE2_MEAN_RATE, 5, 3).expect("valid");
+    group.bench_function("quantile/median_uniform_K3", |b| {
+        b.iter(|| analysis::median_delay(std::hint::black_box(&table2)).expect("valid"))
+    });
+    // A deadline whose Poisson window lies past the chain's constant
+    // tail: the cost must not grow with Λt.
+    let uniform = analysis::HypoExp::new(table2.clone()).expect("valid");
+    group.bench_function("cdf/uniformization_deadline_1e6", |b| {
+        b.iter(|| uniform.cdf(std::hint::black_box(1e6)))
     });
     group.finish();
 }

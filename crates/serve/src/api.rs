@@ -2,9 +2,15 @@
 //!
 //! Two endpoint families:
 //!
-//! * `/v1/model/*` — closed-form analytical models (`analysis` crate).
-//!   Microsecond-scale, never cached: evaluating the formula is cheaper
-//!   than hashing the request.
+//! * `/v1/model/*` — closed-form analytical models (`analysis` crate),
+//!   never cached. Median evaluation cost over the `serve_mixed`
+//!   benchmark's variants (release build, 2-vCPU Xeon): `cost`,
+//!   `traceable` and `anonymity` 0.05–0.08 µs; `delivery` ≈ 40 µs, since
+//!   its uniform rates tie the K ≥ 2 group stages and it runs the
+//!   uniformization evaluator plus a ~45-probe median search. Size
+//!   fields are bounded ([`MAX_MODEL_ONIONS`], [`MAX_MODEL_GROUP_SIZE`],
+//!   [`MAX_MODEL_COPIES`]; `400 invalid_argument` past them), which caps
+//!   the slowest admissible delivery request near 20 ms at any deadline.
 //! * `/v1/sweep/*` — Monte-Carlo experiments (`onion_routing`
 //!   experiment harness). Expensive, so responses flow through a
 //!   sharded LRU cache keyed by `Checkpoint::fingerprint` of the
@@ -48,6 +54,23 @@ const DEADLINE_MARKER: &str = "\u{1}deadline:";
 /// Mean pairwise contact rate of the Table II random graph:
 /// `E[1/X]` for `X ~ U(1, 36)` minutes.
 pub const TABLE2_MEAN_RATE: f64 = 0.102_388_208_690_712_36;
+
+/// Largest `onions` (K) a model request may ask for: ⌊8192/37⌋ = 221,
+/// the deepest route a wire packet can carry (an 8192-byte body, 37
+/// bytes per onion layer). Bounds the O(K²) traceable-rate loop and the
+/// `K + 1`-stage rate vector of the delivery model.
+pub const MAX_MODEL_ONIONS: usize = 221;
+
+/// Largest `group_size` (g) a model request may ask for: the whole
+/// Table II population. The delivery model's uniformization chain
+/// settles after ≈ 745·g steps, so this bound (with
+/// [`MAX_MODEL_ONIONS`]) caps one delivery request at tens of
+/// milliseconds, whatever its deadline.
+pub const MAX_MODEL_GROUP_SIZE: usize = 100;
+
+/// Largest `copies` (L) a model request may ask for: one per node of
+/// the Table II population.
+pub const MAX_MODEL_COPIES: u32 = 100;
 
 /// Server-side execution limits and knobs shared by every endpoint.
 pub struct ApiLimits {
@@ -688,6 +711,21 @@ fn opt_field<T: serde::DeserializeOwned>(body: &Value, key: &str) -> Result<Opti
     }
 }
 
+/// Passes a model size field through when it is at most `limit`; the
+/// error names the field and the limit. The CLI's `plan` command applies
+/// the same checks to its flags.
+pub fn check_limit<T: PartialOrd + std::fmt::Display>(
+    field: &str,
+    value: T,
+    limit: T,
+) -> Result<T, String> {
+    if value > limit {
+        Err(format!("{field} must be at most {limit}, got {value}"))
+    } else {
+        Ok(value)
+    }
+}
+
 fn to_json<T: Serialize>(value: &T) -> Result<String, String> {
     serde_json::to_string(value).map_err(|e| format!("serialize response: {e}"))
 }
@@ -715,11 +753,29 @@ pub struct DeliveryModel {
     pub median_delay: f64,
 }
 
+/// A model request's `group_size` (default 5), checked against its limit.
+fn group_size_field(body: &Value) -> Result<usize, String> {
+    let group_size = opt_field::<usize>(body, "group_size")?.unwrap_or(5);
+    check_limit("group_size", group_size, MAX_MODEL_GROUP_SIZE)
+}
+
+/// A model request's `onions` (default 3), checked against its limit.
+fn onions_field(body: &Value) -> Result<usize, String> {
+    let onions = opt_field::<usize>(body, "onions")?.unwrap_or(3);
+    check_limit("onions", onions, MAX_MODEL_ONIONS)
+}
+
+/// A model request's `copies` (default 1), checked against its limit.
+fn copies_field(body: &Value) -> Result<u32, String> {
+    let copies = opt_field::<u32>(body, "copies")?.unwrap_or(1);
+    check_limit("copies", copies, MAX_MODEL_COPIES)
+}
+
 fn model_delivery(body: &Value) -> Result<String, String> {
     let lambda = opt_field::<f64>(body, "lambda")?.unwrap_or(TABLE2_MEAN_RATE);
-    let group_size = opt_field::<usize>(body, "group_size")?.unwrap_or(5);
-    let onions = opt_field::<usize>(body, "onions")?.unwrap_or(3);
-    let copies = opt_field::<u32>(body, "copies")?.unwrap_or(1);
+    let group_size = group_size_field(body)?;
+    let onions = onions_field(body)?;
+    let copies = copies_field(body)?;
     let deadline = opt_field::<f64>(body, "deadline")?.unwrap_or(1080.0);
     let rates = analysis::uniform_onion_path_rates(lambda, group_size, onions)
         .map_err(|e| e.to_string())?;
@@ -756,8 +812,8 @@ pub struct CostModel {
 }
 
 fn model_cost(body: &Value) -> Result<String, String> {
-    let onions = opt_field::<usize>(body, "onions")?.unwrap_or(3);
-    let copies = opt_field::<u32>(body, "copies")?.unwrap_or(1);
+    let onions = onions_field(body)?;
+    let copies = copies_field(body)?;
     let bound = if copies == 1 {
         analysis::single_copy_cost(onions)
     } else {
@@ -792,7 +848,7 @@ pub struct TraceableModel {
 fn model_traceable(body: &Value) -> Result<String, String> {
     let nodes = opt_field::<usize>(body, "nodes")?.unwrap_or(100);
     let compromised = opt_field::<usize>(body, "compromised")?.unwrap_or(10);
-    let onions = opt_field::<usize>(body, "onions")?.unwrap_or(3);
+    let onions = onions_field(body)?;
     if nodes == 0 || compromised > nodes {
         return Err("need 0 < nodes and compromised <= nodes".to_string());
     }
@@ -828,10 +884,10 @@ pub struct AnonymityModel {
 
 fn model_anonymity(body: &Value) -> Result<String, String> {
     let nodes = opt_field::<usize>(body, "nodes")?.unwrap_or(100);
-    let group_size = opt_field::<usize>(body, "group_size")?.unwrap_or(5);
-    let onions = opt_field::<usize>(body, "onions")?.unwrap_or(3);
+    let group_size = group_size_field(body)?;
+    let onions = onions_field(body)?;
     let compromised = opt_field::<usize>(body, "compromised")?.unwrap_or(10);
-    let copies = opt_field::<u32>(body, "copies")?.unwrap_or(1);
+    let copies = copies_field(body)?;
     let anonymity = analysis::path_anonymity(nodes, group_size, onions, compromised, copies)
         .map_err(|e| e.to_string())?;
     to_json(&AnonymityModel {
@@ -951,6 +1007,45 @@ mod tests {
         assert_eq!(r.status, 400);
         let r = api.handle(&post("/v1/model/anonymity", "not json"));
         assert_eq!(r.status, 400);
+    }
+
+    #[test]
+    fn model_size_limits_admit_the_bound_and_reject_past_it() {
+        let api = api();
+        let at_limit = format!(
+            "{{\"group_size\":{MAX_MODEL_GROUP_SIZE},\"onions\":{MAX_MODEL_ONIONS},\
+             \"copies\":{MAX_MODEL_COPIES},\"nodes\":100000,\"compromised\":10}}"
+        );
+        for path in [
+            "/v1/model/delivery",
+            "/v1/model/cost",
+            "/v1/model/traceable",
+            "/v1/model/anonymity",
+        ] {
+            let r = api.handle(&post(path, &at_limit));
+            assert_eq!(r.status, 200, "{path}: {}", r.body);
+        }
+        let past = [
+            ("group_size", MAX_MODEL_GROUP_SIZE as u64 + 1),
+            ("onions", MAX_MODEL_ONIONS as u64 + 1),
+            ("copies", MAX_MODEL_COPIES as u64 + 1),
+        ];
+        for (field, value) in past {
+            let r = api.handle(&post(
+                "/v1/model/delivery",
+                &format!("{{\"{field}\":{value}}}"),
+            ));
+            assert_eq!(r.status, 400, "{field}: {}", r.body);
+            assert!(
+                r.body
+                    .contains(&format!("{field} must be at most {}", value - 1)),
+                "{}",
+                r.body
+            );
+        }
+        // Fields an endpoint does not read are not checked there.
+        let r = api.handle(&post("/v1/model/traceable", "{\"group_size\":1000000}"));
+        assert_eq!(r.status, 200, "{}", r.body);
     }
 
     #[test]

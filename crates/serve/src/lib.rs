@@ -52,7 +52,9 @@ pub mod server;
 pub mod stats;
 pub mod store;
 
-pub use api::{Api, ApiLimits, TABLE2_MEAN_RATE};
+pub use api::{
+    Api, ApiLimits, MAX_MODEL_COPIES, MAX_MODEL_GROUP_SIZE, MAX_MODEL_ONIONS, TABLE2_MEAN_RATE,
+};
 pub use cache::ShardedLru;
 pub use flight::{Role, SingleFlight};
 pub use http::{Request, Response, CONTENT_TYPE_JSON, CONTENT_TYPE_PROMETHEUS};

@@ -703,9 +703,14 @@ fn cmd_code_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
 fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let target: f64 = flag(flags, "target", 0.95f64)?;
-    let g: usize = flag(flags, "g", 5usize)?;
-    let k: usize = flag(flags, "k", 3usize)?;
-    let l: u32 = flag(flags, "l", 1u32)?;
+    // The /v1/model/* size limits, so a plan is never slower than the
+    // daemon would allow.
+    let g = serve::api::check_limit("g", flag(flags, "g", 5usize)?, serve::MAX_MODEL_GROUP_SIZE)
+        .map_err(CliError::Usage)?;
+    let k = serve::api::check_limit("k", flag(flags, "k", 3usize)?, serve::MAX_MODEL_ONIONS)
+        .map_err(CliError::Usage)?;
+    let l = serve::api::check_limit("l", flag(flags, "l", 1u32)?, serve::MAX_MODEL_COPIES)
+        .map_err(CliError::Usage)?;
     // Mean pairwise rate of the Table II graph: E[1/X], X ~ U(1, 36).
     let lambda = (36f64.ln() - 1f64.ln()) / 35.0;
     let rates = analysis::uniform_onion_path_rates(lambda, g, k)

@@ -208,6 +208,94 @@ fn every_failure_class_uses_the_error_envelope() {
 }
 
 #[test]
+fn oversized_model_parameters_get_400_naming_field_and_limit() {
+    let (handle, join) = start(ServeConfig::default());
+    let addr = handle.local_addr();
+    // Each would hold a worker for minutes or try a multi-GB allocation
+    // without the limits: an O(η²) loop over 10⁶ onions, a 4·10⁹-stage
+    // rate vector, and so on.
+    for (path, body, field, limit) in [
+        (
+            "/v1/model/traceable",
+            "{\"onions\":1000000}",
+            "onions",
+            221u64,
+        ),
+        (
+            "/v1/model/delivery",
+            "{\"onions\":4000000000}",
+            "onions",
+            221,
+        ),
+        (
+            "/v1/model/delivery",
+            "{\"group_size\":1000000}",
+            "group_size",
+            100,
+        ),
+        (
+            "/v1/model/delivery",
+            "{\"copies\":4000000000}",
+            "copies",
+            100,
+        ),
+        ("/v1/model/cost", "{\"onions\":1000000}", "onions", 221),
+        (
+            "/v1/model/anonymity",
+            "{\"copies\":3000000000}",
+            "copies",
+            100,
+        ),
+    ] {
+        let resp = exchange(addr, "POST", path, body);
+        assert_eq!(assert_error_envelope(&resp, 400), "invalid_argument");
+        assert!(
+            resp.body
+                .contains(&format!("{field} must be at most {limit}")),
+            "{path} {body}: {}",
+            resp.body
+        );
+    }
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn slowest_admissible_delivery_request_is_fast_and_saturates() {
+    let (handle, join) = start(ServeConfig::default());
+    let addr = handle.local_addr();
+    // The largest admissible chain, at deadlines whose Poisson windows lie
+    // far past its constant tail: the cost no longer grows with Λt.
+    for deadline in ["1e12", "1e300"] {
+        let body = format!(
+            "{{\"group_size\":{},\"onions\":{},\"copies\":{},\"deadline\":{deadline}}}",
+            onion_dtn::serve::MAX_MODEL_GROUP_SIZE,
+            onion_dtn::serve::MAX_MODEL_ONIONS,
+            onion_dtn::serve::MAX_MODEL_COPIES,
+        );
+        let started = std::time::Instant::now();
+        let resp = exchange(addr, "POST", "/v1/model/delivery", &body);
+        let elapsed = started.elapsed();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(
+            resp.body.contains("\"delivery_rate\":1.0,"),
+            "{}",
+            resp.body
+        );
+        // Timing is a release-build property; debug builds only check
+        // that the request completes.
+        if !cfg!(debug_assertions) {
+            assert!(
+                elapsed < std::time::Duration::from_millis(100),
+                "deadline {deadline}: {elapsed:?}"
+            );
+        }
+    }
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn metricsz_serves_json_and_prometheus_with_correct_content_types() {
     let (handle, join) = start(ServeConfig::default());
     let addr = handle.local_addr();
