@@ -14,35 +14,29 @@
 //!   hours"); rates for the analysis side are estimated ("trained") from
 //!   the trace.
 //!
-//! Every entry point fans its realizations across the deterministic
-//! parallel runner ([`crate::runner`]): trial `i` derives all of its
-//! randomness from [`crate::runner::trial_rng`]`(opts.seed, domain, i)`
-//! and produces a mergeable partial, and partials are folded in ascending
-//! trial order — so reports are bit-identical for any
-//! [`ExperimentOptions::threads`] setting. Realizations run panic-isolated
-//! ([`run_trials_resilient`]): a panicking trial is retried once on a
-//! deterministic disambiguated sub-seed and quarantined if it fails again.
+//! Every point and sweep runs the same trial (`crate::trial`): realize
+//! the world, route the messages, score the run. Its realizations fan
+//! across the deterministic parallel runner ([`crate::runner`]): trial
+//! `i` derives all of its randomness from
+//! [`crate::runner::trial_rng`]`(opts.seed, domain, i)` and produces a
+//! mergeable partial, and partials are folded in ascending trial order —
+//! so reports are bit-identical for any [`ExperimentOptions::threads`]
+//! setting. Realizations run panic-isolated
+//! ([`crate::runner::run_trials_resilient`]): a panicking trial is
+//! retried once on a deterministic disambiguated sub-seed and quarantined
+//! if it fails again.
 
-use contact_graph::{
-    ContactModel, ContactSchedule, NodeId, SparseContacts, Time, TimeDelta, UniformGraphBuilder,
-};
-use dtn_sim::{
-    fragment_id, run_stream, run_with_faults, CalendarQueue, CopyMode, FaultPlan, Message,
-    MessageId, SimConfig, SimCounters, SimReport, StreamingStats,
-};
-use rand::Rng;
+use contact_graph::{ContactModel, ContactSchedule, NodeId};
+use dtn_sim::{fragment_id, FaultPlan, Message, MessageId, SimCounters, StreamingStats};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::Adversary;
 use crate::config::ProtocolConfig;
-use crate::groups::OnionGroups;
 use crate::metrics;
-use crate::protocol::{ForwardingMode, OnionRouting};
-use crate::runner::{
-    run_trials_resilient, trial_rng_attempt, RunnerConfig, SeedDomain, TrialFailure,
-};
-use crate::sweep::SparseScenario;
+use crate::runner::RunnerConfig;
+use crate::sweep::{check_world, SecurityAxis, SparseScenario};
+use crate::trial::{self, Scorer, Trial, World};
 
 /// Knobs that are about the experiment, not the protocol.
 ///
@@ -79,15 +73,15 @@ pub struct ExperimentOptions {
     /// Wire mode: move (and peel) real constant-size ciphertext on every
     /// forward, tallying bytes and AEAD operations into the summary's
     /// `sim_counters`. All crypto randomness comes from the dedicated
-    /// [`SeedDomain::Wire`] stream, so the abstract results are
-    /// bit-identical with this flag on or off.
+    /// [`SeedDomain::Wire`](crate::SeedDomain::Wire) stream, so the
+    /// abstract results are bit-identical with this flag on or off.
     pub wire: bool,
     /// Erasure-coded k-of-m forwarding: `Some((k, m))` expands every
     /// message into `m` independently routed single-copy Reed-Solomon
     /// fragments, delivered when any `k` arrive
     /// ([`dtn_sim::CopyMode::Coded`]). Codec randomness comes from the
-    /// dedicated [`SeedDomain::Codec`] stream, and the analysis side
-    /// switches to the k-of-m order-statistic model
+    /// dedicated [`SeedDomain::Codec`](crate::SeedDomain::Codec) stream,
+    /// and the analysis side switches to the k-of-m order-statistic model
     /// ([`analysis::coded_delivery_rate`] /
     /// [`analysis::coded_cost_bound`]). `None` (the default) is the
     /// paper's replica discipline, bit-identical to builds that predate
@@ -285,58 +279,6 @@ impl ExperimentOptionsBuilder {
 /// carrying this prefix to its trial-failure exit code.
 pub const TRIAL_FAILURE_ABORT: &str = "experiment aborted: quarantined trial failure";
 
-/// Trial index forced to panic via `ONION_DTN_PANIC_TRIAL` — a CI/test
-/// hook for exercising quarantine and the crash-bundle flight recorder
-/// deterministically. Parsed once per process.
-fn forced_panic_trial() -> Option<u64> {
-    static FORCED: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("ONION_DTN_PANIC_TRIAL")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-    })
-}
-
-/// Panics (on every attempt) when `trial` is the forced-panic trial.
-/// Called after the realization ran, so the trial's trace ring holds
-/// real lifecycle events when the flight recorder dumps it.
-pub(crate) fn maybe_forced_panic(trial: u64) {
-    assert!(
-        forced_panic_trial() != Some(trial),
-        "forced panic for trial {trial} (ONION_DTN_PANIC_TRIAL)"
-    );
-}
-
-/// Logs quarantined failures and either panics (`keep_going == false`)
-/// or returns how many were tolerated.
-pub(crate) fn resolve_failures(
-    label: &str,
-    failures: &[TrialFailure],
-    opts: &ExperimentOptions,
-) -> u64 {
-    if failures.is_empty() {
-        return 0;
-    }
-    for f in failures {
-        obs::error!(
-            "onion_routing::experiment",
-            "{label}: trial {} quarantined after {} attempts: {}",
-            f.trial,
-            f.attempts,
-            f.message,
-        );
-    }
-    assert!(
-        opts.keep_going,
-        "{TRIAL_FAILURE_ABORT}: {label}: {} trial(s) failed \
-         (first: trial {}: {}); pass keep_going to tolerate quarantined trials",
-        failures.len(),
-        failures[0].trial,
-        failures[0].message,
-    );
-    failures.len() as u64
-}
-
 /// Aggregated analysis-vs-simulation values for one parameter point.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PointSummary {
@@ -379,61 +321,10 @@ pub struct PointSummary {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails validation (programmer error in a sweep).
+/// Panics if `cfg` or `opts` fail validation (see
+/// [`SweepSpec::validate`](crate::SweepSpec::validate)).
 pub fn run_random_graph_point(cfg: &ProtocolConfig, opts: &ExperimentOptions) -> PointSummary {
-    cfg.validate().expect("experiment config must be valid");
-    let span = obs::span("experiment.point_secs");
-    let mut acc = Accumulator::default();
-    let failures = run_trials_resilient(
-        &opts.runner(),
-        opts.realizations,
-        |realization, attempt| {
-            let trial = realization as u64;
-            obs::trace_ring_begin(trial);
-            let mut rng =
-                trial_rng_attempt(opts.seed, SeedDomain::GraphRealization, trial, attempt);
-            let mut fault_rng = trial_rng_attempt(opts.seed, SeedDomain::Faults, trial, attempt);
-            let graph = UniformGraphBuilder::new(cfg.nodes)
-                .mean_intercontact_range(
-                    TimeDelta::new(opts.intercontact_range.0),
-                    TimeDelta::new(opts.intercontact_range.1),
-                )
-                .build(&mut rng);
-            let horizon = Time::ZERO + cfg.deadline;
-            let schedule = ContactSchedule::sample(&graph, horizon, &mut rng);
-            let messages = random_messages(cfg, opts.messages, |_| Time::ZERO, &mut rng);
-            let wire_rng = opts
-                .wire
-                .then(|| trial_rng_attempt(opts.seed, SeedDomain::Wire, trial, attempt));
-            let codec_rng = opts
-                .code
-                .map(|_| trial_rng_attempt(opts.seed, SeedDomain::Codec, trial, attempt));
-            let mut partial = Accumulator::default();
-            run_one_realization(
-                cfg,
-                &schedule,
-                Some(&graph),
-                messages,
-                &opts.faults,
-                wire_rng,
-                opts.code,
-                codec_rng,
-                &mut fault_rng,
-                &mut rng,
-                &mut partial,
-            );
-            maybe_forced_panic(trial);
-            obs::trace_ring_flush();
-            partial
-        },
-        &mut acc,
-        |acc, _realization, partial| acc.merge(&partial),
-    );
-    let mut summary = acc.finish(cfg, opts.code);
-    summary.trial_failures = resolve_failures("random_graph_point", &failures, opts);
-    drop(span);
-    obs::flush_point("random_graph_point");
-    summary
+    point(World::RandomGraph, cfg, opts)
 }
 
 /// Runs one trace-driven data point over `schedule` (synthetic or parsed
@@ -449,90 +340,22 @@ pub fn run_schedule_point(
     cfg: &ProtocolConfig,
     opts: &ExperimentOptions,
 ) -> PointSummary {
-    cfg.validate().expect("experiment config must be valid");
-    assert_eq!(
-        cfg.nodes,
-        schedule.node_count(),
-        "config nodes must match the trace"
-    );
-    let span = obs::span("experiment.point_secs");
-    let estimated = schedule.estimate_rates();
-    let mut acc = Accumulator::default();
-    let failures = run_trials_resilient(
-        &opts.runner(),
-        opts.realizations,
-        |realization, attempt| {
-            let trial = realization as u64;
-            obs::trace_ring_begin(trial);
-            let mut rng =
-                trial_rng_attempt(opts.seed, SeedDomain::ScheduleRealization, trial, attempt);
-            let mut start_rng =
-                trial_rng_attempt(opts.seed, SeedDomain::ScheduleStarts, trial, attempt);
-            let mut fault_rng = trial_rng_attempt(opts.seed, SeedDomain::Faults, trial, attempt);
-            // Start each message at a random contact event of its source.
-            let events = schedule.events();
-            let messages = random_messages(
-                cfg,
-                opts.messages,
-                |source| {
-                    let candidates: Vec<Time> = events
-                        .iter()
-                        .filter(|e| e.involves(source))
-                        .map(|e| e.time)
-                        .collect();
-                    if candidates.is_empty() {
-                        Time::ZERO
-                    } else {
-                        candidates[start_rng.gen_range(0..candidates.len())]
-                    }
-                },
-                &mut rng,
-            );
-            let wire_rng = opts
-                .wire
-                .then(|| trial_rng_attempt(opts.seed, SeedDomain::Wire, trial, attempt));
-            let codec_rng = opts
-                .code
-                .map(|_| trial_rng_attempt(opts.seed, SeedDomain::Codec, trial, attempt));
-            let mut partial = Accumulator::default();
-            run_one_realization(
-                cfg,
-                schedule,
-                Some(&estimated),
-                messages,
-                &opts.faults,
-                wire_rng,
-                opts.code,
-                codec_rng,
-                &mut fault_rng,
-                &mut rng,
-                &mut partial,
-            );
-            maybe_forced_panic(trial);
-            obs::trace_ring_flush();
-            partial
-        },
-        &mut acc,
-        |acc, _realization, partial| acc.merge(&partial),
-    );
-    let mut summary = acc.finish(cfg, opts.code);
-    summary.trial_failures = resolve_failures("schedule_point", &failures, opts);
-    drop(span);
-    obs::flush_point("schedule_point");
-    summary
+    point(World::Schedule(schedule, None), cfg, opts)
 }
 
 /// Runs one data point on sparse proximity worlds: each realization
-/// samples a Poisson proximity graph ([`SparseContacts::poisson_proximity`])
-/// with `sparse.avg_degree` expected neighbors per node, streams its
-/// contacts lazily through a [`CalendarQueue`], and simulates via
-/// [`run_stream`] — so memory is `O(nodes + active pairs)` instead of the
-/// dense `O(nodes²)`, and `n = 10⁵–10⁶` points fit in a CI container.
+/// samples a Poisson proximity graph
+/// ([`contact_graph::SparseContacts::poisson_proximity`]) with
+/// `sparse.avg_degree` expected neighbors per node, streams its contacts
+/// lazily through a [`dtn_sim::CalendarQueue`], and simulates via
+/// [`dtn_sim::run_stream`] — so memory is `O(nodes + active pairs)`
+/// instead of the dense `O(nodes²)`, and `n = 10⁵–10⁶` points fit in a
+/// CI container.
 ///
 /// The analysis series evaluates Eq. 4 on the same sparse realization
 /// (the model's rates *are* the world's rates). Randomness comes from
-/// the dedicated [`SeedDomain::SparseRealization`] (world, workload,
-/// groups, adversary) and [`SeedDomain::SparseContacts`] (calendar
+/// the dedicated `SeedDomain::SparseRealization` (world, workload,
+/// groups, adversary) and `SeedDomain::SparseContacts` (calendar
 /// arrivals) streams, so dense-mode results are untouched and sparse
 /// results are bit-identical for every thread count.
 ///
@@ -545,87 +368,35 @@ pub fn run_sparse_point(
     sparse: &SparseScenario,
     opts: &ExperimentOptions,
 ) -> PointSummary {
-    cfg.validate().expect("experiment config must be valid");
-    assert!(
-        sparse.avg_degree.is_finite() && sparse.avg_degree > 0.0,
-        "sparse avg_degree must be positive and finite"
-    );
-    let span = obs::span("experiment.point_secs");
-    let mut acc = Accumulator::default();
-    let failures = run_trials_resilient(
-        &opts.runner(),
-        opts.realizations,
-        |realization, attempt| {
-            let trial = realization as u64;
-            obs::trace_ring_begin(trial);
-            let mut rng =
-                trial_rng_attempt(opts.seed, SeedDomain::SparseRealization, trial, attempt);
-            let mut fault_rng = trial_rng_attempt(opts.seed, SeedDomain::Faults, trial, attempt);
-            let calendar_rng =
-                trial_rng_attempt(opts.seed, SeedDomain::SparseContacts, trial, attempt);
-            let world = SparseContacts::poisson_proximity(
-                cfg.nodes,
-                sparse.avg_degree,
-                (
-                    TimeDelta::new(opts.intercontact_range.0),
-                    TimeDelta::new(opts.intercontact_range.1),
-                ),
-                &mut rng,
-            );
-            let horizon = Time::ZERO + cfg.deadline;
-            let messages = random_messages(cfg, opts.messages, |_| Time::ZERO, &mut rng);
-            let groups = OnionGroups::random_partition(cfg.nodes, cfg.group_size, &mut rng);
-            let (mut protocol, sim_config) = wire_setup(
-                onion_protocol(cfg, opts.code.is_some(), groups),
-                opts,
-                trial,
-                attempt,
-            );
-            let queue = CalendarQueue::from_sparse(&world, horizon, calendar_rng);
-            obs::gauge_max("sparse.world_bytes_hwm", world.approx_bytes() as i64);
-            obs::gauge_max("sparse.calendar_bytes_hwm", queue.approx_bytes() as i64);
-            let report = run_stream(
-                cfg.nodes,
-                horizon,
-                queue,
-                &mut protocol,
-                messages.clone(),
-                &sim_config,
-                &opts.faults,
-                &mut fault_rng,
-                &mut rng,
-            )
-            .expect("messages validated against the sparse world");
-            let mut partial = Accumulator::default();
-            score_point_realization(
-                cfg,
-                Some(&world),
-                &messages,
-                opts.code,
-                &protocol,
-                &report,
-                &mut rng,
-                &mut partial,
-            );
-            maybe_forced_panic(trial);
-            obs::trace_ring_flush();
-            partial
-        },
-        &mut acc,
-        |acc, _realization, partial| acc.merge(&partial),
-    );
-    let mut summary = acc.finish(cfg, opts.code);
-    summary.trial_failures = resolve_failures("sparse_point", &failures, opts);
-    drop(span);
-    obs::flush_point("sparse_point");
-    summary
+    point(World::Sparse(sparse), cfg, opts)
 }
+
+/// One point on `world`: the body of every `run_*_point` and of every
+/// fault and code sweep row.
+pub(crate) fn point(
+    world: World<'_>,
+    cfg: &ProtocolConfig,
+    opts: &ExperimentOptions,
+) -> PointSummary {
+    if let Err(e) = check_world(world, cfg, opts) {
+        panic!("{e}");
+    }
+    let (acc, failures) = trial::run(world, cfg, opts, &PointScorer);
+    PointSummary {
+        trial_failures: failures,
+        ..acc.finish(cfg, opts.code)
+    }
+}
+
+/// The point scorer: every series of a [`PointSummary`], with one
+/// adversary draw per trial.
+pub(crate) struct PointScorer;
 
 /// Accumulates per-realization results. Mergeable: the parallel runner
 /// folds one `Accumulator` per realization into the final one in trial
 /// order.
 #[derive(Default)]
-struct Accumulator {
+pub(crate) struct Accumulator {
     /// Per-message model-predicted delivery probability (Eq. 6/7).
     analysis_delivery: StreamingStats,
     /// Per-realization simulated delivery rate.
@@ -641,21 +412,90 @@ struct Accumulator {
     counters: SimCounters,
 }
 
-impl Accumulator {
-    fn merge(&mut self, other: &Accumulator) {
-        self.analysis_delivery.merge(&other.analysis_delivery);
-        self.realization_delivery.merge(&other.realization_delivery);
-        self.injected += other.injected;
-        self.delivered += other.delivered;
-        self.trace_sum += other.trace_sum;
-        self.trace_count += other.trace_count;
-        self.anon_sum += other.anon_sum;
-        self.anon_count += other.anon_count;
-        self.tx_sum += other.tx_sum;
-        self.tx_count += other.tx_count;
-        self.counters.merge(&other.counters);
+impl Scorer for PointScorer {
+    type Partial = Accumulator;
+
+    fn empty(&self) -> Accumulator {
+        Accumulator::default()
     }
 
+    /// The analysis series on the trial's own rate model (per-message
+    /// Eq. 4 rates; in coded mode the k-of-m order statistic averaged
+    /// over the `m` fragment routes, a routeless or degenerate fragment
+    /// scoring zero), the simulation series, and one adversary draw.
+    fn score<M: ContactModel + ?Sized>(
+        &self,
+        t: &Trial<'_, M>,
+        rng: &mut ChaCha8Rng,
+    ) -> Accumulator {
+        let (cfg, report, deadline) = (t.cfg, t.report, t.cfg.deadline.as_f64());
+        let mut acc = Accumulator::default();
+        let mut cache = RateCache::default();
+        for msg in t.messages {
+            match t.code {
+                Some((k, m)) => {
+                    let mut sum = 0.0;
+                    for idx in 0..m {
+                        let fid = fragment_id(msg.id, idx);
+                        if let Some(Some(rates)) = cache.rates_for(t, fid, msg) {
+                            sum +=
+                                analysis::coded_delivery_rate(rates, k, m, deadline).unwrap_or(0.0);
+                        }
+                    }
+                    acc.analysis_delivery.push(sum / m as f64);
+                }
+                None => {
+                    if let Some(rates) = cache.rates_for(t, msg.id, msg) {
+                        acc.analysis_delivery.push(rates.map_or(0.0, |rates| {
+                            analysis::delivery_rate_multicopy(rates, cfg.copies, deadline)
+                                .unwrap_or(0.0)
+                        }));
+                    }
+                }
+            }
+        }
+
+        if let Some(c) = report.counters() {
+            acc.counters.merge(c);
+        }
+        acc.injected += report.injected_count();
+        acc.delivered += report.delivered_count();
+        acc.realization_delivery.push(report.delivery_rate());
+        acc.tx_sum += report.mean_transmissions() * report.injected_count() as f64;
+        acc.tx_count += report.injected_count();
+
+        let adversary = Adversary::random(cfg.nodes, cfg.compromised, rng);
+        if let Some(t) = metrics::mean_traceable_rate(report, &adversary) {
+            acc.trace_sum += t * report.delivered_count() as f64;
+            acc.trace_count += report.delivered_count();
+        }
+        if let Some(a) =
+            metrics::mean_path_anonymity(report, &adversary, cfg.nodes, cfg.group_size, cfg.eta())
+        {
+            acc.anon_sum += a * report.injected_count() as f64;
+            acc.anon_count += report.injected_count();
+        }
+        acc
+    }
+
+    fn merge(total: &mut Accumulator, other: &Accumulator) {
+        total.analysis_delivery.merge(&other.analysis_delivery);
+        total
+            .realization_delivery
+            .merge(&other.realization_delivery);
+        total.injected += other.injected;
+        total.delivered += other.delivered;
+        total.trace_sum += other.trace_sum;
+        total.trace_count += other.trace_count;
+        total.anon_sum += other.anon_sum;
+        total.anon_count += other.anon_count;
+        total.tx_sum += other.tx_sum;
+        total.tx_count += other.tx_count;
+        total.counters.merge(&other.counters);
+    }
+}
+
+impl Accumulator {
     fn finish(self, cfg: &ProtocolConfig, code: Option<(u32, u32)>) -> PointSummary {
         let analysis_traceable =
             analysis::expected_traceable_rate(cfg.eta(), cfg.compromise_probability())
@@ -681,28 +521,12 @@ impl Accumulator {
         };
         PointSummary {
             analysis_delivery: self.analysis_delivery.mean().unwrap_or(0.0),
-            sim_delivery: if self.injected > 0 {
-                self.delivered as f64 / self.injected as f64
-            } else {
-                0.0
-            },
+            sim_delivery: ratio(self.delivered as f64, self.injected).unwrap_or(0.0),
             analysis_traceable,
-            sim_traceable: if self.trace_count > 0 {
-                Some(self.trace_sum / self.trace_count as f64)
-            } else {
-                None
-            },
+            sim_traceable: ratio(self.trace_sum, self.trace_count),
             analysis_anonymity,
-            sim_anonymity: if self.anon_count > 0 {
-                Some(self.anon_sum / self.anon_count as f64)
-            } else {
-                None
-            },
-            sim_transmissions: if self.tx_count > 0 {
-                self.tx_sum / self.tx_count as f64
-            } else {
-                0.0
-            },
+            sim_anonymity: ratio(self.anon_sum, self.anon_count),
+            sim_transmissions: ratio(self.tx_sum, self.tx_count).unwrap_or(0.0),
             analysis_cost_bound,
             injected: self.injected,
             delivered: self.delivered,
@@ -736,30 +560,34 @@ type RateEntry = (
 /// members left, a rate-computation error, or a non-positive hop rate —
 /// for which both consumers score a flat zero.
 #[derive(Default)]
-pub(crate) struct RateCache {
+struct RateCache {
     entries: Vec<RateEntry>,
 }
 
 impl RateCache {
-    /// The Eq. 4 rates for `route` between `source` and `destination`
-    /// on `graph` (any [`ContactModel`] — dense or sparse), computed on
-    /// first use and replayed thereafter.
-    pub(crate) fn rates_for<M: ContactModel + ?Sized>(
+    /// The Eq. 4 rates of the route the trial's protocol drew for `id`
+    /// (`msg` itself or one of its fragments) on the trial's rate model
+    /// (any [`ContactModel`] — dense or sparse), computed on first use
+    /// and replayed thereafter: `None` when `id` has no route,
+    /// `Some(None)` for a degenerate path.
+    fn rates_for<M: ContactModel + ?Sized>(
         &mut self,
-        graph: &M,
-        groups: &OnionGroups,
-        route: &[crate::groups::GroupId],
-        source: NodeId,
-        destination: NodeId,
-    ) -> Option<&[f64]> {
+        t: &Trial<'_, M>,
+        id: MessageId,
+        msg: &Message,
+    ) -> Option<Option<&[f64]>> {
+        let route = t.protocol.route_of(id)?;
+        let (source, destination) = (msg.source, msg.destination);
         if let Some(pos) = self
             .entries
             .iter()
             .position(|(r, s, d, _)| r.as_slice() == route && *s == source && *d == destination)
         {
-            return self.entries[pos].3.as_deref();
+            return Some(self.entries[pos].3.as_deref());
         }
-        let members: Vec<Vec<NodeId>> = groups
+        let members: Vec<Vec<NodeId>> = t
+            .protocol
+            .groups()
             .route_members(route)
             .into_iter()
             .map(|g| {
@@ -771,192 +599,14 @@ impl RateCache {
         let rates = if members.iter().any(|g| g.is_empty()) {
             None
         } else {
-            match analysis::onion_path_rates(graph, source, &members, destination) {
+            match analysis::onion_path_rates(t.rates, source, &members, destination) {
                 Ok(rates) if rates.iter().all(|&r| r > 0.0) => Some(rates),
                 _ => None,
             }
         };
         self.entries
             .push((route.to_vec(), source, destination, rates));
-        self.entries.last().expect("entry just pushed").3.as_deref()
-    }
-}
-
-pub(crate) fn random_messages<F>(
-    cfg: &ProtocolConfig,
-    count: usize,
-    mut start_time: F,
-    rng: &mut ChaCha8Rng,
-) -> Vec<Message>
-where
-    F: FnMut(NodeId) -> Time,
-{
-    (0..count as u64)
-        .map(|i| {
-            let source = NodeId(rng.gen_range(0..cfg.nodes as u32));
-            let mut destination = NodeId(rng.gen_range(0..cfg.nodes as u32));
-            while destination == source {
-                destination = NodeId(rng.gen_range(0..cfg.nodes as u32));
-            }
-            Message {
-                id: MessageId(i),
-                source,
-                destination,
-                created: start_time(source),
-                deadline: cfg.deadline,
-                copies: cfg.copies,
-            }
-        })
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_one_realization<M: ContactModel + ?Sized>(
-    cfg: &ProtocolConfig,
-    schedule: &ContactSchedule,
-    rate_graph: Option<&M>,
-    messages: Vec<Message>,
-    faults: &FaultPlan,
-    wire_rng: Option<ChaCha8Rng>,
-    code: Option<(u32, u32)>,
-    codec_rng: Option<ChaCha8Rng>,
-    fault_rng: &mut ChaCha8Rng,
-    rng: &mut ChaCha8Rng,
-    acc: &mut Accumulator,
-) {
-    let groups = OnionGroups::random_partition(cfg.nodes, cfg.group_size, rng);
-    // Coded fragments are single-copy by construction (the engine expands
-    // each message into `m` one-copy fragments), so the protocol runs in
-    // single-copy mode regardless of `cfg.copies`.
-    let mode = if code.is_some() || cfg.copies == 1 {
-        ForwardingMode::SingleCopy
-    } else {
-        ForwardingMode::MultiCopy
-    };
-    let mut protocol = OnionRouting::new(groups, cfg.onions, mode).with_selection(cfg.selection);
-    let wire_mode = wire_rng.is_some();
-    if let Some(wrng) = wire_rng {
-        protocol = protocol.with_wire(wrng);
-    }
-    if let (Some((k, m)), Some(crng)) = (code, codec_rng) {
-        protocol = protocol.with_code(k, m, crng);
-    }
-    let sim_config = SimConfig::builder()
-        .wire_mode(wire_mode)
-        .copy_mode(match code {
-            Some((k, m)) => CopyMode::Coded { k, m },
-            None => CopyMode::default(),
-        })
-        .build();
-
-    let report: SimReport = run_with_faults(
-        schedule,
-        &mut protocol,
-        messages.clone(),
-        &sim_config,
-        faults,
-        fault_rng,
-        rng,
-    )
-    .expect("messages validated against schedule");
-
-    score_point_realization(
-        cfg, rate_graph, &messages, code, &protocol, &report, rng, acc,
-    );
-}
-
-/// Scores one finished realization into `acc`: the analysis series on
-/// the realization's own rate model, the simulation series, and one
-/// adversary draw. Shared by the dense ([`run_with_faults`]) and sparse
-/// ([`run_stream`] over a [`CalendarQueue`]) point paths.
-#[allow(clippy::too_many_arguments)]
-fn score_point_realization<M: ContactModel + ?Sized>(
-    cfg: &ProtocolConfig,
-    rate_graph: Option<&M>,
-    messages: &[Message],
-    code: Option<(u32, u32)>,
-    protocol: &OnionRouting,
-    report: &SimReport,
-    rng: &mut ChaCha8Rng,
-    acc: &mut Accumulator,
-) {
-    // Analysis series on the same realization: per-message Eq. 4 rates,
-    // memoized per (route, source, destination) within the trial. In
-    // coded mode each fragment carries its own route, so the per-message
-    // model value is the k-of-m order statistic averaged over the `m`
-    // fragment routes (a routeless/degenerate fragment scores zero).
-    if let Some(graph) = rate_graph {
-        let mut cache = RateCache::default();
-        for msg in messages {
-            match code {
-                Some((k, m)) => {
-                    let mut sum = 0.0;
-                    for idx in 0..m {
-                        let fid = fragment_id(msg.id, idx);
-                        if let Some(route) = protocol.route_of(fid) {
-                            if let Some(rates) = cache.rates_for(
-                                graph,
-                                protocol.groups(),
-                                route,
-                                msg.source,
-                                msg.destination,
-                            ) {
-                                sum += analysis::coded_delivery_rate(
-                                    rates,
-                                    k,
-                                    m,
-                                    cfg.deadline.as_f64(),
-                                )
-                                .unwrap_or(0.0);
-                            }
-                        }
-                    }
-                    acc.analysis_delivery.push(sum / m as f64);
-                }
-                None => {
-                    if let Some(route) = protocol.route_of(msg.id) {
-                        let p = match cache.rates_for(
-                            graph,
-                            protocol.groups(),
-                            route,
-                            msg.source,
-                            msg.destination,
-                        ) {
-                            Some(rates) => analysis::delivery_rate_multicopy(
-                                rates,
-                                cfg.copies,
-                                cfg.deadline.as_f64(),
-                            )
-                            .unwrap_or(0.0),
-                            None => 0.0,
-                        };
-                        acc.analysis_delivery.push(p);
-                    }
-                }
-            }
-        }
-    }
-
-    // Simulation series.
-    if let Some(c) = report.counters() {
-        acc.counters.merge(c);
-    }
-    acc.injected += report.injected_count();
-    acc.delivered += report.delivered_count();
-    acc.realization_delivery.push(report.delivery_rate());
-    acc.tx_sum += report.mean_transmissions() * report.injected_count() as f64;
-    acc.tx_count += report.injected_count();
-
-    let adversary = Adversary::random(cfg.nodes, cfg.compromised, rng);
-    if let Some(t) = metrics::mean_traceable_rate(report, &adversary) {
-        acc.trace_sum += t * report.delivered_count() as f64;
-        acc.trace_count += report.delivered_count();
-    }
-    if let Some(a) =
-        metrics::mean_path_anonymity(report, &adversary, cfg.nodes, cfg.group_size, cfg.eta())
-    {
-        acc.anon_sum += a * report.injected_count() as f64;
-        acc.anon_count += report.injected_count();
+        Some(self.entries.last().expect("entry just pushed").3.as_deref())
     }
 }
 
@@ -987,6 +637,10 @@ pub struct SecuritySweepRow {
     pub sim_anonymity: Option<f64>,
 }
 
+/// The deadline-axis scorer: delivery within every deadline of the grid
+/// from one run at its maximum.
+pub(crate) struct DeadlineScorer<'a>(pub(crate) &'a [f64]);
+
 /// Per-realization partial of a delivery sweep; merged index-wise in
 /// trial order.
 pub(crate) struct DeliveryPartial {
@@ -996,114 +650,67 @@ pub(crate) struct DeliveryPartial {
     analysis_count: usize,
 }
 
-impl DeliveryPartial {
-    pub(crate) fn new(points: usize) -> Self {
+impl Scorer for DeadlineScorer<'_> {
+    type Partial = DeliveryPartial;
+    const AXIS: Option<&'static str> = Some("delivery");
+
+    fn empty(&self) -> DeliveryPartial {
         DeliveryPartial {
-            sim_hits: vec![0; points],
-            analysis_sum: vec![0.0; points],
+            sim_hits: vec![0; self.0.len()],
+            analysis_sum: vec![0.0; self.0.len()],
             injected: 0,
             analysis_count: 0,
         }
     }
 
-    pub(crate) fn merge(&mut self, other: &DeliveryPartial) {
-        for (a, b) in self.sim_hits.iter_mut().zip(&other.sim_hits) {
-            *a += b;
-        }
-        for (a, b) in self.analysis_sum.iter_mut().zip(&other.analysis_sum) {
-            *a += b;
-        }
-        self.injected += other.injected;
-        self.analysis_count += other.analysis_count;
-    }
-
-    pub(crate) fn rows(&self, deadlines: &[f64]) -> Vec<DeliverySweepRow> {
-        deadlines
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| DeliverySweepRow {
-                deadline: t,
-                analysis: if self.analysis_count > 0 {
-                    self.analysis_sum[i] / self.analysis_count as f64
-                } else {
-                    0.0
-                },
-                sim: if self.injected > 0 {
-                    self.sim_hits[i] as f64 / self.injected as f64
-                } else {
-                    0.0
-                },
-            })
-            .collect()
-    }
-
     /// Scores one realization's simulation + analysis series against
-    /// every deadline of the sweep. Eq. 4 rate vectors are memoized per
-    /// (route, source, destination) within the realization. In coded
-    /// mode the analysis value at each deadline is the k-of-m order
-    /// statistic averaged over the message's `m` fragment routes.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn score_realization<M: ContactModel + ?Sized>(
-        &mut self,
-        run_cfg: &ProtocolConfig,
-        rate_graph: &M,
-        deadlines: &[f64],
-        messages: &[Message],
-        code: Option<(u32, u32)>,
-        protocol: &OnionRouting,
-        report: &SimReport,
-    ) {
-        self.injected += messages.len();
+    /// every deadline of the sweep. In coded mode the analysis value at
+    /// each deadline is the k-of-m order statistic averaged over the
+    /// message's `m` fragment routes.
+    fn score<M: ContactModel + ?Sized>(
+        &self,
+        t: &Trial<'_, M>,
+        _rng: &mut ChaCha8Rng,
+    ) -> DeliveryPartial {
+        let deadlines = self.0;
+        let mut p = self.empty();
+        p.injected = t.messages.len();
         let mut cache = RateCache::default();
-        for msg in messages {
+        for msg in t.messages {
             // Simulation: delivery within each deadline (coded reports
             // key delivery by the parent message, so this is mode-blind).
-            if let Some(delay) = report.delivery_delay(msg.id) {
-                for (i, &t) in deadlines.iter().enumerate() {
-                    if delay.as_f64() <= t {
-                        self.sim_hits[i] += 1;
+            if let Some(delay) = t.report.delivery_delay(msg.id) {
+                for (i, &deadline) in deadlines.iter().enumerate() {
+                    if delay.as_f64() <= deadline {
+                        p.sim_hits[i] += 1;
                     }
                 }
             }
-            match code {
+            match t.code {
                 Some((k, m)) => {
-                    self.analysis_count += 1;
+                    p.analysis_count += 1;
                     for idx in 0..m {
-                        let fid = fragment_id(msg.id, idx);
-                        if let Some(route) = protocol.route_of(fid) {
-                            if let Some(rates) = cache.rates_for(
-                                rate_graph,
-                                protocol.groups(),
-                                route,
-                                msg.source,
-                                msg.destination,
-                            ) {
-                                for (i, &t) in deadlines.iter().enumerate() {
-                                    self.analysis_sum[i] +=
-                                        analysis::coded_delivery_rate(rates, k, m, t)
-                                            .unwrap_or(0.0)
-                                            / m as f64;
-                                }
+                        if let Some(Some(rates)) = cache.rates_for(t, fragment_id(msg.id, idx), msg)
+                        {
+                            for (i, &deadline) in deadlines.iter().enumerate() {
+                                p.analysis_sum[i] +=
+                                    analysis::coded_delivery_rate(rates, k, m, deadline)
+                                        .unwrap_or(0.0)
+                                        / m as f64;
                             }
                         }
                     }
                 }
                 // Analysis: Eq. 4 rates → hypoexponential CDF at each T.
                 None => {
-                    if let Some(route) = protocol.route_of(msg.id) {
-                        self.analysis_count += 1;
-                        if let Some(rates) = cache.rates_for(
-                            rate_graph,
-                            protocol.groups(),
-                            route,
-                            msg.source,
-                            msg.destination,
-                        ) {
+                    if let Some(rates) = cache.rates_for(t, msg.id, msg) {
+                        p.analysis_count += 1;
+                        if let Some(rates) = rates {
                             let boosted: Vec<f64> =
-                                rates.iter().map(|&r| r * run_cfg.copies as f64).collect();
+                                rates.iter().map(|&r| r * t.cfg.copies as f64).collect();
                             if let Ok(h) = analysis::HypoExp::new(boosted) {
-                                for (i, &t) in deadlines.iter().enumerate() {
-                                    self.analysis_sum[i] += h.cdf(t);
+                                for (i, &deadline) in deadlines.iter().enumerate() {
+                                    p.analysis_sum[i] += h.cdf(deadline);
                                 }
                             }
                         }
@@ -1111,62 +718,34 @@ impl DeliveryPartial {
                 }
             }
         }
+        p
+    }
+
+    fn merge(total: &mut DeliveryPartial, other: &DeliveryPartial) {
+        add_into(&mut total.sim_hits, &other.sim_hits);
+        add_into(&mut total.analysis_sum, &other.analysis_sum);
+        total.injected += other.injected;
+        total.analysis_count += other.analysis_count;
     }
 }
 
-pub(crate) fn onion_protocol(
-    cfg: &ProtocolConfig,
-    coded: bool,
-    groups: OnionGroups,
-) -> OnionRouting {
-    // Coded fragments are single-copy by construction, whatever
-    // `cfg.copies` says (the engine expands each message into `m`
-    // one-copy fragments).
-    let mode = if coded || cfg.copies == 1 {
-        ForwardingMode::SingleCopy
-    } else {
-        ForwardingMode::MultiCopy
-    };
-    OnionRouting::new(groups, cfg.onions, mode).with_selection(cfg.selection)
+impl DeliveryPartial {
+    pub(crate) fn rows(&self, deadlines: &[f64]) -> Vec<DeliverySweepRow> {
+        deadlines
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| DeliverySweepRow {
+                deadline: t,
+                analysis: ratio(self.analysis_sum[i], self.analysis_count).unwrap_or(0.0),
+                sim: ratio(self.sim_hits[i] as f64, self.injected).unwrap_or(0.0),
+            })
+            .collect()
+    }
 }
 
-/// Decorates one trial's protocol with its [`SeedDomain::Wire`] stream
-/// (when the options ask for wire mode) and its [`SeedDomain::Codec`]
-/// stream (when they ask for coded forwarding), and returns the matching
-/// engine config. Keeping this in one place guarantees every entry point
-/// seeds the mode RNGs identically.
-pub(crate) fn wire_setup(
-    protocol: OnionRouting,
-    opts: &ExperimentOptions,
-    trial: u64,
-    attempt: u32,
-) -> (OnionRouting, SimConfig) {
-    let sim_config = SimConfig::builder()
-        .wire_mode(opts.wire)
-        .copy_mode(match opts.code {
-            Some((k, m)) => CopyMode::Coded { k, m },
-            None => CopyMode::default(),
-        })
-        .build();
-    let mut protocol = if opts.wire {
-        protocol.with_wire(trial_rng_attempt(
-            opts.seed,
-            SeedDomain::Wire,
-            trial,
-            attempt,
-        ))
-    } else {
-        protocol
-    };
-    if let Some((k, m)) = opts.code {
-        protocol = protocol.with_code(
-            k,
-            m,
-            trial_rng_attempt(opts.seed, SeedDomain::Codec, trial, attempt),
-        );
-    }
-    (protocol, sim_config)
-}
+/// The security-axis scorer: `adversary_draws` compromise sets per `c`
+/// against each realization's report.
+pub(crate) struct SecurityScorer<'a>(pub(crate) &'a SecurityAxis);
 
 /// Per-realization partial of a security sweep: per-`c` weighted sums.
 pub(crate) struct SecurityPartial {
@@ -1176,8 +755,12 @@ pub(crate) struct SecurityPartial {
     anon_count: Vec<usize>,
 }
 
-impl SecurityPartial {
-    pub(crate) fn new(points: usize) -> Self {
+impl Scorer for SecurityScorer<'_> {
+    type Partial = SecurityPartial;
+    const AXIS: Option<&'static str> = Some("security");
+
+    fn empty(&self) -> SecurityPartial {
+        let points = self.0.compromised.len();
         SecurityPartial {
             trace_sum: vec![0.0; points],
             trace_count: vec![0; points],
@@ -1186,37 +769,19 @@ impl SecurityPartial {
         }
     }
 
-    pub(crate) fn merge(&mut self, other: &SecurityPartial) {
-        for (a, b) in self.trace_sum.iter_mut().zip(&other.trace_sum) {
-            *a += b;
-        }
-        for (a, b) in self.trace_count.iter_mut().zip(&other.trace_count) {
-            *a += b;
-        }
-        for (a, b) in self.anon_sum.iter_mut().zip(&other.anon_sum) {
-            *a += b;
-        }
-        for (a, b) in self.anon_count.iter_mut().zip(&other.anon_count) {
-            *a += b;
-        }
-    }
-
-    /// Draws `adversary_draws` compromise sets per `c` against one
-    /// realization's report.
-    pub(crate) fn score_realization(
-        &mut self,
-        cfg: &ProtocolConfig,
-        compromised_values: &[usize],
-        adversary_draws: usize,
-        report: &SimReport,
+    fn score<M: ContactModel + ?Sized>(
+        &self,
+        t: &Trial<'_, M>,
         rng: &mut ChaCha8Rng,
-    ) {
-        for (i, &c) in compromised_values.iter().enumerate() {
-            for _ in 0..adversary_draws.max(1) {
+    ) -> SecurityPartial {
+        let (cfg, report) = (t.cfg, t.report);
+        let mut p = self.empty();
+        for (i, &c) in self.0.compromised.iter().enumerate() {
+            for _ in 0..self.0.adversary_draws.max(1) {
                 let adversary = Adversary::random(cfg.nodes, c, rng);
                 if let Some(t) = metrics::mean_traceable_rate(report, &adversary) {
-                    self.trace_sum[i] += t;
-                    self.trace_count[i] += 1;
+                    p.trace_sum[i] += t;
+                    p.trace_count[i] += 1;
                 }
                 if let Some(a) = metrics::mean_path_anonymity(
                     report,
@@ -1225,20 +790,25 @@ impl SecurityPartial {
                     cfg.group_size,
                     cfg.eta(),
                 ) {
-                    self.anon_sum[i] += a;
-                    self.anon_count[i] += 1;
+                    p.anon_sum[i] += a;
+                    p.anon_count[i] += 1;
                 }
             }
         }
+        p
     }
 
-    pub(crate) fn rows(
-        &self,
-        cfg: &ProtocolConfig,
-        compromised_values: &[usize],
-    ) -> Vec<SecuritySweepRow> {
-        compromised_values
-            .iter()
+    fn merge(total: &mut SecurityPartial, other: &SecurityPartial) {
+        add_into(&mut total.trace_sum, &other.trace_sum);
+        add_into(&mut total.trace_count, &other.trace_count);
+        add_into(&mut total.anon_sum, &other.anon_sum);
+        add_into(&mut total.anon_count, &other.anon_count);
+    }
+}
+
+impl SecurityPartial {
+    pub(crate) fn rows(&self, cfg: &ProtocolConfig, cs: &[usize]) -> Vec<SecuritySweepRow> {
+        cs.iter()
             .enumerate()
             .map(|(i, &c)| SecuritySweepRow {
                 compromised: c,
@@ -1247,11 +817,7 @@ impl SecurityPartial {
                     c as f64 / cfg.nodes as f64,
                 )
                 .expect("validated"),
-                sim_traceable: if self.trace_count[i] > 0 {
-                    Some(self.trace_sum[i] / self.trace_count[i] as f64)
-                } else {
-                    None
-                },
+                sim_traceable: ratio(self.trace_sum[i], self.trace_count[i]),
                 analysis_anonymity: analysis::path_anonymity(
                     cfg.nodes,
                     cfg.group_size,
@@ -1260,13 +826,21 @@ impl SecurityPartial {
                     cfg.copies,
                 )
                 .expect("validated"),
-                sim_anonymity: if self.anon_count[i] > 0 {
-                    Some(self.anon_sum[i] / self.anon_count[i] as f64)
-                } else {
-                    None
-                },
+                sim_anonymity: ratio(self.anon_sum[i], self.anon_count[i]),
             })
             .collect()
+    }
+}
+
+/// `sum / count`, or `None` when nothing was counted.
+fn ratio(sum: f64, count: usize) -> Option<f64> {
+    (count > 0).then(|| sum / count as f64)
+}
+
+/// Adds `other` into `total` index-wise.
+fn add_into<T: Copy + std::ops::AddAssign>(total: &mut [T], other: &[T]) {
+    for (a, &b) in total.iter_mut().zip(other) {
+        *a += b;
     }
 }
 
@@ -1299,6 +873,7 @@ pub struct CodeSweepRow {
 mod tests {
     use super::*;
     use crate::sweep::SweepSpec;
+    use contact_graph::{Time, TimeDelta, UniformGraphBuilder};
     use rand::SeedableRng;
 
     fn quick_opts() -> ExperimentOptions {

@@ -49,6 +49,7 @@ pub mod protocol;
 pub mod runner;
 pub mod sweep;
 pub mod tps;
+mod trial;
 
 pub use adversary::Adversary;
 pub use audit::TraceAudit;
@@ -68,6 +69,6 @@ pub use runner::{
 };
 pub use sweep::{
     CodeAxis, FaultAxis, RowCache, Scenario, SecurityAxis, SparseScenario, SweepAxis,
-    SweepControls, SweepReport, SweepRunError, SweepSpec, TraceScenario,
+    SweepControls, SweepError, SweepReport, SweepRunError, SweepSpec, TraceScenario,
 };
 pub use tps::{destination_exposure, run_tps_message, tps_cost_bound, TpsConfig, TpsOutcome};

@@ -15,8 +15,8 @@ pub use crate::groups::{GroupId, OnionGroups};
 pub use crate::protocol::{ForwardingMode, OnionRouting};
 pub use crate::runner::{trial_rng, RunnerConfig, SeedDomain};
 pub use crate::sweep::{
-    CodeAxis, FaultAxis, Scenario, SecurityAxis, SparseScenario, SweepAxis, SweepReport, SweepSpec,
-    TraceScenario,
+    CodeAxis, FaultAxis, Scenario, SecurityAxis, SparseScenario, SweepAxis, SweepError,
+    SweepReport, SweepSpec, TraceScenario,
 };
 pub use analysis::{coded_cost_bound, coded_delivery_rate};
 pub use dtn_sim::faults::{ChurnMemory, FaultPlan};

@@ -4,12 +4,12 @@
 //! A sweep is a [`Scenario`] (where contacts come from) crossed with a
 //! [`SweepAxis`] (which parameter varies):
 //!
-//! | | `Deadline` | `Security` | `Fault` |
+//! | | `Deadline` | `Security` | `Fault`, `Code` |
 //! |---|---|---|---|
-//! | [`Scenario::RandomGraph`] | Figs. 4, 5, 10 | Figs. 6–9, 12, 13 | fault sweep |
-//! | [`Scenario::Schedule`] | Fig. 17 | Figs. 15–19 | fault sweep |
-//! | [`Scenario::Trace`] | Fig. 14 (trained rates) | Figs. 15–19 | fault sweep |
-//! | [`Scenario::Sparse`] | scale runs (`n = 10⁵⁺`) | scale runs | fault sweep |
+//! | [`Scenario::RandomGraph`] | Figs. 4, 5, 10 | Figs. 6–9, 12, 13 | fault / code sweep |
+//! | [`Scenario::Schedule`] | Fig. 17 | Figs. 15–19 | fault / code sweep |
+//! | [`Scenario::Trace`] | Fig. 14 (trained rates) | Figs. 15–19 | fault / code sweep |
+//! | [`Scenario::Sparse`] | scale runs (`n = 10⁵⁺`) | scale runs | fault / code sweep |
 //!
 //! ```
 //! use onion_routing::sweep::SweepSpec;
@@ -24,30 +24,28 @@
 //! assert_eq!(rows.len(), 2);
 //! ```
 //!
-//! Every combination routes through the same deterministic parallel
-//! runner as the legacy free functions in [`crate::experiment`] (which
-//! are now thin deprecated shims over this type) and produces
-//! bit-identical rows: the seed-domain choices, RNG draw order, and f64
-//! summation order are unchanged. `SweepSpec` itself is serde-able, so a
-//! sweep description can be shipped over the serving API, checkpointed,
-//! or stored next to its results.
+//! Every cell runs the one trial pipeline behind the `run_*_point`
+//! entry points: the scenario picks the world, the axis picks how trials
+//! are scored. The deadline and security axes score a single pass of
+//! trials; each fault and code row runs a full point under an options
+//! override. Seed domains, RNG draw order and f64 summation order are
+//! frozen, and committed goldens pin every cell.
+//! [`SweepSpec::validate`] checks a spec before any trial runs.
+//! `SweepSpec` itself is serde-able, so a sweep description can be
+//! shipped over the serving API, checkpointed, or stored next to its
+//! results.
 
-use contact_graph::{
-    ContactGraph, ContactSchedule, SparseContacts, Time, TimeDelta, UniformGraphBuilder,
-};
-use dtn_sim::{run_stream, run_with_faults, CalendarQueue, FaultPlan};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use contact_graph::{ContactGraph, ContactSchedule, TimeDelta};
+use dtn_sim::{FaultPlan, MAX_CODE_FRAGMENTS};
+use serde::{Deserialize, DeserializeOwned, Serialize};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::config::ProtocolConfig;
 use crate::experiment::{
-    maybe_forced_panic, onion_protocol, random_messages, resolve_failures, run_random_graph_point,
-    run_schedule_point, run_sparse_point, wire_setup, CodeSweepRow, DeliveryPartial,
-    DeliverySweepRow, ExperimentOptions, FaultSweepRow, SecurityPartial, SecuritySweepRow,
+    point, CodeSweepRow, DeadlineScorer, DeliverySweepRow, ExperimentOptions, FaultSweepRow,
+    SecurityScorer, SecuritySweepRow,
 };
-use crate::groups::OnionGroups;
-use crate::runner::{run_trials_resilient, trial_rng_attempt, SeedDomain};
+use crate::trial::{self, World, SWEEP_SPAN};
 
 /// Where a sweep's contacts (and analysis-side rates) come from.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -63,11 +61,11 @@ pub enum Scenario {
     /// paper's Fig. 14 training step).
     Trace(TraceScenario),
     /// Sample a sparse Poisson proximity world per realization
-    /// ([`SparseContacts::poisson_proximity`]) and stream its contacts
-    /// lazily through a [`CalendarQueue`] — memory is `O(nodes + active
-    /// pairs)`, so `n = 10⁵–10⁶` points fit where a dense Table II graph
-    /// would need `O(n²)`. Uses the dedicated
-    /// [`SeedDomain::SparseRealization`] / [`SeedDomain::SparseContacts`]
+    /// ([`contact_graph::SparseContacts::poisson_proximity`]) and stream
+    /// its contacts lazily through a [`dtn_sim::CalendarQueue`] — memory
+    /// is `O(nodes + active pairs)`, so `n = 10⁵–10⁶` points fit where a
+    /// dense Table II graph would need `O(n²)`. Uses the dedicated
+    /// `SeedDomain::SparseRealization` / `SeedDomain::SparseContacts`
     /// streams; dense scenarios are bit-identical with or without this
     /// variant compiled in.
     Sparse(SparseScenario),
@@ -220,11 +218,22 @@ pub struct SweepControls<'a> {
     /// `Security`) compute every row from a single realization pass, so
     /// they only poll once, before the pass starts.
     pub cancel: Option<&'a (dyn Fn() -> bool + Sync)>,
-    /// Row replay/persistence hooks; only [`SweepAxis::Fault`] has
+    /// Row replay/persistence hooks; only the fault and code axes have
     /// per-row granularity. Keys match the checkpoint row keys
-    /// (`intensity=<value>`). Ignored when a checkpoint is installed
-    /// (the checkpoint already provides replay).
+    /// (`intensity=<value>`, `code=<k>/<m>`). Ignored when a checkpoint
+    /// is installed (the checkpoint already provides replay).
     pub rows: Option<&'a (dyn RowCache + Sync)>,
+}
+
+impl SweepControls<'_> {
+    /// Polls the cancel hook, stopping the sweep after `completed` of
+    /// `total` rows when it fires.
+    fn poll(&self, completed: usize, total: usize) -> Result<(), SweepRunError> {
+        match self.cancel.is_some_and(|hook| hook()) {
+            true => Err(SweepRunError::Cancelled { completed, total }),
+            false => Ok(()),
+        }
+    }
 }
 
 impl SweepReport {
@@ -281,21 +290,13 @@ impl SweepSpec {
     /// running; the default axis is an empty deadline grid, which
     /// [`SweepSpec::run`] rejects.
     pub fn random_graph(config: ProtocolConfig) -> SweepSpec {
-        SweepSpec {
-            config,
-            scenario: Scenario::RandomGraph,
-            axis: SweepAxis::Deadline(Vec::new()),
-        }
+        SweepSpec::with_scenario(config, Scenario::RandomGraph)
     }
 
     /// A sweep replaying `schedule`, with analysis rates estimated from
     /// the schedule itself.
     pub fn schedule(config: ProtocolConfig, schedule: ContactSchedule) -> SweepSpec {
-        SweepSpec {
-            config,
-            scenario: Scenario::Schedule(schedule),
-            axis: SweepAxis::Deadline(Vec::new()),
-        }
+        SweepSpec::with_scenario(config, Scenario::Schedule(schedule))
     }
 
     /// A sweep replaying `schedule` with caller-trained analysis
@@ -305,19 +306,20 @@ impl SweepSpec {
         schedule: ContactSchedule,
         rates: ContactGraph,
     ) -> SweepSpec {
-        SweepSpec {
-            config,
-            scenario: Scenario::Trace(TraceScenario { schedule, rates }),
-            axis: SweepAxis::Deadline(Vec::new()),
-        }
+        SweepSpec::with_scenario(config, Scenario::Trace(TraceScenario { schedule, rates }))
     }
 
     /// A sweep over sparse Poisson proximity worlds with `avg_degree`
     /// expected neighbors per node (see [`Scenario::Sparse`]).
     pub fn sparse(config: ProtocolConfig, avg_degree: f64) -> SweepSpec {
+        SweepSpec::with_scenario(config, Scenario::Sparse(SparseScenario { avg_degree }))
+    }
+
+    /// A sweep of `scenario` with the default, empty deadline axis.
+    fn with_scenario(config: ProtocolConfig, scenario: Scenario) -> SweepSpec {
         SweepSpec {
             config,
-            scenario: Scenario::Sparse(SparseScenario { avg_degree }),
+            scenario,
             axis: SweepAxis::Deadline(Vec::new()),
         }
     }
@@ -359,13 +361,56 @@ impl SweepSpec {
         self
     }
 
+    /// Checks the spec against `opts` before any trial runs: the config
+    /// (for a deadline sweep, at the grid's maximum deadline), the
+    /// options, the scenario's own parameters and the axis grid.
+    ///
+    /// # Errors
+    ///
+    /// The first offending field, named as in a `/v1/sweep/*` request
+    /// body.
+    pub fn validate(&self, opts: &ExperimentOptions) -> Result<(), SweepError> {
+        let invalid = |field, reason: String| Err(SweepError { field, reason });
+        match &self.axis {
+            SweepAxis::Deadline(deadlines) => {
+                if deadlines.is_empty() || deadlines.iter().any(|&t| !(t.is_finite() && t > 0.0)) {
+                    return invalid(
+                        "deadlines",
+                        "need at least one positive deadline, every one finite".into(),
+                    );
+                }
+            }
+            SweepAxis::Security(axis) => {
+                let n = self.config.nodes;
+                if axis.compromised.is_empty() || axis.compromised.iter().any(|&c| c > n) {
+                    return invalid("compromised", format!("values must be within 0..={n}"));
+                }
+            }
+            SweepAxis::Fault(axis) => {
+                if let Err(e) = axis.base_plan.validate() {
+                    return invalid("plan", e);
+                }
+                if axis.intensities.is_empty()
+                    || axis.intensities.iter().any(|i| !(0.0..=10.0).contains(i))
+                {
+                    return invalid("intensities", "must be within 0..=10".into());
+                }
+            }
+            SweepAxis::Code(axis) => {
+                if axis.rates.is_empty() || !axis.rates.iter().all(|&r| code_is_valid(r)) {
+                    return invalid("rates", code_rule());
+                }
+            }
+        }
+        check_world(self.world(), &self.run_config(), opts)
+    }
+
     /// Runs the sweep.
     ///
     /// # Panics
     ///
-    /// Panics if the config is invalid for the scenario/axis (empty or
-    /// non-positive deadline grid, config/schedule node mismatch, invalid
-    /// fault plan), or — with `keep_going` unset — when a realization is
+    /// Panics with the error's text if [`SweepSpec::validate`] rejects
+    /// the spec, or — with `keep_going` unset — when a realization is
     /// quarantined.
     pub fn run(&self, opts: &ExperimentOptions) -> SweepReport {
         self.run_with_checkpoint(opts, None)
@@ -373,9 +418,9 @@ impl SweepSpec {
     }
 
     /// Runs the sweep, resuming finished rows from `checkpoint` when one
-    /// is given. Only [`SweepAxis::Fault`] sweeps checkpoint per-row
-    /// (keyed `intensity=<value>`); the other axes compute all rows in
-    /// one pass and ignore the checkpoint.
+    /// is given. Only fault and code sweeps checkpoint per row (keyed
+    /// `intensity=<value>` and `code=<k>/<m>`); the other axes compute
+    /// all rows in one pass and ignore the checkpoint.
     ///
     /// # Errors
     ///
@@ -421,728 +466,197 @@ impl SweepSpec {
         checkpoint: Option<&mut Checkpoint>,
         controls: &SweepControls<'_>,
     ) -> Result<SweepReport, SweepRunError> {
-        let cancelled = || controls.cancel.is_some_and(|hook| hook());
+        if let Err(e) = self.validate(opts) {
+            panic!("{e}");
+        }
+        let (world, cfg) = (self.world(), self.run_config());
+        let label = |axis: &str| format!("{axis}_sweep_{}", world.label());
+        // One-pass axes compute every row at once, so they poll the
+        // cancel hook only before the pass.
         match &self.axis {
             SweepAxis::Deadline(deadlines) => {
-                if cancelled() {
-                    return Err(SweepRunError::Cancelled {
-                        completed: 0,
-                        total: deadlines.len(),
-                    });
-                }
-                let rows = match &self.scenario {
-                    Scenario::RandomGraph => delivery_random_graph(&self.config, deadlines, opts),
-                    Scenario::Schedule(schedule) => {
-                        let estimated = schedule.estimate_rates();
-                        delivery_schedule(schedule, &estimated, &self.config, deadlines, opts)
-                    }
-                    Scenario::Trace(t) => {
-                        delivery_schedule(&t.schedule, &t.rates, &self.config, deadlines, opts)
-                    }
-                    Scenario::Sparse(sparse) => {
-                        delivery_sparse(&self.config, sparse, deadlines, opts)
-                    }
-                };
-                Ok(SweepReport::Delivery(rows))
+                controls.poll(0, deadlines.len())?;
+                let (sums, _) = trial::run(world, &cfg, opts, &DeadlineScorer(deadlines));
+                Ok(SweepReport::Delivery(sums.rows(deadlines)))
             }
             SweepAxis::Security(axis) => {
-                if cancelled() {
-                    return Err(SweepRunError::Cancelled {
-                        completed: 0,
-                        total: axis.compromised.len(),
-                    });
-                }
-                let rows = match &self.scenario {
-                    Scenario::RandomGraph => security_random_graph(
-                        &self.config,
-                        &axis.compromised,
-                        axis.adversary_draws,
-                        opts,
-                    ),
-                    Scenario::Schedule(schedule) => security_schedule(
-                        schedule,
-                        &self.config,
-                        &axis.compromised,
-                        axis.adversary_draws,
-                        opts,
-                    ),
-                    Scenario::Trace(t) => security_schedule(
-                        &t.schedule,
-                        &self.config,
-                        &axis.compromised,
-                        axis.adversary_draws,
-                        opts,
-                    ),
-                    Scenario::Sparse(sparse) => security_sparse(
-                        &self.config,
-                        sparse,
-                        &axis.compromised,
-                        axis.adversary_draws,
-                        opts,
-                    ),
-                };
-                Ok(SweepReport::Security(rows))
+                controls.poll(0, axis.compromised.len())?;
+                let (sums, _) = trial::run(world, &cfg, opts, &SecurityScorer(axis));
+                Ok(SweepReport::Security(sums.rows(&cfg, &axis.compromised)))
             }
-            SweepAxis::Fault(axis) => fault_sweep(
-                &self.scenario,
-                &self.config,
-                axis,
-                opts,
+            SweepAxis::Fault(axis) => row_sweep(
+                &label("fault"),
+                &axis.intensities,
+                |intensity| format!("intensity={intensity}"),
+                |&intensity| {
+                    let plan = axis.base_plan.scaled(intensity);
+                    let opts = opts.clone().into_builder().faults(plan).build();
+                    let summary = point(world, &cfg, &opts);
+                    FaultSweepRow {
+                        intensity,
+                        plan,
+                        summary,
+                    }
+                },
                 checkpoint,
                 controls,
             )
             .map(SweepReport::Fault),
-            SweepAxis::Code(axis) => code_sweep(
-                &self.scenario,
-                &self.config,
-                axis,
-                opts,
+            SweepAxis::Code(axis) => row_sweep(
+                &label("code"),
+                &axis.rates,
+                |(k, m)| format!("code={k}/{m}"),
+                |&(k, m)| {
+                    let opts = opts.clone().into_builder().code(Some((k, m))).build();
+                    let summary = point(world, &cfg, &opts);
+                    CodeSweepRow { k, m, summary }
+                },
                 checkpoint,
                 controls,
             )
             .map(SweepReport::Code),
         }
     }
+
+    /// The world this spec's trials run in.
+    fn world(&self) -> World<'_> {
+        match &self.scenario {
+            Scenario::RandomGraph => World::RandomGraph,
+            Scenario::Schedule(schedule) => World::Schedule(schedule, None),
+            Scenario::Trace(t) => World::Schedule(&t.schedule, Some(&t.rates)),
+            Scenario::Sparse(sparse) => World::Sparse(sparse),
+        }
+    }
+
+    /// The config the trials run with: a deadline sweep simulates once,
+    /// at its grid's maximum deadline, and reads every row off that run.
+    fn run_config(&self) -> ProtocolConfig {
+        match &self.axis {
+            SweepAxis::Deadline(deadlines) => ProtocolConfig {
+                deadline: TimeDelta::new(deadlines.iter().cloned().fold(0.0f64, f64::max)),
+                ..self.config.clone()
+            },
+            _ => self.config.clone(),
+        }
+    }
 }
 
-/// Delivery rate vs deadline on random graphs, reusing one simulation per
-/// realization for every deadline: delivering within `T` is equivalent to
-/// a delivery delay `≤ T`, so a single maximum-deadline run yields the
-/// whole curve. The analysis series evaluates each message's Eq. 4
-/// hypoexponential at every deadline.
-fn delivery_random_graph(
-    cfg: &ProtocolConfig,
-    deadlines: &[f64],
-    opts: &ExperimentOptions,
-) -> Vec<DeliverySweepRow> {
-    let max_t = deadlines.iter().cloned().fold(0.0f64, f64::max);
-    assert!(max_t > 0.0, "need at least one positive deadline");
-    let run_cfg = ProtocolConfig {
-        deadline: TimeDelta::new(max_t),
-        ..cfg.clone()
-    };
-    run_cfg.validate().expect("experiment config must be valid");
-    let span = obs::span("experiment.sweep_secs");
-
-    let mut total = DeliveryPartial::new(deadlines.len());
-    let failures = run_trials_resilient(
-        &opts.runner(),
-        opts.realizations,
-        |realization, attempt| {
-            let trial = realization as u64;
-            obs::trace_ring_begin(trial);
-            let mut rng =
-                trial_rng_attempt(opts.seed, SeedDomain::GraphRealization, trial, attempt);
-            let mut fault_rng = trial_rng_attempt(opts.seed, SeedDomain::Faults, trial, attempt);
-            let graph = UniformGraphBuilder::new(run_cfg.nodes)
-                .mean_intercontact_range(
-                    TimeDelta::new(opts.intercontact_range.0),
-                    TimeDelta::new(opts.intercontact_range.1),
-                )
-                .build(&mut rng);
-            let schedule = ContactSchedule::sample(&graph, Time::new(max_t), &mut rng);
-            let messages = random_messages(&run_cfg, opts.messages, |_| Time::ZERO, &mut rng);
-
-            let groups = OnionGroups::random_partition(run_cfg.nodes, run_cfg.group_size, &mut rng);
-            let (mut protocol, sim_config) = wire_setup(
-                onion_protocol(&run_cfg, opts.code.is_some(), groups),
-                opts,
-                trial,
-                attempt,
-            );
-            let report = run_with_faults(
-                &schedule,
-                &mut protocol,
-                messages.clone(),
-                &sim_config,
-                &opts.faults,
-                &mut fault_rng,
-                &mut rng,
-            )
-            .expect("validated");
-
-            let mut partial = DeliveryPartial::new(deadlines.len());
-            partial.score_realization(
-                &run_cfg, &graph, deadlines, &messages, opts.code, &protocol, &report,
-            );
-            maybe_forced_panic(trial);
-            obs::trace_ring_flush();
-            partial
-        },
-        &mut total,
-        |total, _realization, partial| total.merge(&partial),
-    );
-    resolve_failures("delivery_sweep_random_graph", &failures, opts);
-    let rows = total.rows(deadlines);
-    drop(span);
-    obs::flush_point("delivery_sweep_random_graph");
-    rows
+/// Why [`SweepSpec::validate`] rejected a spec.
+#[derive(Clone, Debug, PartialEq)]
+#[non_exhaustive]
+pub struct SweepError {
+    /// The offending field, named as in a `/v1/sweep/*` request body
+    /// (`config`, `opts.faults`, `sparse.avg_degree`, `deadlines`, …).
+    pub field: &'static str,
+    /// What is wrong with it.
+    pub reason: String,
 }
 
-/// Delivery rate vs deadline on a fixed schedule. Message starts follow
-/// the paper's business-hours policy (a random contact of the source);
-/// the analysis series evaluates Eq. 4 on `estimated`.
-fn delivery_schedule(
-    schedule: &ContactSchedule,
-    estimated: &ContactGraph,
-    cfg: &ProtocolConfig,
-    deadlines: &[f64],
-    opts: &ExperimentOptions,
-) -> Vec<DeliverySweepRow> {
-    let max_t = deadlines.iter().cloned().fold(0.0f64, f64::max);
-    assert!(max_t > 0.0, "need at least one positive deadline");
-    let run_cfg = ProtocolConfig {
-        deadline: TimeDelta::new(max_t),
-        ..cfg.clone()
-    };
-    run_cfg.validate().expect("experiment config must be valid");
-    assert_eq!(
-        run_cfg.nodes,
-        schedule.node_count(),
-        "config nodes must match the trace"
-    );
-    let span = obs::span("experiment.sweep_secs");
-
-    let mut total = DeliveryPartial::new(deadlines.len());
-    let failures = run_trials_resilient(
-        &opts.runner(),
-        opts.realizations,
-        |realization, attempt| {
-            let trial = realization as u64;
-            obs::trace_ring_begin(trial);
-            let mut rng =
-                trial_rng_attempt(opts.seed, SeedDomain::ScheduleRealization, trial, attempt);
-            let mut start_rng =
-                trial_rng_attempt(opts.seed, SeedDomain::ScheduleStarts, trial, attempt);
-            let mut fault_rng = trial_rng_attempt(opts.seed, SeedDomain::Faults, trial, attempt);
-            let events = schedule.events();
-            let messages = random_messages(
-                &run_cfg,
-                opts.messages,
-                |source| {
-                    let candidates: Vec<Time> = events
-                        .iter()
-                        .filter(|e| e.involves(source))
-                        .map(|e| e.time)
-                        .collect();
-                    if candidates.is_empty() {
-                        Time::ZERO
-                    } else {
-                        candidates[start_rng.gen_range(0..candidates.len())]
-                    }
-                },
-                &mut rng,
-            );
-
-            let groups = OnionGroups::random_partition(run_cfg.nodes, run_cfg.group_size, &mut rng);
-            let (mut protocol, sim_config) = wire_setup(
-                onion_protocol(&run_cfg, opts.code.is_some(), groups),
-                opts,
-                trial,
-                attempt,
-            );
-            let report = run_with_faults(
-                schedule,
-                &mut protocol,
-                messages.clone(),
-                &sim_config,
-                &opts.faults,
-                &mut fault_rng,
-                &mut rng,
-            )
-            .expect("validated");
-
-            let mut partial = DeliveryPartial::new(deadlines.len());
-            partial.score_realization(
-                &run_cfg, estimated, deadlines, &messages, opts.code, &protocol, &report,
-            );
-            maybe_forced_panic(trial);
-            obs::trace_ring_flush();
-            partial
-        },
-        &mut total,
-        |total, _realization, partial| total.merge(&partial),
-    );
-    resolve_failures("delivery_sweep_schedule", &failures, opts);
-    let rows = total.rows(deadlines);
-    drop(span);
-    obs::flush_point("delivery_sweep_schedule");
-    rows
+impl std::fmt::Display for SweepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.field, self.reason)
+    }
 }
 
-/// Security metrics vs compromised-node count on random graphs, reusing
-/// one simulation per realization across the whole `c` sweep (the
-/// adversary draw does not influence forwarding).
-fn security_random_graph(
-    cfg: &ProtocolConfig,
-    compromised_values: &[usize],
-    adversary_draws: usize,
-    opts: &ExperimentOptions,
-) -> Vec<SecuritySweepRow> {
-    cfg.validate().expect("experiment config must be valid");
-    let span = obs::span("experiment.sweep_secs");
+impl std::error::Error for SweepError {}
 
-    let mut total = SecurityPartial::new(compromised_values.len());
-    let failures = run_trials_resilient(
-        &opts.runner(),
-        opts.realizations,
-        |realization, attempt| {
-            let trial = realization as u64;
-            obs::trace_ring_begin(trial);
-            let mut rng = trial_rng_attempt(opts.seed, SeedDomain::SecurityGraph, trial, attempt);
-            let mut fault_rng = trial_rng_attempt(opts.seed, SeedDomain::Faults, trial, attempt);
-            let graph = UniformGraphBuilder::new(cfg.nodes)
-                .mean_intercontact_range(
-                    TimeDelta::new(opts.intercontact_range.0),
-                    TimeDelta::new(opts.intercontact_range.1),
-                )
-                .build(&mut rng);
-            let horizon = Time::ZERO + cfg.deadline;
-            let schedule = ContactSchedule::sample(&graph, horizon, &mut rng);
-            let messages = random_messages(cfg, opts.messages, |_| Time::ZERO, &mut rng);
-
-            let groups = OnionGroups::random_partition(cfg.nodes, cfg.group_size, &mut rng);
-            let (mut protocol, sim_config) = wire_setup(
-                onion_protocol(cfg, opts.code.is_some(), groups),
-                opts,
-                trial,
-                attempt,
-            );
-            let report = run_with_faults(
-                &schedule,
-                &mut protocol,
-                messages,
-                &sim_config,
-                &opts.faults,
-                &mut fault_rng,
-                &mut rng,
-            )
-            .expect("validated");
-
-            let mut partial = SecurityPartial::new(compromised_values.len());
-            partial.score_realization(cfg, compromised_values, adversary_draws, &report, &mut rng);
-            maybe_forced_panic(trial);
-            obs::trace_ring_flush();
-            partial
-        },
-        &mut total,
-        |total, _realization, partial| total.merge(&partial),
-    );
-    resolve_failures("security_sweep_random_graph", &failures, opts);
-    let rows = total.rows(cfg, compromised_values);
-    drop(span);
-    obs::flush_point("security_sweep_random_graph");
-    rows
+fn code_is_valid((k, m): (u32, u32)) -> bool {
+    k >= 1 && k <= m && m <= MAX_CODE_FRAGMENTS
 }
 
-/// Security metrics vs compromised count on a fixed schedule.
-fn security_schedule(
-    schedule: &ContactSchedule,
-    cfg: &ProtocolConfig,
-    compromised_values: &[usize],
-    adversary_draws: usize,
-    opts: &ExperimentOptions,
-) -> Vec<SecuritySweepRow> {
-    cfg.validate().expect("experiment config must be valid");
-    assert_eq!(
-        cfg.nodes,
-        schedule.node_count(),
-        "config nodes must match the trace"
-    );
-    let span = obs::span("experiment.sweep_secs");
-
-    let mut total = SecurityPartial::new(compromised_values.len());
-    let failures = run_trials_resilient(
-        &opts.runner(),
-        opts.realizations,
-        |realization, attempt| {
-            let trial = realization as u64;
-            obs::trace_ring_begin(trial);
-            let mut rng =
-                trial_rng_attempt(opts.seed, SeedDomain::SecuritySchedule, trial, attempt);
-            let mut start_rng =
-                trial_rng_attempt(opts.seed, SeedDomain::SecurityStarts, trial, attempt);
-            let mut fault_rng = trial_rng_attempt(opts.seed, SeedDomain::Faults, trial, attempt);
-            let events = schedule.events();
-            let messages = random_messages(
-                cfg,
-                opts.messages,
-                |source| {
-                    let candidates: Vec<Time> = events
-                        .iter()
-                        .filter(|e| e.involves(source))
-                        .map(|e| e.time)
-                        .collect();
-                    if candidates.is_empty() {
-                        Time::ZERO
-                    } else {
-                        candidates[start_rng.gen_range(0..candidates.len())]
-                    }
-                },
-                &mut rng,
-            );
-
-            let groups = OnionGroups::random_partition(cfg.nodes, cfg.group_size, &mut rng);
-            let (mut protocol, sim_config) = wire_setup(
-                onion_protocol(cfg, opts.code.is_some(), groups),
-                opts,
-                trial,
-                attempt,
-            );
-            let report = run_with_faults(
-                schedule,
-                &mut protocol,
-                messages,
-                &sim_config,
-                &opts.faults,
-                &mut fault_rng,
-                &mut rng,
-            )
-            .expect("validated");
-
-            let mut partial = SecurityPartial::new(compromised_values.len());
-            partial.score_realization(cfg, compromised_values, adversary_draws, &report, &mut rng);
-            maybe_forced_panic(trial);
-            obs::trace_ring_flush();
-            partial
-        },
-        &mut total,
-        |total, _realization, partial| total.merge(&partial),
-    );
-    resolve_failures("security_sweep_schedule", &failures, opts);
-    let rows = total.rows(cfg, compromised_values);
-    drop(span);
-    obs::flush_point("security_sweep_schedule");
-    rows
+fn code_rule() -> String {
+    format!("must satisfy 1 <= k <= m <= {MAX_CODE_FRAGMENTS}")
 }
 
-/// Delivery rate vs deadline on sparse Poisson proximity worlds: one
-/// lazily streamed [`CalendarQueue`] simulation per realization at the
-/// maximum deadline covers the whole curve, exactly like the dense
-/// drivers. The analysis series evaluates Eq. 4 on the realization's
-/// own sparse rate model.
-fn delivery_sparse(
+/// Checks what every run needs besides its axis: the config, the
+/// options, and the world's own parameters.
+pub(crate) fn check_world(
+    world: World<'_>,
     cfg: &ProtocolConfig,
-    sparse: &SparseScenario,
-    deadlines: &[f64],
     opts: &ExperimentOptions,
-) -> Vec<DeliverySweepRow> {
-    let max_t = deadlines.iter().cloned().fold(0.0f64, f64::max);
-    assert!(max_t > 0.0, "need at least one positive deadline");
-    let run_cfg = ProtocolConfig {
-        deadline: TimeDelta::new(max_t),
-        ..cfg.clone()
-    };
-    run_cfg.validate().expect("experiment config must be valid");
-    assert!(
-        sparse.avg_degree.is_finite() && sparse.avg_degree > 0.0,
-        "sparse avg_degree must be positive and finite"
-    );
-    let span = obs::span("experiment.sweep_secs");
-
-    let mut total = DeliveryPartial::new(deadlines.len());
-    let failures = run_trials_resilient(
-        &opts.runner(),
-        opts.realizations,
-        |realization, attempt| {
-            let trial = realization as u64;
-            obs::trace_ring_begin(trial);
-            let mut rng =
-                trial_rng_attempt(opts.seed, SeedDomain::SparseRealization, trial, attempt);
-            let mut fault_rng = trial_rng_attempt(opts.seed, SeedDomain::Faults, trial, attempt);
-            let calendar_rng =
-                trial_rng_attempt(opts.seed, SeedDomain::SparseContacts, trial, attempt);
-            let world = SparseContacts::poisson_proximity(
-                run_cfg.nodes,
-                sparse.avg_degree,
-                (
-                    TimeDelta::new(opts.intercontact_range.0),
-                    TimeDelta::new(opts.intercontact_range.1),
-                ),
-                &mut rng,
-            );
-            let horizon = Time::new(max_t);
-            let messages = random_messages(&run_cfg, opts.messages, |_| Time::ZERO, &mut rng);
-
-            let groups = OnionGroups::random_partition(run_cfg.nodes, run_cfg.group_size, &mut rng);
-            let (mut protocol, sim_config) = wire_setup(
-                onion_protocol(&run_cfg, opts.code.is_some(), groups),
-                opts,
-                trial,
-                attempt,
-            );
-            let queue = CalendarQueue::from_sparse(&world, horizon, calendar_rng);
-            obs::gauge_max("sparse.world_bytes_hwm", world.approx_bytes() as i64);
-            obs::gauge_max("sparse.calendar_bytes_hwm", queue.approx_bytes() as i64);
-            let report = run_stream(
-                run_cfg.nodes,
-                horizon,
-                queue,
-                &mut protocol,
-                messages.clone(),
-                &sim_config,
-                &opts.faults,
-                &mut fault_rng,
-                &mut rng,
-            )
-            .expect("messages validated against the sparse world");
-
-            let mut partial = DeliveryPartial::new(deadlines.len());
-            partial.score_realization(
-                &run_cfg, &world, deadlines, &messages, opts.code, &protocol, &report,
-            );
-            maybe_forced_panic(trial);
-            obs::trace_ring_flush();
-            partial
-        },
-        &mut total,
-        |total, _realization, partial| total.merge(&partial),
-    );
-    resolve_failures("delivery_sweep_sparse", &failures, opts);
-    let rows = total.rows(deadlines);
-    drop(span);
-    obs::flush_point("delivery_sweep_sparse");
-    rows
-}
-
-/// Security metrics vs compromised-node count on sparse Poisson
-/// proximity worlds, reusing one streamed simulation per realization
-/// across the whole `c` sweep.
-fn security_sparse(
-    cfg: &ProtocolConfig,
-    sparse: &SparseScenario,
-    compromised_values: &[usize],
-    adversary_draws: usize,
-    opts: &ExperimentOptions,
-) -> Vec<SecuritySweepRow> {
-    cfg.validate().expect("experiment config must be valid");
-    assert!(
-        sparse.avg_degree.is_finite() && sparse.avg_degree > 0.0,
-        "sparse avg_degree must be positive and finite"
-    );
-    let span = obs::span("experiment.sweep_secs");
-
-    let mut total = SecurityPartial::new(compromised_values.len());
-    let failures = run_trials_resilient(
-        &opts.runner(),
-        opts.realizations,
-        |realization, attempt| {
-            let trial = realization as u64;
-            obs::trace_ring_begin(trial);
-            let mut rng =
-                trial_rng_attempt(opts.seed, SeedDomain::SparseRealization, trial, attempt);
-            let mut fault_rng = trial_rng_attempt(opts.seed, SeedDomain::Faults, trial, attempt);
-            let calendar_rng =
-                trial_rng_attempt(opts.seed, SeedDomain::SparseContacts, trial, attempt);
-            let world = SparseContacts::poisson_proximity(
+) -> Result<(), SweepError> {
+    let invalid = |field, reason: String| Err(SweepError { field, reason });
+    if let Err(e) = cfg.validate() {
+        return invalid("config", e);
+    }
+    if let Err(e) = opts.faults.validate() {
+        return invalid("opts.faults", e);
+    }
+    if opts.code.is_some_and(|code| !code_is_valid(code)) {
+        return invalid("opts.code", code_rule());
+    }
+    let (lo, hi) = opts.intercontact_range;
+    match world {
+        World::Schedule(schedule, _) if cfg.nodes != schedule.node_count() => invalid(
+            "config.nodes",
+            format!(
+                "config nodes must match the trace ({} vs {})",
                 cfg.nodes,
-                sparse.avg_degree,
-                (
-                    TimeDelta::new(opts.intercontact_range.0),
-                    TimeDelta::new(opts.intercontact_range.1),
-                ),
-                &mut rng,
-            );
-            let horizon = Time::ZERO + cfg.deadline;
-            let messages = random_messages(cfg, opts.messages, |_| Time::ZERO, &mut rng);
-
-            let groups = OnionGroups::random_partition(cfg.nodes, cfg.group_size, &mut rng);
-            let (mut protocol, sim_config) = wire_setup(
-                onion_protocol(cfg, opts.code.is_some(), groups),
-                opts,
-                trial,
-                attempt,
-            );
-            let queue = CalendarQueue::from_sparse(&world, horizon, calendar_rng);
-            obs::gauge_max("sparse.world_bytes_hwm", world.approx_bytes() as i64);
-            obs::gauge_max("sparse.calendar_bytes_hwm", queue.approx_bytes() as i64);
-            let report = run_stream(
-                cfg.nodes,
-                horizon,
-                queue,
-                &mut protocol,
-                messages,
-                &sim_config,
-                &opts.faults,
-                &mut fault_rng,
-                &mut rng,
-            )
-            .expect("messages validated against the sparse world");
-
-            let mut partial = SecurityPartial::new(compromised_values.len());
-            partial.score_realization(cfg, compromised_values, adversary_draws, &report, &mut rng);
-            maybe_forced_panic(trial);
-            obs::trace_ring_flush();
-            partial
-        },
-        &mut total,
-        |total, _realization, partial| total.merge(&partial),
-    );
-    resolve_failures("security_sweep_sparse", &failures, opts);
-    let rows = total.rows(cfg, compromised_values);
-    drop(span);
-    obs::flush_point("security_sweep_sparse");
-    rows
+                schedule.node_count()
+            ),
+        ),
+        World::Schedule(..) => Ok(()),
+        World::Sparse(s) if !(s.avg_degree.is_finite() && s.avg_degree > 0.0) => {
+            invalid("sparse.avg_degree", "must be finite and positive".into())
+        }
+        _ if !(lo.is_finite() && hi.is_finite() && 0.0 < lo && lo <= hi) => invalid(
+            "opts.intercontact_range",
+            "must be finite with 0 < lo <= hi".into(),
+        ),
+        _ => Ok(()),
+    }
 }
 
-/// Full point summaries vs fault intensity: each row runs a complete
-/// point (random-graph or schedule, per the scenario) with `base_plan`
-/// scaled by the intensity. With a checkpoint, finished intensities are
-/// replayed byte-identically. This per-row loop is also where
-/// [`SweepControls`] bite: the cancel hook is polled before each row,
-/// and a [`RowCache`] (when no checkpoint is installed) replays
-/// finished rows and persists new ones one at a time — so a cancelled
-/// sweep keeps the rows it paid for.
-fn fault_sweep(
-    scenario: &Scenario,
-    cfg: &ProtocolConfig,
-    axis: &FaultAxis,
-    opts: &ExperimentOptions,
+/// The fault and code axes' row loop: one full point per grid entry.
+/// With a checkpoint, finished rows (keyed `key(entry)`) replay
+/// byte-identically. The cancel hook is polled before each row, and a
+/// [`RowCache`] (when no checkpoint is installed) replays finished rows
+/// and persists new ones one at a time — so a cancelled sweep keeps the
+/// rows it paid for.
+fn row_sweep<T, R: Serialize + DeserializeOwned>(
+    label: &str,
+    grid: &[T],
+    key: impl Fn(&T) -> String,
+    compute: impl Fn(&T) -> R,
     mut checkpoint: Option<&mut Checkpoint>,
     controls: &SweepControls<'_>,
-) -> Result<Vec<FaultSweepRow>, SweepRunError> {
-    cfg.validate().expect("experiment config must be valid");
-    axis.base_plan
-        .validate()
-        .expect("base fault plan must be valid");
-    let span = obs::span("experiment.sweep_secs");
-    let mut rows = Vec::with_capacity(axis.intensities.len());
-    for &intensity in &axis.intensities {
-        if controls.cancel.is_some_and(|hook| hook()) {
-            return Err(SweepRunError::Cancelled {
-                completed: rows.len(),
-                total: axis.intensities.len(),
-            });
-        }
-        let plan = axis.base_plan.scaled(intensity);
-        let point_opts = ExperimentOptions {
-            faults: plan,
-            ..opts.clone()
-        };
-        let key = format!("intensity={intensity}");
-        let compute = || FaultSweepRow {
-            intensity,
-            plan,
-            summary: match scenario {
-                Scenario::RandomGraph => run_random_graph_point(cfg, &point_opts),
-                Scenario::Schedule(schedule) => run_schedule_point(schedule, cfg, &point_opts),
-                Scenario::Trace(t) => run_schedule_point(&t.schedule, cfg, &point_opts),
-                Scenario::Sparse(sparse) => run_sparse_point(cfg, sparse, &point_opts),
-            },
-        };
-        let row = match checkpoint.as_deref_mut() {
-            Some(cp) => cp.run_point(&key, compute)?,
-            None => match controls.rows {
-                Some(cache) => {
-                    let replayed = cache
-                        .load(&key)
-                        .and_then(|json| serde_json::from_str::<FaultSweepRow>(&json).ok());
-                    match replayed {
-                        Some(row) => row,
-                        None => {
-                            let row = compute();
-                            if let Ok(json) = serde_json::to_string(&row) {
-                                cache.save(&key, &json);
-                            }
-                            row
+) -> Result<Vec<R>, SweepRunError> {
+    let span = obs::span(SWEEP_SPAN);
+    let mut rows = Vec::with_capacity(grid.len());
+    for entry in grid {
+        controls.poll(rows.len(), grid.len())?;
+        let key = key(entry);
+        let row = match (checkpoint.as_deref_mut(), controls.rows) {
+            (Some(cp), _) => cp.run_point(&key, || compute(entry))?,
+            (None, Some(cache)) => {
+                match cache
+                    .load(&key)
+                    .and_then(|json| serde_json::from_str(&json).ok())
+                {
+                    Some(row) => row,
+                    None => {
+                        let row = compute(entry);
+                        if let Ok(json) = serde_json::to_string(&row) {
+                            cache.save(&key, &json);
                         }
+                        row
                     }
                 }
-                None => compute(),
-            },
+            }
+            (None, None) => compute(entry),
         };
         rows.push(row);
     }
     drop(span);
-    obs::flush_point(match scenario {
-        Scenario::RandomGraph => "fault_sweep_random_graph",
-        Scenario::Schedule(_) | Scenario::Trace(_) => "fault_sweep_schedule",
-        Scenario::Sparse(_) => "fault_sweep_sparse",
-    });
-    Ok(rows)
-}
-
-/// Full point summaries vs erasure-code rate: each `(k, m)` row runs a
-/// complete coded point (random-graph or schedule, per the scenario).
-/// Rows checkpoint and cache exactly like [`fault_sweep`] rows, keyed
-/// `code=<k>/<m>`, so a cancelled or crashed (k, m) grid resumes from
-/// the rows it already paid for.
-fn code_sweep(
-    scenario: &Scenario,
-    cfg: &ProtocolConfig,
-    axis: &CodeAxis,
-    opts: &ExperimentOptions,
-    mut checkpoint: Option<&mut Checkpoint>,
-    controls: &SweepControls<'_>,
-) -> Result<Vec<CodeSweepRow>, SweepRunError> {
-    cfg.validate().expect("experiment config must be valid");
-    for &(k, m) in &axis.rates {
-        assert!(
-            k >= 1 && k <= m && m <= dtn_sim::MAX_CODE_FRAGMENTS,
-            "code axis needs 1 <= k <= m <= {}, got ({k}, {m})",
-            dtn_sim::MAX_CODE_FRAGMENTS,
-        );
-    }
-    let span = obs::span("experiment.sweep_secs");
-    let mut rows = Vec::with_capacity(axis.rates.len());
-    for &(k, m) in &axis.rates {
-        if controls.cancel.is_some_and(|hook| hook()) {
-            return Err(SweepRunError::Cancelled {
-                completed: rows.len(),
-                total: axis.rates.len(),
-            });
-        }
-        let point_opts = ExperimentOptions {
-            code: Some((k, m)),
-            ..opts.clone()
-        };
-        let key = format!("code={k}/{m}");
-        let compute = || CodeSweepRow {
-            k,
-            m,
-            summary: match scenario {
-                Scenario::RandomGraph => run_random_graph_point(cfg, &point_opts),
-                Scenario::Schedule(schedule) => run_schedule_point(schedule, cfg, &point_opts),
-                Scenario::Trace(t) => run_schedule_point(&t.schedule, cfg, &point_opts),
-                Scenario::Sparse(sparse) => run_sparse_point(cfg, sparse, &point_opts),
-            },
-        };
-        let row = match checkpoint.as_deref_mut() {
-            Some(cp) => cp.run_point(&key, compute)?,
-            None => match controls.rows {
-                Some(cache) => {
-                    let replayed = cache
-                        .load(&key)
-                        .and_then(|json| serde_json::from_str::<CodeSweepRow>(&json).ok());
-                    match replayed {
-                        Some(row) => row,
-                        None => {
-                            let row = compute();
-                            if let Ok(json) = serde_json::to_string(&row) {
-                                cache.save(&key, &json);
-                            }
-                            row
-                        }
-                    }
-                }
-                None => compute(),
-            },
-        };
-        rows.push(row);
-    }
-    drop(span);
-    obs::flush_point(match scenario {
-        Scenario::RandomGraph => "code_sweep_random_graph",
-        Scenario::Schedule(_) | Scenario::Trace(_) => "code_sweep_schedule",
-        Scenario::Sparse(_) => "code_sweep_sparse",
-    });
+    obs::flush_point(label);
     Ok(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contact_graph::UniformGraphBuilder;
+    use crate::experiment::PointSummary;
+    use contact_graph::{Time, UniformGraphBuilder};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -1224,6 +738,66 @@ mod tests {
         assert_eq!(rows[0].summary.sim_counters.fault_contacts_dropped, 0);
         assert!(rows[1].summary.sim_counters.fault_contacts_dropped > 0);
         assert!(rows[1].summary.sim_delivery <= rows[0].summary.sim_delivery + 1e-9);
+    }
+
+    /// Trace fault and code rows score the caller's trained rates: only
+    /// `analysis_delivery` differs from the schedule-estimated rows, and
+    /// at intensity 0 it equals the trace deadline sweep's analysis.
+    #[test]
+    fn trace_fault_and_code_rows_score_the_trained_rates() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let graph = UniformGraphBuilder::new(24).build(&mut rng);
+        let schedule = ContactSchedule::sample(&graph, Time::new(300.0), &mut rng);
+        // Trained rates twice the schedule's own estimate.
+        let mut trained = schedule.estimate_rates();
+        for a in 0..24 {
+            for b in a + 1..24 {
+                let (a, b) = (contact_graph::NodeId(a), contact_graph::NodeId(b));
+                let rate = trained.rate(a, b).as_f64();
+                trained.set_rate(a, b, contact_graph::Rate::new(2.0 * rate));
+            }
+        }
+        let cfg = ProtocolConfig {
+            nodes: 24,
+            group_size: 3,
+            onions: 2,
+            compromised: 2,
+            deadline: contact_graph::TimeDelta::new(200.0),
+            ..ProtocolConfig::table2_defaults()
+        };
+        let plan = FaultPlan {
+            contact_failure: 0.5,
+            ..FaultPlan::default()
+        };
+        let specs = [
+            SweepSpec::schedule(cfg.clone(), schedule.clone()),
+            SweepSpec::trace(cfg.clone(), schedule.clone(), trained.clone()),
+        ];
+        let [schedule_rows, trace_rows] = specs.map(|spec| {
+            let faults = spec
+                .clone()
+                .over_faults(plan, &[0.0, 1.0])
+                .run(&quick_opts());
+            let code = spec.over_code_rates(&[(1, 2), (2, 3)]).run(&quick_opts());
+            let faults = faults.into_fault().unwrap().into_iter().map(|r| r.summary);
+            faults
+                .chain(code.into_code().unwrap().into_iter().map(|r| r.summary))
+                .collect::<Vec<_>>()
+        });
+        for (s, t) in schedule_rows.iter().zip(&trace_rows) {
+            assert_ne!(s.analysis_delivery, t.analysis_delivery);
+            let sim = |p: &PointSummary| PointSummary {
+                analysis_delivery: 0.0,
+                ..p.clone()
+            };
+            assert_eq!(sim(s), sim(t));
+        }
+        let deadline = SweepSpec::trace(cfg, schedule, trained)
+            .over_deadlines(&[100.0, 200.0])
+            .run(&quick_opts())
+            .into_delivery()
+            .unwrap();
+        assert!((trace_rows[0].analysis_delivery - deadline[1].analysis).abs() < 1e-12);
     }
 
     use std::collections::HashMap;

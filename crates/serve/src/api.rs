@@ -12,11 +12,14 @@
 //!   [`MAX_MODEL_COPIES`]; `400 invalid_argument` past them), which caps
 //!   the slowest admissible delivery request near 20 ms at any deadline.
 //! * `/v1/sweep/*` — Monte-Carlo experiments (`onion_routing`
-//!   experiment harness). Expensive, so responses flow through a
-//!   sharded LRU cache keyed by `Checkpoint::fingerprint` of the
-//!   *canonical* request (endpoint + config + options with `threads`
-//!   zeroed — the exact identity the CLI's `--resume` checkpoints use),
-//!   with single-flight coalescing for identical concurrent misses.
+//!   experiment harness). A body parses into a `SweepSpec`, which must
+//!   pass `SweepSpec::validate` and the sweep limits
+//!   ([`MAX_SWEEP_REALIZATION_BYTES`], [`MAX_ADVERSARY_DRAWS`],
+//!   [`MAX_SWEEP_GRID`]); failures answer `400 invalid_argument`.
+//!   Expensive, so responses flow through a sharded LRU cache keyed by
+//!   `Checkpoint::fingerprint` of the *canonical* request (endpoint +
+//!   config + options with `threads` zeroed + the axis grid), with
+//!   single-flight coalescing for identical concurrent misses.
 //!
 //! Request bodies are JSON objects where every field is optional:
 //! missing fields take the paper's Table II defaults. `config` and
@@ -34,7 +37,8 @@ use std::time::Instant;
 use dtn_sim::{ChurnConfig, ChurnMemory, FaultPlan};
 use onion_routing::{
     run_random_graph_point, run_sparse_point, Checkpoint, ExperimentOptions, ProtocolConfig,
-    RowCache, SparseScenario, SweepControls, SweepRunError, SweepSpec,
+    RowCache, Scenario, SparseScenario, SweepAxis, SweepControls, SweepReport, SweepRunError,
+    SweepSpec,
 };
 use serde::{Serialize, Value};
 
@@ -242,315 +246,136 @@ impl Api {
     }
 
     fn sweep(&self, req: &Request, deadline: Option<Instant>) -> Response {
-        let body = match parse_body(&req.body) {
-            Ok(v) => v,
+        let kind = req.path.trim_start_matches("/v1/sweep/");
+        let job = match parse_body(&req.body) {
             Err(e) => return Response::error(400, "malformed_request", &e),
-        };
-        let (cfg, opts) = match self.sweep_base(&body) {
-            Ok(pair) => pair,
-            Err(e) => return Response::error(400, "invalid_argument", &e),
+            Ok(_) if !SWEEP_KINDS.contains(&kind) => {
+                return Response::error(404, "not_found", "no such sweep endpoint")
+            }
+            Ok(body) => match self.sweep_job(kind, &body) {
+                Ok(job) => job,
+                Err(e) => return Response::error(400, "invalid_argument", &e),
+            },
         };
         // `threads` is an execution knob the *server* owns; the canonical
         // form in the cache key already zeroes it, and determinism makes
         // the substitution invisible in the response bytes.
-        let run_opts = opts
-            .clone()
-            .into_builder()
-            .threads(self.limits.sweep_threads)
-            .build();
-        let canon = opts.canonical();
-        // Optional sparse scenario: `"sparse": {"avg_degree": d}` swaps
-        // the world generator for the CSR + calendar-queue backend. The
-        // dense cache keys are untouched when the field is absent, so
-        // existing fingerprints stay byte-identical.
-        let sparse = match opt_field::<SparseScenario>(&body, "sparse") {
-            Ok(v) => v,
-            Err(e) => return Response::error(400, "invalid_argument", &e),
-        };
-        if let Some(s) = &sparse {
-            if !s.avg_degree.is_finite() || s.avg_degree <= 0.0 {
-                return Response::error(
-                    400,
-                    "invalid_argument",
-                    "sparse.avg_degree must be finite and positive",
-                );
+        let threads = self.limits.sweep_threads;
+        let run_opts = job.opts.into_builder().threads(threads).build();
+        let spec = &job.spec;
+        self.cached_sweep(&job.key, deadline, || {
+            if kind == "point" {
+                return to_json(&match &spec.scenario {
+                    Scenario::Sparse(s) => run_sparse_point(&spec.config, s, &run_opts),
+                    _ => run_random_graph_point(&spec.config, &run_opts),
+                });
+            }
+            let cancel = || deadline.is_some_and(|d| Instant::now() >= d);
+            let rows = job.row_prefix.filter(|_| self.store.is_some());
+            let rows = rows.map(|prefix| StoreRowCache { api: self, prefix });
+            let controls = SweepControls {
+                cancel: Some(&cancel),
+                rows: rows.as_ref().map(|rows| rows as &(dyn RowCache + Sync)),
+            };
+            match spec.run_controlled(&run_opts, None, &controls) {
+                Ok(SweepReport::Delivery(rows)) => to_json(&rows),
+                Ok(SweepReport::Security(rows)) => to_json(&rows),
+                Ok(SweepReport::Fault(rows)) => to_json(&rows),
+                Ok(SweepReport::Code(rows)) => to_json(&rows),
+                Err(SweepRunError::Cancelled { completed, total }) => {
+                    Err(format!("{DEADLINE_MARKER}{completed}/{total}"))
+                }
+                Err(other) => Err(format!("sweep: {other}")),
+            }
+        })
+    }
+
+    /// Parses a request for `/v1/sweep/<kind>` into its spec, checks it
+    /// with [`SweepSpec::validate`] and the sweep limits, and derives its
+    /// cache keys.
+    fn sweep_job(&self, kind: &str, body: &Value) -> Result<SweepJob, String> {
+        let cfg = field_or(body, "config", ProtocolConfig::table2_defaults)?;
+        let opts = field_or(body, "opts", ExperimentOptions::default)?;
+        let limits = &self.limits;
+        for (field, value, max) in [
+            (
+                "opts.realizations",
+                opts.realizations,
+                limits.max_realizations,
+            ),
+            ("opts.messages", opts.messages, limits.max_messages),
+        ] {
+            if value == 0 || value > max {
+                return Err(format!("{field} must be within 1..={max}"));
             }
         }
-        let spec_for = |cfg: ProtocolConfig| match &sparse {
+        let spec = match opt_field::<SparseScenario>(body, "sparse")? {
             Some(s) => SweepSpec::sparse(cfg, s.avg_degree),
             None => SweepSpec::random_graph(cfg),
         };
-        match req.path.as_str() {
-            "/v1/sweep/point" => {
-                let key = match &sparse {
-                    None => Checkpoint::fingerprint(&("/v1/sweep/point", &cfg, &canon)),
-                    Some(s) => {
-                        Checkpoint::fingerprint(&("/v1/sweep/point#sparse", &cfg, &canon, s))
-                    }
-                };
-                self.cached_sweep(&key, deadline, || match &sparse {
-                    Some(s) => to_json(&run_sparse_point(&cfg, s, &run_opts)),
-                    None => to_json(&run_random_graph_point(&cfg, &run_opts)),
-                })
+        let n = spec.config.nodes as f64;
+        let (spec, axis, row_axis) = match kind {
+            "deadline" => {
+                let deadlines = field_or(body, "deadlines", || {
+                    vec![60.0, 180.0, 360.0, 720.0, 1080.0]
+                })?;
+                let axis = vec![deadlines.to_value()];
+                (spec.over_deadlines(&deadlines), axis, None)
             }
-            "/v1/sweep/deadline" => {
-                let deadlines = match opt_field::<Vec<f64>>(&body, "deadlines") {
-                    Ok(v) => v.unwrap_or_else(|| vec![60.0, 180.0, 360.0, 720.0, 1080.0]),
-                    Err(e) => return Response::error(400, "invalid_argument", &e),
-                };
-                if deadlines.is_empty() || deadlines.iter().any(|&t| !t.is_finite() || t <= 0.0) {
-                    return Response::error(400, "invalid_argument", "deadlines must be positive");
-                }
-                let key = match &sparse {
-                    None => {
-                        Checkpoint::fingerprint(&("/v1/sweep/deadline", &cfg, &canon, &deadlines))
-                    }
-                    Some(s) => Checkpoint::fingerprint(&(
-                        "/v1/sweep/deadline#sparse",
-                        &cfg,
-                        &canon,
-                        &deadlines,
-                        s,
-                    )),
-                };
-                self.cached_sweep(&key, deadline, || {
-                    let rows = spec_for(cfg.clone())
-                        .over_deadlines(&deadlines)
-                        .run(&run_opts)
-                        .into_delivery()
-                        .expect("deadline axis yields delivery rows");
-                    to_json(&rows)
-                })
+            "security" => {
+                let compromised: Vec<usize> = field_or(body, "compromised", || {
+                    [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
+                        .iter()
+                        .map(|f| ((n * f).round() as usize).max(1))
+                        .collect()
+                })?;
+                let draws = field_or(body, "adversary_draws", || 3)?;
+                let axis = vec![compromised.to_value(), draws.to_value()];
+                (spec.over_security(&compromised, draws), axis, None)
             }
-            "/v1/sweep/security" => {
-                let compromised = match opt_field::<Vec<usize>>(&body, "compromised") {
-                    Ok(v) => v.unwrap_or_else(|| {
-                        [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
-                            .iter()
-                            .map(|f| ((cfg.nodes as f64 * f).round() as usize).max(1))
-                            .collect()
-                    }),
-                    Err(e) => return Response::error(400, "invalid_argument", &e),
-                };
-                let draws = match opt_field::<usize>(&body, "adversary_draws") {
-                    Ok(v) => v.unwrap_or(3),
-                    Err(e) => return Response::error(400, "invalid_argument", &e),
-                };
-                if compromised.is_empty() || compromised.iter().any(|&c| c > cfg.nodes) {
-                    return Response::error(
-                        400,
-                        "invalid_argument",
-                        "compromised values must be within 0..=n",
-                    );
-                }
-                let key = match &sparse {
-                    None => Checkpoint::fingerprint(&(
-                        "/v1/sweep/security",
-                        &cfg,
-                        &canon,
-                        &compromised,
-                        draws,
-                    )),
-                    Some(s) => Checkpoint::fingerprint(&(
-                        "/v1/sweep/security#sparse",
-                        &cfg,
-                        &canon,
-                        &compromised,
-                        draws,
-                        s,
-                    )),
-                };
-                self.cached_sweep(&key, deadline, || {
-                    let rows = spec_for(cfg.clone())
-                        .over_security(&compromised, draws)
-                        .run(&run_opts)
-                        .into_security()
-                        .expect("security axis yields security rows");
-                    to_json(&rows)
-                })
-            }
-            "/v1/sweep/fault" => {
-                let plan = match opt_field::<FaultPlan>(&body, "plan") {
-                    Ok(v) => v.unwrap_or_else(default_fault_plan),
-                    Err(e) => return Response::error(400, "invalid_argument", &e),
-                };
-                if let Err(e) = plan.validate() {
-                    return Response::error(400, "invalid_argument", &format!("fault plan: {e}"));
-                }
-                let intensities = match opt_field::<Vec<f64>>(&body, "intensities") {
-                    Ok(v) => v.unwrap_or_else(|| vec![0.0, 0.25, 0.5, 0.75, 1.0]),
-                    Err(e) => return Response::error(400, "invalid_argument", &e),
-                };
-                if intensities.is_empty() || intensities.iter().any(|&i| !(0.0..=10.0).contains(&i))
-                {
-                    return Response::error(
-                        400,
-                        "invalid_argument",
-                        "intensities must be within 0..=10",
-                    );
-                }
-                let key = match &sparse {
-                    None => Checkpoint::fingerprint(&(
-                        "/v1/sweep/fault",
-                        &cfg,
-                        &canon,
-                        &plan,
-                        &intensities,
-                    )),
-                    Some(s) => Checkpoint::fingerprint(&(
-                        "/v1/sweep/fault#sparse",
-                        &cfg,
-                        &canon,
-                        &plan,
-                        &intensities,
-                        s,
-                    )),
-                };
+            "fault" => {
+                let plan = field_or(body, "plan", default_fault_plan)?;
+                let intensities =
+                    field_or(body, "intensities", || vec![0.0, 0.25, 0.5, 0.75, 1.0])?;
                 // Row-level store keys exclude the intensity list, so a
                 // row computed for one grid is replayable in any other
                 // grid containing the same intensity.
-                let row_prefix = match &sparse {
-                    None => Checkpoint::fingerprint(&("/v1/sweep/fault#row", &cfg, &canon, &plan)),
-                    Some(s) => Checkpoint::fingerprint(&(
-                        "/v1/sweep/fault#row#sparse",
-                        &cfg,
-                        &canon,
-                        &plan,
-                        s,
-                    )),
-                };
-                self.cached_sweep(&key, deadline, || {
-                    let cancel = || deadline.is_some_and(|d| Instant::now() >= d);
-                    let rows_store = StoreRowCache {
-                        api: self,
-                        prefix: row_prefix,
-                    };
-                    let controls = SweepControls {
-                        cancel: Some(&cancel),
-                        rows: self
-                            .store
-                            .is_some()
-                            .then_some(&rows_store as &(dyn RowCache + Sync)),
-                    };
-                    spec_for(cfg.clone())
-                        .over_faults(plan, &intensities)
-                        .run_controlled(&run_opts, None, &controls)
-                        .map_err(|e| match e {
-                            SweepRunError::Cancelled { completed, total } => {
-                                format!("{DEADLINE_MARKER}{completed}/{total}")
-                            }
-                            other => format!("fault sweep: {other}"),
-                        })
-                        .and_then(|report| {
-                            let rows = report.into_fault().expect("fault axis yields fault rows");
-                            to_json(&rows)
-                        })
-                })
+                let axis = vec![plan.to_value(), intensities.to_value()];
+                let row_axis = Some(vec![plan.to_value()]);
+                (spec.over_faults(plan, &intensities), axis, row_axis)
             }
-            "/v1/sweep/code" => {
-                let rates = match opt_field::<Vec<(u32, u32)>>(&body, "rates") {
-                    Ok(v) => v.unwrap_or_else(|| vec![(1, 1), (1, 2), (2, 3), (2, 4), (3, 5)]),
-                    Err(e) => return Response::error(400, "invalid_argument", &e),
-                };
-                if rates.is_empty()
-                    || rates
-                        .iter()
-                        .any(|&(k, m)| k == 0 || k > m || m > dtn_sim::MAX_CODE_FRAGMENTS)
-                {
-                    return Response::error(
-                        400,
-                        "invalid_argument",
-                        &format!(
-                            "rates must satisfy 1 <= k <= m <= {}",
-                            dtn_sim::MAX_CODE_FRAGMENTS
-                        ),
-                    );
-                }
-                let key = match &sparse {
-                    None => Checkpoint::fingerprint(&("/v1/sweep/code", &cfg, &canon, &rates)),
-                    Some(s) => {
-                        Checkpoint::fingerprint(&("/v1/sweep/code#sparse", &cfg, &canon, &rates, s))
-                    }
-                };
+            "code" => {
+                let rates = field_or(body, "rates", || {
+                    vec![(1, 1), (1, 2), (2, 3), (2, 4), (3, 5)]
+                })?;
                 // Like fault rows: row-level store keys exclude the rate
                 // grid, so one computed (k, m) row replays in any grid.
-                let row_prefix = match &sparse {
-                    None => Checkpoint::fingerprint(&("/v1/sweep/code#row", &cfg, &canon)),
-                    Some(s) => {
-                        Checkpoint::fingerprint(&("/v1/sweep/code#row#sparse", &cfg, &canon, s))
-                    }
-                };
-                self.cached_sweep(&key, deadline, || {
-                    let cancel = || deadline.is_some_and(|d| Instant::now() >= d);
-                    let rows_store = StoreRowCache {
-                        api: self,
-                        prefix: row_prefix,
-                    };
-                    let controls = SweepControls {
-                        cancel: Some(&cancel),
-                        rows: self
-                            .store
-                            .is_some()
-                            .then_some(&rows_store as &(dyn RowCache + Sync)),
-                    };
-                    spec_for(cfg.clone())
-                        .over_code_rates(&rates)
-                        .run_controlled(&run_opts, None, &controls)
-                        .map_err(|e| match e {
-                            SweepRunError::Cancelled { completed, total } => {
-                                format!("{DEADLINE_MARKER}{completed}/{total}")
-                            }
-                            other => format!("code sweep: {other}"),
-                        })
-                        .and_then(|report| {
-                            let rows = report.into_code().expect("code axis yields code rows");
-                            to_json(&rows)
-                        })
-                })
+                (
+                    spec.over_code_rates(&rates),
+                    vec![rates.to_value()],
+                    Some(vec![]),
+                )
             }
-            _ => Response::error(404, "not_found", "no such sweep endpoint"),
-        }
-    }
-
-    /// Shared `config`/`opts` extraction plus validation and caps.
-    fn sweep_base(&self, body: &Value) -> Result<(ProtocolConfig, ExperimentOptions), String> {
-        let cfg = match body.get("config") {
-            Some(v) => deserialize::<ProtocolConfig>(v, "config")?,
-            None => ProtocolConfig::table2_defaults(),
-        };
-        cfg.validate().map_err(|e| format!("config: {e}"))?;
-        let opts = match body.get("opts") {
-            Some(v) => deserialize::<ExperimentOptions>(v, "opts")?,
-            None => ExperimentOptions::default(),
-        };
-        opts.faults
-            .validate()
-            .map_err(|e| format!("opts.faults: {e}"))?;
-        if let Some((k, m)) = opts.code {
-            if k == 0 || k > m || m > dtn_sim::MAX_CODE_FRAGMENTS {
-                return Err(format!(
-                    "opts.code must satisfy 1 <= k <= m <= {}",
-                    dtn_sim::MAX_CODE_FRAGMENTS
-                ));
+            // A point has no axis of its own: it validates as the security
+            // sweep at its own `c` with one draw, which checks exactly the
+            // point's config, options and world.
+            _ => {
+                let c = spec.config.compromised;
+                (spec.over_security(&[c], 1), vec![], None)
             }
-        }
-        if opts.realizations == 0 || opts.realizations > self.limits.max_realizations {
-            return Err(format!(
-                "opts.realizations must be within 1..={}",
-                self.limits.max_realizations
-            ));
-        }
-        if opts.messages == 0 || opts.messages > self.limits.max_messages {
-            return Err(format!(
-                "opts.messages must be within 1..={}",
-                self.limits.max_messages
-            ));
-        }
-        let (lo, hi) = opts.intercontact_range;
-        if !(lo.is_finite() && hi.is_finite() && 0.0 < lo && lo <= hi) {
-            return Err("opts.intercontact_range must be finite with 0 < lo <= hi".to_string());
-        }
-        Ok((cfg, opts))
+        };
+        spec.validate(&opts).map_err(|e| e.to_string())?;
+        check_sweep_limits(&spec, &opts)?;
+        let route = format!("/v1/sweep/{kind}");
+        let row_prefix =
+            row_axis.map(|parts| sweep_key(&format!("{route}#row"), &spec, &opts, parts));
+        let key = sweep_key(&route, &spec, &opts, axis);
+        Ok(SweepJob {
+            spec,
+            opts,
+            key,
+            row_prefix,
+        })
     }
 
     /// The cache → store → single-flight → compute funnel for sweep
@@ -668,6 +493,127 @@ impl RowCache for StoreRowCache<'_> {
     }
 }
 
+/// The `/v1/sweep/<kind>` endpoints: `point` answers with a point
+/// summary, the others with their axis rows.
+const SWEEP_KINDS: [&str; 5] = ["point", "deadline", "security", "fault", "code"];
+
+/// A parsed, validated sweep request and its cache keys.
+struct SweepJob {
+    spec: SweepSpec,
+    opts: ExperimentOptions,
+    /// The response's cache and store key.
+    key: String,
+    /// Store key prefix of per-row results (fault and code sweeps).
+    row_prefix: Option<String>,
+}
+
+/// A sweep cache key: the SHA-256 of the JSON array `[route, config,
+/// canonical opts, axis parts…]`. A sparse request suffixes the route
+/// with `#sparse` and appends its scenario, so dense keys keep the bytes
+/// they had before sparse worlds existed. Keys are frozen:
+/// `tests/golden/sweep_keys.json` pins one per shape.
+fn sweep_key(route: &str, spec: &SweepSpec, opts: &ExperimentOptions, axis: Vec<Value>) -> String {
+    let sparse = match &spec.scenario {
+        Scenario::Sparse(s) => Some(s.to_value()),
+        _ => None,
+    };
+    let route = match sparse {
+        Some(_) => format!("{route}#sparse"),
+        None => route.to_string(),
+    };
+    let mut parts = vec![
+        route.to_value(),
+        spec.config.to_value(),
+        opts.canonical().to_value(),
+    ];
+    parts.extend(axis);
+    parts.extend(sparse);
+    Checkpoint::fingerprint(&KeyParts(parts))
+}
+
+/// Key parts, serialized as the JSON array a tuple of them would be.
+struct KeyParts(Vec<Value>);
+
+impl Serialize for KeyParts {
+    fn to_value(&self) -> Value {
+        Value::Array(self.0.clone())
+    }
+}
+
+/// Largest estimated memory of one sweep realization: 512 MiB. Dense
+/// worlds need 8 bytes of λ per pair plus 16 bytes per expected contact
+/// (Table II at `T = 1080`: ~9 MB); sparse worlds need
+/// `SPARSE_PAIR_BYTES` per pair and `SPARSE_NODE_BYTES` per node (the
+/// README's `n = 10⁵`, degree-10 point: ~70 MB). A `nodes: 10⁶` dense
+/// request would otherwise abort the daemon allocating 4 TB of λ.
+pub const MAX_SWEEP_REALIZATION_BYTES: u64 = 512 << 20;
+
+/// Largest `adversary_draws` a security sweep may ask for. The security
+/// axis polls the request deadline once, before its single pass, so its
+/// work must be bounded up front.
+pub const MAX_ADVERSARY_DRAWS: usize = 100;
+
+/// Longest grid (`deadlines`, `compromised`, `intensities`, `rates`) a
+/// sweep request may ask for.
+pub const MAX_SWEEP_GRID: usize = 64;
+
+/// A sparse world's bytes per proximity pair: a 32-byte calendar slot,
+/// its ring entry, 24 bytes of CSR adjacency and generation scratch.
+const SPARSE_PAIR_BYTES: f64 = 128.0;
+
+/// A sparse world's bytes per node: position, CSR offset, engine state.
+const SPARSE_NODE_BYTES: f64 = 64.0;
+
+/// Rejects sweeps that would exhaust the daemon: a grid longer than
+/// [`MAX_SWEEP_GRID`], more than [`MAX_ADVERSARY_DRAWS`] draws, or one
+/// realization estimated past [`MAX_SWEEP_REALIZATION_BYTES`].
+fn check_sweep_limits(spec: &SweepSpec, opts: &ExperimentOptions) -> Result<(), String> {
+    let horizon = spec.config.deadline.as_f64();
+    let (grid, len, horizon) = match &spec.axis {
+        SweepAxis::Deadline(d) => ("deadlines", d.len(), d.iter().cloned().fold(0.0, f64::max)),
+        SweepAxis::Security(a) => {
+            check_limit("adversary_draws", a.adversary_draws, MAX_ADVERSARY_DRAWS)?;
+            ("compromised", a.compromised.len(), horizon)
+        }
+        SweepAxis::Fault(a) => ("intensities", a.intensities.len(), horizon),
+        SweepAxis::Code(a) => ("rates", a.rates.len(), horizon),
+    };
+    check_limit(&format!("{grid} length"), len, MAX_SWEEP_GRID)?;
+    let n = spec.config.nodes as f64;
+    let (bytes, driver) = match &spec.scenario {
+        Scenario::Sparse(s) => (
+            SPARSE_NODE_BYTES * n + SPARSE_PAIR_BYTES * n * s.avg_degree / 2.0,
+            format!("sparse.avg_degree {}", s.avg_degree),
+        ),
+        _ => {
+            // Expected contacts: pairs × E[1/X] × T for mean
+            // inter-contact times X ~ U(lo, hi).
+            let pairs = n * (n - 1.0) / 2.0;
+            let (lo, hi) = opts.intercontact_range;
+            let mean_rate = if hi > lo {
+                (hi / lo).ln() / (hi - lo)
+            } else {
+                1.0 / lo
+            };
+            (
+                8.0 * pairs + 16.0 * pairs * mean_rate * horizon,
+                format!("deadline {horizon}"),
+            )
+        }
+    };
+    let (mib, limit) = (
+        bytes / (1u64 << 20) as f64,
+        MAX_SWEEP_REALIZATION_BYTES >> 20,
+    );
+    if mib > limit as f64 {
+        return Err(format!(
+            "config.nodes {n} at {driver} needs ~{mib:.0} MiB per realization; \
+             the limit is {limit} MiB"
+        ));
+    }
+    Ok(())
+}
+
 /// The representative every-fault-class base plan used when a fault
 /// sweep request names no `plan` (mirrors the CLI's default).
 fn default_fault_plan() -> FaultPlan {
@@ -701,6 +647,15 @@ fn parse_body(body: &str) -> Result<Value, String> {
 
 fn deserialize<T: serde::DeserializeOwned>(value: &Value, what: &str) -> Result<T, String> {
     T::from_value(value).map_err(|e| format!("{what}: {e}"))
+}
+
+/// A typed field of the request object, or `default()` when absent.
+fn field_or<T: serde::DeserializeOwned>(
+    body: &Value,
+    key: &str,
+    default: impl FnOnce() -> T,
+) -> Result<T, String> {
+    Ok(opt_field(body, key)?.unwrap_or_else(default))
 }
 
 /// Extracts an optional typed field from the request object.
@@ -1103,6 +1058,176 @@ mod tests {
         assert_eq!(r.status, 400);
         let r = api.handle(&post("/v1/sweep/deadline", "{\"deadlines\":[]}"));
         assert_eq!(r.status, 400);
+    }
+
+    /// Every serve cache key and row prefix shape, parsed from a request
+    /// body, against the committed fingerprints, which the tuple
+    /// expressions `sweep_key` replaced produced.
+    #[test]
+    fn sweep_keys_match_committed_golden() {
+        let golden: std::collections::BTreeMap<String, String> =
+            serde_json::from_str(include_str!("../../../tests/golden/sweep_keys.json")).unwrap();
+        let cfg = ProtocolConfig {
+            nodes: 60,
+            group_size: 4,
+            onions: 2,
+            copies: 2,
+            deadline: contact_graph::TimeDelta::new(720.0),
+            compromised: 6,
+            ..ProtocolConfig::table2_defaults()
+        };
+        let opts = ExperimentOptions::builder()
+            .messages(7)
+            .realizations(3)
+            .seed(99)
+            .threads(4)
+            .faults(FaultPlan {
+                contact_failure: 0.1,
+                ..FaultPlan::default()
+            })
+            .wire(true)
+            .code(Some((2, 3)))
+            .build();
+        let base = format!(
+            "\"config\":{},\"opts\":{}",
+            serde_json::to_string(&cfg).unwrap(),
+            serde_json::to_string(&opts).unwrap()
+        );
+        let api = api();
+        let mut checked = 0;
+        for (name, axis) in [
+            ("point", ""),
+            ("deadline", ",\"deadlines\":[60.0,360.0,720.0]"),
+            ("security", ",\"compromised\":[3,12],\"adversary_draws\":5"),
+            ("fault", ",\"intensities\":[0.0,0.5,1.0]"),
+            ("code", ",\"rates\":[[1,2],[2,3]]"),
+        ] {
+            for (suffix, sparse) in [("", ""), (" sparse", ",\"sparse\":{\"avg_degree\":9.5}")] {
+                let body = parse_body(&format!("{{{base}{axis}{sparse}}}")).unwrap();
+                let job = match api.sweep_job(name, &body) {
+                    Ok(job) => job,
+                    Err(e) => panic!("{name}{suffix}: {e}"),
+                };
+                assert_eq!(
+                    job.key,
+                    golden[&format!("serve {name}{suffix}")],
+                    "{name}{suffix}"
+                );
+                if let Some(prefix) = job.row_prefix {
+                    let row = format!("serve {name}#row{suffix}");
+                    assert_eq!(prefix, golden[&row], "{row}");
+                    checked += 1;
+                }
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 14);
+    }
+
+    /// Each invalid spec names its field from `SweepSpec::validate`, and
+    /// the same spec posted as a request body answers 400 with that
+    /// error.
+    #[test]
+    fn invalid_sweep_specs_name_their_field_and_answer_400() {
+        let cfg = ProtocolConfig {
+            nodes: 30,
+            group_size: 3,
+            onions: 2,
+            compromised: 3,
+            ..ProtocolConfig::table2_defaults()
+        };
+        let opts = ExperimentOptions::builder()
+            .messages(2)
+            .realizations(1)
+            .build();
+        let rg = || SweepSpec::random_graph(cfg.clone());
+        let broken = FaultPlan {
+            contact_failure: 2.0,
+            ..FaultPlan::default()
+        };
+        let table: Vec<(SweepSpec, ExperimentOptions, &str)> = vec![
+            (rg().over_deadlines(&[]), opts.clone(), "deadlines"),
+            (
+                rg().over_deadlines(&[-5.0, 60.0]),
+                opts.clone(),
+                "deadlines",
+            ),
+            (rg().over_security(&[1000], 3), opts.clone(), "compromised"),
+            (rg().over_faults(broken, &[0.5]), opts.clone(), "plan"),
+            (
+                rg().over_faults(FaultPlan::default(), &[11.0]),
+                opts.clone(),
+                "intensities",
+            ),
+            (rg().over_code_rates(&[(3, 2)]), opts.clone(), "rates"),
+            (
+                SweepSpec::random_graph(ProtocolConfig {
+                    group_size: 0,
+                    ..cfg.clone()
+                })
+                .over_deadlines(&[60.0]),
+                opts.clone(),
+                "config",
+            ),
+            (
+                SweepSpec::sparse(cfg.clone(), 0.0).over_deadlines(&[60.0]),
+                opts.clone(),
+                "sparse.avg_degree",
+            ),
+            (
+                rg().over_deadlines(&[60.0]),
+                opts.clone().into_builder().code(Some((0, 1))).build(),
+                "opts.code",
+            ),
+            (
+                rg().over_deadlines(&[60.0]),
+                opts.clone().into_builder().faults(broken).build(),
+                "opts.faults",
+            ),
+            (
+                rg().over_deadlines(&[60.0]),
+                opts.clone()
+                    .into_builder()
+                    .intercontact_range((0.0, 36.0))
+                    .build(),
+                "opts.intercontact_range",
+            ),
+        ];
+        let api = api();
+        for (spec, opts, field) in table {
+            let err = spec.validate(&opts).expect_err(field);
+            assert_eq!(err.field, field, "{err}");
+            let mut body = format!("\"config\":{},\"opts\":{}", json(&spec.config), json(&opts));
+            if let Scenario::Sparse(s) = &spec.scenario {
+                body += &format!(",\"sparse\":{}", json(&s));
+            }
+            let (path, axis) = match &spec.axis {
+                SweepAxis::Deadline(d) => ("deadline", format!("\"deadlines\":{}", json(&d))),
+                SweepAxis::Security(a) => (
+                    "security",
+                    format!("\"compromised\":{}", json(&a.compromised)),
+                ),
+                SweepAxis::Fault(a) => (
+                    "fault",
+                    format!(
+                        "\"plan\":{},\"intensities\":{}",
+                        json(&a.base_plan),
+                        json(&a.intensities)
+                    ),
+                ),
+                SweepAxis::Code(a) => ("code", format!("\"rates\":{}", json(&a.rates))),
+            };
+            let r = api.handle(&post(
+                &format!("/v1/sweep/{path}"),
+                &format!("{{{body},{axis}}}"),
+            ));
+            assert_eq!(r.status, 400, "{field}: {}", r.body);
+            assert!(r.body.contains(&err.to_string()), "{field}: {}", r.body);
+        }
+    }
+
+    fn json<T: Serialize + ?Sized>(value: &T) -> String {
+        serde_json::to_string(value).unwrap()
     }
 
     /// Unique scratch dir per test, removed on drop.

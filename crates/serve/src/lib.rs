@@ -53,7 +53,8 @@ pub mod stats;
 pub mod store;
 
 pub use api::{
-    Api, ApiLimits, MAX_MODEL_COPIES, MAX_MODEL_GROUP_SIZE, MAX_MODEL_ONIONS, TABLE2_MEAN_RATE,
+    Api, ApiLimits, MAX_ADVERSARY_DRAWS, MAX_MODEL_COPIES, MAX_MODEL_GROUP_SIZE, MAX_MODEL_ONIONS,
+    MAX_SWEEP_GRID, MAX_SWEEP_REALIZATION_BYTES, TABLE2_MEAN_RATE,
 };
 pub use cache::ShardedLru;
 pub use flight::{Role, SingleFlight};

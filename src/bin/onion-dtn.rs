@@ -45,6 +45,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use onion_dtn::prelude::*;
+use serde::{Serialize, Value};
 
 fn print_usage() {
     eprintln!(
@@ -303,29 +304,64 @@ fn scenario_spec(cfg: &ProtocolConfig, sparse: Option<&SparseScenario>) -> Sweep
     }
 }
 
-/// Opens the `--resume` checkpoint (if requested) against a fingerprint
-/// of everything that determines the command's results. `threads` is
-/// excluded: results are thread-count-independent, so resuming with a
-/// different `--threads` is legal. A sparse scenario joins the
-/// fingerprint only when present, so dense checkpoints keep their
-/// original identity byte-for-byte.
+/// The `--resume` fingerprint: the SHA-256 of the JSON array
+/// `[command, config, canonical options, axis parts…]`. `threads` is
+/// excluded (results are thread-count-independent, so resuming with a
+/// different `--threads` is legal). A sparse scenario joins only when
+/// present, in one of two frozen layouts: per-row sweeps (with axis
+/// parts) suffix the command with `#sparse` and append the scenario,
+/// the other commands append `"sparse"` and the scenario. Dense
+/// checkpoints keep their original identity byte-for-byte, and
+/// `tests/golden/sweep_keys.json` pins one key per shape.
+fn resume_key(
+    command: &str,
+    cfg: &ProtocolConfig,
+    opts: &ExperimentOptions,
+    axis: Vec<Value>,
+    sparse: Option<&SparseScenario>,
+) -> String {
+    let mut command = command.to_string();
+    let mut parts = vec![cfg.to_value(), opts.canonical().to_value()];
+    let per_row = !axis.is_empty();
+    parts.extend(axis);
+    if let Some(s) = sparse {
+        if per_row {
+            command.push_str("#sparse");
+        } else {
+            parts.push("sparse".to_value());
+        }
+        parts.push(s.to_value());
+    }
+    parts.insert(0, command.to_value());
+    Checkpoint::fingerprint(&KeyParts(parts))
+}
+
+/// Key parts, serialized as the JSON array a tuple of them would be.
+struct KeyParts(Vec<Value>);
+
+impl Serialize for KeyParts {
+    fn to_value(&self) -> Value {
+        Value::Array(self.0.clone())
+    }
+}
+
+/// Opens the `--resume` checkpoint (if requested) bound to the
+/// command's [`resume_key`].
 fn open_checkpoint(
     flags: &HashMap<String, String>,
     command: &str,
     cfg: &ProtocolConfig,
     opts: &ExperimentOptions,
+    axis: Vec<Value>,
     sparse: Option<&SparseScenario>,
 ) -> Result<Option<Checkpoint>, CliError> {
     let Some(path) = flags.get("resume") else {
         return Ok(None);
     };
-    let fingerprint = match sparse {
-        None => Checkpoint::fingerprint(&(command, cfg, &opts.canonical())),
-        Some(s) => Checkpoint::fingerprint(&(command, cfg, &opts.canonical(), "sparse", s)),
-    };
-    let cp = Checkpoint::open(std::path::Path::new(path), &fingerprint)
+    let key = resume_key(command, cfg, opts, axis, sparse);
+    let cp = Checkpoint::open(std::path::Path::new(path), &key)
         .map_err(|e| CliError::Io(format!("checkpoint {path}: {e}")))?;
-    arm_crash_sink(path, &fingerprint, opts.seed);
+    arm_crash_sink(path, &key, opts.seed);
     if cp.resumed_points() > 0 {
         obs::info!(
             "onion_dtn",
@@ -334,6 +370,24 @@ fn open_checkpoint(
         );
     }
     Ok(Some(cp))
+}
+
+/// The shared front of the sweep commands: parses the config, options
+/// and world, lets `axis` pick the swept grid (and the parts of it that
+/// join the `--resume` key), validates the spec — a rejected one is a
+/// usage error — and opens the checkpoint.
+fn sweep_command(
+    flags: &HashMap<String, String>,
+    command: &str,
+    axis: impl FnOnce(SweepSpec, &ExperimentOptions) -> Result<(SweepSpec, Vec<Value>), CliError>,
+) -> Result<(SweepSpec, ExperimentOptions, Option<Checkpoint>), CliError> {
+    let cfg = config_from(flags)?;
+    let opts = opts_from(flags)?;
+    let sparse = sparse_from(flags)?;
+    let (spec, key_axis) = axis(scenario_spec(&cfg, sparse.as_ref()), &opts)?;
+    spec.validate(&opts).map_err(|e| e.to_string())?;
+    let cp = open_checkpoint(flags, command, &cfg, &opts, key_axis, sparse.as_ref())?;
+    Ok((spec, opts, cp))
 }
 
 /// Points the flight recorder's crash sink at the checkpoint's
@@ -346,6 +400,11 @@ fn arm_crash_sink(checkpoint_path: &str, fingerprint: &str, seed: u64) {
         _ => std::path::PathBuf::from("."),
     };
     obs::set_crash_sink(&dir, fingerprint, seed);
+}
+
+/// A four-decimal value, or a dash when there is none.
+fn or_dash(value: Option<f64>) -> String {
+    value.map_or("   -  ".into(), |v| format!("{v:.4}"))
 }
 
 /// Runs `compute` through the checkpoint when one is open, so a finished
@@ -383,7 +442,7 @@ fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
             None => String::new(),
         }
     );
-    let mut cp = open_checkpoint(flags, "point", &cfg, &opts, sparse.as_ref())?;
+    let mut cp = open_checkpoint(flags, "point", &cfg, &opts, vec![], sparse.as_ref())?;
     let p: PointSummary = checkpointed(&mut cp, "point", || match &sparse {
         Some(s) => run_sparse_point(&cfg, s, &opts),
         None => run_random_graph_point(&cfg, &opts),
@@ -398,14 +457,12 @@ fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
     println!(
         "traceable  analysis {:.4} | simulation {}",
         p.analysis_traceable,
-        p.sim_traceable
-            .map_or("   -  ".into(), |v| format!("{v:.4}"))
+        or_dash(p.sim_traceable)
     );
     println!(
         "anonymity  analysis {:.4} | simulation {}",
         p.analysis_anonymity,
-        p.sim_anonymity
-            .map_or("   -  ".into(), |v| format!("{v:.4}"))
+        or_dash(p.sim_anonymity)
     );
     println!(
         "cost       bound    {:.1} | simulation {:.2} tx/msg",
@@ -415,19 +472,16 @@ fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 fn cmd_deadline_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let cfg = config_from(flags)?;
-    let opts = opts_from(flags)?;
-    let max_t = cfg.deadline.as_f64();
-    let deadlines: Vec<f64> = (0..8)
-        .map(|i| max_t * (0.06f64).max(2f64.powi(i - 7)))
-        .map(|t| (t * 10.0).round() / 10.0)
-        .collect();
-    let sparse = sparse_from(flags)?;
-    let mut cp = open_checkpoint(flags, "deadline-sweep", &cfg, &opts, sparse.as_ref())?;
+    let (spec, opts, mut cp) = sweep_command(flags, "deadline-sweep", |spec, _| {
+        let max_t = spec.config.deadline.as_f64();
+        let deadlines: Vec<f64> = (0..8)
+            .map(|i| max_t * (0.06f64).max(2f64.powi(i - 7)))
+            .map(|t| (t * 10.0).round() / 10.0)
+            .collect();
+        Ok((spec.over_deadlines(&deadlines), vec![]))
+    })?;
     let rows: Vec<DeliverySweepRow> = checkpointed(&mut cp, "rows", || {
-        scenario_spec(&cfg, sparse.as_ref())
-            .over_deadlines(&deadlines)
-            .run(&opts)
+        spec.run(&opts)
             .into_delivery()
             .expect("deadline axis yields delivery rows")
     })?;
@@ -442,18 +496,15 @@ fn cmd_deadline_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 fn cmd_security_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let cfg = config_from(flags)?;
-    let opts = opts_from(flags)?;
-    let cs: Vec<usize> = [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
-        .iter()
-        .map(|f| ((cfg.nodes as f64 * f).round() as usize).max(1))
-        .collect();
-    let sparse = sparse_from(flags)?;
-    let mut cp = open_checkpoint(flags, "security-sweep", &cfg, &opts, sparse.as_ref())?;
+    let (spec, opts, mut cp) = sweep_command(flags, "security-sweep", |spec, _| {
+        let cs: Vec<usize> = [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
+            .iter()
+            .map(|f| ((spec.config.nodes as f64 * f).round() as usize).max(1))
+            .collect();
+        Ok((spec.over_security(&cs, 3), vec![]))
+    })?;
     let rows: Vec<SecuritySweepRow> = checkpointed(&mut cp, "rows", || {
-        scenario_spec(&cfg, sparse.as_ref())
-            .over_security(&cs, 3)
-            .run(&opts)
+        spec.run(&opts)
             .into_security()
             .expect("security axis yields security rows")
     })?;
@@ -466,11 +517,9 @@ fn cmd_security_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
             "{:<8}{:>12.4}{:>12}{:>12.4}{:>12}",
             row.compromised,
             row.analysis_traceable,
-            row.sim_traceable
-                .map_or("   -  ".into(), |v| format!("{v:.4}")),
+            or_dash(row.sim_traceable),
             row.analysis_anonymity,
-            row.sim_anonymity
-                .map_or("   -  ".into(), |v| format!("{v:.4}")),
+            or_dash(row.sim_anonymity),
         );
     }
     Ok(())
@@ -512,17 +561,12 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         selection: RouteSelection::Uniform,
     };
     cfg.validate()?;
-    let opts = ExperimentOptions::builder()
-        .messages(flag(flags, "messages", 25usize)?)
+    let opts = opts_from(flags)?
+        .into_builder()
         .realizations(flag(flags, "realizations", 4usize)?)
         .seed(flag(flags, "seed", 1u64)?)
-        .threads(flag(flags, "threads", 0usize)?)
-        .faults(faults_from(flags)?)
-        .keep_going(flags.contains_key("keep-going"))
-        .wire(flags.contains_key("wire"))
-        .code(code_from(flags)?)
         .build();
-    let mut cp = open_checkpoint(flags, &format!("trace:{which}"), &cfg, &opts, None)?;
+    let mut cp = open_checkpoint(flags, &format!("trace:{which}"), &cfg, &opts, vec![], None)?;
     let p: PointSummary = checkpointed(&mut cp, "point", || {
         run_schedule_point(&schedule, &cfg, &opts)
     })?;
@@ -533,8 +577,7 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
     println!(
         "anonymity  analysis {:.4} | simulation {}",
         p.analysis_anonymity,
-        p.sim_anonymity
-            .map_or("   -  ".into(), |v| format!("{v:.4}"))
+        or_dash(p.sim_anonymity)
     );
     Ok(())
 }
@@ -554,56 +597,23 @@ fn default_sweep_plan() -> FaultPlan {
     }
 }
 
+/// Intensities `fault-sweep` scales its base plan by.
+const FAULT_INTENSITIES: &[f64] = &[0.0, 0.25, 0.5, 0.75, 1.0];
+
 fn cmd_fault_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let cfg = config_from(flags)?;
-    let opts = opts_from(flags)?;
-    let base = {
+    let (spec, opts, mut cp) = sweep_command(flags, "fault-sweep", |spec, _| {
         let explicit = faults_from(flags)?;
-        if explicit.is_noop() {
+        let base = if explicit.is_noop() {
             default_sweep_plan()
         } else {
             explicit
-        }
-    };
-    let intensities = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let sparse = sparse_from(flags)?;
-    // The base plan is swept (opts.faults is overridden per point), so
-    // it joins the fingerprint explicitly.
-    let mut cp = match flags.get("resume") {
-        Some(path) => {
-            let fp = match &sparse {
-                None => Checkpoint::fingerprint(&(
-                    "fault-sweep",
-                    &cfg,
-                    &opts.canonical(),
-                    &base,
-                    &intensities[..],
-                )),
-                Some(s) => Checkpoint::fingerprint(&(
-                    "fault-sweep#sparse",
-                    &cfg,
-                    &opts.canonical(),
-                    &base,
-                    &intensities[..],
-                    s,
-                )),
-            };
-            let cp = Checkpoint::open(std::path::Path::new(path), &fp)
-                .map_err(|e| CliError::Io(format!("checkpoint {path}: {e}")))?;
-            arm_crash_sink(path, &fp, opts.seed);
-            if cp.resumed_points() > 0 {
-                obs::info!(
-                    "onion_dtn",
-                    "resuming from {path}: {} finished point(s) on record",
-                    cp.resumed_points()
-                );
-            }
-            Some(cp)
-        }
-        None => None,
-    };
-    let rows = scenario_spec(&cfg, sparse.as_ref())
-        .over_faults(base, &intensities)
+        };
+        // The base plan is swept (opts.faults is overridden per point), so
+        // it joins the fingerprint explicitly.
+        let key_axis = vec![base.to_value(), FAULT_INTENSITIES.to_value()];
+        Ok((spec.over_faults(base, FAULT_INTENSITIES), key_axis))
+    })?;
+    let rows = spec
         .run_with_checkpoint(&opts, cp.as_mut())
         .map_err(|e| CliError::Io(format!("checkpoint: {e}")))?
         .into_fault()
@@ -619,10 +629,8 @@ fn cmd_fault_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
             row.intensity,
             s.analysis_delivery,
             s.sim_delivery,
-            s.sim_traceable
-                .map_or("   -  ".into(), |v| format!("{v:.4}")),
-            s.sim_anonymity
-                .map_or("   -  ".into(), |v| format!("{v:.4}")),
+            or_dash(s.sim_traceable),
+            or_dash(s.sim_anonymity),
             s.sim_counters.fault_crashes,
             s.sim_counters.fault_contacts_dropped,
         );
@@ -635,47 +643,18 @@ fn cmd_fault_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
 const DEFAULT_CODE_GRID: &[(u32, u32)] = &[(1, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)];
 
 fn cmd_code_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let cfg = config_from(flags)?;
-    let opts = opts_from(flags)?;
-    // With --code k/m the sweep collapses to that single rate; otherwise
-    // it walks the default grid. Each row overrides opts.code itself.
-    let rates: Vec<(u32, u32)> = match opts.code {
-        Some(rate) => vec![rate],
-        None => DEFAULT_CODE_GRID.to_vec(),
-    };
-    let sparse = sparse_from(flags)?;
-    // The grid is swept (opts.code is overridden per row), so it joins
-    // the fingerprint explicitly, mirroring fault-sweep's base plan.
-    let mut cp = match flags.get("resume") {
-        Some(path) => {
-            let fp = match &sparse {
-                None => {
-                    Checkpoint::fingerprint(&("code-sweep", &cfg, &opts.canonical(), &rates[..]))
-                }
-                Some(s) => Checkpoint::fingerprint(&(
-                    "code-sweep#sparse",
-                    &cfg,
-                    &opts.canonical(),
-                    &rates[..],
-                    s,
-                )),
-            };
-            let cp = Checkpoint::open(std::path::Path::new(path), &fp)
-                .map_err(|e| CliError::Io(format!("checkpoint {path}: {e}")))?;
-            arm_crash_sink(path, &fp, opts.seed);
-            if cp.resumed_points() > 0 {
-                obs::info!(
-                    "onion_dtn",
-                    "resuming from {path}: {} finished point(s) on record",
-                    cp.resumed_points()
-                );
-            }
-            Some(cp)
-        }
-        None => None,
-    };
-    let rows = scenario_spec(&cfg, sparse.as_ref())
-        .over_code_rates(&rates)
+    let (spec, opts, mut cp) = sweep_command(flags, "code-sweep", |spec, opts| {
+        // With --code k/m the sweep collapses to that single rate;
+        // otherwise it walks the default grid. Each row overrides
+        // opts.code itself, so the grid joins the fingerprint explicitly,
+        // mirroring fault-sweep's base plan.
+        let rates: Vec<(u32, u32)> = match opts.code {
+            Some(rate) => vec![rate],
+            None => DEFAULT_CODE_GRID.to_vec(),
+        };
+        Ok((spec.over_code_rates(&rates), vec![rates.to_value()]))
+    })?;
+    let rows = spec
         .run_with_checkpoint(&opts, cp.as_mut())
         .map_err(|e| CliError::Io(format!("checkpoint: {e}")))?
         .into_code()
@@ -691,8 +670,7 @@ fn cmd_code_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
             format!("{}/{}", row.k, row.m),
             s.analysis_delivery,
             s.sim_delivery,
-            s.sim_anonymity
-                .map_or("   -  ".into(), |v| format!("{v:.4}")),
+            or_dash(s.sim_anonymity),
             s.analysis_cost_bound,
             s.sim_transmissions,
             s.sim_counters.decode_successes,
@@ -978,6 +956,56 @@ mod tests {
         for bad in ["0", "-3", "inf", "lots"] {
             let (_, flags) = parse_flags(&strings(&["--sparse-degree", bad])).unwrap();
             assert!(sparse_from(&flags).is_err(), "--sparse-degree {bad}");
+        }
+    }
+
+    /// Every `--resume` key shape against the committed fingerprints,
+    /// which the tuple expressions this function replaced produced.
+    #[test]
+    fn resume_keys_match_committed_golden() {
+        let golden: std::collections::BTreeMap<String, String> =
+            serde_json::from_str(include_str!("../../tests/golden/sweep_keys.json")).unwrap();
+        let cfg = ProtocolConfig {
+            nodes: 60,
+            group_size: 4,
+            onions: 2,
+            copies: 2,
+            deadline: TimeDelta::new(720.0),
+            compromised: 6,
+            selection: RouteSelection::Uniform,
+        };
+        let opts = ExperimentOptions::builder()
+            .messages(7)
+            .realizations(3)
+            .seed(99)
+            .threads(4)
+            .faults(FaultPlan {
+                contact_failure: 0.1,
+                ..FaultPlan::default()
+            })
+            .wire(true)
+            .code(Some((2, 3)))
+            .build();
+        let sparse = SparseScenario { avg_degree: 9.5 };
+        let fault = vec![
+            default_sweep_plan().to_value(),
+            FAULT_INTENSITIES.to_value(),
+        ];
+        let code = vec![DEFAULT_CODE_GRID.to_value()];
+        for (command, axis) in [
+            ("point", vec![]),
+            ("deadline-sweep", vec![]),
+            ("security-sweep", vec![]),
+            ("trace:cambridge", vec![]),
+            ("fault-sweep", fault),
+            ("code-sweep", code),
+        ] {
+            let dense = resume_key(command, &cfg, &opts, axis.clone(), None);
+            assert_eq!(dense, golden[&format!("cli {command}")], "{command}");
+            if command != "trace:cambridge" {
+                let key = resume_key(command, &cfg, &opts, axis, Some(&sparse));
+                assert_eq!(key, golden[&format!("cli {command} sparse")], "{command}");
+            }
         }
     }
 

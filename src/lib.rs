@@ -83,7 +83,7 @@ pub mod prelude {
         ExperimentOptions, ExperimentOptionsBuilder, FaultAxis, FaultSweepRow, ForwardingMode,
         OnionCryptoContext, OnionGroups, OnionRouting, PointSummary, ProtocolConfig,
         RouteSelection, RunnerConfig, Scenario, SecurityAxis, SecuritySweepRow, SeedDomain,
-        SparseScenario, SweepAxis, SweepReport, SweepSpec, TraceScenario, TrialFailure,
+        SparseScenario, SweepAxis, SweepError, SweepReport, SweepSpec, TraceScenario, TrialFailure,
         TRIAL_FAILURE_ABORT,
     };
     pub use serve::{

@@ -444,3 +444,49 @@ fn sparse_sweep_point_matches_offline_and_validates_degree() {
     let _ = TcpStream::connect(addr);
     join.join().unwrap();
 }
+
+#[test]
+fn oversized_sweeps_get_400_at_once_and_the_daemon_stays_up() {
+    let (handle, join) = start(ServeConfig::default());
+    let addr = handle.local_addr();
+    let body =
+        |cfg: ProtocolConfig| format!("{{\"config\":{}}}", serde_json::to_string(&cfg).unwrap());
+    // Without the sweep limits: a 4 TB λ allocation that aborts the
+    // process, ~5·10¹¹ contact events, and a worker held for hours.
+    for (path, body, field) in [
+        (
+            "/v1/sweep/point",
+            body(ProtocolConfig {
+                nodes: 1_000_000,
+                ..ProtocolConfig::table2_defaults()
+            }),
+            "config.nodes 1000000",
+        ),
+        (
+            "/v1/sweep/point",
+            body(ProtocolConfig {
+                deadline: TimeDelta::new(1e9),
+                ..ProtocolConfig::table2_defaults()
+            }),
+            "deadline 1000000000",
+        ),
+        (
+            "/v1/sweep/security",
+            "{\"adversary_draws\":1000000000}".to_string(),
+            "adversary_draws must be at most 100",
+        ),
+    ] {
+        let started = std::time::Instant::now();
+        let resp = exchange(addr, "POST", path, &body);
+        let elapsed = started.elapsed();
+        assert_eq!(assert_error_envelope(&resp, 400), "invalid_argument");
+        assert!(resp.body.contains(field), "{path}: {}", resp.body);
+        assert!(
+            elapsed < std::time::Duration::from_millis(100),
+            "{path}: {elapsed:?}"
+        );
+    }
+    assert_eq!(exchange(addr, "GET", "/healthz", "").status, 200);
+    handle.shutdown();
+    join.join().unwrap();
+}

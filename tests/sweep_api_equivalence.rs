@@ -11,11 +11,13 @@
 //!    changed".
 //!
 //! 2. **Committed golden sweep rows** (`tests/golden/sweep_*.json`) —
-//!    each `SweepSpec` scenario × axis combination serializes its rows to
-//!    the exact same bytes at threads 1 and 2. These fixtures replaced
-//!    the removed legacy free functions (`delivery_sweep_random_graph`
-//!    and friends) as the compatibility surface: the sweep output itself
-//!    is now pinned, not an agreement between two code paths.
+//!    every `SweepSpec` scenario × axis cell (random graph, schedule,
+//!    trace and sparse worlds × deadline, security, fault and code axes;
+//!    trace × fault/code excepted, whose analysis series follows the
+//!    caller's trained rates) serializes its rows to the exact same bytes
+//!    at threads 1 and 2, as do the schedule point and a wire + coded
+//!    dense point. The sweep output itself is pinned, not an agreement
+//!    between two code paths.
 //!
 //! Regenerate all fixtures (only when a change is *meant* to alter
 //! results, which requires sign-off in DESIGN.md) with:
@@ -24,8 +26,8 @@
 use contact_graph::{ContactSchedule, Time, TimeDelta, UniformGraphBuilder};
 use dtn_sim::FaultPlan;
 use onion_routing::{
-    run_random_graph_point, run_sparse_point, ExperimentOptions, ProtocolConfig, SparseScenario,
-    SweepSpec,
+    run_random_graph_point, run_schedule_point, run_sparse_point, ExperimentOptions,
+    ProtocolConfig, SparseScenario, SweepSpec,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -254,4 +256,142 @@ fn fault_random_graph_matches_golden() {
             &format!("random-graph fault rows at threads={threads}"),
         );
     }
+}
+
+#[test]
+fn schedule_point_matches_golden() {
+    let (schedule, cfg) = schedule_fixture();
+    for threads in [1usize, 2] {
+        let computed = json(&run_schedule_point(&schedule, &cfg, &golden_opts(threads)));
+        assert_matches_golden(
+            "point_schedule_small",
+            &computed,
+            &format!("schedule PointSummary at threads={threads}"),
+        );
+    }
+}
+
+/// Wire packets and (2, 3) coding on one dense point: both mode RNGs
+/// (`SeedDomain::Wire`, `SeedDomain::Codec`) and the coded analysis
+/// series in a single fixture.
+#[test]
+fn wire_coded_point_matches_golden() {
+    for threads in [1usize, 2] {
+        let opts = golden_opts(threads)
+            .into_builder()
+            .wire(true)
+            .code(Some((2, 3)))
+            .build();
+        let computed = json(&run_random_graph_point(&golden_cfg(), &opts));
+        assert_matches_golden(
+            "point_wire_coded_small",
+            &computed,
+            &format!("wire + coded PointSummary at threads={threads}"),
+        );
+    }
+}
+
+/// The sparse-world cells share the sparse point golden's shape.
+fn sparse_spec() -> SweepSpec {
+    let cfg = ProtocolConfig {
+        nodes: 120,
+        group_size: 4,
+        onions: 2,
+        compromised: 8,
+        deadline: TimeDelta::new(720.0),
+        ..ProtocolConfig::table2_defaults()
+    };
+    SweepSpec::sparse(cfg, 12.0)
+}
+
+fn golden_plan() -> FaultPlan {
+    FaultPlan {
+        contact_failure: 0.3,
+        message_loss: 0.05,
+        ..FaultPlan::default()
+    }
+}
+
+/// Runs `spec` at threads 1 and 2 and pins the report's rows to `name`.
+fn assert_spec_matches_golden(spec: &SweepSpec, name: &str) {
+    for threads in [1usize, 2] {
+        let report = spec
+            .run_with_checkpoint(&golden_opts(threads), None)
+            .expect("no checkpoint, no error");
+        let rows = match report {
+            onion_routing::SweepReport::Delivery(rows) => json(&rows),
+            onion_routing::SweepReport::Security(rows) => json(&rows),
+            onion_routing::SweepReport::Fault(rows) => json(&rows),
+            onion_routing::SweepReport::Code(rows) => json(&rows),
+        };
+        assert_matches_golden(name, &rows, &format!("{name} rows at threads={threads}"));
+    }
+}
+
+#[test]
+fn delivery_sparse_matches_golden() {
+    assert_spec_matches_golden(
+        &sparse_spec().over_deadlines(&[240.0, 720.0]),
+        "sweep_delivery_sparse",
+    );
+}
+
+#[test]
+fn security_sparse_matches_golden() {
+    assert_spec_matches_golden(
+        &sparse_spec().over_security(&[4, 16], 3),
+        "sweep_security_sparse",
+    );
+}
+
+#[test]
+fn fault_sparse_matches_golden() {
+    assert_spec_matches_golden(
+        &sparse_spec().over_faults(golden_plan(), &[0.0, 1.0]),
+        "sweep_fault_sparse",
+    );
+}
+
+#[test]
+fn fault_schedule_matches_golden() {
+    let (schedule, cfg) = schedule_fixture();
+    assert_spec_matches_golden(
+        &SweepSpec::schedule(cfg, schedule).over_faults(golden_plan(), &[0.0, 1.0]),
+        "sweep_fault_schedule",
+    );
+}
+
+#[test]
+fn code_random_graph_matches_golden() {
+    assert_spec_matches_golden(
+        &SweepSpec::random_graph(golden_cfg()).over_code_rates(&[(1, 2), (2, 3)]),
+        "sweep_code_rg",
+    );
+}
+
+#[test]
+fn code_schedule_matches_golden() {
+    let (schedule, cfg) = schedule_fixture();
+    assert_spec_matches_golden(
+        &SweepSpec::schedule(cfg, schedule).over_code_rates(&[(1, 2), (2, 3)]),
+        "sweep_code_schedule",
+    );
+}
+
+#[test]
+fn code_sparse_matches_golden() {
+    assert_spec_matches_golden(
+        &sparse_spec().over_code_rates(&[(1, 2), (2, 3)]),
+        "sweep_code_sparse",
+    );
+}
+
+#[test]
+fn security_trace_matches_golden() {
+    let (schedule, cfg) = schedule_fixture();
+    let trained = schedule.estimate_rates();
+    assert_spec_matches_golden(
+        &SweepSpec::trace(cfg, schedule, trained).over_security(&[2, 6], 3),
+        "sweep_security_trace",
+    );
 }
