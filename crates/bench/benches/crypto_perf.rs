@@ -1,14 +1,15 @@
 //! Criterion micro-benchmarks for the from-scratch crypto substrate:
-//! primitive throughput plus onion build/peel, and the XOR-stub ablation
-//! showing the real AEAD layers are not the experiment bottleneck.
+//! primitive throughput plus constant-size wire onion build/peel over one
+//! reused buffer, and the XOR-stub ablation showing the real AEAD layers
+//! are not the experiment bottleneck.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use onion_crypto::aead::AeadKey;
 use onion_crypto::keys::derive_group_key;
-use onion_crypto::onion::{OnionBuilder, OnionLayerSpec, Peeled};
 use onion_crypto::{aead, chacha20, sha256, x25519};
+use onion_crypto::{OnionLayerSpec, WirePacket, WirePeeled};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -55,34 +56,30 @@ fn bench_onion(c: &mut Criterion) {
 
         group.bench_function(format!("build/K={k}"), |b| {
             let mut rng = ChaCha8Rng::seed_from_u64(1);
+            let mut pkt = WirePacket::zeroed();
             b.iter(|| {
-                OnionBuilder::new(99, payload.clone())
-                    .layers(specs.iter().cloned())
-                    .build(&mut rng)
-                    .expect("non-empty route")
+                pkt.build_into(&specs, 99, &payload, &mut rng)
+                    .expect("payload fits the fixed body");
+                std::hint::black_box(pkt.as_bytes()[0])
             })
         });
 
         group.bench_function(format!("full_peel/K={k}"), |b| {
             let mut rng = ChaCha8Rng::seed_from_u64(2);
-            let onion = OnionBuilder::new(99, payload.clone())
-                .layers(specs.iter().cloned())
-                .build(&mut rng)
-                .expect("non-empty route");
+            let onion = WirePacket::build(&specs, 99, &payload, &mut rng)
+                .expect("payload fits the fixed body");
+            let mut pkt = WirePacket::zeroed();
             b.iter(|| {
-                let mut pkt = onion.clone();
+                pkt.copy_from(&onion);
                 for spec in &specs {
-                    match pkt.peel(&spec.key).expect("correct key order") {
-                        Peeled::Forward { onion, .. } => pkt = onion,
-                        Peeled::ForwardClear { payload, .. } => {
-                            return std::hint::black_box(payload.len());
-                        }
-                        Peeled::Deliver { payload, .. } => {
-                            return std::hint::black_box(payload.len());
-                        }
+                    let peeled = pkt
+                        .peel_in_place(&spec.key, &mut rng)
+                        .expect("correct key order");
+                    if let WirePeeled::Delivered { payload_len, .. } = peeled {
+                        return std::hint::black_box(payload_len);
                     }
                 }
-                unreachable!("onion depth matches route")
+                unreachable!("packet depth matches route")
             })
         });
     }

@@ -17,32 +17,33 @@
 //!   comparison protocol)
 //!
 //! On top of these, [`keys`] provides the onion-group keyrings (any member
-//! of group `R_k` can peel layer `k`) and [`onion`] the layered packet
-//! format used by the routing protocols.
+//! of group `R_k` can peel layer `k`) and [`wire`] the constant-size
+//! layered packet format used by the routing protocols.
 //!
 //! # Quick start
 //!
 //! ```
 //! use onion_crypto::keys::{derive_group_key, GroupKeyring};
-//! use onion_crypto::onion::{OnionBuilder, OnionLayerSpec, Peeled};
+//! use onion_crypto::{OnionLayerSpec, RouteTarget, WirePacket, WirePeeled};
 //!
 //! // Network setup: a master secret provisions group keys.
 //! let master = [7u8; 32];
-//! let route = [4u32, 9, 2]; // onion groups R_1, R_2, R_3
+//! let route: Vec<OnionLayerSpec> = [4u32, 9, 2] // onion groups R_1, R_2, R_3
+//!     .iter()
+//!     .map(|&g| OnionLayerSpec { group: g, key: derive_group_key(&master, g) })
+//!     .collect();
 //!
-//! // The source wraps the message in three layers.
+//! // The source wraps the message for node 55 in three layers.
 //! let mut rng = rand::thread_rng();
-//! let onion = OnionBuilder::new(55, b"rendezvous at dawn".to_vec())
-//!     .layers(route.iter().map(|&g| OnionLayerSpec {
-//!         group: g,
-//!         key: derive_group_key(&master, g),
-//!     }))
-//!     .build(&mut rng)?;
+//! let mut packet = WirePacket::build(&route, 55, b"rendezvous at dawn", &mut rng)?;
+//! assert_eq!(packet.target(), RouteTarget::Group(4));
 //!
-//! // A relay holding group 4's key peels the first layer.
+//! // A relay holding group 4's key peels the first layer in place; the
+//! // packet keeps its size and now names group 9.
 //! let ring = GroupKeyring::for_groups(&master, [4]);
-//! let peeled = onion.peel(ring.key(4)?)?;
-//! assert!(matches!(peeled, Peeled::Forward { .. }));
+//! let peeled = packet.peel_in_place(ring.key(4)?, &mut rng)?;
+//! assert_eq!(peeled, WirePeeled::Forward { next: RouteTarget::Group(9) });
+//! assert_eq!(packet.as_bytes().len(), onion_crypto::WIRE_PACKET_LEN);
 //! # Ok::<(), onion_crypto::CryptoError>(())
 //! ```
 
@@ -52,12 +53,10 @@
 pub mod aead;
 pub mod chacha20;
 pub mod error;
-pub mod fixed_onion;
 pub mod hex;
 pub mod hkdf;
 pub mod hmac;
 pub mod keys;
-pub mod onion;
 pub mod poly1305;
 pub mod sha256;
 pub mod shamir;
@@ -66,7 +65,8 @@ pub mod x25519;
 
 pub use aead::AeadKey;
 pub use error::CryptoError;
-pub use fixed_onion::{FixedPeeled, FixedSizeOnion};
 pub use keys::{EpochKeychain, GroupKeyring};
-pub use onion::{OnionBuilder, OnionLayerSpec, OnionPacket, Peeled, RouteTarget};
-pub use wire::{WirePacket, WirePeeled, WIRE_BODY_LEN, WIRE_PACKET_LEN, WIRE_PER_LAYER};
+pub use wire::{
+    OnionLayerSpec, RouteTarget, WirePacket, WirePeeled, WIRE_BODY_LEN, WIRE_PACKET_LEN,
+    WIRE_PER_LAYER,
+};

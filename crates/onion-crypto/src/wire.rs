@@ -1,12 +1,16 @@
 //! Constant-size onion packets on a fixed wire footprint.
 //!
-//! [`crate::fixed_onion`] proves the constant-size construction with
-//! heap-allocated blobs; this module is the *wire* variant the simulator
-//! actually moves: every packet is exactly [`WIRE_PACKET_LEN`] bytes — a
-//! 6-byte routing header plus an 8 KiB body — and both building and
-//! peeling operate **in place** on a reusable buffer, so a relay peels a
-//! layer with zero allocation. That is what makes a wire-mode trial honest
-//! about byte and AEAD cost without perturbing the simulation hot path.
+//! A source selects onion groups `R_1 … R_K` and a destination, then
+//! wraps the payload in `K` AEAD layers. Layer `k` is sealed under group
+//! `R_k`'s shared key, so *any* member of `R_k` can peel it to learn only
+//! the next hop — the anycast-like property that defines the paper's
+//! *opportunistic onion path*.
+//!
+//! Every packet is exactly [`WIRE_PACKET_LEN`] bytes — a 6-byte routing
+//! header plus an 8 KiB body — and both building and peeling operate
+//! **in place** on a reusable buffer, so a relay peels a layer with zero
+//! allocation. That is what makes a wire-mode trial honest about byte
+//! and AEAD cost without perturbing the simulation hot path.
 //!
 //! Wire layout:
 //!
@@ -15,25 +19,26 @@
 //! body   = nonce (12) || masked_len (4) || AEAD(type || id || inner) || filler
 //! ```
 //!
-//! The body nests exactly like [`crate::fixed_onion`]: each AEAD layer is
-//! keyed by one onion group, its plaintext starts with a 5-byte header
-//! (`type (1) || id (4)`), and the length field is masked with key stream
-//! the AEAD construction discards (bytes 32..36 of ChaCha20 block 0), so
-//! every byte past the routing header is indistinguishable from random.
-//! After a peel the body is restored to the full 8192 bytes with fresh
-//! random filler — an observer cannot tell packet depth from size, the
-//! property Ando–Lysyanskaya–Upfal show is load-bearing for anonymity.
+//! Each AEAD layer is keyed by one onion group, its plaintext starts with
+//! a 5-byte header (`type (1) || id (4)`), and the length field is masked
+//! with key stream the AEAD construction discards (bytes 32..36 of
+//! ChaCha20 block 0), so every byte past the routing header is
+//! indistinguishable from random. The length field is not itself
+//! authenticated: flipping its bits shifts the AEAD window, which then
+//! fails to verify. After a peel the body is restored to the full 8192
+//! bytes with fresh random filler — an observer cannot tell packet depth
+//! from size, the property Ando–Lysyanskaya–Upfal show is load-bearing
+//! for anonymity.
 //!
 //! The routing header is the only cleartext: the current target (an onion
 //! group, or the destination node once the last layer is off) is exactly
-//! what a relay needs to forward, mirroring `FixedSizeOnion::target()`.
+//! what a relay needs to forward.
 
 use rand::RngCore;
 
 use crate::aead::{self, AeadKey, NONCE_LEN};
 use crate::chacha20;
 use crate::error::CryptoError;
-use crate::onion::{OnionLayerSpec, RouteTarget};
 use crate::poly1305::TAG_LEN;
 
 const TY_GROUP: u8 = 0x01;
@@ -66,6 +71,34 @@ const LAYER_DATA_OFF: usize = NONCE_LEN + LEN_FIELD + LAYER_HEADER_LEN;
 /// Largest payload that fits under `layers` onion layers.
 pub fn wire_max_payload(layers: usize) -> usize {
     WIRE_BODY_LEN.saturating_sub(layers * WIRE_PER_LAYER)
+}
+
+/// Whom a packet may be handed to next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum RouteTarget {
+    /// Any member of the onion group with this id.
+    Group(u32),
+    /// Exactly the node with this id (the destination hop).
+    Node(u32),
+}
+
+impl std::fmt::Display for RouteTarget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RouteTarget::Group(g) => write!(f, "group {g}"),
+            RouteTarget::Node(n) => write!(f, "node {n}"),
+        }
+    }
+}
+
+/// One layer of an onion route: the group that may peel it and the group's
+/// shared key.
+#[derive(Clone, Debug)]
+pub struct OnionLayerSpec {
+    /// Onion group id.
+    pub group: u32,
+    /// The group's shared AEAD key.
+    pub key: AeadKey,
 }
 
 /// Result of peeling one wire layer in place.
@@ -105,10 +138,16 @@ impl Default for WirePacket {
     }
 }
 
+/// Prints the raw routing header, which any buffer has, so a zeroed or
+/// garbage packet formats instead of panicking like
+/// [`target`](WirePacket::target).
 impl std::fmt::Debug for WirePacket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let id = u32::from_le_bytes(self.buf[2..BODY_OFF].try_into().expect("4-byte id"));
         f.debug_struct("WirePacket")
-            .field("target", &self.target())
+            .field("version", &self.buf[0])
+            .field("target_tag", &self.buf[1])
+            .field("target_id", &id)
             .field("len", &WIRE_PACKET_LEN)
             .finish()
     }
@@ -235,7 +274,10 @@ impl WirePacket {
     ///   a corrupted length field (which shifts the AEAD window);
     /// * [`CryptoError::MalformedOnion`] — unknown layer type.
     ///
-    /// The buffer is left unmodified on any error.
+    /// On `AuthenticationFailed` the buffer is left unmodified. On
+    /// `MalformedOnion` the tag has already verified, so the layer is left
+    /// decrypted in place; only a holder of the group key can forge such a
+    /// layer.
     pub fn peel_in_place<R: RngCore + ?Sized>(
         &mut self,
         key: &AeadKey,
@@ -252,7 +294,7 @@ impl WirePacket {
         let start = NONCE_LEN + LEN_FIELD;
         if len < TAG_LEN + LAYER_HEADER_LEN || start + len > WIRE_BODY_LEN {
             // A wrong key scrambles the length; report it as an
-            // authentication failure, matching the heap format.
+            // authentication failure.
             return Err(CryptoError::AuthenticationFailed);
         }
         let ct_len = aead::open_in_place(key, &nonce, AAD, &mut body[start..start + len])?;
@@ -489,9 +531,17 @@ mod tests {
     }
 
     #[test]
-    fn matches_heap_variant_cost_model() {
-        // Same per-layer overhead as FixedSizeOnion, so Section IV-C byte
-        // accounting carries over unchanged.
-        assert_eq!(WIRE_PER_LAYER, crate::fixed_onion::PER_LAYER);
+    fn debug_prints_raw_header_of_any_buffer() {
+        assert_eq!(
+            format!("{:?}", WirePacket::default()),
+            "WirePacket { version: 0, target_tag: 0, target_id: 0, len: 8198 }"
+        );
+        let master = [2u8; 32];
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let pkt = WirePacket::build(&route(&master, 2), 7, b"x", &mut rng).unwrap();
+        assert_eq!(
+            format!("{pkt:?}"),
+            "WirePacket { version: 1, target_tag: 1, target_id: 10, len: 8198 }"
+        );
     }
 }

@@ -3,15 +3,14 @@
 //! The discrete-event experiments use the abstract protocol (routes kept
 //! as metadata) for speed; this module provides the *actual* cryptography
 //! for the same group structure — group keys derived from a network master
-//! secret, onion construction at the source, and layer-by-layer peeling
-//! along a realized custody chain — so the full ARDEN-style data path is
-//! exercised end-to-end in tests, examples, and benches.
+//! secret, constant-size wire packets ([`onion_crypto::wire`]) built at
+//! the source, and layer-by-layer in-place peeling along a realized
+//! custody chain — so the full ARDEN-style data path is exercised
+//! end-to-end in tests, examples, and benches.
 
 use contact_graph::NodeId;
 use onion_crypto::keys::derive_group_key;
-use onion_crypto::{
-    CryptoError, GroupKeyring, OnionBuilder, OnionLayerSpec, OnionPacket, Peeled, RouteTarget,
-};
+use onion_crypto::{CryptoError, GroupKeyring, OnionLayerSpec, RouteTarget};
 use rand::RngCore;
 
 use crate::groups::{GroupId, OnionGroups};
@@ -36,6 +35,14 @@ pub enum WalkError {
     /// The chain ended before the onion was fully unwrapped, or continued
     /// after delivery.
     ChainLengthMismatch,
+    /// A chain node lies outside the group structure, so it has no group
+    /// and no keyring.
+    UnknownNode {
+        /// Index of the node in the chain.
+        hop: usize,
+        /// The out-of-range node.
+        node: NodeId,
+    },
 }
 
 impl std::fmt::Display for WalkError {
@@ -52,6 +59,9 @@ impl std::fmt::Display for WalkError {
             ),
             WalkError::ChainLengthMismatch => {
                 write!(f, "custody chain length does not match onion depth")
+            }
+            WalkError::UnknownNode { hop, node } => {
+                write!(f, "hop {hop}: {node} is outside the group structure")
             }
         }
     }
@@ -108,27 +118,6 @@ impl OnionCryptoContext {
         GroupKeyring::for_groups(&self.master, [gid.0])
     }
 
-    /// Builds the onion a source would emit for `route` toward
-    /// `destination` carrying `payload`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CryptoError`] from the builder (e.g. an empty route).
-    pub fn build_onion<R: RngCore + ?Sized>(
-        &self,
-        route: &[GroupId],
-        destination: NodeId,
-        payload: &[u8],
-        rng: &mut R,
-    ) -> Result<OnionPacket, CryptoError> {
-        OnionBuilder::new(destination.0, payload.to_vec())
-            .layers(route.iter().map(|&gid| OnionLayerSpec {
-                group: gid.0,
-                key: derive_group_key(&self.master, gid.0),
-            }))
-            .build(rng)
-    }
-
     /// The AEAD key of onion group `group` — what every member of that
     /// group holds in its keyring.
     pub fn group_key(&self, group: GroupId) -> onion_crypto::AeadKey {
@@ -179,108 +168,39 @@ impl OnionCryptoContext {
         packet.peel_in_place(ring.key(gid.0)?, rng)
     }
 
-    /// Builds a *constant-size* onion ([`onion_crypto::FixedSizeOnion`])
-    /// for `route`: the wire size is identical at every hop, so relays
-    /// cannot infer their position from the packet length.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CryptoError`] from the builder (e.g. an empty route).
-    pub fn build_fixed_onion<R: RngCore + ?Sized>(
-        &self,
-        route: &[GroupId],
-        destination: NodeId,
-        payload: &[u8],
-        rng: &mut R,
-    ) -> Result<onion_crypto::FixedSizeOnion, CryptoError> {
-        let specs: Vec<OnionLayerSpec> = route
-            .iter()
-            .map(|&gid| OnionLayerSpec {
-                group: gid.0,
-                key: derive_group_key(&self.master, gid.0),
-            })
-            .collect();
-        onion_crypto::FixedSizeOnion::build(&specs, destination.0, payload, rng)
-    }
-
-    /// Replays a custody chain against a constant-size onion; like
-    /// [`Self::walk_custody_chain`] but additionally asserts that the
-    /// packet size never changes between hops.
-    ///
-    /// # Errors
-    ///
-    /// See [`WalkError`].
-    pub fn walk_custody_chain_fixed<R: RngCore + ?Sized>(
-        &self,
-        onion: onion_crypto::FixedSizeOnion,
-        chain: &[NodeId],
-        rng: &mut R,
-    ) -> Result<Vec<u8>, WalkError> {
-        if chain.len() < 2 {
-            return Err(WalkError::ChainLengthMismatch);
-        }
-        let destination = *chain.last().expect("len checked");
-        let capacity = onion.capacity();
-        let mut packet = onion;
-        for (idx, &relay) in chain[1..chain.len() - 1].iter().enumerate() {
-            let ring = self.keyring_for(relay);
-            let gid = self.groups.group_of(relay);
-            let key = ring.key(gid.0)?;
-            match packet.peel(key, rng)? {
-                onion_crypto::FixedPeeled::Forward { next, onion } => {
-                    debug_assert_eq!(onion.capacity(), capacity, "size leak");
-                    let next_node = chain[idx + 2];
-                    let admitted = match next {
-                        RouteTarget::Group(gid) => self.groups.contains(GroupId(gid), next_node),
-                        RouteTarget::Node(node) => node == next_node.0,
-                    };
-                    if !admitted {
-                        return Err(WalkError::WrongNextHop {
-                            hop: idx + 1,
-                            expected: next,
-                            actual: next_node,
-                        });
-                    }
-                    packet = onion;
-                }
-                onion_crypto::FixedPeeled::ForwardClear { node, payload } => {
-                    if idx + 2 != chain.len() - 1 || node != destination.0 {
-                        return Err(WalkError::ChainLengthMismatch);
-                    }
-                    return Ok(payload);
-                }
-            }
-        }
-        Err(WalkError::ChainLengthMismatch)
-    }
-
     /// Replays a realized custody chain `[source, relay_1, …, relay_K,
-    /// destination]` against a freshly built onion: each relay peels its
-    /// layer with *its own* keyring, and the final payload is returned.
+    /// destination]` against a freshly built packet: each relay peels its
+    /// layer with *its own* keyring ([`Self::peel_wire_as`], drawing the
+    /// re-pad filler from `rng`), and the final payload is returned.
     ///
     /// This is the end-to-end proof that the abstract simulation's paths
     /// are cryptographically realizable.
     ///
     /// # Errors
     ///
-    /// See [`WalkError`].
-    pub fn walk_custody_chain(
+    /// See [`WalkError`]. A chain node outside the group structure is
+    /// rejected before any layer is peeled.
+    pub fn walk_custody_chain<R: RngCore + ?Sized>(
         &self,
-        onion: OnionPacket,
+        mut packet: onion_crypto::WirePacket,
         chain: &[NodeId],
+        rng: &mut R,
     ) -> Result<Vec<u8>, WalkError> {
+        if let Some((hop, &node)) = chain
+            .iter()
+            .enumerate()
+            .find(|(_, node)| node.index() >= self.groups.node_count())
+        {
+            return Err(WalkError::UnknownNode { hop, node });
+        }
         if chain.len() < 2 {
             return Err(WalkError::ChainLengthMismatch);
         }
         let destination = *chain.last().expect("len checked");
-        let mut packet = onion;
         // Relays are chain[1..len-1]; each peels one layer.
         for (idx, &relay) in chain[1..chain.len() - 1].iter().enumerate() {
-            let ring = self.keyring_for(relay);
-            let gid = self.groups.group_of(relay);
-            let key = ring.key(gid.0)?;
-            match packet.peel(key)? {
-                Peeled::Forward { next, onion } => {
+            match self.peel_wire_as(&mut packet, relay, rng)? {
+                onion_crypto::WirePeeled::Forward { next } => {
                     // The next chain node must be admitted by `next`.
                     let next_node = chain[idx + 2];
                     let admitted = match next {
@@ -294,17 +214,15 @@ impl OnionCryptoContext {
                             actual: next_node,
                         });
                     }
-                    packet = onion;
                 }
-                Peeled::ForwardClear { node, payload } => {
+                onion_crypto::WirePeeled::Delivered { node, payload_len } => {
                     // Last relay: the remaining chain must be exactly the
                     // destination.
                     if idx + 2 != chain.len() - 1 || node != destination.0 {
                         return Err(WalkError::ChainLengthMismatch);
                     }
-                    return Ok(payload);
+                    return Ok(packet.body()[..payload_len].to_vec());
                 }
-                Peeled::Deliver { .. } => return Err(WalkError::ChainLengthMismatch),
             }
         }
         Err(WalkError::ChainLengthMismatch)
@@ -323,46 +241,42 @@ mod tests {
         OnionCryptoContext::new([9u8; 32], OnionGroups::sequential_partition(8, 2))
     }
 
+    /// Builds the packet a source emits for `route` toward node 7 and
+    /// replays `chain` against it.
+    fn walk(route: &[u32], chain: &[u32], payload: &[u8], seed: u64) -> Result<Vec<u8>, WalkError> {
+        let ctx = context();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let route: Vec<GroupId> = route.iter().map(|&g| GroupId(g)).collect();
+        let mut packet = onion_crypto::WirePacket::zeroed();
+        ctx.build_wire_into(&mut packet, &route, NodeId(7), payload, &mut rng)
+            .unwrap();
+        let chain: Vec<NodeId> = chain.iter().map(|&v| NodeId(v)).collect();
+        ctx.walk_custody_chain(packet, &chain, &mut rng)
+    }
+
     #[test]
     fn walk_succeeds_for_valid_chain() {
-        let ctx = context();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let route = vec![GroupId(1), GroupId(2)];
-        let onion = ctx
-            .build_onion(&route, NodeId(7), b"meet at dawn", &mut rng)
-            .unwrap();
         // chain: source 0 → node 3 (R1) → node 4 (R2) → destination 7.
-        let payload = ctx
-            .walk_custody_chain(onion, &[NodeId(0), NodeId(3), NodeId(4), NodeId(7)])
-            .unwrap();
+        let payload = walk(&[1, 2], &[0, 3, 4, 7], b"meet at dawn", 1).unwrap();
         assert_eq!(payload, b"meet at dawn");
+        // Three layers, with the source itself in a route group (R3).
+        let payload = walk(&[1, 2, 0], &[6, 3, 4, 1, 7], b"three layers", 10).unwrap();
+        assert_eq!(payload, b"three layers");
     }
 
     #[test]
     fn any_group_member_can_peel() {
-        let ctx = context();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let route = vec![GroupId(1), GroupId(2)];
-        for relay1 in [NodeId(2), NodeId(3)] {
-            for relay2 in [NodeId(4), NodeId(5)] {
-                let onion = ctx.build_onion(&route, NodeId(7), b"x", &mut rng).unwrap();
-                assert!(ctx
-                    .walk_custody_chain(onion, &[NodeId(0), relay1, relay2, NodeId(7)])
-                    .is_ok());
+        for relay1 in [2, 3] {
+            for relay2 in [4, 5] {
+                assert!(walk(&[1, 2], &[0, relay1, relay2, 7], b"x", 2).is_ok());
             }
         }
     }
 
     #[test]
     fn non_member_cannot_peel() {
-        let ctx = context();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let route = vec![GroupId(1), GroupId(2)];
-        let onion = ctx.build_onion(&route, NodeId(7), b"x", &mut rng).unwrap();
         // Node 6 (group R3) tries to act as the first relay.
-        let err = ctx
-            .walk_custody_chain(onion, &[NodeId(0), NodeId(6), NodeId(4), NodeId(7)])
-            .unwrap_err();
+        let err = walk(&[1, 2], &[0, 6, 4, 7], b"x", 3).unwrap_err();
         assert!(matches!(
             err,
             WalkError::Crypto(CryptoError::AuthenticationFailed)
@@ -371,73 +285,33 @@ mod tests {
 
     #[test]
     fn chain_deviating_from_route_detected() {
-        let ctx = context();
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let route = vec![GroupId(1), GroupId(2)];
-        let onion = ctx.build_onion(&route, NodeId(7), b"x", &mut rng).unwrap();
         // Second relay is in R3, not the R2 the layer mandates — relay 1
         // peels fine but the next hop check fails.
-        let err = ctx
-            .walk_custody_chain(onion, &[NodeId(0), NodeId(3), NodeId(6), NodeId(7)])
-            .unwrap_err();
+        let err = walk(&[1, 2], &[0, 3, 6, 7], b"x", 4).unwrap_err();
         assert!(matches!(err, WalkError::WrongNextHop { hop: 1, .. }));
     }
 
     #[test]
     fn short_chain_rejected() {
-        let ctx = context();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let onion = ctx
-            .build_onion(&[GroupId(1)], NodeId(7), b"x", &mut rng)
-            .unwrap();
         assert!(matches!(
-            ctx.walk_custody_chain(onion.clone(), &[NodeId(0)]),
+            walk(&[1], &[0], b"x", 5),
             Err(WalkError::ChainLengthMismatch)
         ));
         // A chain with an extra relay beyond the onion depth also fails.
-        assert!(ctx
-            .walk_custody_chain(onion, &[NodeId(0), NodeId(2), NodeId(4), NodeId(7)])
-            .is_err());
+        assert!(walk(&[1], &[0, 2, 4, 7], b"x", 5).is_err());
     }
 
     #[test]
-    fn fixed_onion_walk_succeeds_and_hides_size() {
-        let ctx = context();
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let route = vec![GroupId(1), GroupId(2), GroupId(0)];
-        let onion = ctx
-            .build_fixed_onion(&route, NodeId(7), b"fixed payload", &mut rng)
-            .unwrap();
-        let expected_capacity =
-            onion_crypto::fixed_onion::fixed_capacity(3, b"fixed payload".len());
-        assert_eq!(onion.capacity(), expected_capacity);
-        let payload = ctx
-            .walk_custody_chain_fixed(
-                onion,
-                &[NodeId(6), NodeId(3), NodeId(4), NodeId(1), NodeId(7)],
-                &mut rng,
-            )
-            .unwrap();
-        assert_eq!(payload, b"fixed payload");
-    }
-
-    #[test]
-    fn fixed_onion_walk_detects_wrong_relay() {
-        let ctx = context();
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let route = vec![GroupId(1), GroupId(2)];
-        let onion = ctx
-            .build_fixed_onion(&route, NodeId(7), b"x", &mut rng)
-            .unwrap();
-        // Second relay in the wrong group.
-        let err = ctx
-            .walk_custody_chain_fixed(
-                onion,
-                &[NodeId(0), NodeId(3), NodeId(6), NodeId(7)],
-                &mut rng,
-            )
-            .unwrap_err();
-        assert!(matches!(err, WalkError::WrongNextHop { hop: 1, .. }));
+    fn walk_rejects_node_outside_group_structure() {
+        // Relay 3 would peel fine; node 100 has no group among 8 nodes.
+        let err = walk(&[1, 2], &[0, 3, 100, 7], b"x", 6).unwrap_err();
+        assert!(matches!(
+            err,
+            WalkError::UnknownNode {
+                hop: 2,
+                node: NodeId(100)
+            }
+        ));
     }
 
     #[test]

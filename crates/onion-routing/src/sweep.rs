@@ -36,7 +36,7 @@
 //! results.
 
 use contact_graph::{ContactGraph, ContactSchedule, TimeDelta};
-use dtn_sim::{FaultPlan, MAX_CODE_FRAGMENTS};
+use dtn_sim::{ChurnConfig, ChurnMemory, FaultPlan, MAX_CODE_FRAGMENTS};
 use serde::{Deserialize, DeserializeOwned, Serialize};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
@@ -115,6 +115,16 @@ pub struct SecurityAxis {
     pub adversary_draws: usize,
 }
 
+/// The compromised-node grid a security sweep over `nodes` runs when the
+/// caller names none: 1, 5, 10, 20, 30, 40 and 50 % of the nodes, rounded,
+/// at least one.
+pub fn default_security_grid(nodes: usize) -> Vec<usize> {
+    [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
+        .iter()
+        .map(|f| ((nodes as f64 * f).round() as usize).max(1))
+        .collect()
+}
+
 /// Payload of [`SweepAxis::Fault`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultAxis {
@@ -124,6 +134,25 @@ pub struct FaultAxis {
     /// Intensity multipliers (0.0 = fault-free).
     pub intensities: Vec<f64>,
 }
+
+/// The base plan a fault sweep scales when the caller names none: a
+/// representative mix of every fault class.
+pub fn default_fault_plan() -> FaultPlan {
+    FaultPlan {
+        churn: Some(ChurnConfig {
+            crash_rate: 0.002,
+            mean_downtime: 120.0,
+            memory: ChurnMemory::Persist,
+        }),
+        contact_failure: 0.2,
+        transfer_truncation: 0.1,
+        message_loss: 0.05,
+    }
+}
+
+/// The intensities a fault sweep scales its base plan by when the caller
+/// names none.
+pub const DEFAULT_FAULT_INTENSITIES: &[f64] = &[0.0, 0.25, 0.5, 0.75, 1.0];
 
 /// Payload of [`SweepAxis::Code`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

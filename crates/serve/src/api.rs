@@ -34,7 +34,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dtn_sim::{ChurnConfig, ChurnMemory, FaultPlan};
+use onion_routing::sweep::{default_fault_plan, default_security_grid, DEFAULT_FAULT_INTENSITIES};
 use onion_routing::{
     run_random_graph_point, run_sparse_point, Checkpoint, ExperimentOptions, ProtocolConfig,
     RowCache, Scenario, SparseScenario, SweepAxis, SweepControls, SweepReport, SweepRunError,
@@ -313,7 +313,6 @@ impl Api {
             Some(s) => SweepSpec::sparse(cfg, s.avg_degree),
             None => SweepSpec::random_graph(cfg),
         };
-        let n = spec.config.nodes as f64;
         let (spec, axis, row_axis) = match kind {
             "deadline" => {
                 let deadlines = field_or(body, "deadlines", || {
@@ -324,10 +323,7 @@ impl Api {
             }
             "security" => {
                 let compromised: Vec<usize> = field_or(body, "compromised", || {
-                    [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
-                        .iter()
-                        .map(|f| ((n * f).round() as usize).max(1))
-                        .collect()
+                    default_security_grid(spec.config.nodes)
                 })?;
                 let draws = field_or(body, "adversary_draws", || 3)?;
                 let axis = vec![compromised.to_value(), draws.to_value()];
@@ -336,7 +332,7 @@ impl Api {
             "fault" => {
                 let plan = field_or(body, "plan", default_fault_plan)?;
                 let intensities =
-                    field_or(body, "intensities", || vec![0.0, 0.25, 0.5, 0.75, 1.0])?;
+                    field_or(body, "intensities", || DEFAULT_FAULT_INTENSITIES.to_vec())?;
                 // Row-level store keys exclude the intensity list, so a
                 // row computed for one grid is replayable in any other
                 // grid containing the same intensity.
@@ -614,21 +610,6 @@ fn check_sweep_limits(spec: &SweepSpec, opts: &ExperimentOptions) -> Result<(), 
     Ok(())
 }
 
-/// The representative every-fault-class base plan used when a fault
-/// sweep request names no `plan` (mirrors the CLI's default).
-fn default_fault_plan() -> FaultPlan {
-    FaultPlan {
-        churn: Some(ChurnConfig {
-            crash_rate: 0.002,
-            mean_downtime: 120.0,
-            memory: ChurnMemory::Persist,
-        }),
-        contact_failure: 0.2,
-        transfer_truncation: 0.1,
-        message_loss: 0.05,
-    }
-}
-
 /// Looks up one `key=value` pair in an `&`-separated query string.
 fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
     query
@@ -858,6 +839,7 @@ fn model_anonymity(body: &Value) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtn_sim::FaultPlan;
 
     fn api() -> Api {
         api_with_store(None)

@@ -61,18 +61,19 @@ fn main() {
             );
 
             // 4. Prove the chain works with real cryptography: build the
-            //    actual onion and let each relay peel its layer.
+            //    actual constant-size onion and let each relay peel its
+            //    layer in place.
             let ctx = OnionCryptoContext::new([7u8; 32], groups);
-            let onion = ctx
-                .build_onion(route, NodeId(99), b"attack at dawn", &mut rng)
+            let mut packet = WirePacket::zeroed();
+            ctx.build_wire_into(&mut packet, route, NodeId(99), b"attack at dawn", &mut rng)
                 .expect("non-empty route");
             println!(
                 "onion packet: {} bytes, target {}",
-                onion.len(),
-                onion.target()
+                packet.as_bytes().len(),
+                packet.target()
             );
             let payload = ctx
-                .walk_custody_chain(onion, &path)
+                .walk_custody_chain(packet, &path, &mut rng)
                 .expect("realized chain must be cryptographically valid");
             println!(
                 "crypto walk recovered payload: {:?}",

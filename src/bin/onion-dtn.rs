@@ -45,6 +45,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use onion_dtn::prelude::*;
+use onion_routing::sweep::{default_fault_plan, default_security_grid, DEFAULT_FAULT_INTENSITIES};
 use serde::{Serialize, Value};
 
 fn print_usage() {
@@ -497,10 +498,7 @@ fn cmd_deadline_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
 fn cmd_security_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let (spec, opts, mut cp) = sweep_command(flags, "security-sweep", |spec, _| {
-        let cs: Vec<usize> = [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
-            .iter()
-            .map(|f| ((spec.config.nodes as f64 * f).round() as usize).max(1))
-            .collect();
+        let cs = default_security_grid(spec.config.nodes);
         Ok((spec.over_security(&cs, 3), vec![]))
     })?;
     let rows: Vec<SecuritySweepRow> = checkpointed(&mut cp, "rows", || {
@@ -582,36 +580,18 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
     Ok(())
 }
 
-/// Default base plan for `fault-sweep` when no `--fault-*` flags are
-/// given: a representative mix of every fault class.
-fn default_sweep_plan() -> FaultPlan {
-    FaultPlan {
-        churn: Some(ChurnConfig {
-            crash_rate: 0.002,
-            mean_downtime: 120.0,
-            memory: ChurnMemory::Persist,
-        }),
-        contact_failure: 0.2,
-        transfer_truncation: 0.1,
-        message_loss: 0.05,
-    }
-}
-
-/// Intensities `fault-sweep` scales its base plan by.
-const FAULT_INTENSITIES: &[f64] = &[0.0, 0.25, 0.5, 0.75, 1.0];
-
 fn cmd_fault_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let (spec, opts, mut cp) = sweep_command(flags, "fault-sweep", |spec, _| {
         let explicit = faults_from(flags)?;
         let base = if explicit.is_noop() {
-            default_sweep_plan()
+            default_fault_plan()
         } else {
             explicit
         };
         // The base plan is swept (opts.faults is overridden per point), so
         // it joins the fingerprint explicitly.
-        let key_axis = vec![base.to_value(), FAULT_INTENSITIES.to_value()];
-        Ok((spec.over_faults(base, FAULT_INTENSITIES), key_axis))
+        let key_axis = vec![base.to_value(), DEFAULT_FAULT_INTENSITIES.to_value()];
+        Ok((spec.over_faults(base, DEFAULT_FAULT_INTENSITIES), key_axis))
     })?;
     let rows = spec
         .run_with_checkpoint(&opts, cp.as_mut())
@@ -988,8 +968,8 @@ mod tests {
             .build();
         let sparse = SparseScenario { avg_degree: 9.5 };
         let fault = vec![
-            default_sweep_plan().to_value(),
-            FAULT_INTENSITIES.to_value(),
+            default_fault_plan().to_value(),
+            DEFAULT_FAULT_INTENSITIES.to_value(),
         ];
         let code = vec![DEFAULT_CODE_GRID.to_value()];
         for (command, axis) in [

@@ -73,9 +73,7 @@ pub mod prelude {
         WorkloadBuilder, MAX_CODE_FRAGMENTS,
     };
     pub use onion_codec::{CodecError, Gf256, RsCodec};
-    pub use onion_crypto::{
-        EpochKeychain, FixedSizeOnion, GroupKeyring, OnionBuilder, OnionPacket, Peeled,
-    };
+    pub use onion_crypto::{EpochKeychain, GroupKeyring, WirePacket};
     pub use onion_routing::{
         run_random_graph_point, run_schedule_point, run_sparse_point, run_trials,
         run_trials_resilient, trial_rng, trial_rng_attempt, trial_seed, trial_seed_attempt,

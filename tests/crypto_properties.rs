@@ -1,18 +1,12 @@
-//! Property-based tests of the crypto substrate: round-trips, tamper
-//! detection, and structural invariants of onion packets under arbitrary
-//! inputs.
+//! Property-based tests of the crypto primitives: round-trips and tamper
+//! detection under arbitrary inputs. The onion packet format has its own
+//! battery in `packet_wire.rs`.
 
 use onion_crypto::aead::{open, open_in_place, seal, seal_in_place, AeadKey};
 use onion_crypto::hex;
-use onion_crypto::keys::derive_group_key;
-use onion_crypto::onion::{
-    pad_payload, predicted_size, unpad_payload, OnionBuilder, OnionLayerSpec, Peeled,
-};
 use onion_crypto::sha256::Sha256;
 use onion_crypto::{chacha20, hkdf, hmac, x25519};
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -75,63 +69,6 @@ proptest! {
         let tampered = buf.clone();
         prop_assert!(open_in_place(&key, &nonce, b"aad", &mut buf).is_err());
         prop_assert_eq!(buf, tampered);
-    }
-
-    #[test]
-    fn onion_roundtrip_any_depth(seed in any::<u64>(),
-                                 depth in 1usize..8,
-                                 dest in any::<u32>(),
-                                 payload in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let master = [9u8; 32];
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let specs: Vec<OnionLayerSpec> = (0..depth as u32)
-            .map(|gid| OnionLayerSpec { group: gid, key: derive_group_key(&master, gid) })
-            .collect();
-        let onion = OnionBuilder::new(dest, payload.clone())
-            .layers(specs.iter().cloned())
-            .build(&mut rng)
-            .unwrap();
-        prop_assert_eq!(onion.len(), predicted_size(depth, payload.len()));
-
-        let mut pkt = onion;
-        for (i, spec) in specs.iter().enumerate() {
-            match pkt.peel(&spec.key).unwrap() {
-                Peeled::Forward { onion, .. } => {
-                    prop_assert!(i + 1 < depth, "forward past the last layer");
-                    pkt = onion;
-                }
-                Peeled::ForwardClear { node, payload: got } => {
-                    prop_assert_eq!(i + 1, depth);
-                    prop_assert_eq!(node, dest);
-                    prop_assert_eq!(got, payload.clone());
-                    return Ok(());
-                }
-                Peeled::Deliver { .. } => prop_assert!(false, "no destination key used"),
-            }
-        }
-        prop_assert!(false, "never reached the payload");
-    }
-
-    #[test]
-    fn onion_rejects_wrong_layer_keys(seed in any::<u64>(), wrong in 0u32..100) {
-        let master = [1u8; 32];
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let onion = OnionBuilder::new(5, b"m".to_vec())
-            .layer(OnionLayerSpec { group: 200, key: derive_group_key(&master, 200) })
-            .build(&mut rng)
-            .unwrap();
-        // Any key other than group 200's fails.
-        let bad = derive_group_key(&master, wrong);
-        prop_assert!(onion.peel(&bad).is_err());
-    }
-
-    #[test]
-    fn padding_roundtrip(payload in proptest::collection::vec(any::<u8>(), 0..200),
-                         extra in 0usize..100) {
-        let size = payload.len() + 4 + extra;
-        let padded = pad_payload(&payload, size).unwrap();
-        prop_assert_eq!(padded.len(), size);
-        prop_assert_eq!(unpad_payload(&padded).unwrap(), payload);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! cryptographically realizable with the real layered encryption.
 //!
 //! For every delivered message across several random networks, we build
-//! the actual onion (group keys derived from a network master secret) and
-//! replay the realized chain: each relay peels its layer with *its own*
-//! keyring only.
+//! the actual constant-size wire packet (group keys derived from a network
+//! master secret) and replay the realized chain: each relay peels its
+//! layer with *its own* keyring only.
 
 use onion_dtn::prelude::*;
+use onion_routing::WalkError;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -63,11 +64,11 @@ fn every_delivered_single_copy_chain_is_cryptographically_valid() {
             };
             let route = protocol.route_of(m.id).expect("route exists");
             let payload = format!("payload for {}", m.id).into_bytes();
-            let onion = ctx
-                .build_onion(route, m.destination, &payload, &mut rng)
+            let mut packet = WirePacket::zeroed();
+            ctx.build_wire_into(&mut packet, route, m.destination, &payload, &mut rng)
                 .expect("non-empty route");
             let recovered = ctx
-                .walk_custody_chain(onion, &chain)
+                .walk_custody_chain(packet, &chain, &mut rng)
                 .unwrap_or_else(|e| panic!("seed {seed}, {}: {e}", m.id));
             assert_eq!(recovered, payload);
             verified += 1;
@@ -109,11 +110,11 @@ fn multi_copy_winning_chains_are_cryptographically_valid() {
                 .expect("chain must pass through R_1");
             let crypto_chain = &chain[enter - 1..];
             let payload = b"multi copy payload".to_vec();
-            let onion = ctx
-                .build_onion(route, m.destination, &payload, &mut rng)
+            let mut packet = WirePacket::zeroed();
+            ctx.build_wire_into(&mut packet, route, m.destination, &payload, &mut rng)
                 .expect("non-empty route");
             let recovered = ctx
-                .walk_custody_chain(onion, crypto_chain)
+                .walk_custody_chain(packet, crypto_chain, &mut rng)
                 .unwrap_or_else(|e| panic!("seed {seed}, {}: {e}", m.id));
             assert_eq!(recovered, payload);
             assert!(!positions[0].is_empty());
@@ -136,8 +137,8 @@ fn compromised_relay_outside_group_cannot_peel() {
             continue;
         };
         let route = protocol.route_of(m.id).expect("route exists");
-        let onion = ctx
-            .build_onion(route, m.destination, b"secret", &mut rng)
+        let mut packet = WirePacket::zeroed();
+        ctx.build_wire_into(&mut packet, route, m.destination, b"secret", &mut rng)
             .expect("non-empty route");
         // A node outside R_1 (e.g. the destination itself) cannot peel the
         // outer layer.
@@ -145,8 +146,44 @@ fn compromised_relay_outside_group_cannot_peel() {
         let own_group = protocol.groups().group_of(m.destination);
         if own_group != route[0] {
             let key = outsider_ring.key(own_group.0).expect("own key");
-            assert!(onion.peel(key).is_err(), "outsider peeled layer 1");
+            assert!(
+                packet.peel_in_place(key, &mut rng).is_err(),
+                "outsider peeled layer 1"
+            );
         }
         return; // one case suffices
     }
+}
+
+#[test]
+fn walk_rejects_chain_node_outside_group_structure() {
+    // A chain naming a node the group structure does not know is refused
+    // with a typed error before any layer is peeled, wherever the node
+    // sits: as source, relay or destination.
+    let (protocol, report, messages) = simulate(7, 1);
+    let ctx = OnionCryptoContext::new([7u8; 32], protocol.groups().clone());
+    let unknown = NodeId(protocol.groups().node_count() as u32 + 40);
+    let mut rng = ChaCha8Rng::seed_from_u64(77);
+    let mut checked = 0usize;
+    for m in &messages {
+        let Some(chain) = report.delivered_path(m.id) else {
+            continue;
+        };
+        let route = protocol.route_of(m.id).expect("route exists");
+        for hop in 0..chain.len() {
+            let mut bad = chain.clone();
+            bad[hop] = unknown;
+            let mut packet = WirePacket::zeroed();
+            ctx.build_wire_into(&mut packet, route, m.destination, b"x", &mut rng)
+                .expect("non-empty route");
+            match ctx.walk_custody_chain(packet, &bad, &mut rng) {
+                Err(WalkError::UnknownNode { hop: at, node }) => {
+                    assert_eq!((at, node), (hop, unknown));
+                }
+                other => panic!("{}, unknown node at hop {hop}: {other:?}", m.id),
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no delivered chain to corrupt");
 }

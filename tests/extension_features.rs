@@ -16,24 +16,23 @@ fn epoch_rekeying_invalidates_old_onions() {
     let mut chain1 = chain0.clone();
     chain1.advance();
 
-    let spec = |chain: &EpochKeychain| onion_crypto::OnionLayerSpec {
+    let spec = onion_crypto::OnionLayerSpec {
         group: 4,
-        key: chain.group_key(4),
+        key: chain0.group_key(4),
     };
-    let onion = OnionBuilder::new(9, b"epoch bound".to_vec())
-        .layer(spec(&chain0))
-        .build(&mut rng)
-        .unwrap();
-    // Correct epoch peels; next epoch fails.
-    assert!(onion.peel(&chain0.group_key(4)).is_ok());
-    assert!(onion.peel(&chain1.group_key(4)).is_err());
+    let mut packet = WirePacket::build(&[spec], 9, b"epoch bound", &mut rng).unwrap();
+    // Next epoch fails (leaving the packet intact); correct epoch peels.
+    assert!(packet
+        .peel_in_place(&chain1.group_key(4), &mut rng)
+        .is_err());
+    assert!(packet.peel_in_place(&chain0.group_key(4), &mut rng).is_ok());
 }
 
 #[test]
 fn constant_size_onion_over_simulated_path() {
     // Run the abstract protocol, then replay the winning chain with the
-    // constant-size packet format and confirm no hop can tell its depth
-    // from the wire size.
+    // constant-size wire packet, whose fixed buffer means no hop can tell
+    // its depth from the wire size.
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let graph = UniformGraphBuilder::new(40).build(&mut rng);
     let schedule = ContactSchedule::sample(&graph, Time::new(300.0), &mut rng);
@@ -56,11 +55,12 @@ fn constant_size_onion_over_simulated_path() {
             continue;
         };
         let route = protocol.route_of(id).unwrap();
-        let onion = ctx
-            .build_fixed_onion(route, *chain.last().unwrap(), b"fixed", &mut rng)
+        let destination = *chain.last().unwrap();
+        let mut packet = WirePacket::zeroed();
+        ctx.build_wire_into(&mut packet, route, destination, b"fixed", &mut rng)
             .unwrap();
         let payload = ctx
-            .walk_custody_chain_fixed(onion, &chain, &mut rng)
+            .walk_custody_chain(packet, &chain, &mut rng)
             .expect("fixed-size walk");
         assert_eq!(payload, b"fixed");
         verified += 1;

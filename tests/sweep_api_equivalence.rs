@@ -19,12 +19,16 @@
 //!    dense point. The sweep output itself is pinned, not an agreement
 //!    between two code paths.
 //!
+//! A last pair of tests pins the default security grid and fault sweep
+//! that serve and the CLI share.
+//!
 //! Regenerate all fixtures (only when a change is *meant* to alter
 //! results, which requires sign-off in DESIGN.md) with:
 //! `UPDATE_GOLDEN=1 cargo test --test sweep_api_equivalence`
 
 use contact_graph::{ContactSchedule, Time, TimeDelta, UniformGraphBuilder};
 use dtn_sim::FaultPlan;
+use onion_routing::sweep::{default_fault_plan, default_security_grid, DEFAULT_FAULT_INTENSITIES};
 use onion_routing::{
     run_random_graph_point, run_schedule_point, run_sparse_point, ExperimentOptions,
     ProtocolConfig, SparseScenario, SweepSpec,
@@ -393,5 +397,35 @@ fn security_trace_matches_golden() {
     assert_spec_matches_golden(
         &SweepSpec::trace(cfg, schedule, trained).over_security(&[2, 6], 3),
         "sweep_security_trace",
+    );
+}
+
+// ---------------------------------------------------------------------
+// The default grids serve and the CLI both fall back on when a sweep
+// names none. Each lives once, in `onion_routing::sweep`; these pin the
+// values they document.
+
+#[test]
+fn default_security_grid_is_rounded_percentages_at_least_one() {
+    assert_eq!(default_security_grid(100), [1, 5, 10, 20, 30, 40, 50]);
+    assert_eq!(default_security_grid(150), [2, 8, 15, 30, 45, 60, 75]);
+    // Small worlds floor every cell at one compromised node.
+    assert_eq!(default_security_grid(10), [1, 1, 1, 2, 3, 4, 5]);
+    assert_eq!(default_security_grid(1), [1, 1, 1, 1, 1, 1, 1]);
+}
+
+#[test]
+fn default_fault_sweep_spans_fault_free_to_every_fault_class() {
+    let plan = default_fault_plan();
+    plan.validate().expect("default plan is valid");
+    assert!(plan.churn.is_some_and(|c| c.crash_rate > 0.0), "{plan:?}");
+    assert!(plan.contact_failure > 0.0, "{plan:?}");
+    assert!(plan.transfer_truncation > 0.0, "{plan:?}");
+    assert!(plan.message_loss > 0.0, "{plan:?}");
+    assert_eq!(DEFAULT_FAULT_INTENSITIES, [0.0, 0.25, 0.5, 0.75, 1.0]);
+    assert!(plan.scaled(DEFAULT_FAULT_INTENSITIES[0]).is_noop());
+    assert_eq!(
+        plan.scaled(*DEFAULT_FAULT_INTENSITIES.last().unwrap()),
+        plan
     );
 }
