@@ -59,6 +59,12 @@ pub fn onion_path_rates<M: ContactModel + ?Sized>(
     Ok(rates)
 }
 
+/// The mean pairwise contact rate of the Table II random graph, the
+/// `lambda` of its [`uniform_onion_path_rates`] abstraction:
+/// `E[1/X] = ln 36 / 35` for mean inter-contact times `X ~ U(1, 36)`
+/// minutes, which is how `UniformGraphBuilder` draws `λ = 1/X`.
+pub const TABLE2_MEAN_RATE: f64 = 0.102_386_255_384_460_28;
+
 /// Per-hop rates for the *uniform abstraction* used in parameter studies:
 /// every pair meets at rate `lambda`, groups have size `g`, and there are
 /// `k` onion groups. Then `λ_1 = … = λ_K = g·λ` and `λ_{K+1} = λ`.
@@ -180,6 +186,16 @@ mod tests {
     fn uniform_rates_shape() {
         let rates = uniform_onion_path_rates(0.1, 5, 3).unwrap();
         assert_eq!(rates, vec![0.5, 0.5, 0.5, 0.1]);
+    }
+
+    #[test]
+    fn table2_mean_rate_is_ln36_over_35() {
+        assert_eq!(TABLE2_MEAN_RATE.to_bits(), (36f64.ln() / 35.0).to_bits());
+        // E[1/X] for X ~ U(1, 36), by the midpoint rule.
+        let steps = 100_000;
+        let h = 35.0 / steps as f64;
+        let integral: f64 = (0..steps).map(|i| h / (1.0 + (i as f64 + 0.5) * h)).sum();
+        assert!((integral / 35.0 - TABLE2_MEAN_RATE).abs() < 1e-9);
     }
 
     #[test]

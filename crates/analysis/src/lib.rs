@@ -53,7 +53,7 @@ pub use cost::{
 };
 pub use delivery::{
     coded_delivery_rate, delivery_rate, delivery_rate_multicopy, expected_delay, onion_path_rates,
-    uniform_onion_path_rates,
+    uniform_onion_path_rates, TABLE2_MEAN_RATE,
 };
 pub use error::AnalysisError;
 pub use hypoexp::{hypoexp_cdf, hypoexp_pdf, HypoExp};

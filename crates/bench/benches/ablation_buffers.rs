@@ -5,33 +5,12 @@
 //! protocol (hardly at all — single-custody) vs epidemic routing (a lot).
 
 use bench::FigureTable;
-use contact_graph::{ContactSchedule, NodeId, Time, TimeDelta, UniformGraphBuilder};
+use contact_graph::{ContactSchedule, Time, TimeDelta, UniformGraphBuilder};
 use dtn_sim::baselines::Epidemic;
-use dtn_sim::{run, DropPolicy, Message, MessageId, RoutingProtocol, SimConfig};
+use dtn_sim::{run, DropPolicy, RoutingProtocol, SimConfig, WorkloadBuilder};
 use onion_routing::{ForwardingMode, OnionGroups, OnionRouting};
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn workload(rng: &mut ChaCha8Rng) -> Vec<Message> {
-    (0..40u64)
-        .map(|i| {
-            let source = NodeId(rng.gen_range(0..100));
-            let mut destination = NodeId(rng.gen_range(0..100));
-            while destination == source {
-                destination = NodeId(rng.gen_range(0..100));
-            }
-            Message {
-                id: MessageId(i),
-                source,
-                destination,
-                created: Time::ZERO,
-                deadline: TimeDelta::new(360.0),
-                copies: 1,
-            }
-        })
-        .collect()
-}
 
 fn evaluate<P, F>(make_protocol: F, capacity: Option<usize>) -> (f64, f64)
 where
@@ -45,7 +24,7 @@ where
         let mut rng = ChaCha8Rng::seed_from_u64(0xBFF + rep);
         let graph = UniformGraphBuilder::new(100).build(&mut rng);
         let schedule = ContactSchedule::sample(&graph, Time::new(360.0), &mut rng);
-        let msgs = workload(&mut rng);
+        let msgs = WorkloadBuilder::new(40, TimeDelta::new(360.0)).build(100, &mut rng);
         let mut protocol = make_protocol(&mut rng);
         let cfg = SimConfig::builder()
             .buffer_capacity(capacity)

@@ -7,33 +7,12 @@
 //! cheapest and slowest.
 
 use bench::{default_opts, FigureTable};
-use contact_graph::{ContactSchedule, NodeId, Time, TimeDelta, UniformGraphBuilder};
+use contact_graph::{ContactSchedule, Time, TimeDelta, UniformGraphBuilder};
 use dtn_sim::baselines::{DirectDelivery, Epidemic, SprayAndWait};
-use dtn_sim::{run, Message, MessageId, RoutingProtocol, SimConfig, SimReport};
+use dtn_sim::{run, RoutingProtocol, SimConfig, SimReport, WorkloadBuilder};
 use onion_routing::{ForwardingMode, OnionGroups, OnionRouting};
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn workload(rng: &mut ChaCha8Rng, copies: u32) -> Vec<Message> {
-    (0..30u64)
-        .map(|i| {
-            let source = NodeId(rng.gen_range(0..100));
-            let mut destination = NodeId(rng.gen_range(0..100));
-            while destination == source {
-                destination = NodeId(rng.gen_range(0..100));
-            }
-            Message {
-                id: MessageId(i),
-                source,
-                destination,
-                created: Time::ZERO,
-                deadline: TimeDelta::new(360.0),
-                copies,
-            }
-        })
-        .collect()
-}
 
 fn evaluate<P: RoutingProtocol>(
     label: &str,
@@ -48,7 +27,9 @@ fn evaluate<P: RoutingProtocol>(
         let mut rng = ChaCha8Rng::seed_from_u64(opts.seed ^ (0xAB1A + realization as u64));
         let graph = UniformGraphBuilder::new(100).build(&mut rng);
         let schedule = ContactSchedule::sample(&graph, Time::new(360.0), &mut rng);
-        let msgs = workload(&mut rng, copies);
+        let msgs = WorkloadBuilder::new(30, TimeDelta::new(360.0))
+            .copies(copies)
+            .build(100, &mut rng);
         let report: SimReport = run(&schedule, protocol, msgs, &SimConfig::default(), &mut rng)
             .expect("valid workload");
         delivery += report.delivery_rate();

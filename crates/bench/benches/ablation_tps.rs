@@ -8,12 +8,12 @@
 //! sides.
 
 use bench::FigureTable;
-use contact_graph::{ContactSchedule, NodeId, Time, TimeDelta, UniformGraphBuilder};
+use contact_graph::{ContactSchedule, Time, TimeDelta, UniformGraphBuilder};
+use dtn_sim::random_endpoints;
 use onion_routing::{
     destination_exposure, run_tps_message, tps_cost_bound, OnionGroups, TpsConfig,
 };
 use onion_routing::{run_random_graph_point, ExperimentOptions, ProtocolConfig};
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -38,11 +38,7 @@ fn main() {
         let schedule = ContactSchedule::sample(&graph, Time::new(deadline), &mut rng);
         let groups = OnionGroups::random_partition(n, 5, &mut rng);
         for _ in 0..messages {
-            let source = NodeId(rng.gen_range(0..n as u32));
-            let mut destination = NodeId(rng.gen_range(0..n as u32));
-            while destination == source {
-                destination = NodeId(rng.gen_range(0..n as u32));
-            }
+            let (source, destination) = random_endpoints(n, &mut rng);
             let outcome = run_tps_message(
                 &schedule,
                 &groups,

@@ -4,11 +4,8 @@
 
 use std::time::Duration;
 
+use analysis::TABLE2_MEAN_RATE;
 use criterion::{criterion_group, criterion_main, Criterion};
-
-/// Mean pairwise contact rate of the Table II random graph: `E[1/X]` for
-/// `X ~ U(1, 36)` minutes (the serving daemon's default `lambda`).
-const TABLE2_MEAN_RATE: f64 = 0.102_388_208_690_712_36;
 
 fn bench_hypoexp(c: &mut Criterion) {
     let mut group = c.benchmark_group("hypoexp");

@@ -4,11 +4,12 @@
 //! Expected shape (paper): traceable rate grows with the compromised
 //! percentage; more onion routers lower the traceable rate.
 
-use bench::{check_trend, compromised_sweep, default_opts, FigureTable};
+use bench::{check_trend, default_opts, FigureTable};
+use onion_routing::sweep::default_security_grid;
 use onion_routing::{ProtocolConfig, SweepSpec};
 
 fn main() {
-    let cs = compromised_sweep(100);
+    let cs = default_security_grid(100);
     let ks = [3usize, 5, 10];
 
     let sweeps: Vec<_> = ks

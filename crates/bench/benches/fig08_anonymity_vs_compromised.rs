@@ -5,11 +5,12 @@
 //! groups preserve more anonymity (a compromised hop only narrows the
 //! next router to g candidates).
 
-use bench::{check_trend, compromised_sweep, default_opts, FigureTable};
+use bench::{check_trend, default_opts, FigureTable};
+use onion_routing::sweep::default_security_grid;
 use onion_routing::{ProtocolConfig, SweepSpec};
 
 fn main() {
-    let cs = compromised_sweep(100);
+    let cs = default_security_grid(100);
     let gs = [1usize, 5, 10];
 
     let sweeps: Vec<_> = gs

@@ -10,11 +10,10 @@
 //! non-anonymous baseline.
 
 use bench::{check_trend, default_opts, FigureTable};
-use contact_graph::{ContactSchedule, NodeId, Time, TimeDelta, UniformGraphBuilder};
+use contact_graph::{ContactSchedule, Time, TimeDelta, UniformGraphBuilder};
 use dtn_sim::baselines::SprayAndWait;
-use dtn_sim::{run, Message, MessageId, SimConfig};
+use dtn_sim::{run, SimConfig, WorkloadBuilder};
 use onion_routing::{run_random_graph_point, ProtocolConfig};
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -31,23 +30,9 @@ fn spray_cost(l: u32, opts: &onion_routing::ExperimentOptions) -> f64 {
             )
             .build(&mut rng);
         let schedule = ContactSchedule::sample(&graph, Time::new(1080.0), &mut rng);
-        let messages: Vec<Message> = (0..opts.messages as u64)
-            .map(|i| {
-                let source = NodeId(rng.gen_range(0..100));
-                let mut destination = NodeId(rng.gen_range(0..100));
-                while destination == source {
-                    destination = NodeId(rng.gen_range(0..100));
-                }
-                Message {
-                    id: MessageId(i),
-                    source,
-                    destination,
-                    created: Time::ZERO,
-                    deadline: TimeDelta::new(1080.0),
-                    copies: l,
-                }
-            })
-            .collect();
+        let messages = WorkloadBuilder::new(opts.messages, TimeDelta::new(1080.0))
+            .copies(l)
+            .build(100, &mut rng);
         let report = run(
             &schedule,
             &mut SprayAndWait::source(),

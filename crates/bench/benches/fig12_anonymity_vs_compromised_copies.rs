@@ -5,11 +5,12 @@
 //! copy traverses the same onion groups, so an adversary correlates
 //! exposures across the L paths (Eq. 20).
 
-use bench::{check_trend, compromised_sweep, default_opts, FigureTable};
+use bench::{check_trend, default_opts, FigureTable};
+use onion_routing::sweep::default_security_grid;
 use onion_routing::{ProtocolConfig, SweepSpec};
 
 fn main() {
-    let cs = compromised_sweep(100);
+    let cs = default_security_grid(100);
     let ls = [1u32, 3, 5];
 
     let sweeps: Vec<_> = ls

@@ -188,15 +188,6 @@ pub fn check_trend(name: &str, values: &[f64], increasing: bool, slack: f64) {
     }
 }
 
-/// The compromised-node sweep used by the security figures: 1% to 50% of
-/// `n` (Table II).
-pub fn compromised_sweep(n: usize) -> Vec<usize> {
-    [0.01, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50]
-        .iter()
-        .map(|f| ((n as f64 * f).round() as usize).max(1))
-        .collect()
-}
-
 /// The deadline sweep of the random-graph delivery figures: 60 to 1080
 /// minutes (Table II).
 pub fn deadline_sweep_minutes() -> Vec<f64> {
@@ -238,10 +229,6 @@ mod tests {
 
     #[test]
     fn sweeps_are_sane() {
-        let cs = compromised_sweep(100);
-        assert_eq!(cs, vec![1, 5, 10, 20, 30, 40, 50]);
-        let cs12 = compromised_sweep(12);
-        assert!(cs12.iter().all(|&c| (1..=6).contains(&c)));
         let ds = deadline_sweep_minutes();
         assert_eq!(ds.first(), Some(&60.0));
         assert_eq!(ds.last(), Some(&1080.0));

@@ -135,32 +135,6 @@ impl ContactGraph {
         }
     }
 
-    /// Aggregate rate from `a` to *any* member of `group` (Eq. 4, first and
-    /// last cases): `Σ_j λ_{a, r_j}`, skipping `a` itself if present.
-    pub fn aggregate_rate_to_group(&self, a: NodeId, group: &[NodeId]) -> Rate {
-        let sum: f64 = group
-            .iter()
-            .filter(|&&r| r != a)
-            .map(|&r| self.rate(a, r).as_f64())
-            .sum();
-        Rate::new(sum)
-    }
-
-    /// Mean aggregate rate from a member of `from` to any member of `to`
-    /// (Eq. 4, middle case): `(1/|from|) Σ_i Σ_j λ_{from_i, to_j}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is empty.
-    pub fn mean_aggregate_rate_between_groups(&self, from: &[NodeId], to: &[NodeId]) -> Rate {
-        assert!(!from.is_empty(), "`from` group must be non-empty");
-        let total: f64 = from
-            .iter()
-            .map(|&i| self.aggregate_rate_to_group(i, to).as_f64())
-            .sum();
-        Rate::new(total / from.len() as f64)
-    }
-
     /// Hop count of the shortest path from `a` to `b` over connected pairs
     /// (BFS), or `None` if disconnected. Zero when `a == b`.
     ///
@@ -264,6 +238,7 @@ impl ContactGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ContactModel;
 
     fn line_graph(n: usize, rate: f64) -> ContactGraph {
         let mut g = ContactGraph::new(n);
@@ -324,10 +299,10 @@ mod tests {
         g.set_rate(NodeId(0), NodeId(1), Rate::new(0.1));
         g.set_rate(NodeId(0), NodeId(2), Rate::new(0.2));
         g.set_rate(NodeId(0), NodeId(3), Rate::new(0.4));
-        let r = g.aggregate_rate_to_group(NodeId(0), &[NodeId(1), NodeId(2)]);
+        let r = g.rate_to_group(NodeId(0), &[NodeId(1), NodeId(2)]);
         assert!((r.as_f64() - 0.3).abs() < 1e-12);
         // A group containing the node itself skips it.
-        let r = g.aggregate_rate_to_group(NodeId(0), &[NodeId(0), NodeId(3)]);
+        let r = g.rate_to_group(NodeId(0), &[NodeId(0), NodeId(3)]);
         assert!((r.as_f64() - 0.4).abs() < 1e-12);
     }
 
@@ -339,8 +314,7 @@ mod tests {
         g.set_rate(NodeId(0), NodeId(3), Rate::new(0.2));
         g.set_rate(NodeId(1), NodeId(2), Rate::new(0.3));
         g.set_rate(NodeId(1), NodeId(3), Rate::new(0.4));
-        let r =
-            g.mean_aggregate_rate_between_groups(&[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
+        let r = g.mean_rate_between_groups(&[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
         // (0.1 + 0.2 + 0.3 + 0.4) / 2
         assert!((r.as_f64() - 0.5).abs() < 1e-12);
     }

@@ -75,17 +75,6 @@ impl ContactModel for ContactGraph {
     fn contact_rate(&self, a: NodeId, b: NodeId) -> Rate {
         self.rate(a, b)
     }
-
-    // Delegate to the inherent methods so the f64 summation order is the
-    // one the dense goldens were frozen with (it matches the trait
-    // defaults, but the delegation makes the invariant explicit).
-    fn rate_to_group(&self, a: NodeId, group: &[NodeId]) -> Rate {
-        self.aggregate_rate_to_group(a, group)
-    }
-
-    fn mean_rate_between_groups(&self, from: &[NodeId], to: &[NodeId]) -> Rate {
-        self.mean_aggregate_rate_between_groups(from, to)
-    }
 }
 
 /// Sparse symmetric contact rates in CSR-style adjacency.
@@ -440,12 +429,12 @@ mod tests {
         let group: Vec<NodeId> = (0..5).map(NodeId).collect();
         let other: Vec<NodeId> = (5..10).map(NodeId).collect();
         assert_eq!(
-            ContactModel::rate_to_group(&s, NodeId(12), &group),
-            g.aggregate_rate_to_group(NodeId(12), &group)
+            s.rate_to_group(NodeId(12), &group),
+            g.rate_to_group(NodeId(12), &group)
         );
         assert_eq!(
-            ContactModel::mean_rate_between_groups(&s, &group, &other),
-            g.mean_aggregate_rate_between_groups(&group, &other)
+            s.mean_rate_between_groups(&group, &other),
+            g.mean_rate_between_groups(&group, &other)
         );
     }
 

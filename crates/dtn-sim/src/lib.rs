@@ -63,4 +63,4 @@ pub use message::{
 pub use protocol::{ContactView, Forward, ForwardKind, RoutingProtocol};
 pub use report::{CodedOutcome, ForwardRecord, SimCounters, SimReport};
 pub use stats::{ReportAggregate, StreamingStats};
-pub use workload::{StartPolicy, WorkloadBuilder};
+pub use workload::{random_contact_time, random_endpoints, WorkloadBuilder};

@@ -1,27 +1,52 @@
-//! Workload generation: batches of messages with configurable endpoints,
-//! start times, copy counts, and deadlines.
+//! The paper's message workload (§V-A), written once.
 //!
-//! Encapsulates the message-generation conventions of the paper's
-//! evaluation: uniformly random distinct source/destination pairs, and
-//! either synchronized starts (random graphs) or starts at a random
-//! contact of the source (the traces' business-hours policy).
+//! Every message has uniformly random distinct endpoints
+//! ([`random_endpoints`]). On the random graphs every message starts at
+//! `t = 0`; on the traces each starts at a random contact of its source
+//! ([`random_contact_time`]). [`WorkloadBuilder`] turns the two rules
+//! into a batch, taking the start time as a per-source function so a
+//! caller can draw starts from a stream of their own.
 
 use contact_graph::{ContactSchedule, NodeId, Time, TimeDelta};
 use rand::Rng;
 
 use crate::message::{Message, MessageId};
 
-/// When each message's transmission begins.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum StartPolicy {
-    /// All messages start at `t = 0` (the random-graph experiments).
-    AtZero,
-    /// Start times uniform in `[0, until)`.
-    UniformUntil(Time),
-    /// Start at a uniformly random contact event involving the source
-    /// (the paper's trace policy); falls back to `t = 0` for isolated
-    /// sources. Requires building against a schedule.
-    AtContactOfSource,
+/// A message's endpoints over an `n`-node network: a uniformly random
+/// source, then uniformly random destinations until one differs from it.
+///
+/// # Panics
+///
+/// Panics if `n < 2`: a message needs two distinct endpoints.
+pub fn random_endpoints<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (NodeId, NodeId) {
+    assert!(n >= 2, "need at least two nodes");
+    let source = NodeId(rng.gen_range(0..n as u32));
+    let mut destination = NodeId(rng.gen_range(0..n as u32));
+    while destination == source {
+        destination = NodeId(rng.gen_range(0..n as u32));
+    }
+    (source, destination)
+}
+
+/// The paper's trace start rule: "a source node initiates a message
+/// transmission at any time after it has a contact with any node" — the
+/// time of a uniformly random contact of `source` in `schedule`, so
+/// transmissions begin in business hours. An isolated source starts at
+/// `t = 0` without drawing.
+pub fn random_contact_time<R: Rng + ?Sized>(
+    schedule: &ContactSchedule,
+    source: NodeId,
+    rng: &mut R,
+) -> Time {
+    let times: Vec<Time> = schedule
+        .iter()
+        .filter(|e| e.involves(source))
+        .map(|e| e.time)
+        .collect();
+    match times.len() {
+        0 => Time::ZERO,
+        len => times[rng.gen_range(0..len)],
+    }
 }
 
 /// Builder for message batches.
@@ -29,7 +54,7 @@ pub enum StartPolicy {
 /// # Examples
 ///
 /// ```
-/// use dtn_sim::{StartPolicy, WorkloadBuilder};
+/// use dtn_sim::WorkloadBuilder;
 /// use contact_graph::TimeDelta;
 ///
 /// let mut rng = rand::thread_rng();
@@ -44,19 +69,17 @@ pub struct WorkloadBuilder {
     count: usize,
     deadline: TimeDelta,
     copies: u32,
-    start: StartPolicy,
     first_id: u64,
 }
 
 impl WorkloadBuilder {
     /// Starts a builder for `count` single-copy messages with the given
-    /// relative deadline, all created at `t = 0`.
+    /// relative deadline.
     pub fn new(count: usize, deadline: TimeDelta) -> Self {
         WorkloadBuilder {
             count,
             deadline,
             copies: 1,
-            start: StartPolicy::AtZero,
             first_id: 0,
         }
     }
@@ -72,86 +95,44 @@ impl WorkloadBuilder {
         self
     }
 
-    /// Sets the start-time policy.
-    pub fn start_policy(mut self, policy: StartPolicy) -> Self {
-        self.start = policy;
-        self
-    }
-
     /// Sets the first message id (ids are consecutive).
     pub fn first_id(mut self, id: u64) -> Self {
         self.first_id = id;
         self
     }
 
-    /// Builds the batch over an `n`-node network.
+    /// Builds the batch over an `n`-node network, every message created
+    /// at `t = 0` (the random-graph experiments).
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2` or the policy is
-    /// [`StartPolicy::AtContactOfSource`] (use
-    /// [`Self::build_for_schedule`]).
+    /// Panics if `n < 2` (see [`random_endpoints`]).
     pub fn build<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Message> {
-        assert!(n >= 2, "need at least two nodes");
-        assert!(
-            self.start != StartPolicy::AtContactOfSource,
-            "AtContactOfSource requires build_for_schedule"
-        );
-        self.generate(n, None, rng)
+        self.build_with_starts(n, |_| Time::ZERO, rng)
     }
 
-    /// Builds the batch against a concrete schedule (required for
-    /// [`StartPolicy::AtContactOfSource`], allowed for all policies).
+    /// Builds the batch over an `n`-node network, each message created at
+    /// `start(source)`. The endpoints are drawn from `rng`, message by
+    /// message; `start` is called once per message, in id order, after
+    /// its endpoints.
     ///
     /// # Panics
     ///
-    /// Panics if the schedule has fewer than two nodes.
-    pub fn build_for_schedule<R: Rng + ?Sized>(
-        &self,
-        schedule: &ContactSchedule,
-        rng: &mut R,
-    ) -> Vec<Message> {
-        assert!(schedule.node_count() >= 2, "need at least two nodes");
-        self.generate(schedule.node_count(), Some(schedule), rng)
-    }
-
-    fn generate<R: Rng + ?Sized>(
+    /// Panics if `n < 2` (see [`random_endpoints`]).
+    pub fn build_with_starts<R: Rng + ?Sized>(
         &self,
         n: usize,
-        schedule: Option<&ContactSchedule>,
+        mut start: impl FnMut(NodeId) -> Time,
         rng: &mut R,
     ) -> Vec<Message> {
         (0..self.count as u64)
             .map(|i| {
-                let source = NodeId(rng.gen_range(0..n as u32));
-                let mut destination = NodeId(rng.gen_range(0..n as u32));
-                while destination == source {
-                    destination = NodeId(rng.gen_range(0..n as u32));
-                }
-                let created = match self.start {
-                    StartPolicy::AtZero => Time::ZERO,
-                    StartPolicy::UniformUntil(until) => {
-                        Time::new(rng.gen_range(0.0..until.as_f64().max(f64::MIN_POSITIVE)))
-                    }
-                    StartPolicy::AtContactOfSource => {
-                        let schedule = schedule.expect("checked by build()");
-                        let candidates: Vec<Time> = schedule
-                            .iter()
-                            .filter(|e| e.involves(source))
-                            .map(|e| e.time)
-                            .collect();
-                        if candidates.is_empty() {
-                            Time::ZERO
-                        } else {
-                            candidates[rng.gen_range(0..candidates.len())]
-                        }
-                    }
-                };
+                let (source, destination) = random_endpoints(n, rng);
                 Message {
                     id: MessageId(self.first_id + i),
                     source,
                     destination,
-                    created,
+                    created: start(source),
                     deadline: self.deadline,
                     copies: self.copies,
                 }
@@ -189,25 +170,19 @@ mod tests {
     }
 
     #[test]
-    fn uniform_start_policy() {
-        let msgs = WorkloadBuilder::new(200, TimeDelta::new(10.0))
-            .start_policy(StartPolicy::UniformUntil(Time::new(500.0)))
-            .build(10, &mut rng(2));
-        assert!(msgs.iter().all(|m| m.created < Time::new(500.0)));
-        // Spread out: both halves of the window populated.
-        assert!(msgs.iter().any(|m| m.created < Time::new(250.0)));
-        assert!(msgs.iter().any(|m| m.created > Time::new(250.0)));
-    }
-
-    #[test]
     fn contact_start_policy_uses_source_contacts() {
         let mut r = rng(3);
         let graph = UniformGraphBuilder::new(10).build(&mut r);
         let schedule = contact_graph::ContactSchedule::sample(&graph, Time::new(50.0), &mut r);
-        let msgs = WorkloadBuilder::new(20, TimeDelta::new(10.0))
-            .start_policy(StartPolicy::AtContactOfSource)
-            .build_for_schedule(&schedule, &mut r);
-        for m in &msgs {
+        let builder = WorkloadBuilder::new(20, TimeDelta::new(10.0));
+        let at_zero = builder.build(10, &mut r.clone());
+        let mut start_rng = rng(30);
+        let msgs = builder.build_with_starts(
+            10,
+            |source| random_contact_time(&schedule, source, &mut start_rng),
+            &mut r,
+        );
+        for (m, z) in msgs.iter().zip(&at_zero) {
             assert!(
                 schedule
                     .iter()
@@ -215,6 +190,12 @@ mod tests {
                 "start {} is not a contact of {}",
                 m.created,
                 m.source
+            );
+            // Starts drawn from their own stream leave the endpoints as
+            // `build` draws them.
+            assert_eq!(
+                (m.id, m.source, m.destination),
+                (z.id, z.source, z.destination)
             );
         }
     }
@@ -224,20 +205,17 @@ mod tests {
         // Schedule where node 2 never appears.
         let events = vec![ContactEvent::new(Time::new(1.0), NodeId(0), NodeId(1))];
         let schedule = ContactSchedule::from_events(events, 3, Time::new(5.0));
-        let msgs = WorkloadBuilder::new(50, TimeDelta::new(5.0))
-            .start_policy(StartPolicy::AtContactOfSource)
-            .build_for_schedule(&schedule, &mut rng(4));
-        for m in msgs.iter().filter(|m| m.source == NodeId(2)) {
-            assert_eq!(m.created, Time::ZERO);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "build_for_schedule")]
-    fn contact_policy_requires_schedule() {
-        let _ = WorkloadBuilder::new(1, TimeDelta::new(1.0))
-            .start_policy(StartPolicy::AtContactOfSource)
-            .build(5, &mut rng(5));
+        let mut start_rng = rng(40);
+        assert_eq!(
+            random_contact_time(&schedule, NodeId(2), &mut start_rng),
+            Time::ZERO
+        );
+        // An isolated source draws nothing.
+        assert_eq!(start_rng.gen::<u64>(), rng(40).gen::<u64>());
+        assert_eq!(
+            random_contact_time(&schedule, NodeId(0), &mut start_rng),
+            Time::new(1.0)
+        );
     }
 
     #[test]

@@ -90,8 +90,8 @@ impl ProtocolConfig {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.nodes == 0 {
-            return Err("n must be positive".into());
+        if self.nodes < 2 {
+            return Err("n must be at least 2: a message needs two distinct endpoints".into());
         }
         if self.group_size == 0 {
             return Err("g must be positive".into());
@@ -160,5 +160,19 @@ mod tests {
         let mut cfg = ProtocolConfig::table2_defaults();
         cfg.copies = 0;
         assert!(cfg.validate().is_err());
+
+        // One node with g = K = 1 passes every other check, but no
+        // message has two distinct endpoints.
+        let cfg = ProtocolConfig {
+            nodes: 1,
+            group_size: 1,
+            onions: 1,
+            compromised: 0,
+            ..ProtocolConfig::table2_defaults()
+        };
+        assert!(cfg
+            .validate()
+            .unwrap_err()
+            .contains("two distinct endpoints"));
     }
 }

@@ -22,11 +22,13 @@
 //! replays over its own horizon.
 
 use contact_graph::{
-    ContactEvent, ContactGraph, ContactModel, ContactSchedule, NodeId, SparseContacts, Time,
-    TimeDelta, UniformGraphBuilder,
+    ContactEvent, ContactGraph, ContactModel, ContactSchedule, SparseContacts, Time, TimeDelta,
+    UniformGraphBuilder,
 };
-use dtn_sim::{run_stream, CalendarQueue, CopyMode, Message, MessageId, SimConfig, SimReport};
-use rand::Rng;
+use dtn_sim::{
+    random_contact_time, run_stream, CalendarQueue, CopyMode, Message, SimConfig, SimReport,
+    WorkloadBuilder,
+};
 use rand_chacha::ChaCha8Rng;
 
 use crate::config::ProtocolConfig;
@@ -182,33 +184,23 @@ impl<S: Scorer> Ctx<'_, S> {
         let range = (TimeDelta::new(lo), TimeDelta::new(hi));
         let (main, aux) = world.domains(S::AXIS == Some("security"));
         let mut rng = self.rng(main);
+        let workload = WorkloadBuilder::new(opts.messages, cfg.deadline).copies(cfg.copies);
         let partial = match world {
             World::RandomGraph => {
                 let graph = UniformGraphBuilder::new(cfg.nodes)
                     .mean_intercontact_range(range.0, range.1)
                     .build(&mut rng);
                 let schedule = ContactSchedule::sample(&graph, horizon, &mut rng);
-                let messages = random_messages(cfg, opts.messages, |_| Time::ZERO, &mut rng);
+                let messages = workload.build(cfg.nodes, &mut rng);
                 let events = || schedule.iter().copied();
                 self.drive(&graph, schedule.horizon(), events, messages, &mut rng)
             }
             World::Schedule(schedule, trained) => {
-                let mut start_rng = self.rng(aux);
                 // The paper's "business hours": each message starts at a
-                // random contact of its source.
-                let events = schedule.events();
-                let start = |source: NodeId| {
-                    let times: Vec<Time> = events
-                        .iter()
-                        .filter(|e| e.involves(source))
-                        .map(|e| e.time)
-                        .collect();
-                    match times.len() {
-                        0 => Time::ZERO,
-                        len => times[start_rng.gen_range(0..len)],
-                    }
-                };
-                let messages = random_messages(cfg, opts.messages, start, &mut rng);
+                // random contact of its source, drawn from the aux stream.
+                let mut start_rng = self.rng(aux);
+                let start = |source| random_contact_time(schedule, source, &mut start_rng);
+                let messages = workload.build_with_starts(cfg.nodes, start, &mut rng);
                 let rates = trained
                     .or(estimated)
                     .expect("run estimates untrained rates");
@@ -222,7 +214,7 @@ impl<S: Scorer> Ctx<'_, S> {
                     range,
                     &mut rng,
                 );
-                let messages = random_messages(cfg, opts.messages, |_| Time::ZERO, &mut rng);
+                let messages = workload.build(cfg.nodes, &mut rng);
                 let queue = || {
                     let queue = CalendarQueue::from_sparse(&contacts, horizon, self.rng(aux));
                     obs::gauge_max("sparse.world_bytes_hwm", contacts.approx_bytes() as i64);
@@ -296,33 +288,6 @@ impl<S: Scorer> Ctx<'_, S> {
         };
         self.scorer.score(&trial, rng)
     }
-}
-
-/// `count` messages between random distinct endpoints, each created at
-/// `start_time(source)`.
-fn random_messages(
-    cfg: &ProtocolConfig,
-    count: usize,
-    mut start_time: impl FnMut(NodeId) -> Time,
-    rng: &mut ChaCha8Rng,
-) -> Vec<Message> {
-    (0..count as u64)
-        .map(|i| {
-            let source = NodeId(rng.gen_range(0..cfg.nodes as u32));
-            let mut destination = NodeId(rng.gen_range(0..cfg.nodes as u32));
-            while destination == source {
-                destination = NodeId(rng.gen_range(0..cfg.nodes as u32));
-            }
-            Message {
-                id: MessageId(i),
-                source,
-                destination,
-                created: start_time(source),
-                deadline: cfg.deadline,
-                copies: cfg.copies,
-            }
-        })
-        .collect()
 }
 
 /// Panics (on every attempt) when `trial` is the one

@@ -55,9 +55,9 @@ use crate::store::ResponseStore;
 /// their retry will resume from the persisted rows.
 const DEADLINE_MARKER: &str = "\u{1}deadline:";
 
-/// Mean pairwise contact rate of the Table II random graph:
-/// `E[1/X]` for `X ~ U(1, 36)` minutes.
-pub const TABLE2_MEAN_RATE: f64 = 0.102_388_208_690_712_36;
+/// Mean pairwise contact rate of the Table II random graph, the default
+/// `lambda` of `/v1/model/delivery`.
+pub use analysis::TABLE2_MEAN_RATE;
 
 /// Largest `onions` (K) a model request may ask for: ⌊8192/37⌋ = 221,
 /// the deepest route a wire packet can carry (an 8192-byte body, 37
@@ -1123,6 +1123,15 @@ mod tests {
             .realizations(1)
             .build();
         let rg = || SweepSpec::random_graph(cfg.clone());
+        // Passes every other config check, but no message has two
+        // distinct endpoints.
+        let one_node = ProtocolConfig {
+            nodes: 1,
+            group_size: 1,
+            onions: 1,
+            compromised: 0,
+            ..cfg.clone()
+        };
         let broken = FaultPlan {
             contact_failure: 2.0,
             ..FaultPlan::default()
@@ -1148,6 +1157,11 @@ mod tests {
                     ..cfg.clone()
                 })
                 .over_deadlines(&[60.0]),
+                opts.clone(),
+                "config",
+            ),
+            (
+                SweepSpec::random_graph(one_node.clone()).over_deadlines(&[60.0]),
                 opts.clone(),
                 "config",
             ),
@@ -1206,6 +1220,20 @@ mod tests {
             assert_eq!(r.status, 400, "{field}: {}", r.body);
             assert!(r.body.contains(&err.to_string()), "{field}: {}", r.body);
         }
+        // The point endpoint rejects the same config before any trial runs.
+        let body = format!(
+            "{{\"config\":{},\"opts\":{}}}",
+            json(&one_node),
+            json(&opts)
+        );
+        let r = api.handle(&post("/v1/sweep/point", &body));
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("invalid_argument"), "{}", r.body);
+        assert!(
+            r.body.contains("config: n must be at least 2"),
+            "{}",
+            r.body
+        );
     }
 
     fn json<T: Serialize + ?Sized>(value: &T) -> String {

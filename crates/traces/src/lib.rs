@@ -29,4 +29,4 @@ pub use activity::{ActivityPattern, PatternError};
 pub use haggle::{HaggleParser, ParsedTrace, TraceError};
 pub use one_format::{parse_one_reader, parse_one_str, ParsedOneTrace};
 pub use stats::{estimate_active_rates, trace_stats, TraceStats};
-pub use synthetic::{random_contact_start, SyntheticTraceBuilder};
+pub use synthetic::SyntheticTraceBuilder;

@@ -167,28 +167,6 @@ impl SyntheticTraceBuilder {
     }
 }
 
-/// Picks a message start time the way the paper does for traces: "a source
-/// node initiates a message transmission at any time after it has a contact
-/// with any node" — i.e. the time of a uniformly random contact involving
-/// `source` (so transmissions begin in business hours).
-///
-/// Returns `None` if the source never has a contact.
-pub fn random_contact_start<R: Rng + ?Sized>(
-    schedule: &ContactSchedule,
-    source: NodeId,
-    rng: &mut R,
-) -> Option<Time> {
-    let candidates: Vec<Time> = schedule
-        .iter()
-        .filter(|e| e.involves(source))
-        .map(|e| e.time)
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    Some(candidates[rng.gen_range(0..candidates.len())])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,24 +236,6 @@ mod tests {
         // 10 pairs, rate 1/100 s, horizon 86400 s → ~8640 contacts.
         let count = trace.len() as f64;
         assert!((count - 8640.0).abs() < 500.0, "got {count}");
-    }
-
-    #[test]
-    fn start_time_is_a_contact_of_source() {
-        let trace = SyntheticTraceBuilder::cambridge_like().build(&mut rng(5));
-        let mut r = rng(6);
-        let start = random_contact_start(&trace, NodeId(0), &mut r).unwrap();
-        assert!(trace
-            .iter()
-            .any(|e| e.time == start && e.involves(NodeId(0))));
-    }
-
-    #[test]
-    fn start_time_none_for_isolated_source() {
-        // A schedule over 3 nodes where node 2 never appears.
-        let events = vec![ContactEvent::new(Time::new(1.0), NodeId(0), NodeId(1))];
-        let s = ContactSchedule::from_events(events, 3, Time::new(10.0));
-        assert!(random_contact_start(&s, NodeId(2), &mut rng(0)).is_none());
     }
 
     #[test]

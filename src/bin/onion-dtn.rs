@@ -669,9 +669,7 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), CliError> {
         .map_err(CliError::Usage)?;
     let l = serve::api::check_limit("l", flag(flags, "l", 1u32)?, serve::MAX_MODEL_COPIES)
         .map_err(CliError::Usage)?;
-    // Mean pairwise rate of the Table II graph: E[1/X], X ~ U(1, 36).
-    let lambda = (36f64.ln() - 1f64.ln()) / 35.0;
-    let rates = analysis::uniform_onion_path_rates(lambda, g, k)
+    let rates = analysis::uniform_onion_path_rates(analysis::TABLE2_MEAN_RATE, g, k)
         .map_err(|e| CliError::Usage(e.to_string()))?;
     let t = analysis::deadline_for_target(&rates, l, target)
         .map_err(|e| CliError::Usage(e.to_string()))?;

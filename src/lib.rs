@@ -67,10 +67,10 @@ pub mod prelude {
         Time, TimeDelta, UniformGraphBuilder,
     };
     pub use dtn_sim::{
-        fragment_id, fragment_parent, run, run_stream, run_with_faults, CalendarQueue, ChurnConfig,
-        ChurnMemory, CodedOutcome, CopyMode, DropPolicy, FaultPlan, FaultState, Message, MessageId,
-        ReportAggregate, RoutingProtocol, SimConfig, SimReport, StartPolicy, StreamingStats,
-        WorkloadBuilder, MAX_CODE_FRAGMENTS,
+        fragment_id, fragment_parent, random_contact_time, random_endpoints, run, run_stream,
+        run_with_faults, CalendarQueue, ChurnConfig, ChurnMemory, CodedOutcome, CopyMode,
+        DropPolicy, FaultPlan, FaultState, Message, MessageId, ReportAggregate, RoutingProtocol,
+        SimConfig, SimReport, StreamingStats, WorkloadBuilder, MAX_CODE_FRAGMENTS,
     };
     pub use onion_codec::{CodecError, Gf256, RsCodec};
     pub use onion_crypto::{EpochKeychain, GroupKeyring, WirePacket};

@@ -3,7 +3,6 @@
 
 use dtn_sim::baselines::{DirectDelivery, Epidemic, FirstContact, SprayAndWait};
 use onion_dtn::prelude::*;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -16,23 +15,9 @@ fn scenario(seed: u64, copies: u32) -> Scenario {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let graph = UniformGraphBuilder::new(50).build(&mut rng);
     let schedule = ContactSchedule::sample(&graph, Time::new(240.0), &mut rng);
-    let messages = (0..25u64)
-        .map(|i| {
-            let source = NodeId(rng.gen_range(0..50));
-            let mut destination = NodeId(rng.gen_range(0..50));
-            while destination == source {
-                destination = NodeId(rng.gen_range(0..50));
-            }
-            Message {
-                id: MessageId(i),
-                source,
-                destination,
-                created: Time::ZERO,
-                deadline: TimeDelta::new(240.0),
-                copies,
-            }
-        })
-        .collect();
+    let messages = WorkloadBuilder::new(25, TimeDelta::new(240.0))
+        .copies(copies)
+        .build(50, &mut rng);
     Scenario { schedule, messages }
 }
 

@@ -8,7 +8,6 @@
 
 use onion_dtn::prelude::*;
 use onion_routing::WalkError;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -23,23 +22,9 @@ fn simulate(seed: u64, copies: u32) -> (OnionRouting, SimReport, Vec<Message>) {
         ForwardingMode::MultiCopy
     };
     let mut protocol = OnionRouting::new(groups, 3, mode);
-    let messages: Vec<Message> = (0..15u64)
-        .map(|i| {
-            let source = NodeId(rng.gen_range(0..60));
-            let mut destination = NodeId(rng.gen_range(0..60));
-            while destination == source {
-                destination = NodeId(rng.gen_range(0..60));
-            }
-            Message {
-                id: MessageId(i),
-                source,
-                destination,
-                created: Time::ZERO,
-                deadline: TimeDelta::new(400.0),
-                copies,
-            }
-        })
-        .collect();
+    let messages = WorkloadBuilder::new(15, TimeDelta::new(400.0))
+        .copies(copies)
+        .build(60, &mut rng);
     let report = run(
         &schedule,
         &mut protocol,

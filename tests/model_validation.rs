@@ -178,8 +178,7 @@ fn cost_bounds_hold_in_simulation() {
 /// multi-thread config on a workload that is pure model, no simulator.
 #[test]
 fn parallel_mc_delivery_converges_to_hypoexponential_model() {
-    // Mean pairwise contact rate of the Table II graph: E[1/X], X ~ U(1, 36).
-    let lambda = (36f64.ln() - 1f64.ln()) / 35.0;
+    let lambda = analysis::TABLE2_MEAN_RATE;
     let trials = 4000usize;
     // 4·sqrt(p(1-p)/n) ≤ 4·0.5/sqrt(4000) ≈ 0.032 — deterministic at
     // these seeds with ample slack.

@@ -29,11 +29,7 @@ fn run_scenario(
     let mut protocol = OnionRouting::new(groups, k, mode);
     let messages: Vec<Message> = (0..8u64)
         .map(|i| {
-            let source = NodeId(rng.gen_range(0..n as u32));
-            let mut destination = NodeId(rng.gen_range(0..n as u32));
-            while destination == source {
-                destination = NodeId(rng.gen_range(0..n as u32));
-            }
+            let (source, destination) = random_endpoints(n, &mut rng);
             Message {
                 id: MessageId(i),
                 source,

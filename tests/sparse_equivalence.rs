@@ -21,12 +21,10 @@
 use contact_graph::{
     ContactModel, ContactSchedule, NodeId, SparseContacts, Time, TimeDelta, UniformGraphBuilder,
 };
-use dtn_sim::{
-    run_stream, run_with_faults, CalendarQueue, FaultPlan, Message, MessageId, SimConfig,
-};
+use dtn_sim::{run_stream, run_with_faults, CalendarQueue, FaultPlan, SimConfig, WorkloadBuilder};
 use onion_routing::{ForwardingMode, OnionGroups, OnionRouting};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 proptest! {
@@ -104,23 +102,9 @@ fn simulate(trials: u64, sparse: bool) -> (f64, f64) {
         let mut fault_rng = ChaCha8Rng::seed_from_u64(0xFA_0000 + trial);
         let groups = OnionGroups::random_partition(n, 5, &mut rng);
         let mut protocol = OnionRouting::new(groups, 2, ForwardingMode::SingleCopy);
-        let messages: Vec<Message> = (0..10u64)
-            .map(|m| {
-                let source = NodeId(rng.gen_range(0..n as u32));
-                let mut destination = NodeId(rng.gen_range(0..n as u32));
-                while destination == source {
-                    destination = NodeId(rng.gen_range(0..n as u32));
-                }
-                Message {
-                    id: MessageId(trial * 1000 + m),
-                    source,
-                    destination,
-                    created: Time::ZERO,
-                    deadline: TimeDelta::new(360.0),
-                    copies: 1,
-                }
-            })
-            .collect();
+        let messages = WorkloadBuilder::new(10, TimeDelta::new(360.0))
+            .first_id(trial * 1000)
+            .build(n, &mut rng);
         injected += messages.len() as u64;
         let config = SimConfig::builder().build();
         let plan = FaultPlan::default();
