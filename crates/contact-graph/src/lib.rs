@@ -21,7 +21,9 @@
 //! * [`ContactSchedule`] — concrete, time-ordered contact realizations,
 //!   either sampled from a graph or loaded from a trace, replayed by the
 //!   simulator; and rate estimation from schedules (the paper's trace
-//!   "training").
+//!   "training");
+//! * [`SampledContacts`] — a graph's sampled contact times, streamed in
+//!   time order one window at a time, for readers that may stop early.
 //!
 //! # Examples
 //!
@@ -51,5 +53,7 @@ pub use graph::ContactGraph;
 pub use mobility::{waypoint_schedule, WaypointConfig};
 pub use model::{ContactModel, SparseContacts};
 pub use node::NodeId;
-pub use schedule::{sample_intercontact, ContactEvent, ContactSchedule};
+pub use schedule::{
+    sample_intercontact, ContactEvent, ContactSchedule, SampledContacts, SampledEvents,
+};
 pub use time::{Rate, Time, TimeDelta};

@@ -74,63 +74,291 @@ pub fn sample_intercontact<R: Rng + ?Sized>(rate: Rate, rng: &mut R) -> Option<T
     Some(TimeDelta::new(-(1.0 - u).ln() / rate.as_f64()))
 }
 
-/// Sorts sampled events into exactly the order `events.sort()` would
-/// produce, using one bucket-scatter pass over the time axis plus small
-/// per-bucket sorts.
+/// Contacts per ordering window of [`SampledEvents`], or one per pair
+/// when there are more pairs, so a window's gather pass over the pairs
+/// never costs more than its contacts.
+const WINDOW_CONTACTS: usize = 1 << 15;
+
+/// Mean contacts per fine bucket of a window's counting scatter: few
+/// enough that the stable insertion pass after it moves each contact a
+/// step or two.
+const CONTACTS_PER_BUCKET: usize = 2;
+
+/// A pair with at least one sampled contact, and the end of its run of
+/// times in [`SampledContacts`].
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    a: NodeId,
+    b: NodeId,
+    end: usize,
+}
+
+/// The contacts of one dense sample, stored as bare times and put in
+/// time order only as they are read.
 ///
-/// Poisson arrival times are roughly uniform on `(0, horizon]`, so with
-/// ~8 events per bucket the comparison sorts touch only a handful of
-/// elements each; this is several times faster than a full merge sort on
-/// the schedule sizes the sweeps produce. The output order is identical:
-/// the bucket map is monotone in time, the per-bucket key
-/// `(time bits, a, b)` matches the derived `Ord` on [`ContactEvent`] (for
-/// the non-negative times `sample` produces, IEEE-754 bit patterns order
-/// like the floats), and events comparing equal are structurally equal, so
-/// unstable sorting cannot change the result.
+/// [`SampledContacts::sample`] makes the draws of a pair-major Poisson
+/// sample: pairs in `(a, b)` order, each drawing exponential gaps until
+/// its running time passes the horizon. It keeps each pair's ascending
+/// times (8 bytes a contact) and where each pair's run ends.
+/// [`SampledContacts::events`] yields the contacts in `(time, a, b)`
+/// order — the derived `Ord` of [`ContactEvent`] — ordering one time
+/// window at a time, so a reader that stops early never orders the rest.
+/// [`ContactSchedule::sample`] is this stream, collected.
 ///
-/// Precondition: every `time` is non-negative (callers sample on
-/// `[0, horizon]`).
-fn sort_sampled_events(events: &mut Vec<ContactEvent>, horizon: Time) {
-    let n = events.len();
-    if n <= 1 {
-        return;
-    }
-    if horizon.as_f64() <= 0.0 || n > u32::MAX as usize {
-        events.sort();
-        return;
-    }
-    let nbuckets = (n / 8).max(1);
-    let scale = nbuckets as f64 / horizon.as_f64();
-    let bucket_of = |t: Time| -> usize { ((t.as_f64() * scale) as usize).min(nbuckets - 1) };
+/// ```
+/// use contact_graph::{SampledContacts, Time, UniformGraphBuilder};
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+/// let graph = UniformGraphBuilder::new(20).build(&mut rng);
+/// let contacts = SampledContacts::sample(&graph, Time::new(100.0), &mut rng);
+/// let events = contacts.events();
+/// assert_eq!(events.len(), contacts.len());
+/// let first_ten: Vec<_> = events.take(10).collect();
+/// assert!(first_ten.windows(2).all(|w| w[0] <= w[1]));
+/// ```
+#[derive(Clone, Debug)]
+pub struct SampledContacts {
+    /// Every contact time, grouped by pair in `(a, b)` order; each
+    /// pair's run ascends.
+    times: Vec<Time>,
+    /// The pairs that met, in `(a, b)` order.
+    runs: Vec<Run>,
+    horizon: Time,
+}
 
-    // Counting pass -> prefix sums give each bucket's output range.
-    let mut bounds = vec![0u32; nbuckets + 1];
-    for e in events.iter() {
-        bounds[bucket_of(e.time) + 1] += 1;
-    }
-    for b in 0..nbuckets {
-        bounds[b + 1] += bounds[b];
-    }
+impl SampledContacts {
+    /// Bytes one stored contact costs: its time alone. Endpoints are
+    /// kept once per pair, and [`SampledContacts::events`] orders a
+    /// bounded window at a time.
+    pub const BYTES_PER_CONTACT: usize = size_of::<Time>();
 
-    // Scatter into place (the fill value is overwritten by the scatter —
-    // every slot is written exactly once).
-    let mut cursor = bounds.clone();
-    let mut out = vec![events[0]; n];
-    for e in events.iter() {
-        let b = bucket_of(e.time);
-        out[cursor[b] as usize] = *e;
-        cursor[b] += 1;
-    }
-
-    // Finish each bucket with a short comparison sort.
-    for b in 0..nbuckets {
-        let (lo, hi) = (bounds[b] as usize, bounds[b + 1] as usize);
-        if hi - lo > 1 {
-            out[lo..hi].sort_unstable_by_key(|e| (e.time.as_f64().to_bits(), e.a, e.b));
+    /// Samples `graph` on `[0, horizon]`: each connected pair generates a
+    /// Poisson process of contacts with its rate, drawn pair by pair in
+    /// `(a, b)` order from `rng`.
+    pub fn sample<R: Rng + ?Sized>(graph: &ContactGraph, horizon: Time, rng: &mut R) -> Self {
+        let n = graph.len() as u32;
+        // Room for the expected count `Σλ·T` and six standard deviations
+        // more, so the times almost never move (or sit twice in memory)
+        // while the draw grows them. A reservation the allocator refuses
+        // is skipped: the vector then grows as it goes.
+        let mut total_rate = 0.0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                total_rate += graph.rate(NodeId(i), NodeId(j)).as_f64();
+            }
+        }
+        let expected = total_rate * horizon.as_f64().max(0.0);
+        let mut times = Vec::new();
+        let _ = times.try_reserve((expected + 6.0 * expected.sqrt()) as usize + 16);
+        let mut runs = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let rate = graph.rate(NodeId(i), NodeId(j));
+                if rate.is_zero() {
+                    continue;
+                }
+                let start = times.len();
+                let mut t = Time::ZERO;
+                while let Some(gap) = sample_intercontact(rate, rng) {
+                    t += gap;
+                    if t > horizon {
+                        break;
+                    }
+                    times.push(t);
+                }
+                if times.len() > start {
+                    // `i < j` by loop construction: the normalized order
+                    // `ContactEvent::new` would produce.
+                    runs.push(Run {
+                        a: NodeId(i),
+                        b: NodeId(j),
+                        end: times.len(),
+                    });
+                }
+            }
+        }
+        SampledContacts {
+            times,
+            runs,
+            horizon,
         }
     }
-    *events = out;
+
+    /// The contacts in `(time, a, b)` order, with an exact `size_hint`.
+    pub fn events(&self) -> SampledEvents<'_> {
+        self.events_in_windows_of(WINDOW_CONTACTS)
+    }
+
+    /// [`SampledContacts::events`], ordered in windows of about
+    /// `window_contacts` contacts (or of one per pair, if more).
+    fn events_in_windows_of(&self, window_contacts: usize) -> SampledEvents<'_> {
+        let total = self.times.len();
+        let windows = total
+            .div_ceil(window_contacts.max(self.runs.len()).max(1))
+            .max(1);
+        let mut start = 0;
+        let cursor = self
+            .runs
+            .iter()
+            .map(|r| std::mem::replace(&mut start, r.end))
+            .collect();
+        SampledEvents {
+            contacts: self,
+            cursor,
+            width: self.horizon.as_f64() / windows as f64,
+            windows,
+            next_window: 0,
+            gathered: Vec::new(),
+            ordered: Vec::new(),
+            counts: Vec::new(),
+            pos: 0,
+            remaining: total,
+        }
+    }
+
+    /// Number of sampled contacts.
+    pub fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    /// Whether no pair met before the horizon.
+    pub fn is_empty(&self) -> bool {
+        self.times.is_empty()
+    }
+
+    /// Heap footprint in bytes, by capacity: the stored times and the
+    /// per-pair runs. A [`SampledEvents`] reader adds a cursor per pair
+    /// and two window buffers of about 32 k contacts.
+    pub fn approx_bytes(&self) -> usize {
+        self.times.capacity() * Self::BYTES_PER_CONTACT + self.runs.capacity() * size_of::<Run>()
+    }
 }
+
+/// The time-ordered stream of a [`SampledContacts`]; see
+/// [`SampledContacts::events`].
+///
+/// Window `w` holds the contacts with times in `[w·width, (w+1)·width)`
+/// (the last window everything after), about 32 k of them.
+/// Entering a window orders it in three stable steps: gather each pair's
+/// times in the window, in pair order; counting-scatter them on a fine
+/// time key; finish with an insertion pass on the time bits. Windows
+/// split the time axis, a pair's run ascends, and every step keeps ties
+/// in pair order, so the stream is exactly `(time, a, b)` order.
+#[derive(Debug)]
+pub struct SampledEvents<'a> {
+    contacts: &'a SampledContacts,
+    /// Next unread time of each run.
+    cursor: Vec<usize>,
+    /// Time span of one window.
+    width: f64,
+    windows: usize,
+    /// Windows ordered so far.
+    next_window: usize,
+    /// The window's contacts in pair order.
+    gathered: Vec<ContactEvent>,
+    /// The window's contacts in time order.
+    ordered: Vec<ContactEvent>,
+    /// Fine-bucket counts, then start offsets.
+    counts: Vec<usize>,
+    /// Next unread contact of `ordered`.
+    pos: usize,
+    remaining: usize,
+}
+
+impl SampledEvents<'_> {
+    /// Gathers and orders the next window into `ordered`.
+    fn order_next_window(&mut self) {
+        let lo = self.next_window as f64 * self.width;
+        self.next_window += 1;
+        let limit = if self.next_window == self.windows {
+            f64::INFINITY
+        } else {
+            self.next_window as f64 * self.width
+        };
+
+        // Gather: every pair's times below `limit`, in pair order. A run
+        // ascends, so what is left of it starts at or after `lo`.
+        let times = &self.contacts.times;
+        self.gathered.clear();
+        for (run, cursor) in self.contacts.runs.iter().zip(&mut self.cursor) {
+            let mut k = *cursor;
+            while k < run.end && times[k].as_f64() < limit {
+                self.gathered.push(ContactEvent {
+                    time: times[k],
+                    a: run.a,
+                    b: run.b,
+                });
+                k += 1;
+            }
+            *cursor = k;
+        }
+        self.pos = 0;
+        let m = self.gathered.len();
+        if m == 0 {
+            self.ordered.clear();
+            return;
+        }
+
+        // Counting scatter on a fine key, a function of the time alone
+        // (monotone, so buckets come out in time order).
+        let buckets = (m / CONTACTS_PER_BUCKET).max(1);
+        let inv = buckets as f64 / self.width;
+        let key = |e: &ContactEvent| (((e.time.as_f64() - lo) * inv) as usize).min(buckets - 1);
+        self.counts.clear();
+        self.counts.resize(buckets + 1, 0);
+        for e in &self.gathered {
+            self.counts[key(e) + 1] += 1;
+        }
+        for b in 0..buckets {
+            self.counts[b + 1] += self.counts[b];
+        }
+        // Every slot is overwritten by the scatter.
+        self.ordered.resize(m, self.gathered[0]);
+        for e in &self.gathered {
+            let slot = &mut self.counts[key(e)];
+            self.ordered[*slot] = *e;
+            *slot += 1;
+        }
+
+        // Stable insertion pass: contacts only move within their bucket.
+        for i in 1..m {
+            let e = self.ordered[i];
+            let bits = e.time.as_f64().to_bits();
+            let mut j = i;
+            while j > 0 && self.ordered[j - 1].time.as_f64().to_bits() > bits {
+                self.ordered[j] = self.ordered[j - 1];
+                j -= 1;
+            }
+            self.ordered[j] = e;
+        }
+    }
+}
+
+impl Iterator for SampledEvents<'_> {
+    type Item = ContactEvent;
+
+    #[inline]
+    fn next(&mut self) -> Option<ContactEvent> {
+        while self.pos == self.ordered.len() {
+            if self.next_window == self.windows {
+                return None;
+            }
+            self.order_next_window();
+        }
+        let e = self.ordered[self.pos];
+        self.pos += 1;
+        self.remaining -= 1;
+        Some(e)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for SampledEvents<'_> {}
 
 /// A time-ordered contact schedule over `[0, horizon]`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -167,35 +395,11 @@ impl ContactSchedule {
 
     /// Samples a schedule from `graph`: each connected pair generates a
     /// Poisson process of contacts with its rate, truncated at `horizon`.
+    /// This is [`SampledContacts::events`], collected.
     pub fn sample<R: Rng + ?Sized>(graph: &ContactGraph, horizon: Time, rng: &mut R) -> Self {
-        let mut events = Vec::new();
-        let n = graph.len() as u32;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let rate = graph.rate(NodeId(i), NodeId(j));
-                if rate.is_zero() {
-                    continue;
-                }
-                let mut t = Time::ZERO;
-                while let Some(gap) = sample_intercontact(rate, rng) {
-                    t += gap;
-                    if t > horizon {
-                        break;
-                    }
-                    // `i < j` by loop construction, so the endpoints are
-                    // already in the normalized order `ContactEvent::new`
-                    // would produce.
-                    events.push(ContactEvent {
-                        time: t,
-                        a: NodeId(i),
-                        b: NodeId(j),
-                    });
-                }
-            }
-        }
-        sort_sampled_events(&mut events, horizon);
+        let contacts = SampledContacts::sample(graph, horizon, rng);
         ContactSchedule {
-            events,
+            events: contacts.events().collect(),
             horizon,
             node_count: graph.len(),
         }
@@ -292,7 +496,8 @@ impl<'a> IntoIterator for &'a ContactSchedule {
 mod tests {
     use super::*;
     use crate::generator::UniformGraphBuilder;
-    use rand::SeedableRng;
+    use rand::rngs::mock::StepRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
@@ -338,10 +543,147 @@ mod tests {
         assert_eq!(s.node_count(), 10);
     }
 
+    /// The pair-major draws of `SampledContacts::sample`, pushed as
+    /// events and fully sorted: the order the stream must reproduce.
+    fn sorted_draws<R: Rng>(graph: &ContactGraph, horizon: Time, rng: &mut R) -> Vec<ContactEvent> {
+        let mut events = Vec::new();
+        let n = graph.len() as u32;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let rate = graph.rate(NodeId(i), NodeId(j));
+                let mut t = Time::ZERO;
+                while let Some(gap) = sample_intercontact(rate, rng) {
+                    t += gap;
+                    if t > horizon {
+                        break;
+                    }
+                    events.push(ContactEvent::new(t, NodeId(i), NodeId(j)));
+                }
+            }
+        }
+        events.sort();
+        events
+    }
+
+    /// Drains `events`, checking `size_hint` stays exact at every step.
+    fn drain_exact(mut events: SampledEvents<'_>) -> Vec<ContactEvent> {
+        let mut out = Vec::new();
+        loop {
+            let left = events.len();
+            assert_eq!(events.size_hint(), (left, Some(left)));
+            match events.next() {
+                Some(e) => out.push(e),
+                None => break,
+            }
+            assert_eq!(events.len(), left - 1);
+        }
+        assert_eq!(events.size_hint(), (0, Some(0)));
+        out
+    }
+
+    /// A graph over `n` nodes; a pair is connected with probability
+    /// `connectivity`, at one of three rates when `tied` (so a constant
+    /// RNG word puts equal-rate pairs at identical times).
+    fn test_graph(seed: u64, n: usize, connectivity: f64, tied: bool) -> ContactGraph {
+        let mut r = rng(seed);
+        let mut g = ContactGraph::new(n);
+        for i in 0..n as u32 {
+            for j in (i + 1)..n as u32 {
+                if r.gen::<f64>() >= connectivity {
+                    continue;
+                }
+                let rate = if tied {
+                    [0.5, 1.0, 2.0][r.gen_range(0..3usize)]
+                } else {
+                    1.0 / r.gen_range(1.0..36.0)
+                };
+                g.set_rate(NodeId(i), NodeId(j), Rate::new(rate));
+            }
+        }
+        g
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The windowed stream is exactly the fully sorted draws, and its
+        /// size is exact throughout: zero-rate pairs, one pair, zero
+        /// horizons, horizons inside one window and across many, window
+        /// sizes from one contact up, and a constant RNG word whose
+        /// equal-rate pairs tie on time.
+        #[test]
+        fn sampled_events_equal_the_sorted_draws(
+            seed in proptest::any::<u64>(),
+            n in 2usize..14,
+            sparse in proptest::any::<bool>(),
+            tied in proptest::any::<bool>(),
+            kind in 0u8..3,
+            window in 1usize..400,
+            word in (1u64 << 60)..(15u64 << 60),
+        ) {
+            let connectivity = if sparse { 0.4 } else { 1.0 };
+            let graph = test_graph(seed, n, connectivity, tied);
+            let horizon = Time::new(match kind {
+                0 => 0.0,
+                1 => 3.0,
+                _ => 120.0,
+            });
+            let check = |contacts: &SampledContacts, oracle: &[ContactEvent]| {
+                assert_eq!(drain_exact(contacts.events()), oracle);
+                assert_eq!(drain_exact(contacts.events_in_windows_of(window)), oracle);
+            };
+            if tied {
+                let mut constant = StepRng::new(word, 0);
+                let oracle = sorted_draws(&graph, horizon, &mut StepRng::new(word, 0));
+                let contacts = SampledContacts::sample(&graph, horizon, &mut constant);
+                check(&contacts, &oracle);
+            } else {
+                let oracle = sorted_draws(&graph, horizon, &mut rng(seed ^ 1));
+                let mut draws = rng(seed ^ 1);
+                let contacts = SampledContacts::sample(&graph, horizon, &mut draws);
+                check(&contacts, &oracle);
+                // The sample made exactly the oracle's draws.
+                let mut after_oracle = rng(seed ^ 1);
+                sorted_draws(&graph, horizon, &mut after_oracle);
+                proptest::prop_assert_eq!(draws.next_u64(), after_oracle.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    fn constant_words_tie_pairs_on_time() {
+        // The tied proptest cases must actually produce equal times.
+        let graph = test_graph(3, 8, 1.0, true);
+        let horizon = Time::new(120.0);
+        let contacts = SampledContacts::sample(&graph, horizon, &mut StepRng::new(1 << 62, 0));
+        let events: Vec<_> = contacts.events().collect();
+        assert!(events.windows(2).any(|w| w[0].time == w[1].time));
+    }
+
+    #[test]
+    fn table2_sized_stream_equals_the_sorted_draws() {
+        // n = 100, T = 1080: ~550 k contacts over ~17 windows. Debug
+        // builds check a 20-node graph at the same horizon instead.
+        let n = if cfg!(debug_assertions) { 20 } else { 100 };
+        let graph = UniformGraphBuilder::new(n).build(&mut rng(9));
+        let horizon = Time::new(1080.0);
+        let oracle = sorted_draws(&graph, horizon, &mut rng(10));
+        let contacts = SampledContacts::sample(&graph, horizon, &mut rng(10));
+        assert_eq!(contacts.len(), oracle.len());
+        assert_eq!(contacts.events().collect::<Vec<_>>(), oracle);
+        let mut events = contacts.events();
+        for left in (0..=oracle.len()).rev() {
+            assert_eq!(events.size_hint(), (left, Some(left)));
+            events.next();
+        }
+        let stored = contacts.len() * SampledContacts::BYTES_PER_CONTACT;
+        assert!(contacts.approx_bytes() >= stored);
+    }
+
     #[test]
     fn bucket_sort_matches_comparison_sort() {
         // The sampled order must be exactly what a full comparison sort
-        // would produce, including around bucket boundaries.
+        // would produce, including around window and bucket boundaries.
         let g = UniformGraphBuilder::new(12).build(&mut rng(7));
         let s = ContactSchedule::sample(&g, Time::new(500.0), &mut rng(8));
         assert!(

@@ -338,6 +338,9 @@ struct SimState {
     transmissions: Vec<u64>,
     /// Per-node buffer: id-sorted `(message, copy state)` pairs.
     buffers: Vec<Vec<(MessageId, CopyState)>>,
+    /// Copies buffered across all nodes: the run is idle once this is
+    /// zero and every message is injected.
+    buffered: usize,
     /// Flat per-node seen bitsets, `seen_words` words per node.
     seen: Vec<u64>,
     seen_words: usize,
@@ -379,6 +382,7 @@ impl SimState {
             buf.clear();
         }
         self.buffers.resize_with(n, Vec::new);
+        self.buffered = 0;
         self.seen_words = m.div_ceil(64);
         self.seen.clear();
         self.seen.resize(n * self.seen_words, 0);
@@ -437,28 +441,35 @@ impl SimState {
     fn seen_insert(&mut self, node: NodeId, rank: usize) {
         self.seen[node.index() * self.seen_words + rank / 64] |= 1 << (rank % 64);
     }
+
+    /// Inserts or replaces `id`'s copy state at `node`, keeping the
+    /// buffer id-sorted.
+    #[inline]
+    fn buf_insert(&mut self, node: NodeId, id: MessageId, cs: CopyState) {
+        let buf = &mut self.buffers[node.index()];
+        match buf_find(buf, id) {
+            Ok(pos) => buf[pos].1 = cs,
+            Err(pos) => {
+                buf.insert(pos, (id, cs));
+                self.buffered += 1;
+            }
+        }
+    }
+
+    #[inline]
+    fn buf_remove(&mut self, node: NodeId, id: MessageId) {
+        let buf = &mut self.buffers[node.index()];
+        if let Ok(pos) = buf_find(buf, id) {
+            buf.remove(pos);
+            self.buffered -= 1;
+        }
+    }
 }
 
 /// Position of `id` in an id-sorted buffer.
 #[inline]
 fn buf_find(buf: &[(MessageId, CopyState)], id: MessageId) -> Result<usize, usize> {
     buf.binary_search_by_key(&id, |&(bid, _)| bid)
-}
-
-/// Inserts or replaces `id`'s copy state, keeping the buffer id-sorted.
-#[inline]
-fn buf_insert(buf: &mut Vec<(MessageId, CopyState)>, id: MessageId, cs: CopyState) {
-    match buf_find(buf, id) {
-        Ok(pos) => buf[pos].1 = cs,
-        Err(pos) => buf.insert(pos, (id, cs)),
-    }
-}
-
-#[inline]
-fn buf_remove(buf: &mut Vec<(MessageId, CopyState)>, id: MessageId) {
-    if let Ok(pos) = buf_find(buf, id) {
-        buf.remove(pos);
-    }
 }
 
 /// Inserts or updates an id-sorted `(message, arrival time)` list.
@@ -496,7 +507,7 @@ fn make_room(state: &mut SimState, config: &SimConfig, node: NodeId, now: Time) 
                 }
             }
             if let Some((victim, _)) = oldest {
-                buf_remove(&mut state.buffers[node.index()], victim);
+                state.buf_remove(node, victim);
                 state.counters.buffer_drops += 1;
                 state.counters.buffer_evictions += 1;
                 obs::trace_event(|| TraceEvent::Drop {
@@ -638,6 +649,16 @@ where
 /// The stream contract matches what a schedule provides: events sorted
 /// ascending by `(time, a, b)`, endpoints distinct and `< n`, times
 /// within `[0, horizon]`. The engine does not re-validate the stream.
+///
+/// A stream whose `size_hint` is exact (`(k, Some(k))`, as for a slice
+/// iterator or [`contact_graph::SampledEvents`]) may not be read to its
+/// end. Once the run is idle — every message injected, no copy
+/// buffered, no fault plan, and a protocol that does not
+/// [observe contacts](RoutingProtocol::observes_contacts) — no later
+/// contact can change the report, so the engine stops pulling and adds
+/// the `k` unread contacts to [`SimCounters::contacts`]. A stream must
+/// therefore never report an exact size it does not have. A stream with
+/// an inexact hint, such as [`CalendarQueue`], is read to its end.
 ///
 /// # Errors
 ///
@@ -1119,7 +1140,7 @@ where
             // A full source buffer refuses (or evicts for) the new
             // message, per the drop policy.
             if make_room(state, config, source, created) {
-                buf_insert(&mut state.buffers[source.index()], id, cs);
+                state.buf_insert(source, id, cs);
                 if track_arrivals {
                     arrival_insert(&mut state.arrivals[source.index()], id, created);
                 }
@@ -1133,7 +1154,14 @@ where
         }
     };
 
-    for event in events {
+    // Once every message is injected and no copy is buffered, a contact
+    // can change nothing but the contact count — unless faults or the
+    // protocol watch it. An exact-size stream then stops early and counts
+    // its tail instead of replaying it.
+    let may_idle = faults.is_none() && !protocol.observes_contacts();
+    let mut idle_tail = 0;
+    let mut events = events.into_iter();
+    while let Some(event) = events.next() {
         state.counters.contacts += 1;
         inject_due(
             state,
@@ -1144,6 +1172,15 @@ where
             &coded,
             event.time,
         );
+        if may_idle && pending.is_empty() && state.buffered == 0 {
+            if let (tail, Some(upper)) = events.size_hint() {
+                if tail == upper {
+                    idle_tail = tail;
+                    state.counters.contacts += tail as u64;
+                    break;
+                }
+            }
+        }
 
         if let Some(f) = faults.as_mut() {
             // Apply pending crash wipes at the endpoints before anything
@@ -1197,7 +1234,9 @@ where
                 }
                 live
             });
-            state.counters.deadline_expiries += (before - buf.len()) as u64;
+            let expired = before - buf.len();
+            state.buffered -= expired;
+            state.counters.deadline_expiries += expired as u64;
         }
 
         if state.buffers[event.a.index()].is_empty() && state.buffers[event.b.index()].is_empty() {
@@ -1303,6 +1342,7 @@ where
         let elapsed = started.elapsed().as_secs_f64();
         obs::record("sim.run_secs", elapsed);
         state.counters.for_each_named("sim", obs::counter_add);
+        obs::counter_add("sim.idle_tail_contacts", idle_tail as u64);
         // Byte-budget accounting: the arena's current footprint plus a
         // high-water mark across the whole process. Gauges survive
         // `flush_point`, so both land in every `--metrics-out` line.
@@ -1417,7 +1457,9 @@ fn apply_crashes(state: &mut SimState, faults: &mut FaultState, node: NodeId, no
             }
             survives
         });
-        state.counters.fault_buffer_wipes += (before - buf.len()) as u64;
+        let wiped = before - buf.len();
+        state.buffered -= wiped;
+        state.counters.fault_buffer_wipes += wiped as u64;
         if faults.churn_memory() == Some(ChurnMemory::Forget) {
             // RAM-only summary vector: only copies that arrived after
             // the crash are still known.
@@ -1440,7 +1482,7 @@ fn apply_crashes(state: &mut SimState, faults: &mut FaultState, node: NodeId, no
 fn take_from_carrier(state: &mut SimState, carrier: NodeId, fwd: &Forward, copy: CopyState) -> u32 {
     match fwd.kind {
         ForwardKind::Handoff => {
-            buf_remove(&mut state.buffers[carrier.index()], fwd.message);
+            state.buf_remove(carrier, fwd.message);
             copy.tickets
         }
         ForwardKind::Split {
@@ -1448,10 +1490,10 @@ fn take_from_carrier(state: &mut SimState, carrier: NodeId, fwd: &Forward, copy:
         } => {
             let remaining = copy.tickets - tickets_to_receiver;
             if remaining == 0 {
-                buf_remove(&mut state.buffers[carrier.index()], fwd.message);
+                state.buf_remove(carrier, fwd.message);
             } else {
-                buf_insert(
-                    &mut state.buffers[carrier.index()],
+                state.buf_insert(
+                    carrier,
                     fwd.message,
                     CopyState {
                         tickets: remaining,
@@ -1619,8 +1661,8 @@ fn apply<P>(
                 }
             }
         } else {
-            buf_insert(
-                &mut state.buffers[peer.index()],
+            state.buf_insert(
+                peer,
                 fwd.message,
                 CopyState {
                     tickets: receiver_tickets,

@@ -129,6 +129,10 @@ impl RoutingProtocol for Prophet {
         "prophet"
     }
 
+    fn observes_contacts(&self) -> bool {
+        true
+    }
+
     fn on_contact_observed(&mut self, a: NodeId, b: NodeId, time: Time) {
         self.age_row(a, time);
         self.age_row(b, time);

@@ -80,8 +80,23 @@ pub trait RoutingProtocol {
     /// Called for *every* contact, before any forwarding decisions and
     /// regardless of buffer contents — lets utility-based protocols (e.g.
     /// PRoPHET) learn encounter statistics. Default: no-op.
+    ///
+    /// The engine only promises every call while
+    /// [`observes_contacts`](RoutingProtocol::observes_contacts) returns
+    /// true: a protocol that overrides this hook must override that one
+    /// too, or a run may stop replaying contacts once no copy is left.
     fn on_contact_observed(&mut self, a: NodeId, b: NodeId, time: Time) {
         let _ = (a, b, time);
+    }
+
+    /// Whether the protocol watches every contact through
+    /// [`on_contact_observed`](RoutingProtocol::on_contact_observed).
+    /// Default: no — the engine may then stop replaying an exact-size
+    /// contact stream once the run is idle (see `engine::run_stream`).
+    /// Any protocol that overrides `on_contact_observed` must return
+    /// true here.
+    fn observes_contacts(&self) -> bool {
+        false
     }
 
     /// Called once per direction at each contact. Returns the transfers the

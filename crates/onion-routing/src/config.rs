@@ -112,8 +112,8 @@ impl ProtocolConfig {
         if self.compromised > self.nodes {
             return Err("c must not exceed n".into());
         }
-        if !self.deadline.is_non_negative() {
-            return Err("deadline must be non-negative".into());
+        if !(self.deadline.is_non_negative() && self.deadline.as_f64().is_finite()) {
+            return Err("deadline must be finite and non-negative".into());
         }
         Ok(())
     }
@@ -160,6 +160,13 @@ mod tests {
         let mut cfg = ProtocolConfig::table2_defaults();
         cfg.copies = 0;
         assert!(cfg.validate().is_err());
+
+        // An endless deadline would sample contacts forever.
+        for t in [f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut cfg = ProtocolConfig::table2_defaults();
+            cfg.deadline = TimeDelta::new(t);
+            assert!(cfg.validate().unwrap_err().contains("deadline"), "{t}");
+        }
 
         // One node with g = K = 1 passes every other check, but no
         // message has two distinct endpoints.

@@ -734,6 +734,17 @@ mod tests {
     }
 
     #[test]
+    fn an_endless_deadline_is_a_config_error() {
+        let cfg = ProtocolConfig {
+            deadline: contact_graph::TimeDelta::new(f64::INFINITY),
+            ..ProtocolConfig::table2_defaults()
+        };
+        let spec = SweepSpec::random_graph(cfg).over_security(&[5], 3);
+        let err = spec.validate(&quick_opts()).unwrap_err();
+        assert_eq!(err.field, "config", "{err}");
+    }
+
+    #[test]
     #[should_panic(expected = "positive deadline")]
     fn default_axis_is_rejected() {
         let _ = SweepSpec::random_graph(ProtocolConfig::table2_defaults()).run(&quick_opts());

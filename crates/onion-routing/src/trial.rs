@@ -21,9 +21,11 @@
 //! scorer's adversaries. The horizon is `cfg.deadline`; a schedule
 //! replays over its own horizon.
 
+use std::time::Instant;
+
 use contact_graph::{
-    ContactEvent, ContactGraph, ContactModel, ContactSchedule, SparseContacts, Time, TimeDelta,
-    UniformGraphBuilder,
+    ContactEvent, ContactGraph, ContactModel, ContactSchedule, SampledContacts, SparseContacts,
+    Time, TimeDelta, UniformGraphBuilder,
 };
 use dtn_sim::{
     random_contact_time, run_stream, CalendarQueue, CopyMode, Message, SimConfig, SimReport,
@@ -41,7 +43,8 @@ use crate::sweep::SparseScenario;
 /// Where a run's contacts come from, borrowed for the run.
 #[derive(Clone, Copy)]
 pub(crate) enum World<'a> {
-    /// A Table II random graph and its sampled schedule, fresh per trial.
+    /// A Table II random graph and its sampled contacts, fresh per
+    /// trial, streamed in time order through [`SampledContacts::events`].
     RandomGraph,
     /// A fixed schedule replayed by every trial, scored against trained
     /// rates, or (`None`) rates estimated from the schedule once per run.
@@ -190,10 +193,15 @@ impl<S: Scorer> Ctx<'_, S> {
                 let graph = UniformGraphBuilder::new(cfg.nodes)
                     .mean_intercontact_range(range.0, range.1)
                     .build(&mut rng);
-                let schedule = ContactSchedule::sample(&graph, horizon, &mut rng);
+                // Timing is gated so disabled telemetry skips the clock.
+                let drawing = obs::metrics_enabled().then(Instant::now);
+                let contacts = SampledContacts::sample(&graph, horizon, &mut rng);
+                if let Some(drawing) = drawing {
+                    obs::record("trial.draw_secs", drawing.elapsed().as_secs_f64());
+                    obs::gauge_max("dense.contacts_bytes_hwm", contacts.approx_bytes() as i64);
+                }
                 let messages = workload.build(cfg.nodes, &mut rng);
-                let events = || schedule.iter().copied();
-                self.drive(&graph, schedule.horizon(), events, messages, &mut rng)
+                self.drive(&graph, horizon, || contacts.events(), messages, &mut rng)
             }
             World::Schedule(schedule, trained) => {
                 // The paper's "business hours": each message starts at a

@@ -34,6 +34,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use contact_graph::SampledContacts;
 use onion_routing::sweep::{default_fault_plan, default_security_grid, DEFAULT_FAULT_INTENSITIES};
 use onion_routing::{
     run_random_graph_point, run_sparse_point, Checkpoint, ExperimentOptions, ProtocolConfig,
@@ -537,8 +538,9 @@ impl Serialize for KeyParts {
 }
 
 /// Largest estimated memory of one sweep realization: 512 MiB. Dense
-/// worlds need 8 bytes of λ per pair plus 16 bytes per expected contact
-/// (Table II at `T = 1080`: ~9 MB); sparse worlds need
+/// worlds need 8 bytes of λ per pair plus
+/// `SampledContacts::BYTES_PER_CONTACT` (8) per expected contact
+/// (Table II at `T = 1080`: ~4.4 MB); sparse worlds need
 /// `SPARSE_PAIR_BYTES` per pair and `SPARSE_NODE_BYTES` per node (the
 /// README's `n = 10⁵`, degree-10 point: ~70 MB). A `nodes: 10⁶` dense
 /// request would otherwise abort the daemon allocating 4 TB of λ.
@@ -576,7 +578,25 @@ fn check_sweep_limits(spec: &SweepSpec, opts: &ExperimentOptions) -> Result<(), 
     };
     check_limit(&format!("{grid} length"), len, MAX_SWEEP_GRID)?;
     let n = spec.config.nodes as f64;
-    let (bytes, driver) = match &spec.scenario {
+    let (bytes, driver) = realization_bytes(spec, opts, horizon);
+    let (mib, limit) = (
+        bytes / (1u64 << 20) as f64,
+        MAX_SWEEP_REALIZATION_BYTES >> 20,
+    );
+    if mib > limit as f64 {
+        return Err(format!(
+            "config.nodes {n} at {driver} needs ~{mib:.0} MiB per realization; \
+             the limit is {limit} MiB"
+        ));
+    }
+    Ok(())
+}
+
+/// Estimated memory of one realization of `spec` simulated to `horizon`,
+/// and the field that drives it.
+fn realization_bytes(spec: &SweepSpec, opts: &ExperimentOptions, horizon: f64) -> (f64, String) {
+    let n = spec.config.nodes as f64;
+    match &spec.scenario {
         Scenario::Sparse(s) => (
             SPARSE_NODE_BYTES * n + SPARSE_PAIR_BYTES * n * s.avg_degree / 2.0,
             format!("sparse.avg_degree {}", s.avg_degree),
@@ -591,23 +611,13 @@ fn check_sweep_limits(spec: &SweepSpec, opts: &ExperimentOptions) -> Result<(), 
             } else {
                 1.0 / lo
             };
+            let contact_bytes = SampledContacts::BYTES_PER_CONTACT as f64;
             (
-                8.0 * pairs + 16.0 * pairs * mean_rate * horizon,
+                8.0 * pairs + contact_bytes * pairs * mean_rate * horizon,
                 format!("deadline {horizon}"),
             )
         }
-    };
-    let (mib, limit) = (
-        bytes / (1u64 << 20) as f64,
-        MAX_SWEEP_REALIZATION_BYTES >> 20,
-    );
-    if mib > limit as f64 {
-        return Err(format!(
-            "config.nodes {n} at {driver} needs ~{mib:.0} MiB per realization; \
-             the limit is {limit} MiB"
-        ));
     }
-    Ok(())
 }
 
 /// Looks up one `key=value` pair in an `&`-separated query string.
@@ -944,6 +954,27 @@ mod tests {
         assert_eq!(r.status, 400);
         let r = api.handle(&post("/v1/model/anonymity", "not json"));
         assert_eq!(r.status, 400);
+    }
+
+    #[test]
+    fn dense_estimate_prices_contacts_as_sampled_contacts_store_them() {
+        // A Table II realization at T = 1080: the admission estimate and
+        // what sampling stores agree, so the per-contact cost has one
+        // source.
+        use contact_graph::{Time, UniformGraphBuilder};
+        use rand::SeedableRng;
+        let cfg = ProtocolConfig::table2_defaults();
+        let opts = ExperimentOptions::default();
+        let horizon = cfg.deadline.as_f64();
+        let (estimate, _) = realization_bytes(&SweepSpec::random_graph(cfg), &opts, horizon);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let graph = UniformGraphBuilder::new(100).build(&mut rng);
+        let contacts = SampledContacts::sample(&graph, Time::new(horizon), &mut rng);
+        let stored = 8.0 * 4950.0 + (contacts.len() * SampledContacts::BYTES_PER_CONTACT) as f64;
+        assert!(
+            (estimate / stored - 1.0).abs() < 0.05,
+            "estimate {estimate} vs stored {stored}"
+        );
     }
 
     #[test]

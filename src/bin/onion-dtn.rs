@@ -206,13 +206,23 @@ fn flag<T: std::str::FromStr>(
     }
 }
 
+/// The `--t` deadline. A NaN is a usage error here, not a panic in
+/// `TimeDelta::new`; an infinite one fails `ProtocolConfig::validate`.
+fn deadline_flag(flags: &HashMap<String, String>, default: f64) -> Result<TimeDelta, String> {
+    let t = flag(flags, "t", default)?;
+    if t.is_nan() {
+        return Err("--t must be a number".to_string());
+    }
+    Ok(TimeDelta::new(t))
+}
+
 fn config_from(flags: &HashMap<String, String>) -> Result<ProtocolConfig, String> {
     let cfg = ProtocolConfig {
         nodes: flag(flags, "n", 100usize)?,
         group_size: flag(flags, "g", 5usize)?,
         onions: flag(flags, "k", 3usize)?,
         copies: flag(flags, "l", 1u32)?,
-        deadline: TimeDelta::new(flag(flags, "t", 1080.0f64)?),
+        deadline: deadline_flag(flags, 1080.0)?,
         compromised: flag(flags, "c", 10usize)?,
         selection: RouteSelection::Uniform,
     };
@@ -554,7 +564,7 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         group_size: flag(flags, "g", 1usize)?,
         onions: flag(flags, "k", 3usize)?,
         copies: flag(flags, "l", 1u32)?,
-        deadline: TimeDelta::new(flag(flags, "t", 3600.0f64)?),
+        deadline: deadline_flag(flags, 3600.0)?,
         compromised: (n / 10).max(1),
         selection: RouteSelection::Uniform,
     };
@@ -868,6 +878,14 @@ mod tests {
         assert_eq!(flags.get("g").map(String::as_str), Some("5"));
         assert_eq!(flag(&flags, "t", 0.0f64).unwrap(), 60.0);
         assert_eq!(flag(&flags, "missing", 7u32).unwrap(), 7);
+    }
+
+    #[test]
+    fn non_finite_deadline_is_a_usage_error() {
+        for t in ["nan", "NaN", "inf", "infinity"] {
+            let (_, flags) = parse_flags(&strings(&["--t", t])).unwrap();
+            assert!(config_from(&flags).is_err(), "--t {t}");
+        }
     }
 
     #[test]

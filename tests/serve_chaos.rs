@@ -205,7 +205,7 @@ fn requests_expiring_in_the_queue_are_shed_with_503() {
     };
     let opts = ExperimentOptions::builder()
         .messages(10)
-        .realizations(16)
+        .realizations(48)
         .seed(0x5EED)
         .build();
     let body = sweep_body(&cfg, &opts);
@@ -266,9 +266,12 @@ fn mid_sweep_deadline_returns_504_and_a_retry_resumes_from_persisted_rows() {
         transfer_truncation: 0.0,
         message_loss: 0.0,
     };
-    let intensities = [0.0, 1.0];
+    // Both rows are faulted: a fault-free row's trials stop replaying
+    // once their messages are done, so in a release build row 0 could
+    // finish inside the 400 ms deadline.
+    let intensities = [0.5, 1.0];
     let body = format!(
-        "{{\"config\":{},\"opts\":{},\"plan\":{},\"intensities\":[0.0,1.0]}}",
+        "{{\"config\":{},\"opts\":{},\"plan\":{},\"intensities\":[0.5,1.0]}}",
         serde_json::to_string(&cfg).unwrap(),
         serde_json::to_string(&opts).unwrap(),
         serde_json::to_string(&plan).unwrap(),
