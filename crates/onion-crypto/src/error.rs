@@ -27,6 +27,9 @@ pub enum CryptoError {
     EmptyRoute,
     /// A key for the requested group is not present in the keyring.
     UnknownGroup(u32),
+    /// The node lies outside the group structure, so it belongs to no
+    /// group and holds no key.
+    UnknownNode(u32),
     /// The requested padded size is too small for the onion content.
     PaddingTooSmall {
         /// Bytes needed by the layered content.
@@ -50,6 +53,9 @@ impl fmt::Display for CryptoError {
             CryptoError::MalformedOnion(what) => write!(f, "malformed onion packet: {what}"),
             CryptoError::EmptyRoute => write!(f, "onion route must contain at least one layer"),
             CryptoError::UnknownGroup(id) => write!(f, "no key for onion group {id}"),
+            CryptoError::UnknownNode(id) => {
+                write!(f, "node {id} is outside the onion group structure")
+            }
             CryptoError::PaddingTooSmall {
                 required,
                 requested,
@@ -79,6 +85,7 @@ mod tests {
             CryptoError::MalformedOnion("truncated"),
             CryptoError::EmptyRoute,
             CryptoError::UnknownGroup(7),
+            CryptoError::UnknownNode(100),
             CryptoError::PaddingTooSmall {
                 required: 100,
                 requested: 10,

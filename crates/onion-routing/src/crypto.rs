@@ -8,9 +8,11 @@
 //! custody chain — so the full ARDEN-style data path is exercised
 //! end-to-end in tests, examples, and benches.
 
+use std::sync::OnceLock;
+
 use contact_graph::NodeId;
 use onion_crypto::keys::derive_group_key;
-use onion_crypto::{CryptoError, GroupKeyring, OnionLayerSpec, RouteTarget};
+use onion_crypto::{AeadKey, CryptoError, GroupKeyring, OnionLayerSpec, RouteTarget};
 use rand::RngCore;
 
 use crate::groups::{GroupId, OnionGroups};
@@ -86,11 +88,15 @@ impl From<CryptoError> for WalkError {
 ///
 /// Stands in for ARDEN's ABE/IBC setup: all group keys derive from one
 /// network master secret, and each node's keyring holds exactly its own
-/// group's key.
+/// group's key. Like ARDEN's once-per-network setup, each group's key is
+/// derived (HKDF-SHA256) on first use and then kept, so builds and peels
+/// never re-derive it; a clone keeps the keys derived so far.
 #[derive(Clone)]
 pub struct OnionCryptoContext {
     master: [u8; 32],
     groups: OnionGroups,
+    /// `keys[g]` caches group `g`'s key, one slot per group id.
+    keys: Box<[OnceLock<AeadKey>]>,
 }
 
 impl std::fmt::Debug for OnionCryptoContext {
@@ -104,7 +110,12 @@ impl std::fmt::Debug for OnionCryptoContext {
 impl OnionCryptoContext {
     /// Creates the context from a master secret and group structure.
     pub fn new(master: [u8; 32], groups: OnionGroups) -> Self {
-        OnionCryptoContext { master, groups }
+        let keys = (0..groups.group_count()).map(|_| OnceLock::new()).collect();
+        OnionCryptoContext {
+            master,
+            groups,
+            keys,
+        }
     }
 
     /// The group structure.
@@ -112,21 +123,36 @@ impl OnionCryptoContext {
         &self.groups
     }
 
-    /// The keyring of `node`: exactly its own group's key.
+    /// The group of `node`, or `None` for a node outside the structure.
+    fn group_of(&self, node: NodeId) -> Option<GroupId> {
+        (node.index() < self.groups.node_count()).then(|| self.groups.group_of(node))
+    }
+
+    /// The keyring of `node`: exactly its own group's key. A node outside
+    /// the group structure has no group, so its keyring is empty.
     pub fn keyring_for(&self, node: NodeId) -> GroupKeyring {
-        let gid = self.groups.group_of(node);
-        GroupKeyring::for_groups(&self.master, [gid.0])
+        let mut ring = GroupKeyring::new();
+        if let Some(gid) = self.group_of(node) {
+            ring.insert(gid.0, self.group_key(gid));
+        }
+        ring
     }
 
     /// The AEAD key of onion group `group` — what every member of that
-    /// group holds in its keyring.
-    pub fn group_key(&self, group: GroupId) -> onion_crypto::AeadKey {
-        derive_group_key(&self.master, group.0)
+    /// group holds in its keyring. Derived on first use and cached; an id
+    /// past the group count has no slot and is derived on every call.
+    pub fn group_key(&self, group: GroupId) -> AeadKey {
+        match self.keys.get(group.index()) {
+            Some(slot) => slot
+                .get_or_init(|| derive_group_key(&self.master, group.0))
+                .clone(),
+            None => derive_group_key(&self.master, group.0),
+        }
     }
 
     /// Builds a constant-size wire packet ([`onion_crypto::wire`]) in
-    /// place over `route`, reusing `packet`'s buffer — no per-call
-    /// allocation beyond the transient layer-spec list.
+    /// place over `route`, reusing `packet`'s buffer and the cached group
+    /// keys — no per-call allocation beyond the transient layer-spec list.
     ///
     /// # Errors
     ///
@@ -144,28 +170,31 @@ impl OnionCryptoContext {
             .iter()
             .map(|&gid| OnionLayerSpec {
                 group: gid.0,
-                key: derive_group_key(&self.master, gid.0),
+                key: self.group_key(gid),
             })
             .collect();
         packet.build_into(&specs, destination.0, payload, rng)
     }
 
-    /// Peels one layer of a wire packet exactly as `relay` would: looks
-    /// up the relay's keyring and uses its own group's key, so a relay
-    /// outside the expected group fails authentication.
+    /// Peels one layer of a wire packet exactly as `relay` would: with
+    /// the key of its own group — the one key its keyring holds — so a
+    /// relay outside the expected group fails authentication.
     ///
     /// # Errors
     ///
-    /// Propagates [`CryptoError`] (wrong group, tampered packet).
+    /// [`CryptoError::UnknownNode`] if `relay` lies outside the group
+    /// structure (the packet is left untouched); otherwise propagates
+    /// [`CryptoError`] (wrong group, tampered packet).
     pub fn peel_wire_as<R: RngCore + ?Sized>(
         &self,
         packet: &mut onion_crypto::WirePacket,
         relay: NodeId,
         rng: &mut R,
     ) -> Result<onion_crypto::WirePeeled, CryptoError> {
-        let ring = self.keyring_for(relay);
-        let gid = self.groups.group_of(relay);
-        packet.peel_in_place(ring.key(gid.0)?, rng)
+        let gid = self
+            .group_of(relay)
+            .ok_or(CryptoError::UnknownNode(relay.0))?;
+        packet.peel_in_place(&self.group_key(gid), rng)
     }
 
     /// Replays a realized custody chain `[source, relay_1, …, relay_K,
@@ -189,7 +218,7 @@ impl OnionCryptoContext {
         if let Some((hop, &node)) = chain
             .iter()
             .enumerate()
-            .find(|(_, node)| node.index() >= self.groups.node_count())
+            .find(|(_, &node)| self.group_of(node).is_none())
         {
             return Err(WalkError::UnknownNode { hop, node });
         }
@@ -367,5 +396,34 @@ mod tests {
         assert_eq!(ring.len(), 1);
         assert!(ring.contains(2)); // node 5 is in R2
         assert!(!ring.contains(1));
+    }
+
+    #[test]
+    fn peel_as_node_outside_group_structure_is_a_typed_error() {
+        let ctx = context();
+        let mut rng = ChaCha8Rng::seed_from_u64(14);
+        let mut packet = onion_crypto::WirePacket::zeroed();
+        ctx.build_wire_into(&mut packet, &[GroupId(1)], NodeId(7), b"x", &mut rng)
+            .unwrap();
+        let before = packet.clone();
+        let err = ctx
+            .peel_wire_as(&mut packet, NodeId(100), &mut rng)
+            .unwrap_err();
+        assert_eq!(err, CryptoError::UnknownNode(100));
+        assert_eq!(
+            err.to_string(),
+            "node 100 is outside the onion group structure"
+        );
+        assert_eq!(packet, before, "the buffer is untouched");
+        // A member of R1 still peels the same packet.
+        assert!(ctx.peel_wire_as(&mut packet, NodeId(2), &mut rng).is_ok());
+    }
+
+    #[test]
+    fn keyring_of_node_outside_group_structure_is_empty() {
+        let ctx = context();
+        let ring = ctx.keyring_for(NodeId(100));
+        assert!(ring.is_empty());
+        assert_eq!(ring.key(0).unwrap_err(), CryptoError::UnknownGroup(0));
     }
 }

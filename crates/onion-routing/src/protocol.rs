@@ -63,7 +63,9 @@ fn pool_recycle(packet: WirePacket) {
 /// have been peeled (slot 0 = as built at the source). Only slots
 /// `0 .. K-1` are ever filled — they are the peel *sources* for transfers
 /// at hop tags `1 ..= K`; the fully peeled packet is cleartext at the last
-/// relay and needs no slot.
+/// relay and needs no slot. Multi-copy keeps every filled slot, since any
+/// copy may still peel from it; single-copy returns slot `k-1` to the pool
+/// right after the peel at hop `k`, so a message holds at most one packet.
 #[derive(Clone, Debug)]
 struct WireState {
     crypto: OnionCryptoContext,
@@ -433,6 +435,12 @@ impl RoutingProtocol for OnionRouting {
             .expect("the group key of R_k peels layer k by construction");
         counters.wire_packets_peeled += 1;
         counters.wire_aead_opens += 1;
+        if self.mode == ForwardingMode::SingleCopy {
+            // The message's only copy has just moved past hop k-1 (a
+            // handoff removes the carrier's copy; a lost transfer returned
+            // above), so no later transfer peels the depth-(k-1) packet.
+            pool_recycle(slots[tag - 1].take().expect("peel source present"));
+        }
         match peeled {
             WirePeeled::Forward { next } => {
                 debug_assert!(tag < depth, "forward target past the last layer");
@@ -834,6 +842,77 @@ mod tests {
         assert!(c.wire_packets_peeled + sprayed <= report.total_transmissions());
         assert_eq!(c.wire_packets_peeled, c.wire_aead_opens);
         assert!(c.wire_packets_peeled >= 1, "at least one route hop peeled");
+    }
+
+    /// Which canonical packet slots `p` still holds for `message`.
+    fn held_slots(p: &OnionRouting, message: MessageId) -> Vec<bool> {
+        let wire = p.wire.as_ref().expect("wire mode");
+        wire.packets[&message].iter().map(Option::is_some).collect()
+    }
+
+    #[test]
+    fn spent_single_copy_packets_return_to_the_pool() {
+        // Every pair meets once per round, for ten rounds.
+        let mut events = Vec::new();
+        let mut t = 1.0;
+        for _ in 0..10 {
+            for a in 0..8u32 {
+                for b in (a + 1)..8u32 {
+                    events.push((t, a, b));
+                    t += 0.01;
+                }
+            }
+            t += 1.0;
+        }
+        let s = schedule(events, t);
+        let messages = || vec![msg(1, 0, 7, t, 3), msg(2, 1, 5, t, 3)];
+
+        // Single copy: a delivered message holds no packet, and one in
+        // flight holds only the packet its copy will peel next.
+        let cfg = SimConfig::builder().wire_mode(true).build();
+        let mut p = proto(3, ForwardingMode::SingleCopy).with_wire(rng(31));
+        let report = run(&s, &mut p, messages(), &cfg, &mut rng(1)).unwrap();
+        assert_eq!(report.delivery_rate(), 1.0, "rich schedule delivers");
+        for id in [MessageId(1), MessageId(2)] {
+            assert_eq!(held_slots(&p, id), [false; 3], "{id}");
+        }
+
+        // Coded: every fragment is single-copy.
+        let cfg = SimConfig::builder()
+            .wire_mode(true)
+            .copy_mode(dtn_sim::CopyMode::Coded { k: 2, m: 3 })
+            .build();
+        let mut p = proto(3, ForwardingMode::SingleCopy)
+            .with_wire(rng(32))
+            .with_code(2, 3, rng(33));
+        let report = run(&s, &mut p, messages(), &cfg, &mut rng(2)).unwrap();
+        let delivered = &report.coded().expect("coded run").fragment_delivered;
+        assert_eq!(delivered.len(), 6, "rich schedule delivers every fragment");
+        for &fragment in delivered.keys() {
+            assert_eq!(held_slots(&p, fragment), [false; 3], "{fragment}");
+        }
+
+        // Multi-copy keeps every slot a copy reached: any other copy may
+        // still peel from it.
+        let cfg = SimConfig::builder().wire_mode(true).build();
+        let mut p = proto(3, ForwardingMode::MultiCopy).with_wire(rng(34));
+        let report = run(&s, &mut p, messages(), &cfg, &mut rng(3)).unwrap();
+        assert!(
+            report.delivery_rate() > 0.0,
+            "some copy went the whole route"
+        );
+        for id in [MessageId(1), MessageId(2)] {
+            let reached: Vec<bool> = (0..3u64)
+                .map(|d| {
+                    d == 0
+                        || report
+                            .forward_log()
+                            .iter()
+                            .any(|rec| rec.message == id && rec.receiver_tag == d)
+                })
+                .collect();
+            assert_eq!(held_slots(&p, id), reached, "{id}");
+        }
     }
 
     #[test]

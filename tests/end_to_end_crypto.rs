@@ -6,9 +6,11 @@
 //! master secret) and replay the realized chain: each relay peels its
 //! layer with *its own* keyring only.
 
+use onion_crypto::keys::derive_group_key;
+use onion_crypto::OnionLayerSpec;
 use onion_dtn::prelude::*;
-use onion_routing::WalkError;
-use rand::SeedableRng;
+use onion_routing::{GroupId, WalkError};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn simulate(seed: u64, copies: u32) -> (OnionRouting, SimReport, Vec<Message>) {
@@ -171,4 +173,90 @@ fn walk_rejects_chain_node_outside_group_structure() {
         }
     }
     assert!(checked > 0, "no delivered chain to corrupt");
+}
+
+#[test]
+fn context_crypto_is_the_explicit_key_crypto() {
+    // The context caches each group's key after first use. Its builds and
+    // peels must still be, byte for byte and word for word of the RNG,
+    // the packet-level calls with freshly HKDF-derived keys.
+    for seed in 0..4u64 {
+        let master = [seed as u8 ^ 0x3C; 32];
+        let mut setup = ChaCha8Rng::seed_from_u64(seed);
+        let groups = OnionGroups::random_partition(60, 4, &mut setup);
+        let ctx = OnionCryptoContext::new(master, groups.clone());
+        let cold_clone = ctx.clone();
+        for layers in 1..=5u64 {
+            let route = groups.select_route(layers as usize, &mut setup).unwrap();
+            let destination = NodeId(setup.gen_range(0..60));
+            let payload = format!("seed {seed}, {layers} layers").into_bytes();
+            let specs: Vec<OnionLayerSpec> = route
+                .iter()
+                .map(|g| OnionLayerSpec {
+                    group: g.0,
+                    key: derive_group_key(&master, g.0),
+                })
+                .collect();
+            let mut ctx_rng = ChaCha8Rng::seed_from_u64(100 * seed + layers);
+            let mut explicit_rng = ctx_rng.clone();
+            let mut via_ctx = WirePacket::zeroed();
+            ctx.build_wire_into(&mut via_ctx, &route, destination, &payload, &mut ctx_rng)
+                .unwrap();
+            let mut explicit = WirePacket::zeroed();
+            explicit
+                .build_into(&specs, destination.0, &payload, &mut explicit_rng)
+                .unwrap();
+            assert_eq!(
+                via_ctx.as_bytes(),
+                explicit.as_bytes(),
+                "seed {seed}, build"
+            );
+            assert_eq!(
+                ctx_rng.next_u64(),
+                explicit_rng.next_u64(),
+                "RNG after build"
+            );
+
+            // Each layer is peeled by some member of its group.
+            for (layer, group) in route.iter().enumerate() {
+                let members = groups.members(*group);
+                let relay = members[(seed as usize + layer) % members.len()];
+                let got = ctx.peel_wire_as(&mut via_ctx, relay, &mut ctx_rng);
+                let want =
+                    explicit.peel_in_place(&derive_group_key(&master, group.0), &mut explicit_rng);
+                assert_eq!(got, want, "seed {seed}, layer {layer}");
+                assert!(got.is_ok(), "seed {seed}, layer {layer}");
+                assert_eq!(
+                    via_ctx.as_bytes(),
+                    explicit.as_bytes(),
+                    "seed {seed}, layer {layer}"
+                );
+                assert_eq!(
+                    ctx_rng.next_u64(),
+                    explicit_rng.next_u64(),
+                    "RNG after peel"
+                );
+            }
+        }
+
+        // Every group's key, cold or warm, cloned or not, and ids past the
+        // group count, which have no cache slot.
+        let warm_clone = ctx.clone();
+        for g in 0..groups.group_count() as u32 + 3 {
+            let want = derive_group_key(&master, g);
+            for (which, c) in [
+                ("context", &ctx),
+                ("cold clone", &cold_clone),
+                ("warm clone", &warm_clone),
+            ] {
+                assert_eq!(c.group_key(GroupId(g)), want, "seed {seed}, {which}, R{g}");
+            }
+        }
+        for node in 0..60 {
+            let gid = groups.group_of(NodeId(node)).0;
+            let ring = ctx.keyring_for(NodeId(node));
+            assert_eq!(ring.group_ids().collect::<Vec<_>>(), [gid]);
+            assert_eq!(ring.key(gid).unwrap(), &derive_group_key(&master, gid));
+        }
+    }
 }
