@@ -66,20 +66,26 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
 ///
 /// # Panics
 ///
-/// Panics if the message is long enough to overflow the 32-bit block counter
-/// (≥ 256 GiB), which cannot occur for onion payloads.
+/// Panics if the message needs a block past counter 2³²−1, which cannot
+/// occur for onion payloads. Block 2³²−1 itself is valid (RFC 8439).
 pub fn xor_in_place(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
     let mut ctr = counter;
-    for chunk in data.chunks_mut(64) {
+    for (i, chunk) in data.chunks_mut(64).enumerate() {
+        if i > 0 {
+            ctr = ctr.checked_add(1).expect("ChaCha20 block counter overflow");
+        }
         let ks = block(key, ctr, nonce);
         for (b, k) in chunk.iter_mut().zip(ks.iter()) {
             *b ^= k;
         }
-        ctr = ctr.checked_add(1).expect("ChaCha20 block counter overflow");
     }
 }
 
 /// Convenience wrapper returning a new buffer instead of mutating in place.
+///
+/// # Panics
+///
+/// As [`xor_in_place`]: if the message needs a block past counter 2³²−1.
 pub fn xor(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &[u8]) -> Vec<u8> {
     let mut out = data.to_vec();
     xor_in_place(key, nonce, counter, &mut out);
@@ -148,6 +154,22 @@ only one tip for the future, sunscreen would be it.";
         let mut in_place = data.clone();
         xor_in_place(&key, &nonce, 0, &mut in_place);
         assert_eq!(copied, in_place);
+    }
+
+    #[test]
+    fn last_counter_block_is_valid() {
+        let key = key_0_31();
+        let nonce = [3u8; 12];
+        let mut data = [0u8; 64];
+        xor_in_place(&key, &nonce, u32::MAX, &mut data);
+        assert_eq!(data, block(&key, u32::MAX, &nonce));
+        assert_eq!(xor(&key, &nonce, u32::MAX, &[0; 64]), data);
+    }
+
+    #[test]
+    #[should_panic(expected = "ChaCha20 block counter overflow")]
+    fn block_past_last_counter_panics() {
+        xor_in_place(&key_0_31(), &[3u8; 12], u32::MAX, &mut [0u8; 65]);
     }
 
     #[test]

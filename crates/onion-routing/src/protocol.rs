@@ -773,6 +773,22 @@ mod tests {
     }
 
     #[test]
+    fn debug_prints_no_wire_key_or_master_secret() {
+        let seed = [0xA5; 32];
+        let mut master = [0u8; 32];
+        ChaCha8Rng::from_seed(seed).fill_bytes(&mut master);
+        let p = proto(2, ForwardingMode::SingleCopy).with_wire(ChaCha8Rng::from_seed(seed));
+        let shown = format!("{p:?} {p:#?}");
+        let key_word = u32::from_le_bytes([0xA5; 4]);
+        let master_words = master
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
+        for word in std::iter::once(key_word).chain(master_words) {
+            assert!(!shown.contains(&word.to_string()), "{word} in {shown}");
+        }
+    }
+
+    #[test]
     fn wire_mode_matches_abstract_run_and_counts_crypto() {
         let s = rich_schedule();
         let mut p0 = proto(2, ForwardingMode::SingleCopy);
