@@ -146,12 +146,6 @@ impl<'de> Deserialize<'de> for CopyMode {
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct SimConfig {
-    /// Whether to keep the full forwarding log (needed for path
-    /// reconstruction; disable only for throughput benchmarks).
-    pub record_forwarding: bool,
-    /// Whether a node that has already carried a message refuses to accept
-    /// it again (summary-vector behaviour; prevents ping-pong forwarding).
-    pub reject_seen: bool,
     /// Per-node buffer capacity in messages; `None` models the paper's
     /// unlimited buffers.
     pub buffer_capacity: Option<usize>,
@@ -174,8 +168,8 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// Starts a builder at the defaults (the paper's Table II engine
-    /// settings: forwarding log on, summary vectors on, unlimited
-    /// buffers, abstract transfers, replica redundancy).
+    /// settings: unlimited buffers, abstract transfers, replica
+    /// redundancy).
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder::default()
     }
@@ -190,8 +184,6 @@ impl SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            record_forwarding: true,
-            reject_seen: true,
             buffer_capacity: None,
             drop_policy: DropPolicy::DropIncoming,
             wire_mode: false,
@@ -208,18 +200,6 @@ pub struct SimConfigBuilder {
 }
 
 impl SimConfigBuilder {
-    /// Sets [`SimConfig::record_forwarding`].
-    pub fn record_forwarding(mut self, v: bool) -> Self {
-        self.cfg.record_forwarding = v;
-        self
-    }
-
-    /// Sets [`SimConfig::reject_seen`].
-    pub fn reject_seen(mut self, v: bool) -> Self {
-        self.cfg.reject_seen = v;
-        self
-    }
-
     /// Sets [`SimConfig::buffer_capacity`].
     pub fn buffer_capacity(mut self, v: Option<usize>) -> Self {
         self.cfg.buffer_capacity = v;
@@ -1420,8 +1400,6 @@ where
         delivered_out,
         transmissions_out,
         std::mem::take(&mut state.forward_log),
-        state.counters.rejected_forwards,
-        state.counters.buffer_drops,
         Some(state.counters),
     );
     if let Some(outcome) = coded_out {
@@ -1538,7 +1516,7 @@ fn apply<P>(
         // Never forward to a node already holding or having held the copy.
         let peer_holds = buf_find(&state.buffers[peer.index()], fwd.message).is_ok();
         let peer_seen = state.seen_contains(peer, rank);
-        if peer_holds || (config.reject_seen && peer_seen && peer != destination) {
+        if peer_holds || (peer_seen && peer != destination) {
             state.counters.rejected_forwards += 1;
             continue;
         }
@@ -1614,15 +1592,13 @@ fn apply<P>(
                 node: peer.0 as u64,
             });
         }
-        if config.record_forwarding {
-            state.forward_log.push(ForwardRecord {
-                time: now,
-                message: fwd.message,
-                from: carrier,
-                to: peer,
-                receiver_tag: fwd.receiver_tag,
-            });
-        }
+        state.forward_log.push(ForwardRecord {
+            time: now,
+            message: fwd.message,
+            from: carrier,
+            to: peer,
+            receiver_tag: fwd.receiver_tag,
+        });
         state.seen_insert(peer, rank);
 
         if peer == destination {
@@ -1914,25 +1890,6 @@ mod tests {
         assert_eq!(report.delivery_time(MessageId(1)), Some(Time::new(3.0)));
         // The t=4 transfer to the destination was suppressed.
         assert_eq!(report.transmissions_for(MessageId(1)), 3);
-    }
-
-    #[test]
-    fn forwarding_log_disabled() {
-        let s = schedule(vec![(1.0, 0, 1)], 2, 10.0);
-        let cfg = SimConfig {
-            record_forwarding: false,
-            ..SimConfig::default()
-        };
-        let report = run(
-            &s,
-            &mut Flood,
-            vec![msg(1, 0, 1, 0.0, 10.0)],
-            &cfg,
-            &mut rng(),
-        )
-        .unwrap();
-        assert!(report.forward_log().is_empty());
-        assert_eq!(report.delivery_rate(), 1.0);
     }
 
     #[test]
@@ -2945,13 +2902,10 @@ mod calendar_tests {
     #[test]
     fn sim_config_builder_matches_literals() {
         let built = SimConfig::builder()
-            .record_forwarding(false)
             .buffer_capacity(Some(8))
             .drop_policy(DropPolicy::DropOldest)
             .copy_mode(CopyMode::Coded { k: 2, m: 3 })
             .build();
-        assert!(!built.record_forwarding);
-        assert!(built.reject_seen);
         assert_eq!(built.buffer_capacity, Some(8));
         assert_eq!(built.drop_policy, DropPolicy::DropOldest);
         assert_eq!(built.copy_mode, CopyMode::Coded { k: 2, m: 3 });

@@ -62,5 +62,5 @@ pub use message::{
 };
 pub use protocol::{ContactView, Forward, ForwardKind, RoutingProtocol};
 pub use report::{CodedOutcome, ForwardRecord, SimCounters, SimReport};
-pub use stats::{ReportAggregate, StreamingStats};
+pub use stats::StreamingStats;
 pub use workload::{random_contact_time, random_endpoints, WorkloadBuilder};

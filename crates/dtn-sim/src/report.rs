@@ -23,331 +23,186 @@ pub struct ForwardRecord {
     pub receiver_tag: u64,
 }
 
-/// Deterministic event tallies from one simulation run.
-///
-/// Every field is an exact integer count derived purely from the
-/// simulated events, so counters are bit-identical across thread counts
-/// and telemetry settings — safe to carry inside results that the
-/// determinism suite compares. The engine always fills them (a handful
-/// of integer increments per event); mirroring into the global `obs`
-/// registry only happens when metrics are enabled.
-///
-/// The `wire_*` tallies are only nonzero in wire mode
-/// (`SimConfig::wire_mode`), where every forward moves a real
-/// constant-size ciphertext packet, and the coded tallies
-/// (`fragments_*`, `decode_*`) only in coded mode
-/// (`SimConfig::copy_mode`). Both groups serialize only when nonzero, so
-/// abstract-mode reports (including the committed goldens) keep their
-/// exact historical byte layout.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimCounters {
-    /// Contact events processed from the schedule.
-    pub contacts: u64,
-    /// Successful forwards that moved custody ([`ForwardKind::Handoff`]).
+/// When a [`SimCounters`] tally appears in its JSON form.
+#[derive(Clone, Copy, PartialEq)]
+enum Group {
+    /// Always written, and required when read.
+    Always,
+    /// Written only when some wire tally is nonzero; zero when absent.
+    Wire,
+    /// Written only when some coded tally is nonzero; zero when absent.
+    Coded,
+}
+
+/// Declares every [`SimCounters`] tally once — its field, doc, `obs`
+/// name (under the caller's prefix) and serialization [`Group`] — and
+/// generates the struct, `merge`, `for_each_named` and the serde impls
+/// from that one list, so a new tally is a one-entry change.
+macro_rules! sim_counters {
+    (
+        $(#[$outer:meta])*
+        pub struct SimCounters {
+            $( $(#[$doc:meta])* $field:ident: $name:literal, $group:ident; )*
+        }
+    ) => {
+        $(#[$outer])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct SimCounters {
+            $( $(#[$doc])* pub $field: u64, )*
+        }
+
+        impl SimCounters {
+            /// Adds every tally of `other` into `self` (associative and
+            /// commutative, like plain integer sums).
+            pub fn merge(&mut self, other: &SimCounters) {
+                $( self.$field += other.$field; )*
+            }
+
+            /// Visits each `(name, value)` pair under the given prefix, in
+            /// a fixed order — how counters are mirrored into the `obs`
+            /// registry.
+            pub fn for_each_named(&self, prefix: &str, mut f: impl FnMut(&str, u64)) {
+                $( f(&format!("{prefix}.{}", $name), self.$field); )*
+            }
+
+            /// Whether any tally of `group` is nonzero.
+            fn any_in(&self, group: Group) -> bool {
+                false $( || (Group::$group == group && self.$field != 0) )*
+            }
+        }
+
+        // The always-group fields serialize in declaration order (the
+        // historical derived layout, byte for byte), then each optional
+        // group when one of its tallies is nonzero, so abstract-mode
+        // reports — the committed goldens among them — keep their layout.
+        impl Serialize for SimCounters {
+            fn to_value(&self) -> serde::Value {
+                let (wire, coded) = (self.any_in(Group::Wire), self.any_in(Group::Coded));
+                let shown = |group| match group {
+                    Group::Always => true,
+                    Group::Wire => wire,
+                    Group::Coded => coded,
+                };
+                let mut fields = Vec::new();
+                $(
+                    if shown(Group::$group) {
+                        fields.push((stringify!($field).into(), serde::Value::UInt(self.$field)));
+                    }
+                )*
+                serde::Value::Object(fields)
+            }
+        }
+
+        impl<'de> Deserialize<'de> for SimCounters {
+            fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+                let read = |name: &str, group: Group| match value.get(name) {
+                    Some(v) => u64::from_value(v),
+                    None if group != Group::Always => Ok(0),
+                    None => Err(serde::DeError::new(format!(
+                        "SimCounters: missing field {name}"
+                    ))),
+                };
+                Ok(SimCounters {
+                    $( $field: read(stringify!($field), Group::$group)?, )*
+                })
+            }
+        }
+    };
+}
+
+sim_counters! {
+    /// Deterministic event tallies from one simulation run.
     ///
-    /// [`ForwardKind::Handoff`]: crate::protocol::ForwardKind::Handoff
-    pub forwards_handoff: u64,
-    /// Successful forwards that split tickets ([`ForwardKind::Split`]).
+    /// Every field is an exact integer count derived purely from the
+    /// simulated events, so counters are bit-identical across thread
+    /// counts and telemetry settings — safe to carry inside results that
+    /// the determinism suite compares. The engine always fills them (a
+    /// handful of integer increments per event); mirroring into the
+    /// global `obs` registry only happens when metrics are enabled.
     ///
-    /// [`ForwardKind::Split`]: crate::protocol::ForwardKind::Split
-    pub forwards_split: u64,
-    /// Successful forwards that replicated ([`ForwardKind::Replicate`]).
-    ///
-    /// [`ForwardKind::Replicate`]: crate::protocol::ForwardKind::Replicate
-    pub forwards_replicate: u64,
-    /// Forwards the engine refused (invalid proposal, peer already had
-    /// the copy, or already delivered).
-    pub rejected_forwards: u64,
-    /// Copies dropped or refused because of finite buffers.
-    pub buffer_drops: u64,
-    /// Subset of `buffer_drops` where an older copy was evicted to admit
-    /// a new one (`DropPolicy::DropOldest`).
-    pub buffer_evictions: u64,
-    /// Buffered copies discarded because their deadline passed.
-    pub deadline_expiries: u64,
-    /// Messages injected into the network.
-    pub injected: u64,
-    /// Messages delivered within their deadlines.
-    pub delivered: u64,
-    /// Injected messages that were never delivered in time.
-    pub expired: u64,
-    /// Injected node crashes whose buffer wipe was applied
-    /// ([`FaultPlan`] churn).
-    ///
-    /// [`FaultPlan`]: crate::faults::FaultPlan
-    pub fault_crashes: u64,
-    /// Scheduled contacts suppressed by fault injection (a down endpoint
-    /// or an i.i.d. contact failure).
-    pub fault_contacts_dropped: u64,
-    /// Planned transfers cancelled because a contact window closed early
-    /// (mid-transfer truncation).
-    pub fault_transfers_truncated: u64,
-    /// Buffered copies destroyed by crash wipes.
-    pub fault_buffer_wipes: u64,
-    /// Committed transfers whose copy was lost in flight (the sender
-    /// paid the transmission, the receiver got nothing).
-    pub fault_messages_lost: u64,
-    /// Wire mode: constant-size packets built at injection time.
-    pub wire_packets_built: u64,
-    /// Wire mode: layers peeled off real packets by receiving relays.
-    pub wire_packets_peeled: u64,
-    /// Wire mode: actual bytes moved by committed transfers (every
-    /// transfer costs exactly one full packet, including lost ones —
-    /// the sender pays either way).
-    pub wire_bytes_sent: u64,
-    /// Wire mode: AEAD seal operations (route length per packet built).
-    pub wire_aead_seals: u64,
-    /// Wire mode: AEAD open operations (one per successful peel).
-    pub wire_aead_opens: u64,
-    /// Coded mode: Reed-Solomon fragments injected (m per message).
-    pub fragments_injected: u64,
-    /// Coded mode: distinct fragments that reached their destination.
-    pub fragments_delivered: u64,
-    /// Coded mode: messages whose k-th fragment arrival decoded back to
-    /// the original payload.
-    pub decode_successes: u64,
-    /// Coded mode: decode attempts that failed or mismatched the
-    /// original payload (0 in a fault-free run).
-    pub decode_failures: u64,
+    /// The `wire_*` tallies are only nonzero in wire mode
+    /// (`SimConfig::wire_mode`), where every forward moves a real
+    /// constant-size ciphertext packet, and the coded tallies
+    /// (`fragments_*`, `decode_*`) only in coded mode
+    /// (`SimConfig::copy_mode`). Both groups serialize only when nonzero,
+    /// so abstract-mode reports (including the committed goldens) keep
+    /// their exact historical byte layout.
+    pub struct SimCounters {
+        /// Contact events processed from the schedule.
+        contacts: "contacts", Always;
+        /// Successful forwards that moved custody ([`ForwardKind::Handoff`]).
+        ///
+        /// [`ForwardKind::Handoff`]: crate::protocol::ForwardKind::Handoff
+        forwards_handoff: "forwards_handoff", Always;
+        /// Successful forwards that split tickets ([`ForwardKind::Split`]).
+        ///
+        /// [`ForwardKind::Split`]: crate::protocol::ForwardKind::Split
+        forwards_split: "forwards_split", Always;
+        /// Successful forwards that replicated ([`ForwardKind::Replicate`]).
+        ///
+        /// [`ForwardKind::Replicate`]: crate::protocol::ForwardKind::Replicate
+        forwards_replicate: "forwards_replicate", Always;
+        /// Forwards the engine refused (invalid proposal, peer already had
+        /// the copy, or already delivered).
+        rejected_forwards: "rejected_forwards", Always;
+        /// Copies dropped or refused because of finite buffers.
+        buffer_drops: "buffer_drops", Always;
+        /// Subset of `buffer_drops` where an older copy was evicted to admit
+        /// a new one (`DropPolicy::DropOldest`).
+        buffer_evictions: "buffer_evictions", Always;
+        /// Buffered copies discarded because their deadline passed.
+        deadline_expiries: "deadline_expiries", Always;
+        /// Messages injected into the network.
+        injected: "injected", Always;
+        /// Messages delivered within their deadlines.
+        delivered: "delivered", Always;
+        /// Injected messages that were never delivered in time.
+        expired: "expired", Always;
+        /// Injected node crashes whose buffer wipe was applied
+        /// ([`FaultPlan`] churn).
+        ///
+        /// [`FaultPlan`]: crate::faults::FaultPlan
+        fault_crashes: "faults.crashes", Always;
+        /// Scheduled contacts suppressed by fault injection (a down endpoint
+        /// or an i.i.d. contact failure).
+        fault_contacts_dropped: "faults.contacts_dropped", Always;
+        /// Planned transfers cancelled because a contact window closed early
+        /// (mid-transfer truncation).
+        fault_transfers_truncated: "faults.transfers_truncated", Always;
+        /// Buffered copies destroyed by crash wipes.
+        fault_buffer_wipes: "faults.buffer_wipes", Always;
+        /// Committed transfers whose copy was lost in flight (the sender
+        /// paid the transmission, the receiver got nothing).
+        fault_messages_lost: "faults.messages_lost", Always;
+        /// Wire mode: constant-size packets built at injection time.
+        wire_packets_built: "wire.packets_built", Wire;
+        /// Wire mode: layers peeled off real packets by receiving relays.
+        wire_packets_peeled: "wire.packets_peeled", Wire;
+        /// Wire mode: actual bytes moved by committed transfers (every
+        /// transfer costs exactly one full packet, including lost ones —
+        /// the sender pays either way).
+        wire_bytes_sent: "wire.bytes_sent", Wire;
+        /// Wire mode: AEAD seal operations (route length per packet built).
+        wire_aead_seals: "wire.aead_seals", Wire;
+        /// Wire mode: AEAD open operations (one per successful peel).
+        wire_aead_opens: "wire.aead_opens", Wire;
+        /// Coded mode: Reed-Solomon fragments injected (m per message).
+        fragments_injected: "coded.fragments_injected", Coded;
+        /// Coded mode: distinct fragments that reached their destination.
+        fragments_delivered: "coded.fragments_delivered", Coded;
+        /// Coded mode: messages whose k-th fragment arrival decoded back to
+        /// the original payload.
+        decode_successes: "coded.decode_successes", Coded;
+        /// Coded mode: decode attempts that failed or mismatched the
+        /// original payload (0 in a fault-free run).
+        decode_failures: "coded.decode_failures", Coded;
+    }
 }
 
 impl SimCounters {
     /// Total successful forwards across all kinds.
     pub fn total_forwards(&self) -> u64 {
         self.forwards_handoff + self.forwards_split + self.forwards_replicate
-    }
-
-    /// Adds every tally of `other` into `self` (associative and
-    /// commutative, like plain integer sums).
-    pub fn merge(&mut self, other: &SimCounters) {
-        self.contacts += other.contacts;
-        self.forwards_handoff += other.forwards_handoff;
-        self.forwards_split += other.forwards_split;
-        self.forwards_replicate += other.forwards_replicate;
-        self.rejected_forwards += other.rejected_forwards;
-        self.buffer_drops += other.buffer_drops;
-        self.buffer_evictions += other.buffer_evictions;
-        self.deadline_expiries += other.deadline_expiries;
-        self.injected += other.injected;
-        self.delivered += other.delivered;
-        self.expired += other.expired;
-        self.fault_crashes += other.fault_crashes;
-        self.fault_contacts_dropped += other.fault_contacts_dropped;
-        self.fault_transfers_truncated += other.fault_transfers_truncated;
-        self.fault_buffer_wipes += other.fault_buffer_wipes;
-        self.fault_messages_lost += other.fault_messages_lost;
-        self.wire_packets_built += other.wire_packets_built;
-        self.wire_packets_peeled += other.wire_packets_peeled;
-        self.wire_bytes_sent += other.wire_bytes_sent;
-        self.wire_aead_seals += other.wire_aead_seals;
-        self.wire_aead_opens += other.wire_aead_opens;
-        self.fragments_injected += other.fragments_injected;
-        self.fragments_delivered += other.fragments_delivered;
-        self.decode_successes += other.decode_successes;
-        self.decode_failures += other.decode_failures;
-    }
-
-    /// Visits each `(name, value)` pair under the given prefix, in a
-    /// fixed order — how counters are mirrored into the `obs` registry.
-    pub fn for_each_named(&self, prefix: &str, mut f: impl FnMut(&str, u64)) {
-        let entries = [
-            ("contacts", self.contacts),
-            ("forwards_handoff", self.forwards_handoff),
-            ("forwards_split", self.forwards_split),
-            ("forwards_replicate", self.forwards_replicate),
-            ("rejected_forwards", self.rejected_forwards),
-            ("buffer_drops", self.buffer_drops),
-            ("buffer_evictions", self.buffer_evictions),
-            ("deadline_expiries", self.deadline_expiries),
-            ("injected", self.injected),
-            ("delivered", self.delivered),
-            ("expired", self.expired),
-            ("faults.crashes", self.fault_crashes),
-            ("faults.contacts_dropped", self.fault_contacts_dropped),
-            ("faults.transfers_truncated", self.fault_transfers_truncated),
-            ("faults.buffer_wipes", self.fault_buffer_wipes),
-            ("faults.messages_lost", self.fault_messages_lost),
-            ("wire.packets_built", self.wire_packets_built),
-            ("wire.packets_peeled", self.wire_packets_peeled),
-            ("wire.bytes_sent", self.wire_bytes_sent),
-            ("wire.aead_seals", self.wire_aead_seals),
-            ("wire.aead_opens", self.wire_aead_opens),
-            ("coded.fragments_injected", self.fragments_injected),
-            ("coded.fragments_delivered", self.fragments_delivered),
-            ("coded.decode_successes", self.decode_successes),
-            ("coded.decode_failures", self.decode_failures),
-        ];
-        for (name, value) in entries {
-            f(&format!("{prefix}.{name}"), value);
-        }
-    }
-
-    fn any_wire(&self) -> bool {
-        self.wire_packets_built
-            | self.wire_packets_peeled
-            | self.wire_bytes_sent
-            | self.wire_aead_seals
-            | self.wire_aead_opens
-            != 0
-    }
-
-    fn any_coded(&self) -> bool {
-        self.fragments_injected
-            | self.fragments_delivered
-            | self.decode_successes
-            | self.decode_failures
-            != 0
-    }
-}
-
-// Hand-written serde: the sixteen abstract-mode fields always serialize
-// (in declaration order, matching the historical derived layout byte for
-// byte), while the wire and coded field groups each appear only when one
-// of their tallies is nonzero. That keeps the committed abstract-mode
-// goldens valid while letting wire- and coded-mode reports carry their
-// extra tallies.
-impl Serialize for SimCounters {
-    fn to_value(&self) -> serde::Value {
-        let mut fields: Vec<(String, serde::Value)> = vec![
-            ("contacts".into(), serde::Value::UInt(self.contacts)),
-            (
-                "forwards_handoff".into(),
-                serde::Value::UInt(self.forwards_handoff),
-            ),
-            (
-                "forwards_split".into(),
-                serde::Value::UInt(self.forwards_split),
-            ),
-            (
-                "forwards_replicate".into(),
-                serde::Value::UInt(self.forwards_replicate),
-            ),
-            (
-                "rejected_forwards".into(),
-                serde::Value::UInt(self.rejected_forwards),
-            ),
-            ("buffer_drops".into(), serde::Value::UInt(self.buffer_drops)),
-            (
-                "buffer_evictions".into(),
-                serde::Value::UInt(self.buffer_evictions),
-            ),
-            (
-                "deadline_expiries".into(),
-                serde::Value::UInt(self.deadline_expiries),
-            ),
-            ("injected".into(), serde::Value::UInt(self.injected)),
-            ("delivered".into(), serde::Value::UInt(self.delivered)),
-            ("expired".into(), serde::Value::UInt(self.expired)),
-            (
-                "fault_crashes".into(),
-                serde::Value::UInt(self.fault_crashes),
-            ),
-            (
-                "fault_contacts_dropped".into(),
-                serde::Value::UInt(self.fault_contacts_dropped),
-            ),
-            (
-                "fault_transfers_truncated".into(),
-                serde::Value::UInt(self.fault_transfers_truncated),
-            ),
-            (
-                "fault_buffer_wipes".into(),
-                serde::Value::UInt(self.fault_buffer_wipes),
-            ),
-            (
-                "fault_messages_lost".into(),
-                serde::Value::UInt(self.fault_messages_lost),
-            ),
-        ];
-        if self.any_wire() {
-            fields.push((
-                "wire_packets_built".into(),
-                serde::Value::UInt(self.wire_packets_built),
-            ));
-            fields.push((
-                "wire_packets_peeled".into(),
-                serde::Value::UInt(self.wire_packets_peeled),
-            ));
-            fields.push((
-                "wire_bytes_sent".into(),
-                serde::Value::UInt(self.wire_bytes_sent),
-            ));
-            fields.push((
-                "wire_aead_seals".into(),
-                serde::Value::UInt(self.wire_aead_seals),
-            ));
-            fields.push((
-                "wire_aead_opens".into(),
-                serde::Value::UInt(self.wire_aead_opens),
-            ));
-        }
-        if self.any_coded() {
-            fields.push((
-                "fragments_injected".into(),
-                serde::Value::UInt(self.fragments_injected),
-            ));
-            fields.push((
-                "fragments_delivered".into(),
-                serde::Value::UInt(self.fragments_delivered),
-            ));
-            fields.push((
-                "decode_successes".into(),
-                serde::Value::UInt(self.decode_successes),
-            ));
-            fields.push((
-                "decode_failures".into(),
-                serde::Value::UInt(self.decode_failures),
-            ));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl<'de> Deserialize<'de> for SimCounters {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        fn required(value: &serde::Value, name: &str) -> Result<u64, serde::DeError> {
-            match value.get(name) {
-                Some(v) => u64::from_value(v),
-                None => Err(serde::DeError::new(format!(
-                    "SimCounters: missing field {name}"
-                ))),
-            }
-        }
-        // Wire fields are absent from abstract-mode (and pre-wire)
-        // reports; they default to zero.
-        fn optional(value: &serde::Value, name: &str) -> Result<u64, serde::DeError> {
-            match value.get(name) {
-                Some(v) => u64::from_value(v),
-                None => Ok(0),
-            }
-        }
-        Ok(SimCounters {
-            contacts: required(value, "contacts")?,
-            forwards_handoff: required(value, "forwards_handoff")?,
-            forwards_split: required(value, "forwards_split")?,
-            forwards_replicate: required(value, "forwards_replicate")?,
-            rejected_forwards: required(value, "rejected_forwards")?,
-            buffer_drops: required(value, "buffer_drops")?,
-            buffer_evictions: required(value, "buffer_evictions")?,
-            deadline_expiries: required(value, "deadline_expiries")?,
-            injected: required(value, "injected")?,
-            delivered: required(value, "delivered")?,
-            expired: required(value, "expired")?,
-            fault_crashes: required(value, "fault_crashes")?,
-            fault_contacts_dropped: required(value, "fault_contacts_dropped")?,
-            fault_transfers_truncated: required(value, "fault_transfers_truncated")?,
-            fault_buffer_wipes: required(value, "fault_buffer_wipes")?,
-            fault_messages_lost: required(value, "fault_messages_lost")?,
-            wire_packets_built: optional(value, "wire_packets_built")?,
-            wire_packets_peeled: optional(value, "wire_packets_peeled")?,
-            wire_bytes_sent: optional(value, "wire_bytes_sent")?,
-            wire_aead_seals: optional(value, "wire_aead_seals")?,
-            wire_aead_opens: optional(value, "wire_aead_opens")?,
-            fragments_injected: optional(value, "fragments_injected")?,
-            fragments_delivered: optional(value, "fragments_delivered")?,
-            decode_successes: optional(value, "decode_successes")?,
-            decode_failures: optional(value, "decode_failures")?,
-        })
     }
 }
 
@@ -392,14 +247,11 @@ pub struct SimReport {
     delivered: BTreeMap<MessageId, Time>,
     transmissions: BTreeMap<MessageId, u64>,
     forward_log: Vec<ForwardRecord>,
-    rejected_forwards: u64,
-    buffer_drops: u64,
     counters: Option<SimCounters>,
     coded: Option<CodedOutcome>,
 }
 
 impl SimReport {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         protocol: String,
         messages: Vec<Message>,
@@ -407,8 +259,6 @@ impl SimReport {
         delivered: BTreeMap<MessageId, Time>,
         transmissions: BTreeMap<MessageId, u64>,
         forward_log: Vec<ForwardRecord>,
-        rejected_forwards: u64,
-        buffer_drops: u64,
         counters: Option<SimCounters>,
     ) -> Self {
         SimReport {
@@ -418,8 +268,6 @@ impl SimReport {
             delivered,
             transmissions,
             forward_log,
-            rejected_forwards,
-            buffer_drops,
             counters,
             coded: None,
         }
@@ -555,7 +403,7 @@ impl SimReport {
         self.total_transmissions() as f64 / self.injected.len() as f64
     }
 
-    /// The full forwarding log (empty if recording was disabled).
+    /// The full forwarding log: every committed transfer, in order.
     pub fn forward_log(&self) -> &[ForwardRecord] {
         &self.forward_log
     }
@@ -563,12 +411,12 @@ impl SimReport {
     /// Forwards the engine refused (protocol proposed an invalid transfer
     /// or the receiver already had the copy).
     pub fn rejected_forwards(&self) -> u64 {
-        self.rejected_forwards
+        self.counters.map_or(0, |c| c.rejected_forwards)
     }
 
     /// Copies dropped (or refused) because of finite buffers.
     pub fn buffer_drops(&self) -> u64 {
-        self.buffer_drops
+        self.counters.map_or(0, |c| c.buffer_drops)
     }
 
     /// The full per-run event tallies, when the engine produced them
@@ -584,7 +432,7 @@ impl SimReport {
 
     /// Reconstructs the custody chain of the copy that was delivered:
     /// `[source, relay_1, …, destination]`. `None` if the message was not
-    /// delivered or the forwarding log was disabled.
+    /// delivered.
     ///
     /// For multi-copy runs this traces the *winning* copy backwards from
     /// the delivery record.
@@ -596,7 +444,7 @@ impl SimReport {
 
     /// Custody chain of one delivered fragment of a coded-mode run:
     /// `[source, relay_1, …, destination]`. `None` if the fragment was
-    /// not delivered, the run was not coded, or the log was disabled.
+    /// not delivered or the run was not coded.
     pub fn fragment_path(&self, fragment: MessageId) -> Option<Vec<NodeId>> {
         let coded = self.coded.as_ref()?;
         let delivery_time = coded.fragment_delivered.get(&fragment).copied()?;
@@ -706,9 +554,10 @@ mod tests {
             delivered,
             transmissions,
             log,
-            3,
-            0,
-            None,
+            Some(SimCounters {
+                rejected_forwards: 3,
+                ..SimCounters::default()
+            }),
         )
     }
 
@@ -773,8 +622,6 @@ mod tests {
             BTreeMap::new(),
             BTreeMap::new(),
             vec![],
-            0,
-            0,
             None,
         );
         assert_eq!(r.delivery_rate(), 0.0);

@@ -7,14 +7,8 @@
 //! merge into the exact same state as a serial pass *when merged in a
 //! fixed order* — the contract the parallel experiment runner relies on
 //! for bit-identical reports regardless of thread count.
-//!
-//! [`ReportAggregate`] composes several `StreamingStats` into a
-//! per-figure summary over many [`SimReport`]s: delivery rate,
-//! transmissions per message, and end-to-end delay.
 
 use serde::{Deserialize, Serialize};
-
-use crate::report::{SimCounters, SimReport};
 
 /// Welford-style single-pass accumulator for mean/variance/min/max.
 ///
@@ -113,96 +107,6 @@ impl StreamingStats {
     /// Largest sample; `None` if empty.
     pub fn max(&self) -> Option<f64> {
         self.max
-    }
-}
-
-/// Streaming summary of many simulation runs: the per-report series the
-/// paper's figures average (delivery rate, transmission cost, delay),
-/// each as a [`StreamingStats`], plus exact injected/delivered totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct ReportAggregate {
-    reports: u64,
-    injected: u64,
-    delivered: u64,
-    delivery_rate: StreamingStats,
-    transmissions: StreamingStats,
-    delay: StreamingStats,
-    counters: SimCounters,
-}
-
-impl ReportAggregate {
-    /// An empty aggregate (identity element of [`merge`](Self::merge)).
-    pub fn new() -> Self {
-        ReportAggregate::default()
-    }
-
-    /// Ingests one report: its delivery rate and mean transmissions as
-    /// one sample each, and every delivered message's delay.
-    pub fn push(&mut self, report: &SimReport) {
-        self.reports += 1;
-        self.injected += report.injected_count() as u64;
-        self.delivered += report.delivered_count() as u64;
-        self.delivery_rate.push(report.delivery_rate());
-        self.transmissions.push(report.mean_transmissions());
-        for delay in report.delays_sorted() {
-            self.delay.push(delay.as_f64());
-        }
-        if let Some(c) = report.counters() {
-            self.counters.merge(c);
-        }
-    }
-
-    /// Merges another aggregate into this one.
-    pub fn merge(&mut self, other: &ReportAggregate) {
-        self.reports += other.reports;
-        self.injected += other.injected;
-        self.delivered += other.delivered;
-        self.delivery_rate.merge(&other.delivery_rate);
-        self.transmissions.merge(&other.transmissions);
-        self.delay.merge(&other.delay);
-        self.counters.merge(&other.counters);
-    }
-
-    /// Number of reports ingested.
-    pub fn reports(&self) -> u64 {
-        self.reports
-    }
-
-    /// Total messages injected across reports.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Total messages delivered across reports.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Pooled delivery rate: total delivered over total injected (the
-    /// estimator the paper's figures plot), `None` before any injection.
-    pub fn pooled_delivery_rate(&self) -> Option<f64> {
-        (self.injected > 0).then(|| self.delivered as f64 / self.injected as f64)
-    }
-
-    /// Per-report delivery-rate distribution.
-    pub fn delivery_rate(&self) -> &StreamingStats {
-        &self.delivery_rate
-    }
-
-    /// Per-report mean-transmissions distribution.
-    pub fn transmissions(&self) -> &StreamingStats {
-        &self.transmissions
-    }
-
-    /// Per-delivery end-to-end delay distribution.
-    pub fn delay(&self) -> &StreamingStats {
-        &self.delay
-    }
-
-    /// Summed engine event tallies over every ingested report (zeroes
-    /// for reports that carried no counters).
-    pub fn counters(&self) -> &SimCounters {
-        &self.counters
     }
 }
 
@@ -306,65 +210,5 @@ mod tests {
         let mut e = StreamingStats::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn report_aggregate_pools_counts() {
-        use crate::message::{Message, MessageId};
-        use contact_graph::{NodeId, Time, TimeDelta};
-        use std::collections::BTreeMap;
-
-        let m = Message {
-            id: MessageId(1),
-            source: NodeId(0),
-            destination: NodeId(2),
-            created: Time::new(0.0),
-            deadline: TimeDelta::new(100.0),
-            copies: 1,
-        };
-        let mut delivered = BTreeMap::new();
-        delivered.insert(MessageId(1), Time::new(40.0));
-        let mut tx = BTreeMap::new();
-        tx.insert(MessageId(1), 2);
-        let counters = SimCounters {
-            contacts: 12,
-            forwards_replicate: 2,
-            injected: 1,
-            delivered: 1,
-            ..SimCounters::default()
-        };
-        let report = SimReport::new(
-            "test".into(),
-            vec![m],
-            vec![MessageId(1)],
-            delivered,
-            tx,
-            vec![],
-            0,
-            0,
-            Some(counters),
-        );
-
-        let mut agg = ReportAggregate::new();
-        agg.push(&report);
-        agg.push(&report);
-        assert_eq!(agg.reports(), 2);
-        assert_eq!(agg.injected(), 2);
-        assert_eq!(agg.delivered(), 2);
-        assert_eq!(agg.pooled_delivery_rate(), Some(1.0));
-        assert_eq!(agg.delivery_rate().mean(), Some(1.0));
-        assert_eq!(agg.transmissions().mean(), Some(2.0));
-        assert_eq!(agg.delay().count(), 2);
-        assert_eq!(agg.delay().mean(), Some(40.0));
-
-        assert_eq!(agg.counters().contacts, 24);
-        assert_eq!(agg.counters().forwards_replicate, 4);
-
-        let mut other = ReportAggregate::new();
-        other.push(&report);
-        agg.merge(&other);
-        assert_eq!(agg.reports(), 3);
-        assert_eq!(agg.delay().count(), 3);
-        assert_eq!(agg.counters().contacts, 36);
     }
 }

@@ -65,371 +65,201 @@ thread_local! {
     static RING: RefCell<Option<TraceRing>> = const { RefCell::new(None) };
 }
 
-/// One message-lifecycle event. All ids are plain integers (node and
-/// message ids as `u64`, times as `f64` minutes) so the type stays
-/// dependency-free; the simulation layer converts at the call site.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceEvent {
-    /// A message entered the network at its source.
-    Inject {
-        /// Simulation time.
-        time: f64,
-        /// Message id.
-        message: u64,
-        /// Source node.
-        source: u64,
-        /// Destination node.
-        destination: u64,
-    },
-    /// Wire mode: a constant-size onion packet was built and sealed.
-    Seal {
-        /// Simulation time.
-        time: f64,
-        /// Message id.
-        message: u64,
-        /// Node that built the packet (the source).
-        node: u64,
-        /// AEAD layers sealed (the route length).
-        layers: u64,
-    },
-    /// A committed custody transfer.
-    Forward {
-        /// Simulation time.
-        time: f64,
-        /// Message id.
-        message: u64,
-        /// Sending custodian.
-        from: u64,
-        /// Receiving node.
-        to: u64,
-        /// Forward kind: `handoff`, `split`, or `replicate`.
-        kind: String,
-        /// Protocol tag of the receiver's copy (onion hop index).
-        route_group: u64,
-    },
-    /// Wire mode: a receiving relay peeled one AEAD layer.
-    Peel {
-        /// Simulation time.
-        time: f64,
-        /// Message id.
-        message: u64,
-        /// Peeling node.
-        node: u64,
-    },
-    /// A message reached its destination within the deadline.
-    Deliver {
-        /// Simulation time.
-        time: f64,
-        /// Message id.
-        message: u64,
-        /// Destination node.
-        node: u64,
-    },
-    /// A copy was dropped (buffer admission refused or evicted).
-    Drop {
-        /// Simulation time.
-        time: f64,
-        /// Message id.
-        message: u64,
-        /// Node that dropped the copy.
-        node: u64,
-    },
-    /// A buffered copy passed its deadline and was discarded.
-    Expire {
-        /// Simulation time.
-        time: f64,
-        /// Message id.
-        message: u64,
-        /// Node holding the expired copy.
-        node: u64,
-    },
-    /// Fault injection: a node crashed (churn).
-    FaultCrash {
-        /// Simulation time.
-        time: f64,
-        /// Crashed node.
-        node: u64,
-    },
-    /// Fault injection: a crash wipe destroyed a buffered copy.
-    FaultBufferWipe {
-        /// Simulation time.
-        time: f64,
-        /// Crashed node.
-        node: u64,
-        /// Destroyed copy's message id.
-        message: u64,
-    },
-    /// Fault injection: a scheduled contact was suppressed.
-    FaultContactDrop {
-        /// Simulation time.
-        time: f64,
-        /// One endpoint.
-        a: u64,
-        /// The other endpoint.
-        b: u64,
-    },
-    /// Fault injection: a contact window closed mid-transfer.
-    FaultTransferTruncated {
-        /// Simulation time.
-        time: f64,
-        /// Sending custodian.
-        from: u64,
-        /// Intended receiver.
-        to: u64,
-    },
-    /// Fault injection: a committed transfer's copy was lost in flight.
-    FaultMessageLost {
-        /// Simulation time.
-        time: f64,
-        /// Message id.
-        message: u64,
-        /// Sending custodian (paid the transmission anyway).
-        from: u64,
-        /// Receiver that got nothing.
-        to: u64,
-    },
+/// Declares every [`TraceEvent`] once — its variant, doc, JSON tag and
+/// fields in serialization order — and generates the enum, `name()`,
+/// `time()` and the serde impls from that one list, so a new event is a
+/// one-entry change. Every event carries its simulation `time`, which
+/// serializes right after the tag.
+///
+/// The JSON form is one flat object per event with a leading `event`
+/// tag, e.g. `{"event":"forward","time":3.5,"message":0,"from":1,"to":2,
+/// "kind":"handoff","route_group":1}` (the vendored derive cannot
+/// express data-carrying enums).
+macro_rules! trace_events {
+    (
+        $(#[$outer:meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$doc:meta])*
+                $variant:ident = $tag:literal {
+                    $( $(#[$field_doc:meta])* $field:ident: $ty:ty, )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$outer])*
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum TraceEvent {
+            $(
+                $(#[$doc])*
+                $variant {
+                    /// Simulation time.
+                    time: f64,
+                    $( $(#[$field_doc])* $field: $ty, )*
+                },
+            )*
+        }
+
+        impl TraceEvent {
+            /// The event's kind tag (the JSON `event` field).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// The event's simulation time.
+            pub fn time(&self) -> f64 {
+                match *self {
+                    $( TraceEvent::$variant { time, .. } => time, )*
+                }
+            }
+        }
+
+        impl Serialize for TraceEvent {
+            fn to_value(&self) -> serde::Value {
+                match self {
+                    $(
+                        TraceEvent::$variant { time, $($field),* } => serde::Value::Object(vec![
+                            ("event".into(), serde::Value::Str($tag.into())),
+                            ("time".into(), time.to_value()),
+                            $( (stringify!($field).into(), $field.to_value()), )*
+                        ]),
+                    )*
+                }
+            }
+        }
+
+        impl<'de> Deserialize<'de> for TraceEvent {
+            fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+                fn field<T: serde::DeserializeOwned>(
+                    value: &serde::Value,
+                    name: &str,
+                ) -> Result<T, serde::DeError> {
+                    match value.get(name) {
+                        Some(v) => T::from_value(v),
+                        None => Err(serde::DeError::new(format!(
+                            "TraceEvent: missing field {name}"
+                        ))),
+                    }
+                }
+                let tag: String = field(value, "event")?;
+                let time: f64 = field(value, "time")?;
+                match tag.as_str() {
+                    $(
+                        $tag => Ok(TraceEvent::$variant {
+                            time,
+                            $( $field: field(value, stringify!($field))?, )*
+                        }),
+                    )*
+                    other => Err(serde::DeError::new(format!(
+                        "TraceEvent: unknown event tag {other:?}"
+                    ))),
+                }
+            }
+        }
+    };
 }
 
-impl TraceEvent {
-    /// The event's kind tag (the JSON `event` field).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::Inject { .. } => "inject",
-            TraceEvent::Seal { .. } => "seal",
-            TraceEvent::Forward { .. } => "forward",
-            TraceEvent::Peel { .. } => "peel",
-            TraceEvent::Deliver { .. } => "deliver",
-            TraceEvent::Drop { .. } => "drop",
-            TraceEvent::Expire { .. } => "expire",
-            TraceEvent::FaultCrash { .. } => "fault_crash",
-            TraceEvent::FaultBufferWipe { .. } => "fault_buffer_wipe",
-            TraceEvent::FaultContactDrop { .. } => "fault_contact_drop",
-            TraceEvent::FaultTransferTruncated { .. } => "fault_transfer_truncated",
-            TraceEvent::FaultMessageLost { .. } => "fault_message_lost",
-        }
-    }
-
-    /// The event's simulation time.
-    pub fn time(&self) -> f64 {
-        match *self {
-            TraceEvent::Inject { time, .. }
-            | TraceEvent::Seal { time, .. }
-            | TraceEvent::Forward { time, .. }
-            | TraceEvent::Peel { time, .. }
-            | TraceEvent::Deliver { time, .. }
-            | TraceEvent::Drop { time, .. }
-            | TraceEvent::Expire { time, .. }
-            | TraceEvent::FaultCrash { time, .. }
-            | TraceEvent::FaultBufferWipe { time, .. }
-            | TraceEvent::FaultContactDrop { time, .. }
-            | TraceEvent::FaultTransferTruncated { time, .. }
-            | TraceEvent::FaultMessageLost { time, .. } => time,
-        }
-    }
-
-    /// The event's fields, in serialization order, excluding the
-    /// leading `event` tag.
-    fn fields(&self) -> Vec<(String, serde::Value)> {
-        use serde::Value::{Float, Str, UInt};
-        match self {
-            TraceEvent::Inject {
-                time,
-                message,
-                source,
-                destination,
-            } => vec![
-                ("time".into(), Float(*time)),
-                ("message".into(), UInt(*message)),
-                ("source".into(), UInt(*source)),
-                ("destination".into(), UInt(*destination)),
-            ],
-            TraceEvent::Seal {
-                time,
-                message,
-                node,
-                layers,
-            } => vec![
-                ("time".into(), Float(*time)),
-                ("message".into(), UInt(*message)),
-                ("node".into(), UInt(*node)),
-                ("layers".into(), UInt(*layers)),
-            ],
-            TraceEvent::Forward {
-                time,
-                message,
-                from,
-                to,
-                kind,
-                route_group,
-            } => vec![
-                ("time".into(), Float(*time)),
-                ("message".into(), UInt(*message)),
-                ("from".into(), UInt(*from)),
-                ("to".into(), UInt(*to)),
-                ("kind".into(), Str(kind.clone())),
-                ("route_group".into(), UInt(*route_group)),
-            ],
-            TraceEvent::Peel {
-                time,
-                message,
-                node,
-            }
-            | TraceEvent::Deliver {
-                time,
-                message,
-                node,
-            }
-            | TraceEvent::Drop {
-                time,
-                message,
-                node,
-            }
-            | TraceEvent::Expire {
-                time,
-                message,
-                node,
-            } => vec![
-                ("time".into(), Float(*time)),
-                ("message".into(), UInt(*message)),
-                ("node".into(), UInt(*node)),
-            ],
-            TraceEvent::FaultCrash { time, node } => {
-                vec![("time".into(), Float(*time)), ("node".into(), UInt(*node))]
-            }
-            TraceEvent::FaultBufferWipe {
-                time,
-                node,
-                message,
-            } => vec![
-                ("time".into(), Float(*time)),
-                ("node".into(), UInt(*node)),
-                ("message".into(), UInt(*message)),
-            ],
-            TraceEvent::FaultContactDrop { time, a, b } => vec![
-                ("time".into(), Float(*time)),
-                ("a".into(), UInt(*a)),
-                ("b".into(), UInt(*b)),
-            ],
-            TraceEvent::FaultTransferTruncated { time, from, to } => vec![
-                ("time".into(), Float(*time)),
-                ("from".into(), UInt(*from)),
-                ("to".into(), UInt(*to)),
-            ],
-            TraceEvent::FaultMessageLost {
-                time,
-                message,
-                from,
-                to,
-            } => vec![
-                ("time".into(), Float(*time)),
-                ("message".into(), UInt(*message)),
-                ("from".into(), UInt(*from)),
-                ("to".into(), UInt(*to)),
-            ],
-        }
-    }
-}
-
-// Hand-written serde (the vendored derive cannot express data-carrying
-// enums): one flat JSON object per event with a leading `event` tag,
-// e.g. `{"event":"forward","time":3.5,"message":0,"from":1,"to":2,
-// "kind":"handoff","route_group":1}`.
-impl Serialize for TraceEvent {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![(
-            "event".to_string(),
-            serde::Value::Str(self.name().to_string()),
-        )];
-        fields.extend(self.fields());
-        serde::Value::Object(fields)
-    }
-}
-
-impl<'de> Deserialize<'de> for TraceEvent {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        fn field<T: serde::DeserializeOwned>(
-            value: &serde::Value,
-            name: &str,
-        ) -> Result<T, serde::DeError> {
-            match value.get(name) {
-                Some(v) => T::from_value(v),
-                None => Err(serde::DeError::new(format!(
-                    "TraceEvent: missing field {name}"
-                ))),
-            }
-        }
-        let tag: String = field(value, "event")?;
-        let time: f64 = field(value, "time")?;
-        match tag.as_str() {
-            "inject" => Ok(TraceEvent::Inject {
-                time,
-                message: field(value, "message")?,
-                source: field(value, "source")?,
-                destination: field(value, "destination")?,
-            }),
-            "seal" => Ok(TraceEvent::Seal {
-                time,
-                message: field(value, "message")?,
-                node: field(value, "node")?,
-                layers: field(value, "layers")?,
-            }),
-            "forward" => Ok(TraceEvent::Forward {
-                time,
-                message: field(value, "message")?,
-                from: field(value, "from")?,
-                to: field(value, "to")?,
-                kind: field(value, "kind")?,
-                route_group: field(value, "route_group")?,
-            }),
-            "peel" => Ok(TraceEvent::Peel {
-                time,
-                message: field(value, "message")?,
-                node: field(value, "node")?,
-            }),
-            "deliver" => Ok(TraceEvent::Deliver {
-                time,
-                message: field(value, "message")?,
-                node: field(value, "node")?,
-            }),
-            "drop" => Ok(TraceEvent::Drop {
-                time,
-                message: field(value, "message")?,
-                node: field(value, "node")?,
-            }),
-            "expire" => Ok(TraceEvent::Expire {
-                time,
-                message: field(value, "message")?,
-                node: field(value, "node")?,
-            }),
-            "fault_crash" => Ok(TraceEvent::FaultCrash {
-                time,
-                node: field(value, "node")?,
-            }),
-            "fault_buffer_wipe" => Ok(TraceEvent::FaultBufferWipe {
-                time,
-                node: field(value, "node")?,
-                message: field(value, "message")?,
-            }),
-            "fault_contact_drop" => Ok(TraceEvent::FaultContactDrop {
-                time,
-                a: field(value, "a")?,
-                b: field(value, "b")?,
-            }),
-            "fault_transfer_truncated" => Ok(TraceEvent::FaultTransferTruncated {
-                time,
-                from: field(value, "from")?,
-                to: field(value, "to")?,
-            }),
-            "fault_message_lost" => Ok(TraceEvent::FaultMessageLost {
-                time,
-                message: field(value, "message")?,
-                from: field(value, "from")?,
-                to: field(value, "to")?,
-            }),
-            other => Err(serde::DeError::new(format!(
-                "TraceEvent: unknown event tag {other:?}"
-            ))),
-        }
+trace_events! {
+    /// One message-lifecycle event. All ids are plain integers (node and
+    /// message ids as `u64`, times as `f64` minutes) so the type stays
+    /// dependency-free; the simulation layer converts at the call site.
+    pub enum TraceEvent {
+        /// A message entered the network at its source.
+        Inject = "inject" {
+            /// Message id.
+            message: u64,
+            /// Source node.
+            source: u64,
+            /// Destination node.
+            destination: u64,
+        },
+        /// Wire mode: a constant-size onion packet was built and sealed.
+        Seal = "seal" {
+            /// Message id.
+            message: u64,
+            /// Node that built the packet (the source).
+            node: u64,
+            /// AEAD layers sealed (the route length).
+            layers: u64,
+        },
+        /// A committed custody transfer.
+        Forward = "forward" {
+            /// Message id.
+            message: u64,
+            /// Sending custodian.
+            from: u64,
+            /// Receiving node.
+            to: u64,
+            /// Forward kind: `handoff`, `split`, or `replicate`.
+            kind: String,
+            /// Protocol tag of the receiver's copy (onion hop index).
+            route_group: u64,
+        },
+        /// Wire mode: a receiving relay peeled one AEAD layer.
+        Peel = "peel" {
+            /// Message id.
+            message: u64,
+            /// Peeling node.
+            node: u64,
+        },
+        /// A message reached its destination within the deadline.
+        Deliver = "deliver" {
+            /// Message id.
+            message: u64,
+            /// Destination node.
+            node: u64,
+        },
+        /// A copy was dropped (buffer admission refused or evicted).
+        Drop = "drop" {
+            /// Message id.
+            message: u64,
+            /// Node that dropped the copy.
+            node: u64,
+        },
+        /// A buffered copy passed its deadline and was discarded.
+        Expire = "expire" {
+            /// Message id.
+            message: u64,
+            /// Node holding the expired copy.
+            node: u64,
+        },
+        /// Fault injection: a node crashed (churn).
+        FaultCrash = "fault_crash" {
+            /// Crashed node.
+            node: u64,
+        },
+        /// Fault injection: a crash wipe destroyed a buffered copy.
+        FaultBufferWipe = "fault_buffer_wipe" {
+            /// Crashed node.
+            node: u64,
+            /// Destroyed copy's message id.
+            message: u64,
+        },
+        /// Fault injection: a scheduled contact was suppressed.
+        FaultContactDrop = "fault_contact_drop" {
+            /// One endpoint.
+            a: u64,
+            /// The other endpoint.
+            b: u64,
+        },
+        /// Fault injection: a contact window closed mid-transfer.
+        FaultTransferTruncated = "fault_transfer_truncated" {
+            /// Sending custodian.
+            from: u64,
+            /// Intended receiver.
+            to: u64,
+        },
+        /// Fault injection: a committed transfer's copy was lost in flight.
+        FaultMessageLost = "fault_message_lost" {
+            /// Message id.
+            message: u64,
+            /// Sending custodian (paid the transmission anyway).
+            from: u64,
+            /// Receiver that got nothing.
+            to: u64,
+        },
     }
 }
 
@@ -652,16 +482,6 @@ pub fn trace_ring_flush() {
     }
 }
 
-/// Adapter: the vendored `serde_json` serializes via the `Serialize`
-/// trait, which the raw `Value` type does not itself implement.
-struct RawValue(serde::Value);
-
-impl Serialize for RawValue {
-    fn to_value(&self) -> serde::Value {
-        self.0.clone()
-    }
-}
-
 fn event_line(trial: u64, seq: u64, event: &TraceEvent) -> String {
     let mut fields = vec![
         ("trial".to_string(), serde::Value::UInt(trial)),
@@ -670,7 +490,7 @@ fn event_line(trial: u64, seq: u64, event: &TraceEvent) -> String {
     if let serde::Value::Object(rest) = event.to_value() {
         fields.extend(rest);
     }
-    serde_json::to_string(&RawValue(serde::Value::Object(fields))).expect("trace event serializes")
+    serde_json::to_string(&serde::Value::Object(fields)).expect("trace event serializes")
 }
 
 fn append_ring(path: &Path, ring: &TraceRing) -> std::io::Result<()> {

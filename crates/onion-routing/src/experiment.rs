@@ -430,24 +430,23 @@ impl Scorer for PointScorer {
     ) -> Accumulator {
         let (cfg, report, deadline) = (t.cfg, t.report, t.cfg.deadline.as_f64());
         let mut acc = Accumulator::default();
-        let mut cache = RateCache::default();
         for msg in t.messages {
             match t.code {
                 Some((k, m)) => {
                     let mut sum = 0.0;
                     for idx in 0..m {
                         let fid = fragment_id(msg.id, idx);
-                        if let Some(Some(rates)) = cache.rates_for(t, fid, msg) {
-                            sum +=
-                                analysis::coded_delivery_rate(rates, k, m, deadline).unwrap_or(0.0);
+                        if let Some(Some(rates)) = path_rates(t, fid, msg) {
+                            sum += analysis::coded_delivery_rate(&rates, k, m, deadline)
+                                .unwrap_or(0.0);
                         }
                     }
                     acc.analysis_delivery.push(sum / m as f64);
                 }
                 None => {
-                    if let Some(rates) = cache.rates_for(t, msg.id, msg) {
+                    if let Some(rates) = path_rates(t, msg.id, msg) {
                         acc.analysis_delivery.push(rates.map_or(0.0, |rates| {
-                            analysis::delivery_rate_multicopy(rates, cfg.copies, deadline)
+                            analysis::delivery_rate_multicopy(&rates, cfg.copies, deadline)
                                 .unwrap_or(0.0)
                         }));
                     }
@@ -537,76 +536,36 @@ impl Accumulator {
     }
 }
 
-/// One memoized path: the group sequence and endpoints it was keyed on,
-/// plus the aggregate per-hop rates (`None` for a degenerate path).
-type RateEntry = (
-    Vec<crate::groups::GroupId>,
-    NodeId,
-    NodeId,
-    Option<Vec<f64>>,
-);
-
-/// Per-realization memo of the Eq. 4 rate vectors, keyed by
-/// `(route, source, destination)`.
-///
-/// The onion route is drawn independently per message, so two messages
-/// that happen to share a route between the same endpoints would repeat
-/// the identical group-aggregation sums inside
-/// [`analysis::onion_path_rates`]. Caching the finished vector is
-/// bit-transparent: a hit reuses the exact `f64` values the miss
-/// computed (same summation order, no RNG involved).
-///
-/// `None` records a degenerate path — an endpoint-filtered group with no
-/// members left, a rate-computation error, or a non-positive hop rate —
-/// for which both consumers score a flat zero.
-#[derive(Default)]
-struct RateCache {
-    entries: Vec<RateEntry>,
-}
-
-impl RateCache {
-    /// The Eq. 4 rates of the route the trial's protocol drew for `id`
-    /// (`msg` itself or one of its fragments) on the trial's rate model
-    /// (any [`ContactModel`] — dense or sparse), computed on first use
-    /// and replayed thereafter: `None` when `id` has no route,
-    /// `Some(None)` for a degenerate path.
-    fn rates_for<M: ContactModel + ?Sized>(
-        &mut self,
-        t: &Trial<'_, M>,
-        id: MessageId,
-        msg: &Message,
-    ) -> Option<Option<&[f64]>> {
-        let route = t.protocol.route_of(id)?;
-        let (source, destination) = (msg.source, msg.destination);
-        if let Some(pos) = self
-            .entries
-            .iter()
-            .position(|(r, s, d, _)| r.as_slice() == route && *s == source && *d == destination)
-        {
-            return Some(self.entries[pos].3.as_deref());
-        }
-        let members: Vec<Vec<NodeId>> = t
-            .protocol
-            .groups()
-            .route_members(route)
-            .into_iter()
-            .map(|g| {
-                g.into_iter()
-                    .filter(|&v| v != source && v != destination)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let rates = if members.iter().any(|g| g.is_empty()) {
-            None
-        } else {
-            match analysis::onion_path_rates(t.rates, source, &members, destination) {
-                Ok(rates) if rates.iter().all(|&r| r > 0.0) => Some(rates),
-                _ => None,
-            }
-        };
-        self.entries
-            .push((route.to_vec(), source, destination, rates));
-        Some(self.entries.last().expect("entry just pushed").3.as_deref())
+/// The Eq. 4 rates of the route the trial's protocol drew for `id`
+/// (`msg` itself or one of its fragments) on the trial's rate model (any
+/// [`ContactModel`] — dense or sparse): `None` when `id` has no route,
+/// `Some(None)` for a degenerate path — an endpoint-filtered group with
+/// no members left, a rate-computation error, or a non-positive hop
+/// rate — which both scorers count as a flat zero.
+fn path_rates<M: ContactModel + ?Sized>(
+    t: &Trial<'_, M>,
+    id: MessageId,
+    msg: &Message,
+) -> Option<Option<Vec<f64>>> {
+    let route = t.protocol.route_of(id)?;
+    let (source, destination) = (msg.source, msg.destination);
+    let members: Vec<Vec<NodeId>> = t
+        .protocol
+        .groups()
+        .route_members(route)
+        .into_iter()
+        .map(|g| {
+            g.into_iter()
+                .filter(|&v| v != source && v != destination)
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    if members.iter().any(|g| g.is_empty()) {
+        return Some(None);
+    }
+    match analysis::onion_path_rates(t.rates, source, &members, destination) {
+        Ok(rates) if rates.iter().all(|&r| r > 0.0) => Some(Some(rates)),
+        _ => Some(None),
     }
 }
 
@@ -675,7 +634,6 @@ impl Scorer for DeadlineScorer<'_> {
         let deadlines = self.0;
         let mut p = self.empty();
         p.injected = t.messages.len();
-        let mut cache = RateCache::default();
         for msg in t.messages {
             // Simulation: delivery within each deadline (coded reports
             // key delivery by the parent message, so this is mode-blind).
@@ -690,11 +648,10 @@ impl Scorer for DeadlineScorer<'_> {
                 Some((k, m)) => {
                     p.analysis_count += 1;
                     for idx in 0..m {
-                        if let Some(Some(rates)) = cache.rates_for(t, fragment_id(msg.id, idx), msg)
-                        {
+                        if let Some(Some(rates)) = path_rates(t, fragment_id(msg.id, idx), msg) {
                             for (i, &deadline) in deadlines.iter().enumerate() {
                                 p.analysis_sum[i] +=
-                                    analysis::coded_delivery_rate(rates, k, m, deadline)
+                                    analysis::coded_delivery_rate(&rates, k, m, deadline)
                                         .unwrap_or(0.0)
                                         / m as f64;
                             }
@@ -703,7 +660,7 @@ impl Scorer for DeadlineScorer<'_> {
                 }
                 // Analysis: Eq. 4 rates → hypoexponential CDF at each T.
                 None => {
-                    if let Some(rates) = cache.rates_for(t, msg.id, msg) {
+                    if let Some(rates) = path_rates(t, msg.id, msg) {
                         p.analysis_count += 1;
                         if let Some(rates) = rates {
                             let boosted: Vec<f64> =

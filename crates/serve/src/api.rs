@@ -15,7 +15,8 @@
 //!   experiment harness). A body parses into a `SweepSpec`, which must
 //!   pass `SweepSpec::validate` and the sweep limits
 //!   ([`MAX_SWEEP_REALIZATION_BYTES`], [`MAX_ADVERSARY_DRAWS`],
-//!   [`MAX_SWEEP_GRID`]); failures answer `400 invalid_argument`.
+//!   [`MAX_SWEEP_GRID`], and a sparse realization's expected contact
+//!   count); failures answer `400 invalid_argument`.
 //!   Expensive, so responses flow through a sharded LRU cache keyed by
 //!   `Checkpoint::fingerprint` of the *canonical* request (endpoint +
 //!   config + options with `threads` zeroed + the axis grid), with
@@ -525,16 +526,7 @@ fn sweep_key(route: &str, spec: &SweepSpec, opts: &ExperimentOptions, axis: Vec<
     ];
     parts.extend(axis);
     parts.extend(sparse);
-    Checkpoint::fingerprint(&KeyParts(parts))
-}
-
-/// Key parts, serialized as the JSON array a tuple of them would be.
-struct KeyParts(Vec<Value>);
-
-impl Serialize for KeyParts {
-    fn to_value(&self) -> Value {
-        Value::Array(self.0.clone())
-    }
+    Checkpoint::fingerprint(&parts)
 }
 
 /// Largest estimated memory of one sweep realization: 512 MiB. Dense
@@ -562,9 +554,19 @@ const SPARSE_PAIR_BYTES: f64 = 128.0;
 /// A sparse world's bytes per node: position, CSR offset, engine state.
 const SPARSE_NODE_BYTES: f64 = 64.0;
 
+/// Most contact events one realization may expect: the count whose
+/// dense storage fills [`MAX_SWEEP_REALIZATION_BYTES`], 2²⁶ ≈ 6.7·10⁷.
+/// A sparse world stores few of its contacts, so its memory bound does
+/// not bound its work, and a point has no row boundary at which the
+/// request deadline could stop it.
+const MAX_REALIZATION_CONTACTS: f64 =
+    (MAX_SWEEP_REALIZATION_BYTES / SampledContacts::BYTES_PER_CONTACT as u64) as f64;
+
 /// Rejects sweeps that would exhaust the daemon: a grid longer than
-/// [`MAX_SWEEP_GRID`], more than [`MAX_ADVERSARY_DRAWS`] draws, or one
-/// realization estimated past [`MAX_SWEEP_REALIZATION_BYTES`].
+/// [`MAX_SWEEP_GRID`], more than [`MAX_ADVERSARY_DRAWS`] draws, one
+/// realization estimated past [`MAX_SWEEP_REALIZATION_BYTES`], or a
+/// sparse realization expecting more than [`MAX_REALIZATION_CONTACTS`]
+/// contacts.
 fn check_sweep_limits(spec: &SweepSpec, opts: &ExperimentOptions) -> Result<(), String> {
     let horizon = spec.config.deadline.as_f64();
     let (grid, len, horizon) = match &spec.axis {
@@ -589,6 +591,16 @@ fn check_sweep_limits(spec: &SweepSpec, opts: &ExperimentOptions) -> Result<(), 
              the limit is {limit} MiB"
         ));
     }
+    if let Scenario::Sparse(s) = &spec.scenario {
+        let contacts = expected_contacts(n * s.avg_degree / 2.0, opts, horizon);
+        if contacts > MAX_REALIZATION_CONTACTS {
+            return Err(format!(
+                "config.nodes {n} at sparse.avg_degree {} and deadline {horizon} expects \
+                 ~{contacts:.1e} contacts per realization; the limit is {MAX_REALIZATION_CONTACTS:.1e}",
+                s.avg_degree
+            ));
+        }
+    }
     Ok(())
 }
 
@@ -602,22 +614,27 @@ fn realization_bytes(spec: &SweepSpec, opts: &ExperimentOptions, horizon: f64) -
             format!("sparse.avg_degree {}", s.avg_degree),
         ),
         _ => {
-            // Expected contacts: pairs × E[1/X] × T for mean
-            // inter-contact times X ~ U(lo, hi).
             let pairs = n * (n - 1.0) / 2.0;
-            let (lo, hi) = opts.intercontact_range;
-            let mean_rate = if hi > lo {
-                (hi / lo).ln() / (hi - lo)
-            } else {
-                1.0 / lo
-            };
             let contact_bytes = SampledContacts::BYTES_PER_CONTACT as f64;
             (
-                8.0 * pairs + contact_bytes * pairs * mean_rate * horizon,
+                8.0 * pairs + contact_bytes * expected_contacts(pairs, opts, horizon),
                 format!("deadline {horizon}"),
             )
         }
     }
+}
+
+/// Expected contacts of `pairs` pairs until `horizon`: pairs × E[1/X] × T
+/// for mean inter-contact times X ~ U(lo, hi), which dense and sparse
+/// worlds both draw per pair.
+fn expected_contacts(pairs: f64, opts: &ExperimentOptions, horizon: f64) -> f64 {
+    let (lo, hi) = opts.intercontact_range;
+    let mean_rate = if hi > lo {
+        (hi / lo).ln() / (hi - lo)
+    } else {
+        1.0 / lo
+    };
+    pairs * mean_rate * horizon
 }
 
 /// Looks up one `key=value` pair in an `&`-separated query string.
@@ -1221,10 +1238,8 @@ mod tests {
             ),
         ];
         let api = api();
-        for (spec, opts, field) in table {
-            let err = spec.validate(&opts).expect_err(field);
-            assert_eq!(err.field, field, "{err}");
-            let mut body = format!("\"config\":{},\"opts\":{}", json(&spec.config), json(&opts));
+        let request = |spec: &SweepSpec, opts: &ExperimentOptions| {
+            let mut body = format!("\"config\":{},\"opts\":{}", json(&spec.config), json(opts));
             if let Scenario::Sparse(s) = &spec.scenario {
                 body += &format!(",\"sparse\":{}", json(&s));
             }
@@ -1244,13 +1259,62 @@ mod tests {
                 ),
                 SweepAxis::Code(a) => ("code", format!("\"rates\":{}", json(&a.rates))),
             };
-            let r = api.handle(&post(
+            api.handle(&post(
                 &format!("/v1/sweep/{path}"),
                 &format!("{{{body},{axis}}}"),
-            ));
+            ))
+        };
+        for (spec, opts, field) in table {
+            let err = spec.validate(&opts).expect_err(field);
+            assert_eq!(err.field, field, "{err}");
+            let r = request(&spec, &opts);
             assert_eq!(r.status, 400, "{field}: {}", r.body);
             assert!(r.body.contains(&err.to_string()), "{field}: {}", r.body);
         }
+        // Specs that validate but would hold a worker for hours: the
+        // sweep limits name the fields that drive the estimate.
+        let at = |deadline: f64| ProtocolConfig {
+            deadline: contact_graph::TimeDelta::new(deadline),
+            ..cfg.clone()
+        };
+        let sparse_named = "sparse.avg_degree 10 and deadline 1000000000";
+        let limited = [
+            (
+                rg().over_deadlines(&[1e9]),
+                "config.nodes 30 at deadline 1000000000",
+            ),
+            (
+                SweepSpec::sparse(cfg.clone(), 10.0).over_deadlines(&[1e9]),
+                sparse_named,
+            ),
+            (
+                SweepSpec::sparse(at(1e9), 10.0).over_security(&[3], 1),
+                sparse_named,
+            ),
+            (
+                SweepSpec::sparse(at(1e9), 10.0).over_code_rates(&[(1, 1)]),
+                sparse_named,
+            ),
+        ];
+        for (spec, named) in limited {
+            spec.validate(&opts).expect(named);
+            let err = check_sweep_limits(&spec, &opts).expect_err(named);
+            assert!(err.contains(named), "{err}");
+            let r = request(&spec, &opts);
+            assert_eq!(r.status, 400, "{named}: {}", r.body);
+            assert!(r.body.contains(&err), "{named}: {}", r.body);
+        }
+        // The README's n = 10⁵, degree-10 point (~5.5·10⁷ expected
+        // contacts at T = 1080) stays admissible.
+        let readme = ProtocolConfig {
+            nodes: 100_000,
+            compromised: 10_000,
+            ..ProtocolConfig::table2_defaults()
+        };
+        let point = SweepSpec::sparse(readme, 10.0).over_security(&[10_000], 1);
+        let defaults = ExperimentOptions::default();
+        point.validate(&defaults).expect("README point validates");
+        check_sweep_limits(&point, &defaults).expect("README point is admitted");
         // The point endpoint rejects the same config before any trial runs.
         let body = format!(
             "{{\"config\":{},\"opts\":{}}}",

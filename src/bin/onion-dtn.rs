@@ -32,7 +32,9 @@
 //! Telemetry flags (any command): `--metrics-out <path>` appends one
 //! JSON object per experiment point to `<path>`, `--trace-out <path>`
 //! appends one JSON object per message-lifecycle event (bounded per
-//! trial by `--trace-cap <n>`, default 4096; tracing never perturbs
+//! trial by `--trace-cap <n>`, default 4096; each trial's block is
+//! deterministic and blocks land in the order trials finish, so
+//! `--threads 1` gives a byte-stable file; tracing never perturbs
 //! results), `--progress` shows a live trials/s + ETA line on stderr,
 //! and `--quiet` silences all status output below the error level.
 //! `ONION_DTN_LOG`, `ONION_DTN_METRICS`, `ONION_DTN_TRACE`, and
@@ -84,8 +86,10 @@ fn print_usage() {
          \t                                 jittered exponential backoff)\n\
          \t--chaos --chaos-share 0.25 (inject drops/stalls/half-closes/garbage)\n\
          telemetry: --metrics-out <path> (JSONL per experiment point)\n\
-         \t--trace-out <path> (JSONL message-lifecycle trace; deterministic,\n\
-         \t                    never perturbs results)  --trace-cap <n> (per-trial\n\
+         \t--trace-out <path> (JSONL message-lifecycle trace; each trial's block\n\
+         \t                    is deterministic, blocks land as trials finish, so\n\
+         \t                    --threads 1 gives a byte-stable file; never\n\
+         \t                    perturbs results)  --trace-cap <n> (per-trial\n\
          \t                    ring-buffer capacity, default 4096)\n\
          \t--progress (live trials/s + ETA on stderr)  --quiet (errors only)\n\
          exit codes: 0 ok | 2 usage | 3 I/O | 4 trial failed its retry"
@@ -344,16 +348,7 @@ fn resume_key(
         parts.push(s.to_value());
     }
     parts.insert(0, command.to_value());
-    Checkpoint::fingerprint(&KeyParts(parts))
-}
-
-/// Key parts, serialized as the JSON array a tuple of them would be.
-struct KeyParts(Vec<Value>);
-
-impl Serialize for KeyParts {
-    fn to_value(&self) -> Value {
-        Value::Array(self.0.clone())
-    }
+    Checkpoint::fingerprint(&parts)
 }
 
 /// Opens the `--resume` checkpoint (if requested) bound to the

@@ -69,8 +69,8 @@ pub mod prelude {
     pub use dtn_sim::{
         fragment_id, fragment_parent, random_contact_time, random_endpoints, run, run_stream,
         run_with_faults, CalendarQueue, ChurnConfig, ChurnMemory, CodedOutcome, CopyMode,
-        DropPolicy, FaultPlan, FaultState, Message, MessageId, ReportAggregate, RoutingProtocol,
-        SimConfig, SimReport, StreamingStats, WorkloadBuilder, MAX_CODE_FRAGMENTS,
+        DropPolicy, FaultPlan, FaultState, Message, MessageId, RoutingProtocol, SimConfig,
+        SimReport, StreamingStats, WorkloadBuilder, MAX_CODE_FRAGMENTS,
     };
     pub use onion_codec::{CodecError, Gf256, RsCodec};
     pub use onion_crypto::{EpochKeychain, GroupKeyring, WirePacket};

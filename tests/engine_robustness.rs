@@ -195,8 +195,8 @@ fn seen_filter_bounds_pingpong_transmissions() {
         &mut rng,
     )
     .unwrap();
-    // With reject_seen, a single copy can visit each node at most once:
-    // at most n - 1 transmissions per message.
+    // A node refuses a copy it has seen, so a single copy visits each
+    // node at most once: at most n - 1 transmissions per message.
     for &id in report.injected() {
         assert!(
             report.transmissions_for(id) <= 9,

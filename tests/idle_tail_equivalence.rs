@@ -142,7 +142,7 @@ fn onion(w: &World, mode: ForwardingMode) -> OnionRouting {
 }
 
 fn logged() -> SimConfig {
-    SimConfig::builder().record_forwarding(true).build()
+    SimConfig::builder().build()
 }
 
 #[test]
@@ -171,15 +171,11 @@ fn onion_routing_matches_in_every_mode() {
     let multi = || onion(&multi_world, ForwardingMode::MultiCopy);
     assert_tail_is_inert("multi", &multi_world, multi, &logged(), &plan);
 
-    let wire = SimConfig::builder()
-        .record_forwarding(true)
-        .wire_mode(true)
-        .build();
+    let wire = SimConfig::builder().wire_mode(true).build();
     let wired = || single().with_wire(ChaCha8Rng::seed_from_u64(0x317E));
     assert_tail_is_inert("wire", &w, wired, &wire, &plan);
 
     let coded = SimConfig::builder()
-        .record_forwarding(true)
         .copy_mode(CopyMode::Coded { k: 2, m: 3 })
         .build();
     let coder = || single().with_code(2, 3, ChaCha8Rng::seed_from_u64(0xC0DE));

@@ -61,8 +61,6 @@ fn sim_config_roundtrip() {
     assert_eq!(json_roundtrip(&default), default);
 
     let constrained = SimConfig::builder()
-        .record_forwarding(false)
-        .reject_seen(false)
         .buffer_capacity(Some(8))
         .drop_policy(DropPolicy::DropOldest)
         .wire_mode(true)
@@ -197,43 +195,6 @@ fn streaming_stats_roundtrip_preserves_moments_exactly() {
     // Empty stats (None min/max) survive too.
     let empty = StreamingStats::new();
     assert_eq!(json_roundtrip(&empty), empty);
-}
-
-#[test]
-fn report_aggregate_roundtrip() {
-    use dtn_sim::ReportAggregate;
-
-    let mut rng = ChaCha8Rng::seed_from_u64(6);
-    let graph = UniformGraphBuilder::new(20).build(&mut rng);
-    let schedule = ContactSchedule::sample(&graph, Time::new(120.0), &mut rng);
-    let groups = OnionGroups::random_partition(20, 2, &mut rng);
-    let mut protocol = OnionRouting::new(groups, 2, ForwardingMode::SingleCopy);
-    let messages: Vec<Message> = (0..4)
-        .map(|i| Message {
-            id: MessageId(i),
-            source: NodeId(i as u32),
-            destination: NodeId(19 - i as u32),
-            created: Time::ZERO,
-            deadline: TimeDelta::new(120.0),
-            copies: 1,
-        })
-        .collect();
-    let report = run(
-        &schedule,
-        &mut protocol,
-        messages,
-        &SimConfig::default(),
-        &mut rng,
-    )
-    .unwrap();
-
-    let mut agg = ReportAggregate::new();
-    agg.push(&report);
-    agg.push(&report);
-    let back: ReportAggregate = json_roundtrip(&agg);
-    assert_eq!(back, agg);
-    assert_eq!(back.pooled_delivery_rate(), agg.pooled_delivery_rate());
-    assert_eq!(back.delay().count(), agg.delay().count());
 }
 
 #[test]

@@ -190,36 +190,36 @@ fn tampered_store_replays_byte_identical_warm_responses_after_restart() {
 
 #[test]
 fn requests_expiring_in_the_queue_are_shed_with_503() {
-    // One worker with a sub-second deadline: while it grinds a slow
-    // sweep, a queued request out-waits its deadline and must be shed
-    // at dequeue without ever counting as in-flight.
+    // One worker with a sub-second deadline: while a client holds it
+    // mid-body for as long as this test chooses, a queued request
+    // out-waits its deadline and must be shed at dequeue without ever
+    // counting as in-flight. No machine speed enters: the worker waits
+    // on the held body, which it reads within `read_timeout_secs`.
+    const HOLD: Duration = Duration::from_millis(1500);
     let (handle, join) = start(ServeConfig {
         workers: 1,
         request_deadline_secs: 0.5,
+        read_timeout_secs: 20.0 * HOLD.as_secs_f64(),
         ..ServeConfig::default()
     });
     let addr = handle.local_addr();
-    let cfg = ProtocolConfig {
-        deadline: TimeDelta::new(1080.0),
-        ..ProtocolConfig::table2_defaults()
-    };
-    let opts = ExperimentOptions::builder()
-        .messages(10)
-        .realizations(48)
-        .seed(0x5EED)
-        .build();
-    let body = sweep_body(&cfg, &opts);
 
-    // Occupy the only worker (dequeued immediately, so its own
-    // deadline check at compute start passes)...
+    // Occupy the only worker (dequeued immediately, so its own deadline
+    // check at dequeue passes) with a cheap model request whose last
+    // body bytes arrive only after the hold...
+    let mut request = Vec::new();
+    write_request(&mut request, "POST", "/v1/model/cost", "{\"onions\":3}").unwrap();
+    let (head, tail) = request.split_at(request.len() - 3);
     let mut busy = TcpStream::connect(addr).expect("connect busy");
-    write_request(&mut busy, "POST", "/v1/sweep/point", &body).unwrap();
-    std::thread::sleep(Duration::from_millis(300));
+    busy.write_all(head).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
 
-    // ...then queue a request that will expire long before the worker
-    // frees up.
+    // ...then queue a request that expires while the worker is held.
     let mut expired = TcpStream::connect(addr).expect("connect expired");
     write_request(&mut expired, "GET", "/healthz", "").unwrap();
+    std::thread::sleep(HOLD);
+    busy.write_all(tail).unwrap();
+
     let shed = read_response(&mut expired).expect("read shed response");
     assert_eq!(assert_error_envelope(&shed, 503), "overloaded");
     assert_eq!(shed.retry_after, Some(1));
@@ -228,7 +228,7 @@ fn requests_expiring_in_the_queue_are_shed_with_503() {
         1
     );
 
-    // The slow request itself still completes.
+    // The held request itself still completes.
     assert_eq!(read_response(&mut busy).unwrap().status, 200);
     handle.shutdown();
     join.join().unwrap();

@@ -447,6 +447,55 @@ fn sparse_sweep_point_matches_offline_and_validates_degree() {
 }
 
 #[test]
+fn sparse_sweeps_past_the_work_bound_get_400_and_the_daemon_stays_up() {
+    // One worker: without the sparse work bound, the first body below
+    // holds it for ~45 minutes per realization (T = 10⁹ minutes at
+    // n = 100, degree 10), no 504 comes back because a point has no row
+    // boundary, and /healthz starves.
+    let (handle, join) = start(ServeConfig {
+        workers: 1,
+        request_deadline_secs: 3.0,
+        ..ServeConfig::default()
+    });
+    let addr = handle.local_addr();
+    let cfg = ProtocolConfig {
+        nodes: 100,
+        deadline: TimeDelta::new(1e9),
+        ..ProtocolConfig::table2_defaults()
+    };
+    let sparse = "\"sparse\":{\"avg_degree\":10}";
+    let config = serde_json::to_string(&cfg).unwrap();
+    for (path, body) in [
+        (
+            "/v1/sweep/point",
+            format!("{{\"config\":{config},{sparse}}}"),
+        ),
+        (
+            "/v1/sweep/deadline",
+            format!("{{\"deadlines\":[60,1e9],{sparse}}}"),
+        ),
+    ] {
+        let started = std::time::Instant::now();
+        let resp = exchange(addr, "POST", path, &body);
+        let elapsed = started.elapsed();
+        assert_eq!(assert_error_envelope(&resp, 400), "invalid_argument");
+        assert!(
+            resp.body
+                .contains("sparse.avg_degree 10 and deadline 1000000000"),
+            "{path}: {}",
+            resp.body
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "{path}: {elapsed:?}"
+        );
+    }
+    assert_eq!(exchange(addr, "GET", "/healthz", "").status, 200);
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn oversized_sweeps_get_400_at_once_and_the_daemon_stays_up() {
     let (handle, join) = start(ServeConfig::default());
     let addr = handle.local_addr();
