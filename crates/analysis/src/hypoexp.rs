@@ -119,11 +119,6 @@ impl HypoExp {
         })
     }
 
-    /// The stage rates.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
     /// The Eq. 5 mixture coefficients `A_k` (computed with exact ties
     /// separated by a negligible nudge; see [`Self::is_well_conditioned`]).
     pub fn coefficients(&self) -> &[f64] {
@@ -135,11 +130,6 @@ impl HypoExp {
     /// uniformization evaluator instead.
     pub fn is_well_conditioned(&self) -> bool {
         self.well_conditioned
-    }
-
-    /// Number of stages.
-    pub fn stages(&self) -> usize {
-        self.rates.len()
     }
 
     /// Mean: `Σ_k 1/λ_k`.
@@ -457,32 +447,6 @@ fn separate_ties(mut rates: Vec<f64>) -> Vec<f64> {
     rates
 }
 
-/// One-shot hypoexponential CDF: `P(T ≤ t)` for a chain with the given
-/// per-stage `rates` (Eq. 6), without the caller holding a [`HypoExp`].
-///
-/// Convenience wrapper for downstream users (the serving layer, notebook
-/// scripts) that evaluate the model once per parameter set; loops should
-/// construct a [`HypoExp`] and reuse it.
-///
-/// # Errors
-///
-/// Same validation as [`HypoExp::new`]: `rates` must be non-empty and
-/// strictly positive.
-pub fn hypoexp_cdf(rates: &[f64], t: f64) -> Result<f64, AnalysisError> {
-    Ok(HypoExp::new(rates.to_vec())?.cdf(t))
-}
-
-/// One-shot hypoexponential density at `t` for the given per-stage
-/// `rates`. See [`hypoexp_cdf`].
-///
-/// # Errors
-///
-/// Same validation as [`HypoExp::new`]: `rates` must be non-empty and
-/// strictly positive.
-pub fn hypoexp_pdf(rates: &[f64], t: f64) -> Result<f64, AnalysisError> {
-    Ok(HypoExp::new(rates.to_vec())?.pdf(t))
-}
-
 /// The `A_k` coefficients of Eq. 5.
 fn eq5_coefficients(rates: &[f64]) -> Vec<f64> {
     (0..rates.len())
@@ -507,18 +471,6 @@ mod tests {
     use rand::Rng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn free_helpers_match_the_struct() {
-        let rates = [0.5, 0.25, 1.0];
-        let h = HypoExp::new(rates.to_vec()).unwrap();
-        for t in [0.1, 1.0, 5.0, 50.0] {
-            assert_eq!(hypoexp_cdf(&rates, t).unwrap(), h.cdf(t));
-            assert_eq!(hypoexp_pdf(&rates, t).unwrap(), h.pdf(t));
-        }
-        assert!(hypoexp_cdf(&[], 1.0).is_err());
-        assert!(hypoexp_pdf(&[0.0], 1.0).is_err());
-    }
 
     #[test]
     fn single_stage_is_exponential() {

@@ -56,7 +56,7 @@ pub use delivery::{
     uniform_onion_path_rates, TABLE2_MEAN_RATE,
 };
 pub use error::AnalysisError;
-pub use hypoexp::{hypoexp_cdf, hypoexp_pdf, HypoExp};
+pub use hypoexp::HypoExp;
 pub use quantiles::{deadline_for_target, delay_quantile, median_delay};
 pub use traceable::{
     expected_traceable_rate, expected_traceable_rate_paper, traceable_rate_of_bits,

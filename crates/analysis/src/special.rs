@@ -13,7 +13,7 @@
 /// # Panics
 ///
 /// Panics if `x <= 0`.
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     // Coefficients for g = 7.
     const G: f64 = 7.0;
@@ -69,12 +69,6 @@ pub fn binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
     }
     let ln_choose = ln_factorial(n as f64) - ln_factorial(k as f64) - ln_factorial((n - k) as f64);
     (ln_choose + k as f64 * p.ln() + (n - k) as f64 * (1.0 - p).ln()).exp()
-}
-
-/// Mean of `Binomial(n, p)`, i.e. `n·p` — Eq. 15/20 of the paper reduce to
-/// this closed form.
-pub fn binomial_mean(n: u64, p: f64) -> f64 {
-    n as f64 * p
 }
 
 #[cfg(test)]
@@ -143,10 +137,5 @@ mod tests {
     fn binomial_pmf_known_value() {
         // Binomial(4, 0.5), k = 2 → 6/16.
         assert!((binomial_pmf(4, 2, 0.5) - 0.375).abs() < 1e-12);
-    }
-
-    #[test]
-    fn binomial_mean_is_np() {
-        assert_eq!(binomial_mean(10, 0.3), 3.0);
     }
 }

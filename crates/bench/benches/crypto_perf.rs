@@ -8,7 +8,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use onion_crypto::aead::AeadKey;
 use onion_crypto::keys::derive_group_key;
-use onion_crypto::{aead, chacha20, sha256, x25519};
+use onion_crypto::{aead, chacha20, sha256};
 use onion_crypto::{OnionLayerSpec, WirePacket, WirePeeled};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -33,11 +33,6 @@ fn bench_primitives(c: &mut Criterion) {
         b.iter(|| aead::seal(&aead_key, &nonce, b"aad", std::hint::black_box(&data)))
     });
 
-    group.bench_function("x25519/shared_secret", |b| {
-        let sk = [0x42u8; 32];
-        let pk = x25519::public_key(&[0x43u8; 32]);
-        b.iter(|| x25519::shared_secret(std::hint::black_box(&sk), &pk))
-    });
     group.finish();
 }
 

@@ -88,11 +88,6 @@ impl FigureTable {
         self.rows.push((x, values));
     }
 
-    /// The collected rows.
-    pub fn rows(&self) -> &[(f64, Vec<Option<f64>>)] {
-        &self.rows
-    }
-
     /// Renders the table to a string.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -123,7 +118,7 @@ impl FigureTable {
 
     /// Renders the table as CSV (header row + data rows; `None` cells are
     /// empty).
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::new();
         out.push_str(&self.x_label.replace(',', ";"));
         for c in &self.columns {
@@ -209,7 +204,7 @@ mod tests {
         assert!(s.contains("Test figure"));
         assert!(s.contains("0.7500"));
         assert!(s.contains('-'));
-        assert_eq!(t.rows().len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

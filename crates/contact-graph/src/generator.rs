@@ -140,35 +140,6 @@ pub fn community_graph<R: Rng + ?Sized>(
     g
 }
 
-/// Builds a heterogeneous graph where a fraction of nodes are highly mobile
-/// "ferries" that meet everyone quickly, and the rest meet rarely.
-///
-/// Models bus-based DTNs (the paper's bus-to-bus motivation) where a few
-/// carriers dominate connectivity.
-pub fn ferry_graph<R: Rng + ?Sized>(
-    n: usize,
-    ferries: usize,
-    ferry_mean: TimeDelta,
-    peer_mean: TimeDelta,
-    rng: &mut R,
-) -> ContactGraph {
-    assert!(ferries <= n, "cannot have more ferries than nodes");
-    let mut g = ContactGraph::new(n);
-    for i in 0..n as u32 {
-        for j in (i + 1)..n as u32 {
-            let is_ferry_pair = (i as usize) < ferries || (j as usize) < ferries;
-            let base = if is_ferry_pair { ferry_mean } else { peer_mean };
-            let mean = base.as_f64() * rng.gen_range(0.5..=1.5);
-            g.set_rate(
-                NodeId(i),
-                NodeId(j),
-                Rate::from_mean_intercontact(TimeDelta::new(mean)),
-            );
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,25 +219,5 @@ mod tests {
         let intra = g.rate(NodeId(0), NodeId(1));
         assert!(!intra.is_zero());
         assert!(intra.mean_intercontact().unwrap().as_f64() <= 3.0);
-    }
-
-    #[test]
-    fn ferry_graph_ferries_are_fast() {
-        let g = ferry_graph(
-            10,
-            2,
-            TimeDelta::new(1.0),
-            TimeDelta::new(60.0),
-            &mut rng(9),
-        );
-        let ferry_rate = g.rate(NodeId(0), NodeId(7)).as_f64();
-        let peer_rate = g.rate(NodeId(5), NodeId(7)).as_f64();
-        assert!(ferry_rate > peer_rate * 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "ferries")]
-    fn ferry_count_validated() {
-        let _ = ferry_graph(3, 4, TimeDelta::new(1.0), TimeDelta::new(2.0), &mut rng(0));
     }
 }

@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::node::NodeId;
-use crate::time::{Rate, TimeDelta};
+use crate::time::Rate;
 
 /// A symmetric matrix of pairwise contact rates.
 ///
@@ -19,7 +19,7 @@ use crate::time::{Rate, TimeDelta};
 /// let mut g = ContactGraph::new(3);
 /// g.set_rate(NodeId(0), NodeId(1), Rate::new(0.5));
 /// assert_eq!(g.rate(NodeId(1), NodeId(0)), Rate::new(0.5));
-/// assert_eq!(g.degree(NodeId(2)), 0);
+/// assert_eq!(g.neighbors(NodeId(2)).count(), 0);
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ContactGraph {
@@ -103,13 +103,8 @@ impl ContactGraph {
             .filter(move |&b| b != a && !self.rate(a, b).is_zero())
     }
 
-    /// Number of neighbors of `a`.
-    pub fn degree(&self, a: NodeId) -> usize {
-        self.neighbors(a).count()
-    }
-
     /// Number of connected pairs.
-    pub fn edge_count(&self) -> usize {
+    fn edge_count(&self) -> usize {
         self.rates.iter().filter(|&&r| r > 0.0).count()
     }
 
@@ -133,84 +128,6 @@ impl ContactGraph {
         } else {
             Rate::new(sum / count as f64)
         }
-    }
-
-    /// Hop count of the shortest path from `a` to `b` over connected pairs
-    /// (BFS), or `None` if disconnected. Zero when `a == b`.
-    ///
-    /// This is the paper's non-anonymous baseline distance used to define
-    /// the message-forwarding-cost factor (Section IV-C).
-    pub fn shortest_hops(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        if a == b {
-            return Some(0);
-        }
-        let mut dist = vec![usize::MAX; self.n];
-        let mut queue = std::collections::VecDeque::new();
-        dist[a.index()] = 0;
-        queue.push_back(a);
-        while let Some(u) = queue.pop_front() {
-            for v in self.neighbors(u) {
-                if dist[v.index()] == usize::MAX {
-                    dist[v.index()] = dist[u.index()] + 1;
-                    if v == b {
-                        return Some(dist[v.index()]);
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        None
-    }
-
-    /// Minimum expected end-to-end delay from `a` to `b` using mean
-    /// inter-contact times as edge weights (Dijkstra), or `None` if
-    /// disconnected.
-    pub fn min_expected_delay(&self, a: NodeId, b: NodeId) -> Option<TimeDelta> {
-        if a == b {
-            return Some(TimeDelta::ZERO);
-        }
-        let mut dist = vec![f64::INFINITY; self.n];
-        let mut visited = vec![false; self.n];
-        dist[a.index()] = 0.0;
-        for _ in 0..self.n {
-            // Extract the unvisited node with the smallest tentative delay.
-            let u = (0..self.n)
-                .filter(|&i| !visited[i] && dist[i].is_finite())
-                .min_by(|&x, &y| dist[x].partial_cmp(&dist[y]).expect("finite"))?;
-            if u == b.index() {
-                return Some(TimeDelta::new(dist[u]));
-            }
-            visited[u] = true;
-            for v in self.neighbors(NodeId(u as u32)) {
-                let w = 1.0 / self.rate(NodeId(u as u32), v).as_f64();
-                if dist[u] + w < dist[v.index()] {
-                    dist[v.index()] = dist[u] + w;
-                }
-            }
-        }
-        None
-    }
-
-    /// Renders the graph in Graphviz DOT format (edges labeled with mean
-    /// inter-contact times), for visual inspection of small networks.
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("graph contacts {\n");
-        for v in self.nodes() {
-            out.push_str(&format!("  v{};\n", v.0));
-        }
-        for i in 0..self.n as u32 {
-            for j in (i + 1)..self.n as u32 {
-                let rate = self.rate(NodeId(i), NodeId(j));
-                if let Some(mean) = rate.mean_intercontact() {
-                    out.push_str(&format!(
-                        "  v{i} -- v{j} [label=\"{:.1}\"];\n",
-                        mean.as_f64()
-                    ));
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 
     /// Whether every node can reach every other node.
@@ -275,8 +192,7 @@ mod tests {
     #[test]
     fn neighbors_and_degree() {
         let g = line_graph(4, 1.0);
-        assert_eq!(g.degree(NodeId(0)), 1);
-        assert_eq!(g.degree(NodeId(1)), 2);
+        assert_eq!(g.neighbors(NodeId(0)).count(), 1);
         let n1: Vec<_> = g.neighbors(NodeId(1)).collect();
         assert_eq!(n1, vec![NodeId(0), NodeId(2)]);
     }
@@ -320,31 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn shortest_hops_bfs() {
-        let g = line_graph(5, 1.0);
-        assert_eq!(g.shortest_hops(NodeId(0), NodeId(4)), Some(4));
-        assert_eq!(g.shortest_hops(NodeId(2), NodeId(2)), Some(0));
-        let mut g2 = ContactGraph::new(3);
-        g2.set_rate(NodeId(0), NodeId(1), Rate::new(1.0));
-        assert_eq!(g2.shortest_hops(NodeId(0), NodeId(2)), None);
-    }
-
-    #[test]
-    fn min_expected_delay_prefers_fast_path() {
-        let mut g = ContactGraph::new(3);
-        // Direct slow edge vs two fast hops.
-        g.set_rate(NodeId(0), NodeId(2), Rate::new(0.1)); // delay 10
-        g.set_rate(NodeId(0), NodeId(1), Rate::new(0.5)); // delay 2
-        g.set_rate(NodeId(1), NodeId(2), Rate::new(0.5)); // delay 2
-        let d = g.min_expected_delay(NodeId(0), NodeId(2)).unwrap();
-        assert!((d.as_f64() - 4.0).abs() < 1e-12);
-        assert_eq!(
-            g.min_expected_delay(NodeId(1), NodeId(1)),
-            Some(TimeDelta::ZERO)
-        );
-    }
-
-    #[test]
     fn connectivity() {
         assert!(line_graph(5, 1.0).is_connected());
         assert!(ContactGraph::new(1).is_connected());
@@ -352,20 +243,6 @@ mod tests {
         let mut g = ContactGraph::new(3);
         g.set_rate(NodeId(0), NodeId(1), Rate::new(1.0));
         assert!(!g.is_connected());
-    }
-
-    #[test]
-    fn dot_export() {
-        let mut g = ContactGraph::new(3);
-        g.set_rate(NodeId(0), NodeId(2), Rate::new(0.5));
-        let dot = g.to_dot();
-        assert!(dot.starts_with("graph contacts {"));
-        assert!(dot.contains("v0 -- v2 [label=\"2.0\"]"));
-        assert!(
-            !dot.contains("v0 -- v1"),
-            "unconnected pair must not appear"
-        );
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

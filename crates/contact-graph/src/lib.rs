@@ -14,7 +14,7 @@
 //! * [`ContactGraph`] — the symmetric rate matrix, plus the aggregate-rate
 //!   queries (Eq. 4) that the analytical models and the onion router need;
 //! * [`UniformGraphBuilder`] and friends — the paper's Table II random
-//!   graphs plus community/ferry topologies for richer scenarios;
+//!   graphs plus community topologies for richer scenarios;
 //! * [`ContactModel`] and [`SparseContacts`] — the trait surface the
 //!   analytical models query, with a CSR sparse backend (active pairs
 //!   only, PPP mobility generator) that scales to `n = 10⁵–10⁶`;
@@ -48,7 +48,7 @@ pub mod node;
 pub mod schedule;
 pub mod time;
 
-pub use generator::{community_graph, ferry_graph, UniformGraphBuilder};
+pub use generator::{community_graph, UniformGraphBuilder};
 pub use graph::ContactGraph;
 pub use mobility::{waypoint_schedule, WaypointConfig};
 pub use model::{ContactModel, SparseContacts};

@@ -93,7 +93,7 @@ impl ContactModel for ContactGraph {
 /// let s = SparseContacts::from_pairs(3, pairs);
 /// assert_eq!(s.contact_rate(NodeId(1), NodeId(0)), Rate::new(0.5));
 /// assert_eq!(s.contact_rate(NodeId(1), NodeId(2)), Rate::ZERO);
-/// assert_eq!(s.pair_count(), 1);
+/// assert_eq!(s.iter_pairs().count(), 1);
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SparseContacts {
@@ -294,20 +294,6 @@ impl SparseContacts {
         self.n == 0
     }
 
-    /// Number of active (positive-rate) undirected pairs.
-    pub fn pair_count(&self) -> usize {
-        self.neighbors.len() / 2
-    }
-
-    /// Number of neighbors of `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is out of range.
-    pub fn degree(&self, a: NodeId) -> usize {
-        self.offsets[a.index() + 1] - self.offsets[a.index()]
-    }
-
     /// Nodes that `a` ever meets, ascending.
     ///
     /// # Panics
@@ -384,12 +370,12 @@ mod tests {
                 (NodeId(0), NodeId(3), Rate::ZERO), // dropped
             ],
         );
-        assert_eq!(s.pair_count(), 2);
+        assert_eq!(s.iter_pairs().count(), 2);
         assert_eq!(s.contact_rate(NodeId(0), NodeId(2)), Rate::new(0.25));
         assert_eq!(s.contact_rate(NodeId(2), NodeId(0)), Rate::new(0.25));
         assert_eq!(s.contact_rate(NodeId(0), NodeId(3)), Rate::ZERO);
         assert_eq!(s.contact_rate(NodeId(1), NodeId(1)), Rate::ZERO);
-        assert_eq!(s.degree(NodeId(3)), 1);
+        assert_eq!(s.neighbors(NodeId(3)).count(), 1);
         let pairs: Vec<_> = s.iter_pairs().collect();
         assert_eq!(
             pairs,
@@ -409,7 +395,7 @@ mod tests {
                 (NodeId(1), NodeId(0), Rate::new(0.9)),
             ],
         );
-        assert_eq!(s.pair_count(), 1);
+        assert_eq!(s.iter_pairs().count(), 1);
         assert_eq!(s.contact_rate(NodeId(0), NodeId(1)), Rate::new(0.9));
     }
 
@@ -447,7 +433,7 @@ mod tests {
             (TimeDelta::new(1.0), TimeDelta::new(36.0)),
             &mut rng(5),
         );
-        let mean_degree = 2.0 * s.pair_count() as f64 / n as f64;
+        let mean_degree = 2.0 * s.iter_pairs().count() as f64 / n as f64;
         // Border effects bite a little (nodes near the edge see a clipped
         // disc), so allow a generous band around the target.
         assert!(

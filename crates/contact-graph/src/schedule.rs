@@ -43,21 +43,6 @@ impl ContactEvent {
     pub fn involves(&self, node: NodeId) -> bool {
         self.a == node || self.b == node
     }
-
-    /// Given one endpoint, returns the other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not an endpoint.
-    pub fn peer_of(&self, node: NodeId) -> NodeId {
-        if self.a == node {
-            self.b
-        } else if self.b == node {
-            self.a
-        } else {
-            panic!("{node} is not part of this contact");
-        }
-    }
 }
 
 /// Samples an exponential inter-contact time for `rate`.
@@ -442,12 +427,6 @@ impl ContactSchedule {
         &self.events[lo..hi]
     }
 
-    /// The first event at or after `t`, if any.
-    pub fn next_event_at_or_after(&self, t: Time) -> Option<&ContactEvent> {
-        let idx = self.events.partition_point(|e| e.time < t);
-        self.events.get(idx)
-    }
-
     /// Estimates pairwise contact rates by event counting:
     /// `λ̂_{i,j} = count(i,j) / horizon`.
     ///
@@ -510,7 +489,6 @@ mod tests {
         assert_eq!((e.a, e.b), (NodeId(2), NodeId(9)));
         assert!(e.involves(NodeId(9)));
         assert!(!e.involves(NodeId(3)));
-        assert_eq!(e.peer_of(NodeId(2)), NodeId(9));
     }
 
     #[test]
@@ -716,11 +694,6 @@ mod tests {
         let s = ContactSchedule::from_events(events, 3, Time::new(10.0));
         assert_eq!(s.window(Time::new(1.5), Time::new(3.0)).len(), 1);
         assert_eq!(s.window(Time::ZERO, Time::new(10.0)).len(), 3);
-        assert_eq!(
-            s.next_event_at_or_after(Time::new(2.5)).unwrap().time,
-            Time::new(3.0)
-        );
-        assert!(s.next_event_at_or_after(Time::new(3.5)).is_none());
     }
 
     #[test]

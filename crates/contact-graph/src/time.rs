@@ -48,11 +48,6 @@ impl Time {
     pub fn as_f64(self) -> f64 {
         self.0
     }
-
-    /// The span from `earlier` to `self` (may be negative).
-    pub fn since(self, earlier: Time) -> TimeDelta {
-        TimeDelta(self.0 - earlier.0)
-    }
 }
 
 impl TimeDelta {
@@ -119,7 +114,8 @@ impl Rate {
     }
 
     /// Mean inter-contact time `1/λ`; `None` for a zero rate.
-    pub fn mean_intercontact(self) -> Option<TimeDelta> {
+    #[cfg(test)]
+    pub(crate) fn mean_intercontact(self) -> Option<TimeDelta> {
         if self.0 > 0.0 {
             Some(TimeDelta(1.0 / self.0))
         } else {

@@ -9,7 +9,6 @@
 
 use rand::RngCore;
 
-use crate::message::MessageId;
 use crate::protocol::{ContactView, Forward, ForwardKind, RoutingProtocol};
 
 /// Direct delivery: the source holds the message until it meets the
@@ -99,11 +98,6 @@ impl SprayAndWait {
             mode: SprayMode::Binary,
         }
     }
-
-    /// The splitting discipline.
-    pub fn mode(&self) -> SprayMode {
-        self.mode
-    }
 }
 
 impl RoutingProtocol for SprayAndWait {
@@ -182,17 +176,11 @@ impl RoutingProtocol for FirstContact {
     }
 }
 
-/// Convenience: returns `true` if `id` should be skipped by any protocol
-/// because it is already delivered or the peer has seen it.
-pub fn should_skip(view: &dyn ContactView, id: MessageId) -> bool {
-    view.is_delivered(id) || view.peer_has(id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{run, SimConfig};
-    use crate::message::Message;
+    use crate::message::{Message, MessageId};
     use contact_graph::{ContactSchedule, NodeId, Time, TimeDelta, UniformGraphBuilder};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -315,7 +303,7 @@ mod tests {
         // (single) custody chain — each node transfers the copy onward at
         // most once because `seen` blocks revisits.
         for &id in report.injected() {
-            if let Some(hops) = report.delivered_hop_count(id) {
+            if let Some(hops) = report.delivered_path(id).map(|p| p.len() - 1) {
                 assert_eq!(report.transmissions_for(id), hops as u64);
             }
         }

@@ -970,11 +970,6 @@ impl<R: RngCore> CalendarQueue<R> {
         self.current.sort_unstable_by(|x, y| y.cmp(x));
     }
 
-    /// Number of active pairs driving the queue.
-    pub fn pair_count(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// Heap footprint in bytes, by capacity. Every buffer is sized for
     /// its worst case at construction and never grows, so the figure a
     /// fresh queue reports bounds the queue for its whole drain.

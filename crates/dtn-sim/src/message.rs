@@ -39,11 +39,6 @@ impl Message {
     pub fn expires_at(&self) -> Time {
         self.created + self.deadline
     }
-
-    /// Whether the message is expired at `now`.
-    pub fn is_expired(&self, now: Time) -> bool {
-        now > self.expires_at()
-    }
 }
 
 /// Base of the reserved id band for coded fragments. Parent message ids
@@ -122,8 +117,6 @@ mod tests {
     fn expiry() {
         let m = msg();
         assert_eq!(m.expires_at(), Time::new(150.0));
-        assert!(!m.is_expired(Time::new(150.0)));
-        assert!(m.is_expired(Time::new(150.1)));
     }
 
     #[test]

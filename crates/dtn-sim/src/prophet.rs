@@ -17,29 +17,12 @@ use rand::RngCore;
 
 use crate::protocol::{ContactView, Forward, ForwardKind, RoutingProtocol};
 
-/// PRoPHET parameters (defaults from the original paper).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ProphetParams {
-    /// Encounter reinforcement `P_init` (default 0.75).
-    pub p_init: f64,
-    /// Transitivity scaling `β` (default 0.25).
-    pub beta: f64,
-    /// Aging base `γ` (default 0.98).
-    pub gamma: f64,
-    /// Time units per aging step (default 1.0 simulation unit).
-    pub aging_unit: f64,
-}
-
-impl Default for ProphetParams {
-    fn default() -> Self {
-        ProphetParams {
-            p_init: 0.75,
-            beta: 0.25,
-            gamma: 0.98,
-            aging_unit: 1.0,
-        }
-    }
-}
+/// Encounter reinforcement `P_init` (the original paper's value).
+const P_INIT: f64 = 0.75;
+/// Transitivity scaling `β`.
+const BETA: f64 = 0.25;
+/// Aging base `γ`, applied once per simulation time unit.
+const GAMMA: f64 = 0.98;
 
 /// The PRoPHET routing protocol.
 ///
@@ -47,8 +30,9 @@ impl Default for ProphetParams {
 ///
 /// ```
 /// use dtn_sim::prophet::Prophet;
+/// use dtn_sim::RoutingProtocol;
 /// let p = Prophet::new(50);
-/// assert_eq!(p.predictability(contact_graph::NodeId(0), contact_graph::NodeId(1)), 0.0);
+/// assert_eq!(p.name(), "prophet");
 /// ```
 #[derive(Clone, Debug)]
 pub struct Prophet {
@@ -57,38 +41,20 @@ pub struct Prophet {
     p: Vec<f64>,
     /// Last aging instant per node (row).
     last_aged: Vec<Time>,
-    params: ProphetParams,
 }
 
 impl Prophet {
-    /// Creates PRoPHET for an `n`-node network with default parameters.
+    /// Creates PRoPHET for an `n`-node network.
     pub fn new(n: usize) -> Self {
-        Self::with_params(n, ProphetParams::default())
-    }
-
-    /// Creates PRoPHET with explicit parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if parameters are outside their valid ranges.
-    pub fn with_params(n: usize, params: ProphetParams) -> Self {
-        assert!((0.0..=1.0).contains(&params.p_init), "P_init in [0,1]");
-        assert!((0.0..=1.0).contains(&params.beta), "beta in [0,1]");
-        assert!(
-            (0.0..1.0).contains(&params.gamma) || params.gamma == 1.0,
-            "gamma in (0,1]"
-        );
-        assert!(params.aging_unit > 0.0, "aging unit must be positive");
         Prophet {
             n,
             p: vec![0.0; n * n],
             last_aged: vec![Time::ZERO; n],
-            params,
         }
     }
 
     /// Current predictability `P(a, b)` (no aging applied).
-    pub fn predictability(&self, a: NodeId, b: NodeId) -> f64 {
+    fn predictability(&self, a: NodeId, b: NodeId) -> f64 {
         self.p[a.index() * self.n + b.index()]
     }
 
@@ -97,7 +63,7 @@ impl Prophet {
         if elapsed <= 0.0 {
             return;
         }
-        let factor = self.params.gamma.powf(elapsed / self.params.aging_unit);
+        let factor = GAMMA.powf(elapsed);
         let row = node.index() * self.n;
         for v in &mut self.p[row..row + self.n] {
             *v *= factor;
@@ -107,7 +73,7 @@ impl Prophet {
 
     fn encounter_update(&mut self, a: NodeId, b: NodeId) {
         let idx = a.index() * self.n + b.index();
-        self.p[idx] += (1.0 - self.p[idx]) * self.params.p_init;
+        self.p[idx] += (1.0 - self.p[idx]) * P_INIT;
     }
 
     fn transitivity_update(&mut self, a: NodeId, b: NodeId) {
@@ -116,7 +82,7 @@ impl Prophet {
         let row_b = b.index() * self.n;
         let row_a = a.index() * self.n;
         for c in 0..self.n {
-            let candidate = p_ab * self.p[row_b + c] * self.params.beta;
+            let candidate = p_ab * self.p[row_b + c] * BETA;
             if candidate > self.p[row_a + c] {
                 self.p[row_a + c] = candidate;
             }
@@ -316,14 +282,5 @@ mod tests {
             prophet.delivery_rate(),
             direct.delivery_rate()
         );
-    }
-
-    #[test]
-    fn parameter_validation() {
-        let bad = ProphetParams {
-            p_init: 1.5,
-            ..ProphetParams::default()
-        };
-        assert!(std::panic::catch_unwind(|| Prophet::with_params(3, bad)).is_err());
     }
 }

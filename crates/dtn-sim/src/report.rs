@@ -284,11 +284,6 @@ impl SimReport {
         self.coded.as_ref()
     }
 
-    /// Name of the protocol that produced this report.
-    pub fn protocol(&self) -> &str {
-        &self.protocol
-    }
-
     /// Number of injected messages.
     pub fn injected_count(&self) -> usize {
         self.injected.len()
@@ -339,7 +334,7 @@ impl SimReport {
     }
 
     /// All delivery delays, sorted ascending (one per delivered message).
-    pub fn delays_sorted(&self) -> Vec<TimeDelta> {
+    fn delays_sorted(&self) -> Vec<TimeDelta> {
         let mut delays: Vec<TimeDelta> = self
             .delivered
             .keys()
@@ -481,12 +476,6 @@ impl SimReport {
         path.reverse();
         Some(path)
     }
-
-    /// Hop count of the delivered path (transmissions along the winning
-    /// chain), if reconstructible.
-    pub fn delivered_hop_count(&self, message: MessageId) -> Option<usize> {
-        Some(self.delivered_path(message)?.len() - 1)
-    }
 }
 
 #[cfg(test)]
@@ -564,7 +553,7 @@ mod tests {
     #[test]
     fn rates_and_counts() {
         let r = report();
-        assert_eq!(r.protocol(), "test");
+        assert_eq!(r.protocol, "test");
         assert_eq!(r.injected_count(), 2);
         assert_eq!(r.delivered_count(), 1);
         assert_eq!(r.delivery_rate(), 0.5);
@@ -588,7 +577,6 @@ mod tests {
             r.delivered_path(MessageId(1)),
             Some(vec![NodeId(0), NodeId(2), NodeId(3)])
         );
-        assert_eq!(r.delivered_hop_count(MessageId(1)), Some(2));
         assert_eq!(r.delivered_path(MessageId(2)), None);
     }
 

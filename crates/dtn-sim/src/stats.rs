@@ -74,11 +74,6 @@ impl StreamingStats {
         self.count
     }
 
-    /// Whether no samples have been ingested.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Sample mean; `None` if empty.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then_some(self.mean)
@@ -191,7 +186,7 @@ mod tests {
     #[test]
     fn empty_and_singleton_edge_cases() {
         let mut s = StreamingStats::new();
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), None);
         assert_eq!(s.variance(), None);
         assert_eq!(s.min(), None);

@@ -137,11 +137,6 @@ impl Histogram {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
-    /// Smallest recorded value.
-    pub fn min(&self) -> Option<f64> {
-        self.min
-    }
-
     /// Largest recorded value.
     pub fn max(&self) -> Option<f64> {
         self.max
@@ -197,20 +192,10 @@ impl Histogram {
         self.max
     }
 
-    /// Recorded values `<= 0` (tallied outside the buckets).
-    pub fn zero_or_negative(&self) -> u64 {
-        self.zero_or_negative
-    }
-
-    /// Recorded values past the largest bucket (`>= 2^(MAX_EXP+1)`).
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Iterates the occupied buckets as `(index, count)` pairs, in
     /// ascending value order; feed indices to [`bucket_bounds`] for the
     /// value ranges. Empty buckets are skipped.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
@@ -378,7 +363,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert_eq!(a.buckets, all.buckets);
-        assert_eq!(a.min(), all.min());
+        assert_eq!(a.min, all.min);
         assert_eq!(a.max(), all.max());
         assert_eq!(a.quantile(0.9), all.quantile(0.9));
     }
@@ -396,8 +381,8 @@ mod tests {
         assert_eq!(occupied.len(), 2);
         assert_eq!(occupied[0].1, 2);
         assert_eq!(occupied[1].1, 1);
-        assert_eq!(h.zero_or_negative(), 1);
-        assert_eq!(h.overflow(), 1);
+        assert_eq!(h.zero_or_negative, 1);
+        assert_eq!(h.overflow, 1);
 
         let le = h.cumulative_le();
         assert_eq!(le.len(), 2);

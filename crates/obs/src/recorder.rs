@@ -292,8 +292,8 @@ fn append_jsonl(path: &Path, snapshot: &MetricsSnapshot) -> std::io::Result<()> 
 }
 
 /// Takes the most recent [`flush_point`] snapshot, leaving `None`.
-/// Lets callers (e.g. the `mc_speedup` example) read back summaries
-/// without parsing the JSONL file.
+/// Lets callers (e.g. `tests/telemetry_determinism.rs`) read back
+/// summaries without parsing the JSONL file.
 pub fn take_last_snapshot() -> Option<MetricsSnapshot> {
     last_snapshot().lock().unwrap().take()
 }

@@ -24,7 +24,8 @@ impl Span {
     }
 
     /// Elapsed seconds so far, or `None` for an inert span.
-    pub fn elapsed_secs(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn elapsed_secs(&self) -> Option<f64> {
         self.start.map(|s| s.elapsed().as_secs_f64())
     }
 }

@@ -102,18 +102,13 @@ macro_rules! trace_events {
 
         impl TraceEvent {
             /// The event's kind tag (the JSON `event` field).
-            pub fn name(&self) -> &'static str {
+            #[cfg(test)]
+            fn name(&self) -> &'static str {
                 match self {
                     $( TraceEvent::$variant { .. } => $tag, )*
                 }
             }
 
-            /// The event's simulation time.
-            pub fn time(&self) -> f64 {
-                match *self {
-                    $( TraceEvent::$variant { time, .. } => time, )*
-                }
-            }
         }
 
         impl Serialize for TraceEvent {
@@ -290,11 +285,6 @@ impl TraceRing {
     /// The trial this ring records.
     pub fn trial(&self) -> u64 {
         self.trial
-    }
-
-    /// Maximum number of events kept.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of events currently held.
@@ -612,7 +602,7 @@ mod tests {
         let mut ring = TraceRing::new(0, 0);
         ring.push(TraceEvent::FaultCrash { time: 0.0, node: 1 });
         ring.push(TraceEvent::FaultCrash { time: 1.0, node: 2 });
-        assert_eq!(ring.capacity(), 1);
+        assert_eq!(ring.capacity, 1);
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.dropped(), 1);
     }

@@ -8,10 +8,10 @@
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Sub, SubAssign};
 
 /// The reduction polynomial: `x^8 + x^4 + x^3 + x^2 + 1`.
-pub const POLY: u16 = 0x11d;
+const POLY: u16 = 0x11d;
 
 /// Multiplicative order of the field's unit group.
-pub const ORDER: usize = 255;
+const ORDER: usize = 255;
 
 const fn build_tables() -> ([u8; 256], [u8; 512]) {
     let mut log = [0u8; 256];
@@ -38,11 +38,11 @@ const fn build_tables() -> ([u8; 256], [u8; 512]) {
 const TABLES: ([u8; 256], [u8; 512]) = build_tables();
 
 /// `LOG[a]` = discrete log of `a` base `0x02` (undefined at 0, stored as 0).
-pub const LOG: [u8; 256] = TABLES.0;
+const LOG: [u8; 256] = TABLES.0;
 
 /// `EXP[i]` = `0x02^i`, doubled in length so `EXP[log a + log b]` needs no
 /// modular reduction.
-pub const EXP: [u8; 512] = TABLES.1;
+const EXP: [u8; 512] = TABLES.1;
 
 /// An element of GF(2^8): a thin newtype over the byte representation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -54,12 +54,10 @@ impl Gf256 {
     pub const ZERO: Gf256 = Gf256(0);
     /// Multiplicative identity.
     pub const ONE: Gf256 = Gf256(1);
-    /// The primitive generator used to build the tables.
-    pub const GENERATOR: Gf256 = Gf256(2);
 
     /// Raw byte multiplication, the hot-loop primitive.
     #[inline]
-    pub fn mul_bytes(a: u8, b: u8) -> u8 {
+    fn mul_bytes(a: u8, b: u8) -> u8 {
         if a == 0 || b == 0 {
             0
         } else {
@@ -75,16 +73,6 @@ impl Gf256 {
             return Gf256(1);
         }
         Gf256(EXP[ORDER - LOG[self.0 as usize] as usize])
-    }
-
-    /// Checked inverse: `None` for zero.
-    #[inline]
-    pub fn checked_inv(self) -> Option<Gf256> {
-        if self.0 == 0 {
-            None
-        } else {
-            Some(self.inv())
-        }
     }
 
     /// Exponentiation by a non-negative integer power.
@@ -205,24 +193,6 @@ pub fn mul_slice_add(c: u8, src: &[u8], dst: &mut [u8]) {
     }
 }
 
-/// `dst[i] = c * dst[i]` over the whole slice.
-#[inline]
-pub fn mul_slice(c: u8, dst: &mut [u8]) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    let log_c = LOG[c as usize] as usize;
-    for d in dst.iter_mut() {
-        if *d != 0 {
-            *d = EXP[log_c + LOG[*d as usize] as usize];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,7 +247,6 @@ mod tests {
             assert_eq!(x + Gf256::ZERO, x);
             assert_eq!(x + x, Gf256::ZERO);
         }
-        assert_eq!(Gf256::ZERO.checked_inv(), None);
     }
 
     #[test]
@@ -304,11 +273,6 @@ mod tests {
                 .collect();
             mul_slice_add(c, &src, &mut dst);
             assert_eq!(dst, expect, "mul_slice_add c={c}");
-
-            let mut scaled = src.clone();
-            mul_slice(c, &mut scaled);
-            let expect: Vec<u8> = src.iter().map(|s| (Gf256(c) * Gf256(*s)).0).collect();
-            assert_eq!(scaled, expect, "mul_slice c={c}");
         }
     }
 }

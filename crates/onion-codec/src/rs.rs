@@ -170,11 +170,6 @@ impl RsCodec {
         data_len.div_ceil(self.k)
     }
 
-    /// One row of the normalised generator matrix (for inspection/tests).
-    pub fn generator_row(&self, i: usize) -> &[u8] {
-        &self.gen[i]
-    }
-
     /// Splits `data` into `m` fragments of `fragment_len(data.len())`
     /// bytes each; the first `k` are the (zero-padded) data chunks.
     pub fn encode(&self, data: &[u8]) -> Vec<Vec<u8>> {
@@ -353,7 +348,7 @@ mod tests {
         let codec = RsCodec::new(4, 7).unwrap();
         for i in 0..4 {
             for j in 0..4 {
-                assert_eq!(codec.generator_row(i)[j], u8::from(i == j));
+                assert_eq!(codec.gen[i][j], u8::from(i == j));
             }
         }
     }

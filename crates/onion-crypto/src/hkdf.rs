@@ -1,7 +1,6 @@
 //! HKDF with SHA-256 (RFC 5869), verified against the RFC test vectors.
 //!
-//! Used to derive per-layer onion keys and per-link session keys from group
-//! master secrets and X25519 shared secrets.
+//! Used to derive the onion-group keys from the network master secret.
 
 use crate::hmac::hmac_sha256;
 use crate::sha256::DIGEST_LEN;
@@ -9,7 +8,7 @@ use crate::sha256::DIGEST_LEN;
 /// `HKDF-Extract(salt, ikm)` — returns the pseudorandom key (PRK).
 ///
 /// An empty `salt` is treated as a string of `HashLen` zeros per the RFC.
-pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
+fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     let zeros = [0u8; DIGEST_LEN];
     let salt = if salt.is_empty() { &zeros[..] } else { salt };
     hmac_sha256(salt, ikm)
@@ -20,7 +19,7 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 /// # Panics
 ///
 /// Panics if `len > 255 * 32` (the RFC 5869 limit).
-pub fn expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
+fn expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
     assert!(
         len <= 255 * DIGEST_LEN,
         "HKDF-Expand output limited to {} bytes",

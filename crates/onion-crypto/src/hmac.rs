@@ -24,7 +24,7 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
 ///
 /// Useful when the message arrives in pieces (e.g. header then body).
 #[derive(Clone, Debug)]
-pub struct HmacSha256 {
+struct HmacSha256 {
     inner: Sha256,
     outer_key: [u8; BLOCK_LEN],
 }
@@ -67,11 +67,6 @@ impl HmacSha256 {
         outer.update(&self.outer_key);
         outer.update(&inner_digest);
         outer.finalize()
-    }
-
-    /// Verifies `tag` against the computed MAC in constant time.
-    pub fn verify(self, tag: &[u8; DIGEST_LEN]) -> bool {
-        constant_time_eq(&self.finalize(), tag)
     }
 }
 
@@ -146,22 +141,6 @@ mod tests {
         mac.update(&data[..10]);
         mac.update(&data[10..]);
         assert_eq!(mac.finalize(), oneshot);
-    }
-
-    #[test]
-    fn verify_accepts_and_rejects() {
-        let tag = hmac_sha256(b"k", b"m");
-        assert!(HmacSha256::new(b"k").tap(b"m").verify(&tag));
-        let mut bad = tag;
-        bad[0] ^= 1;
-        assert!(!HmacSha256::new(b"k").tap(b"m").verify(&bad));
-    }
-
-    impl HmacSha256 {
-        fn tap(mut self, data: &[u8]) -> Self {
-            self.update(data);
-            self
-        }
     }
 
     #[test]

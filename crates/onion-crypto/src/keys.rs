@@ -26,22 +26,6 @@ pub fn derive_group_key(master: &[u8; 32], group_id: u32) -> AeadKey {
     AeadKey::from_bytes(hkdf::derive_key(b"onion-dtn/v1", master, &info))
 }
 
-/// Derives a pairwise link key from an X25519 shared secret, used to secure
-/// the per-contact link (Algorithms 1–2: "establish a secure link").
-pub fn derive_link_key(shared_secret: &[u8; 32], node_a: u32, node_b: u32) -> AeadKey {
-    // Order the node ids so both endpoints derive the same key.
-    let (lo, hi) = if node_a <= node_b {
-        (node_a, node_b)
-    } else {
-        (node_b, node_a)
-    };
-    let mut info = Vec::with_capacity(20);
-    info.extend_from_slice(b"link:");
-    info.extend_from_slice(&lo.to_le_bytes());
-    info.extend_from_slice(&hi.to_le_bytes());
-    AeadKey::from_bytes(hkdf::derive_key(b"onion-dtn/v1", shared_secret, &info))
-}
-
 /// A node's set of onion-group keys, indexed by group id.
 ///
 /// # Examples
@@ -74,27 +58,9 @@ impl GroupKeyring {
         Self::default()
     }
 
-    /// Builds a keyring holding keys for each listed group, derived from the
-    /// network master secret.
-    pub fn for_groups<I>(master: &[u8; 32], groups: I) -> Self
-    where
-        I: IntoIterator<Item = u32>,
-    {
-        let mut ring = GroupKeyring::new();
-        for g in groups {
-            ring.insert(g, derive_group_key(master, g));
-        }
-        ring
-    }
-
     /// Adds (or replaces) the key for `group_id`.
     pub fn insert(&mut self, group_id: u32, key: AeadKey) {
         self.keys.insert(group_id, key);
-    }
-
-    /// Removes the key for `group_id`, returning it if present.
-    pub fn remove(&mut self, group_id: u32) -> Option<AeadKey> {
-        self.keys.remove(&group_id)
     }
 
     /// Looks up the key for `group_id`.
@@ -130,98 +96,6 @@ impl GroupKeyring {
     }
 }
 
-/// A forward-secure epoch keychain (pebblenets-style rekeying, related
-/// work \[14\] of the paper).
-///
-/// The chain secret advances through a one-way HKDF ratchet; group keys
-/// for epoch `e` derive from the epoch-`e` chain secret. Compromising a
-/// node in epoch `e` therefore exposes keys for `e` and later, but
-/// **not** earlier epochs (forward security), bounding what a captured
-/// device leaks about past traffic.
-///
-/// # Examples
-///
-/// ```
-/// use onion_crypto::keys::EpochKeychain;
-///
-/// let mut chain = EpochKeychain::new([7u8; 32]);
-/// let old = chain.group_key(3);
-/// chain.advance();
-/// let new = chain.group_key(3);
-/// assert_ne!(old.as_bytes(), new.as_bytes());
-/// ```
-#[derive(Clone)]
-pub struct EpochKeychain {
-    chain: [u8; 32],
-    epoch: u64,
-}
-
-impl std::fmt::Debug for EpochKeychain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EpochKeychain")
-            .field("epoch", &self.epoch)
-            .finish_non_exhaustive()
-    }
-}
-
-impl EpochKeychain {
-    /// Starts a chain at epoch 0 from the network master secret.
-    pub fn new(master: [u8; 32]) -> Self {
-        EpochKeychain {
-            chain: hkdf::derive_key(b"onion-dtn/v1", &master, b"epoch-chain:0"),
-            epoch: 0,
-        }
-    }
-
-    /// The current epoch number.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Ratchets to the next epoch, irreversibly overwriting the chain
-    /// secret.
-    pub fn advance(&mut self) {
-        self.chain = hkdf::derive_key(b"onion-dtn/v1", &self.chain, b"epoch-advance");
-        self.epoch += 1;
-    }
-
-    /// Ratchets forward until `epoch` (no-op if already there).
-    ///
-    /// # Panics
-    ///
-    /// Panics when asked to move backwards — past chain secrets are
-    /// destroyed by design.
-    pub fn advance_to(&mut self, epoch: u64) {
-        assert!(
-            epoch >= self.epoch,
-            "cannot ratchet backwards (forward security)"
-        );
-        while self.epoch < epoch {
-            self.advance();
-        }
-    }
-
-    /// The shared key of onion group `group_id` for the current epoch.
-    pub fn group_key(&self, group_id: u32) -> AeadKey {
-        let mut info = Vec::with_capacity(24);
-        info.extend_from_slice(b"epoch-group:");
-        info.extend_from_slice(&group_id.to_le_bytes());
-        AeadKey::from_bytes(hkdf::derive_key(b"onion-dtn/v1", &self.chain, &info))
-    }
-
-    /// Builds the current epoch's keyring for the listed groups.
-    pub fn keyring_for_groups<I>(&self, groups: I) -> GroupKeyring
-    where
-        I: IntoIterator<Item = u32>,
-    {
-        let mut ring = GroupKeyring::new();
-        for g in groups {
-            ring.insert(g, self.group_key(g));
-        }
-        ring
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,22 +118,12 @@ mod tests {
     }
 
     #[test]
-    fn link_key_is_symmetric_in_node_order() {
-        let ss = [9u8; 32];
-        assert_eq!(
-            derive_link_key(&ss, 4, 11).as_bytes(),
-            derive_link_key(&ss, 11, 4).as_bytes()
-        );
-        assert_ne!(
-            derive_link_key(&ss, 4, 11).as_bytes(),
-            derive_link_key(&ss, 4, 12).as_bytes()
-        );
-    }
-
-    #[test]
     fn keyring_membership() {
         let master = [3u8; 32];
-        let ring = GroupKeyring::for_groups(&master, [2, 5, 8]);
+        let mut ring = GroupKeyring::new();
+        for g in [2, 5, 8] {
+            ring.insert(g, derive_group_key(&master, g));
+        }
         assert_eq!(ring.len(), 3);
         assert!(ring.contains(5));
         assert!(!ring.contains(4));
@@ -272,79 +136,17 @@ mod tests {
     }
 
     #[test]
-    fn keyring_insert_remove() {
+    fn keyring_insert() {
         let mut ring = GroupKeyring::new();
         assert!(ring.is_empty());
         ring.insert(1, AeadKey::from_bytes([1u8; 32]));
         assert!(!ring.is_empty());
-        assert!(ring.remove(1).is_some());
-        assert!(ring.remove(1).is_none());
-        assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn epoch_chain_is_deterministic() {
-        let mut a = EpochKeychain::new([1u8; 32]);
-        let mut b = EpochKeychain::new([1u8; 32]);
-        a.advance_to(5);
-        b.advance_to(5);
-        assert_eq!(a.group_key(9).as_bytes(), b.group_key(9).as_bytes());
-        assert_eq!(a.epoch(), 5);
-    }
-
-    #[test]
-    fn epochs_produce_distinct_keys() {
-        let mut chain = EpochKeychain::new([2u8; 32]);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..10 {
-            assert!(seen.insert(*chain.group_key(0).as_bytes()));
-            chain.advance();
-        }
-    }
-
-    #[test]
-    fn forward_security_old_keys_unreachable() {
-        // After advancing, the keychain cannot re-derive the old epoch's
-        // key: confirm by comparing against a fresh chain held back at
-        // the old epoch.
-        let mut old = EpochKeychain::new([3u8; 32]);
-        let old_key = *old.group_key(1).as_bytes();
-        old.advance();
-        // Current state produces a different key, and the API offers no
-        // path back.
-        assert_ne!(*old.group_key(1).as_bytes(), old_key);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn backward_ratchet_rejected() {
-        let mut chain = EpochKeychain::new([4u8; 32]);
-        chain.advance_to(3);
-        chain.advance_to(2);
-    }
-
-    #[test]
-    fn epoch_keyring_matches_group_keys() {
-        let chain = EpochKeychain::new([5u8; 32]);
-        let ring = chain.keyring_for_groups([2, 7]);
-        assert_eq!(ring.len(), 2);
-        assert_eq!(
-            ring.key(7).unwrap().as_bytes(),
-            chain.group_key(7).as_bytes()
-        );
-    }
-
-    #[test]
-    fn epoch_debug_hides_chain() {
-        let chain = EpochKeychain::new([0xEE; 32]);
-        let s = format!("{chain:?}");
-        assert!(s.contains("epoch"));
-        assert!(!s.to_lowercase().contains("ee"), "{s}");
     }
 
     #[test]
     fn debug_shows_groups_not_keys() {
-        let ring = GroupKeyring::for_groups(&[0u8; 32], [42]);
+        let mut ring = GroupKeyring::new();
+        ring.insert(42, derive_group_key(&[0u8; 32], 42));
         let s = format!("{ring:?}");
         assert!(s.contains("42"));
         assert!(!s.to_lowercase().contains("aeadkey("));

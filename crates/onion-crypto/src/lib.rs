@@ -12,7 +12,6 @@
 //! * [`chacha20`] — ChaCha20 (RFC 8439)
 //! * [`poly1305`] — Poly1305 (RFC 8439)
 //! * [`aead`] — ChaCha20-Poly1305 AEAD (RFC 8439)
-//! * [`x25519`] — X25519 Diffie-Hellman (RFC 7748)
 //! * [`shamir`] — Shamir secret sharing over GF(2⁸) (for the TPS
 //!   comparison protocol)
 //!
@@ -40,7 +39,8 @@
 //!
 //! // A relay holding group 4's key peels the first layer in place; the
 //! // packet keeps its size and now names group 9.
-//! let ring = GroupKeyring::for_groups(&master, [4]);
+//! let mut ring = GroupKeyring::new();
+//! ring.insert(4, derive_group_key(&master, 4));
 //! let peeled = packet.peel_in_place(ring.key(4)?, &mut rng)?;
 //! assert_eq!(peeled, WirePeeled::Forward { next: RouteTarget::Group(9) });
 //! assert_eq!(packet.as_bytes().len(), onion_crypto::WIRE_PACKET_LEN);
@@ -61,11 +61,10 @@ pub mod poly1305;
 pub mod sha256;
 pub mod shamir;
 pub mod wire;
-pub mod x25519;
 
 pub use aead::AeadKey;
 pub use error::CryptoError;
-pub use keys::{EpochKeychain, GroupKeyring};
+pub use keys::GroupKeyring;
 pub use wire::{
     OnionLayerSpec, RouteTarget, WirePacket, WirePeeled, WIRE_BODY_LEN, WIRE_PACKET_LEN,
     WIRE_PER_LAYER,

@@ -48,7 +48,7 @@ const LEN_FIELD: usize = 4;
 const AAD: &[u8] = b"onion-dtn/v1 wire";
 
 /// Wire-format version byte (first byte of every packet).
-pub const WIRE_VERSION: u8 = 0x01;
+const WIRE_VERSION: u8 = 0x01;
 /// Routing-header tag: the packet targets an onion group.
 const TARGET_GROUP: u8 = 0x01;
 /// Routing-header tag: the packet targets the destination node.

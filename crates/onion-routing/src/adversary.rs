@@ -19,7 +19,7 @@ pub struct Adversary {
 
 impl Adversary {
     /// An adversary controlling exactly the given nodes.
-    pub fn from_nodes<I: IntoIterator<Item = NodeId>>(nodes: I) -> Self {
+    pub(crate) fn from_nodes<I: IntoIterator<Item = NodeId>>(nodes: I) -> Self {
         Adversary {
             compromised: nodes.into_iter().collect(),
         }
@@ -40,7 +40,7 @@ impl Adversary {
     }
 
     /// Whether `node` is compromised.
-    pub fn is_compromised(&self, node: NodeId) -> bool {
+    fn is_compromised(&self, node: NodeId) -> bool {
         self.compromised.contains(&node)
     }
 
@@ -62,7 +62,7 @@ impl Adversary {
     /// The compromise bit string of a custody chain (Eq. 1's `b`):
     /// `bits[i] = true` iff the **sender** of hop `i` is compromised.
     /// A chain of `η + 1` nodes yields `η` bits.
-    pub fn path_bits(&self, path: &[NodeId]) -> Vec<bool> {
+    fn path_bits(&self, path: &[NodeId]) -> Vec<bool> {
         if path.len() < 2 {
             return Vec::new();
         }

@@ -106,11 +106,6 @@ impl TraceAudit {
         TraceAudit { messages }
     }
 
-    /// Message ids seen in the trace, ascending.
-    pub fn message_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.messages.keys().copied()
-    }
-
     /// Number of messages seen in the trace.
     pub fn message_count(&self) -> usize {
         self.messages.len()

@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use onion_crypto::sha256::Sha256;
 use serde::{Deserialize, DeserializeOwned, Serialize};
@@ -113,7 +113,6 @@ struct Entry {
 /// An append-only JSONL record of a sweep's completed points.
 #[derive(Debug)]
 pub struct Checkpoint {
-    path: PathBuf,
     file: File,
     done: BTreeMap<String, String>,
     hits: u64,
@@ -223,16 +222,10 @@ impl Checkpoint {
             done.len(),
         );
         Ok(Checkpoint {
-            path: path.to_path_buf(),
             file,
             done,
             hits: 0,
         })
-    }
-
-    /// The file this checkpoint appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Number of completed points on record.
@@ -327,6 +320,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     /// A scratch directory unique to this test, cleaned up on drop.
     struct Scratch(PathBuf);
@@ -467,7 +461,6 @@ mod tests {
         let cp = Checkpoint::open(&path, &Checkpoint::fingerprint(&"cfg")).unwrap();
         assert!(cp.is_empty());
         assert!(path.exists());
-        assert_eq!(cp.path(), path);
     }
 
     #[test]

@@ -66,13 +66,13 @@ impl OnionGroups {
         Self::from_chunks(nodes, n, g)
     }
 
-    /// Deterministic partition in node order (useful for tests and for
-    /// reproducing a published group assignment).
+    /// Deterministic partition in node order, a fixture for unit tests.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `g == 0`.
-    pub fn sequential_partition(n: usize, g: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn sequential_partition(n: usize, g: usize) -> Self {
         assert!(n > 0, "need at least one node");
         assert!(g > 0, "group size must be positive");
         let nodes: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
@@ -106,12 +106,6 @@ impl OnionGroups {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.assignment.len()
-    }
-
-    /// The configured group size `g` (actual groups may be smaller at the
-    /// tail).
-    pub fn nominal_size(&self) -> usize {
-        self.nominal_size
     }
 
     /// The group containing `node`.
@@ -239,7 +233,6 @@ mod tests {
         assert_eq!(sizes.iter().sum::<usize>(), 100);
         assert_eq!(*sizes.last().unwrap(), 2);
         assert!(sizes[..14].iter().all(|&s| s == 7));
-        assert_eq!(g.nominal_size(), 7);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod crypto;
 pub mod experiment;
 pub mod groups;
 pub mod metrics;
-pub mod prelude;
 pub mod protocol;
 pub mod runner;
 pub mod sweep;

@@ -188,12 +188,6 @@ impl OnionRouting {
         self
     }
 
-    /// The crypto context backing wire mode, if enabled via
-    /// [`Self::with_wire`].
-    pub fn wire_crypto(&self) -> Option<&OnionCryptoContext> {
-        self.wire.as_ref().map(|w| &w.crypto)
-    }
-
     /// Enables coded byte-work: a simulation run with
     /// [`dtn_sim::SimConfig::copy_mode`] set to `CopyMode::Coded { k, m }`
     /// Reed-Solomon-encodes a real [`CODED_PAYLOAD_LEN`]-byte payload per
@@ -226,20 +220,9 @@ impl OnionRouting {
         &self.groups
     }
 
-    /// Number of onion groups per route (`K`).
-    pub fn onions(&self) -> usize {
-        self.onions
-    }
-
     /// The route chosen for `message`, if it has been injected.
     pub fn route_of(&self, message: MessageId) -> Option<&[GroupId]> {
         self.routes.get(&message).map(|r| r.as_slice())
-    }
-
-    /// All selected routes (message → group sequence), for the security
-    /// metrics.
-    pub fn routes(&self) -> &HashMap<MessageId, Vec<GroupId>> {
-        &self.routes
     }
 
     /// Whether `node` may serve as a relay of `group` for `message` — the
@@ -769,7 +752,6 @@ mod tests {
         assert!(!proto(2, ForwardingMode::SingleCopy).wire_capable());
         let p = proto(2, ForwardingMode::SingleCopy).with_wire(rng(77));
         assert!(p.wire_capable());
-        assert!(p.wire_crypto().is_some());
     }
 
     #[test]

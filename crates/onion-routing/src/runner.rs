@@ -175,7 +175,7 @@ impl RunnerConfig {
 
     /// The worker count actually used for `trials` trials: auto-detects
     /// when `threads == 0`, and never exceeds the trial count.
-    pub fn effective_threads(&self, trials: usize) -> usize {
+    fn effective_threads(&self, trials: usize) -> usize {
         let requested = if self.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())

@@ -608,6 +608,12 @@ pub(crate) fn check_world(
     if let Err(e) = cfg.validate() {
         return invalid("config", e);
     }
+    if opts.messages == 0 {
+        return invalid("opts.messages", "must be at least 1".into());
+    }
+    if opts.realizations == 0 {
+        return invalid("opts.realizations", "must be at least 1".into());
+    }
     if let Err(e) = opts.faults.validate() {
         return invalid("opts.faults", e);
     }

@@ -307,7 +307,7 @@ impl Api {
             ),
             ("opts.messages", opts.messages, limits.max_messages),
         ] {
-            if value == 0 || value > max {
+            if value > max {
                 return Err(format!("{field} must be within 1..={max}"));
             }
         }
@@ -1235,6 +1235,16 @@ mod tests {
                     .intercontact_range((0.0, 36.0))
                     .build(),
                 "opts.intercontact_range",
+            ),
+            (
+                rg().over_deadlines(&[60.0]),
+                opts.clone().into_builder().messages(0).build(),
+                "opts.messages",
+            ),
+            (
+                rg().over_deadlines(&[60.0]),
+                opts.clone().into_builder().realizations(0).build(),
+                "opts.realizations",
             ),
         ];
         let api = api();

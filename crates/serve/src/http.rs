@@ -20,9 +20,9 @@ use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 /// Upper bound on the request/status line plus all headers.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request or response body.
-pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// A parse failure while reading a request; maps onto a 4xx response.
 #[derive(Debug)]

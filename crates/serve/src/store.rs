@@ -41,7 +41,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Leading magic of a store log; refuses to scan foreign files.
-pub const STORE_MAGIC: &[u8; 8] = b"ODTNSTR1";
+const STORE_MAGIC: &[u8; 8] = b"ODTNSTR1";
 
 /// File name of the record log inside the store directory.
 pub const STORE_LOG: &str = "store.log";
@@ -309,11 +309,6 @@ impl ResponseStore {
         }
     }
 
-    /// Path of the record log.
-    pub fn log_path(&self) -> PathBuf {
-        self.inner.lock().unwrap().path.clone()
-    }
-
     /// Mirrors store health into the global metrics registry.
     fn sync_gauges(&self) {
         let s = self.status();
@@ -540,7 +535,7 @@ mod tests {
         let scratch = Scratch::new("torn");
         let store = ResponseStore::open(&scratch.0, BUDGET).unwrap();
         store.put("whole", "survives").unwrap();
-        let log = store.log_path();
+        let log = scratch.0.join(STORE_LOG);
         let clean_len = store.status().bytes;
         drop(store);
 
@@ -573,7 +568,7 @@ mod tests {
         let scratch = Scratch::new("badcrc");
         let store = ResponseStore::open(&scratch.0, BUDGET).unwrap();
         store.put("good", "kept").unwrap();
-        let log = store.log_path();
+        let log = scratch.0.join(STORE_LOG);
         drop(store);
 
         // A complete, well-framed record whose CRC is wrong.

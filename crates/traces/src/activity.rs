@@ -79,14 +79,6 @@ impl ActivityPattern {
         Ok(ActivityPattern { period, windows })
     }
 
-    /// An always-active pattern (no gating).
-    pub fn always_active() -> Self {
-        ActivityPattern {
-            period: 86_400.0,
-            windows: vec![(0.0, 86_400.0)],
-        }
-    }
-
     /// Standard 9-to-5 business hours over a 24 h day.
     pub fn business_hours() -> Self {
         ActivityPattern::new(86_400.0, vec![(9.0 * 3600.0, 17.0 * 3600.0)])
@@ -255,7 +247,7 @@ mod tests {
 
     #[test]
     fn always_active_has_no_gaps() {
-        let p = ActivityPattern::always_active();
+        let p = ActivityPattern::new(86_400.0, vec![(0.0, 86_400.0)]).unwrap();
         assert!(p.is_active(0.0));
         assert!(p.is_active(123_456.0));
         assert_eq!(p.active_measure(1000.0), 1000.0);

@@ -7,11 +7,8 @@
 //! ```
 //!
 //! Lines starting with `#` (or `%`) and blank lines are ignored. Device ids
-//! are arbitrary integers; they are remapped to dense [`NodeId`]s. The
-//! paper restricts the experiments to the mobile iMotes, excluding
-//! stationary and external devices — pass a
-//! [`device filter`](HaggleParser::device_filter) to do the same (in the
-//! published traces the internal iMotes carry the lowest ids).
+//! are arbitrary integers; they are remapped to dense [`NodeId`]s, and times
+//! are shifted so the first contact is at `t = 0`.
 
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -133,52 +130,26 @@ impl ParsedTrace {
 /// use traces::HaggleParser;
 ///
 /// let trace = "\
-/// % two iMotes and one external device
+/// % three iMotes
 /// 1 2 100 160
 /// 2 3 150 170
-/// 1 9999 200 210
 /// ";
-/// let parsed = HaggleParser::new()
-///     .device_filter(|id| id < 100) // keep only internal iMotes
-///     .parse_str(trace)
-///     .unwrap();
+/// let parsed = HaggleParser::new().parse_str(trace).unwrap();
 /// assert_eq!(parsed.schedule.node_count(), 3);
 /// assert_eq!(parsed.schedule.len(), 2);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug, Default)]
 pub struct HaggleParser {
-    filter: Option<std::sync::Arc<dyn Fn(u64) -> bool + Send + Sync>>,
-    shift_origin: bool,
     /// `Some(max_bad_ratio)` skips malformed data lines instead of
     /// failing, up to that fraction of all data lines.
     lenient: Option<f64>,
 }
 
-impl std::fmt::Debug for HaggleParser {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HaggleParser")
-            .field("has_filter", &self.filter.is_some())
-            .field("shift_origin", &self.shift_origin)
-            .field("lenient", &self.lenient)
-            .finish()
-    }
-}
-
-impl Default for HaggleParser {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl HaggleParser {
-    /// Creates a parser with no device filter that shifts times so the
-    /// first contact is at `t = 0`.
+    /// Creates a strict parser: the first malformed data line fails the
+    /// parse.
     pub fn new() -> Self {
-        HaggleParser {
-            filter: None,
-            shift_origin: true,
-            lenient: None,
-        }
+        HaggleParser { lenient: None }
     }
 
     /// Skips malformed data lines instead of failing, as long as they
@@ -193,23 +164,6 @@ impl HaggleParser {
     /// die on one of them.
     pub fn lenient(mut self, max_bad_ratio: f64) -> Self {
         self.lenient = Some(max_bad_ratio.clamp(0.0, 1.0));
-        self
-    }
-
-    /// Keeps only contacts where *both* devices satisfy `keep` (e.g. the
-    /// paper's mobile-iMotes-only restriction).
-    pub fn device_filter<F>(mut self, keep: F) -> Self
-    where
-        F: Fn(u64) -> bool + Send + Sync + 'static,
-    {
-        self.filter = Some(std::sync::Arc::new(keep));
-        self
-    }
-
-    /// Whether to shift times so the earliest contact is at `t = 0`
-    /// (default true).
-    pub fn shift_origin(mut self, shift: bool) -> Self {
-        self.shift_origin = shift;
         self
     }
 
@@ -241,14 +195,7 @@ impl HaggleParser {
             }
             data_lines += 1;
             match parse_data_line(line, lineno) {
-                Ok((a, b, start)) => {
-                    if let Some(filter) = &self.filter {
-                        if !filter(a) || !filter(b) {
-                            continue;
-                        }
-                    }
-                    raw.push((a, b, start));
-                }
+                Ok((a, b, start)) => raw.push((a, b, start)),
                 Err(e) if self.lenient.is_some() => {
                     skipped += 1;
                     obs::counter_add("trace.lines_skipped", 1);
@@ -287,11 +234,7 @@ impl HaggleParser {
             device_ids[idx as usize] = dev;
         }
 
-        let origin = if self.shift_origin {
-            raw.iter().map(|&(_, _, t)| t).fold(f64::INFINITY, f64::min)
-        } else {
-            0.0
-        };
+        let origin = raw.iter().map(|&(_, _, t)| t).fold(f64::INFINITY, f64::min);
 
         let events: Vec<ContactEvent> = raw
             .iter()
@@ -377,26 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn no_shift_keeps_raw_times() {
-        let parsed = HaggleParser::new()
-            .shift_origin(false)
-            .parse_str(SAMPLE)
-            .unwrap();
-        assert_eq!(parsed.schedule.events()[0].time, Time::new(1000.0));
-    }
-
-    #[test]
-    fn filter_drops_external_devices() {
-        let parsed = HaggleParser::new()
-            .device_filter(|id| id < 10)
-            .parse_str(SAMPLE)
-            .unwrap();
-        assert_eq!(parsed.schedule.node_count(), 2);
-        assert_eq!(parsed.schedule.len(), 1);
-        assert_eq!(parsed.device_ids, vec![3, 7]);
-    }
-
-    #[test]
     fn missing_fields_reported_with_line() {
         let err = HaggleParser::new().parse_str("1 2 100\n").unwrap_err();
         assert!(matches!(err, TraceError::MissingFields { line: 1 }));
@@ -418,14 +341,6 @@ mod tests {
     fn empty_trace_rejected() {
         assert!(matches!(
             HaggleParser::new().parse_str("# nothing\n").unwrap_err(),
-            TraceError::Empty
-        ));
-        // Filter removing everything also yields Empty.
-        assert!(matches!(
-            HaggleParser::new()
-                .device_filter(|_| false)
-                .parse_str(SAMPLE)
-                .unwrap_err(),
             TraceError::Empty
         ));
     }

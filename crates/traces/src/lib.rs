@@ -21,12 +21,10 @@
 
 pub mod activity;
 pub mod haggle;
-pub mod one_format;
 pub mod stats;
 pub mod synthetic;
 
 pub use activity::{ActivityPattern, PatternError};
 pub use haggle::{HaggleParser, ParsedTrace, TraceError};
-pub use one_format::{parse_one_reader, parse_one_str, ParsedOneTrace};
 pub use stats::{estimate_active_rates, trace_stats, TraceStats};
 pub use synthetic::SyntheticTraceBuilder;

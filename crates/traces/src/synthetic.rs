@@ -119,22 +119,6 @@ impl SyntheticTraceBuilder {
         self
     }
 
-    /// Sets the duration in days.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `days <= 0`.
-    pub fn days(mut self, days: f64) -> Self {
-        assert!(days > 0.0, "need a positive duration");
-        self.days = days;
-        self
-    }
-
-    /// The activity pattern in use.
-    pub fn pattern(&self) -> &ActivityPattern {
-        &self.pattern
-    }
-
     /// Generates the trace.
     pub fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> ContactSchedule {
         let horizon_wall = self.days * self.pattern.period();
@@ -228,7 +212,8 @@ mod tests {
 
     #[test]
     fn custom_parameters() {
-        let trace = SyntheticTraceBuilder::new(5, 1.0, ActivityPattern::always_active())
+        let always = ActivityPattern::new(86_400.0, vec![(0.0, 86_400.0)]).unwrap();
+        let trace = SyntheticTraceBuilder::new(5, 1.0, always)
             .mean_intercontact_range(100.0, 100.0)
             .connectivity(1.0)
             .build(&mut rng(4));
@@ -240,9 +225,9 @@ mod tests {
 
     #[test]
     fn builder_setters() {
-        let b = SyntheticTraceBuilder::cambridge_like().nodes(6).days(1.0);
+        let b = SyntheticTraceBuilder::cambridge_like().nodes(6);
         let trace = b.build(&mut rng(8));
         assert_eq!(trace.node_count(), 6);
-        assert_eq!(trace.horizon(), Time::new(86_400.0));
+        assert_eq!(trace.horizon(), Time::new(3.0 * 86_400.0));
     }
 }

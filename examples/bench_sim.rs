@@ -1,10 +1,9 @@
 //! Single-core Monte-Carlo throughput harness for the fig04-style sweep.
 //!
 //! Times the fig04 deadline sweep (`SweepSpec::random_graph` +
-//! `over_deadlines`) at Table II defaults (the same
-//! workload as `mc_speedup`) on one thread, cross-checks bit-identity of
-//! the rows against a threads=2 run, and emits a JSON record shaped like
-//! `BENCH_serve.json`.
+//! `over_deadlines`) at Table II defaults on one thread, cross-checks
+//! bit-identity of the rows against a threads=2 run, and emits a JSON
+//! record shaped like `BENCH_serve.json`.
 //!
 //! ```text
 //! cargo run --release --example bench_sim -- \
@@ -16,7 +15,11 @@
 //! calendar event queue), reporting trials/s and the process peak RSS
 //! (`VmHWM` from `/proc/self/status`) after each size. The RSS column is
 //! a process-wide high-water mark, so it is monotone across the curve;
-//! the n = 10⁵ row is the number the CI scale-smoke ceiling checks.
+//! the n = 10⁵ row is the number the CI scale-smoke ceiling checks. Each
+//! row also records the engine's delivery and transmissions per message:
+//! onion groups are drawn uniformly over all n nodes while a node meets
+//! only ~10 neighbours, so from n = 10³ up the protocol is all but idle
+//! and the curve times the event drain.
 //!
 //! `--check-against` compares trials/s to the committed baseline's
 //! `after.trials_per_sec` and exits non-zero on a >2x regression. The
@@ -26,8 +29,9 @@
 use std::time::Instant;
 
 use contact_graph::TimeDelta;
-use onion_routing::prelude::*;
-use onion_routing::run_sparse_point;
+use onion_routing::{
+    run_sparse_point, ExperimentOptions, ProtocolConfig, SparseScenario, SweepSpec,
+};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -38,6 +42,8 @@ struct ScalePoint {
     elapsed_secs: f64,
     trials_per_sec: f64,
     peak_rss_bytes: u64,
+    sim_delivery: f64,
+    sim_transmissions: f64,
 }
 
 #[derive(Serialize)]
@@ -107,9 +113,11 @@ fn scale_curve() -> Vec<ScalePoint> {
         let elapsed = t0.elapsed().as_secs_f64();
         let rss = peak_rss_bytes();
         eprintln!(
-            "bench_sim: n={nodes}: {elapsed:.2} s ({:.2} trials/s), delivery {:.3}, peak RSS {:.1} MiB",
+            "bench_sim: n={nodes}: {elapsed:.2} s ({:.2} trials/s), delivery {:.3}, \
+             {:.2} tx/msg, peak RSS {:.1} MiB",
             realizations as f64 / elapsed,
             point.sim_delivery,
+            point.sim_transmissions,
             rss as f64 / (1024.0 * 1024.0)
         );
         curve.push(ScalePoint {
@@ -119,6 +127,8 @@ fn scale_curve() -> Vec<ScalePoint> {
             elapsed_secs: elapsed,
             trials_per_sec: realizations as f64 / elapsed,
             peak_rss_bytes: rss,
+            sim_delivery: point.sim_delivery,
+            sim_transmissions: point.sim_transmissions,
         });
     }
     curve

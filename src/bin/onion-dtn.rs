@@ -7,10 +7,11 @@
 //! onion-dtn security-sweep [same flags; sweeps c from 1% to 50%]
 //! onion-dtn fault-sweep    [same flags; sweeps fault intensity 0 -> 1]
 //! onion-dtn code-sweep     [same flags; sweeps erasure-code rates (k, m)]
-//! onion-dtn trace (cambridge|infocom|PATH) [--t 3600]
+//! onion-dtn trace (cambridge|infocom|PATH) [--t 3600] [--max-bad-lines 0]
 //! onion-dtn plan  --target 0.95 [--g 5] [--k 3] [--l 1]
 //! onion-dtn serve [--port 7070] [--host 127.0.0.1] [--workers 0]
 //!                 [--queue 128] [--cache 512] [--shards 8]
+//!                 [--max-realizations 64] [--max-messages 200]
 //! onion-dtn loadgen [--addr 127.0.0.1:7070] [--workers 2] [--duration 10]
 //!                   [--sweep-share 0.1] [--seed 1] [--report out.json] [--shutdown]
 //! ```
@@ -50,9 +51,8 @@ use onion_dtn::prelude::*;
 use onion_routing::sweep::{default_fault_plan, default_security_grid, DEFAULT_FAULT_INTENSITIES};
 use serde::{Serialize, Value};
 
-fn print_usage() {
-    eprintln!(
-        "usage: onion-dtn <point|deadline-sweep|security-sweep|fault-sweep|code-sweep|trace|plan|serve|loadgen> [flags]\n\
+/// The usage text printed on a usage error.
+const USAGE: &str = "usage: onion-dtn <point|deadline-sweep|security-sweep|fault-sweep|code-sweep|trace|plan|serve|loadgen> [flags]\n\
          \n\
          common flags: --n <nodes> --g <group size> --k <onions> --l <copies>\n\
          \t--t <deadline> --c <compromised> --messages <m> --realizations <r> --seed <s>\n\
@@ -72,12 +72,16 @@ fn print_usage() {
          resilience: --keep-going (tolerate quarantined trials)\n\
          \t--resume <path> (JSONL checkpoint; finished points are skipped on restart)\n\
          trace: onion-dtn trace (cambridge|infocom|<haggle file>) [--t seconds]\n\
+         \t--max-bad-lines <ratio> (skip malformed file lines up to this share\n\
+         \t                         of all data lines; default 0)\n\
          plan:  onion-dtn plan --target 0.95 [--g --k --l]  (deadline for target delivery)\n\
          serve: onion-dtn serve [--port 7070 --host 127.0.0.1 --workers 0 --queue 128\n\
          \t--cache 512 --shards 8 --sweep-threads 1] (HTTP daemon; /healthz /metricsz\n\
          \t/v1/model/* /v1/sweep/* — POST /v1/admin/shutdown drains and exits)\n\
          \t--store <dir> (crash-safe disk response store; survives kill -9)\n\
          \t--store-budget <bytes> (store size budget, default 256 MiB)\n\
+         \t--max-realizations 64 --max-messages 200 (largest accepted sweep\n\
+         \t                                          body; bigger ones answer 400)\n\
          \t--request-deadline-secs 300 (503 if expired in queue, 504 mid-sweep)\n\
          \t--read-timeout-secs 10 (overall read budget; defeats slowloris)\n\
          loadgen: onion-dtn loadgen [--addr 127.0.0.1:7070 --workers 2 --duration 10\n\
@@ -92,8 +96,10 @@ fn print_usage() {
          \t                    perturbs results)  --trace-cap <n> (per-trial\n\
          \t                    ring-buffer capacity, default 4096)\n\
          \t--progress (live trials/s + ETA on stderr)  --quiet (errors only)\n\
-         exit codes: 0 ok | 2 usage | 3 I/O | 4 trial failed its retry"
-    );
+         exit codes: 0 ok | 2 usage | 3 I/O | 4 trial failed its retry";
+
+fn print_usage() {
+    eprintln!("{USAGE}");
 }
 
 /// Flags that take no value; present means `"true"`.
@@ -396,6 +402,16 @@ fn sweep_command(
     Ok((spec, opts, cp))
 }
 
+/// Validates a point as `/v1/sweep/point` does: as the security sweep
+/// at the point's own `c` with one draw, which checks exactly the
+/// point's config, options and world. A rejected point is a usage error.
+fn validate_point(spec: SweepSpec, opts: &ExperimentOptions) -> Result<SweepSpec, String> {
+    let c = spec.config.compromised;
+    let spec = spec.over_security(&[c], 1);
+    spec.validate(opts).map_err(|e| e.to_string())?;
+    Ok(spec)
+}
+
 /// Points the flight recorder's crash sink at the checkpoint's
 /// directory: a quarantined trial then dumps its last traced events,
 /// the run fingerprint, and the base seed into a JSONL crash bundle
@@ -432,6 +448,7 @@ fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let cfg = config_from(flags)?;
     let opts = opts_from(flags)?;
     let sparse = sparse_from(flags)?;
+    validate_point(scenario_spec(&cfg, sparse.as_ref()), &opts)?;
     obs::info!(
         "onion_dtn",
         "n={} g={} K={} L={} T={} c={} ({} msgs x {} realizations){}",
@@ -563,15 +580,18 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         compromised: (n / 10).max(1),
         selection: RouteSelection::Uniform,
     };
-    cfg.validate()?;
     let opts = opts_from(flags)?
         .into_builder()
         .realizations(flag(flags, "realizations", 4usize)?)
         .seed(flag(flags, "seed", 1u64)?)
         .build();
+    let spec = validate_point(SweepSpec::schedule(cfg.clone(), schedule), &opts)?;
+    let Scenario::Schedule(schedule) = &spec.scenario else {
+        unreachable!("built as a schedule sweep");
+    };
     let mut cp = open_checkpoint(flags, &format!("trace:{which}"), &cfg, &opts, vec![], None)?;
     let p: PointSummary = checkpointed(&mut cp, "point", || {
-        run_schedule_point(&schedule, &cfg, &opts)
+        run_schedule_point(schedule, &cfg, &opts)
     })?;
     println!(
         "delivery   analysis {:.4} | simulation {:.4}",
@@ -1008,5 +1028,33 @@ mod tests {
         // Invalid: K exceeds the group count.
         let (_, flags) = parse_flags(&strings(&["--n", "10", "--g", "5", "--k", "3"])).unwrap();
         assert!(config_from(&flags).is_err());
+    }
+
+    #[test]
+    fn zero_trials_are_usage_errors_that_name_the_field() {
+        for (command, positional) in [
+            ("point", &[][..]),
+            ("trace", &["cambridge"][..]),
+            ("deadline-sweep", &[][..]),
+        ] {
+            for field in ["messages", "realizations"] {
+                let args = strings(&["--n", "20", "--g", "2", "--k", "2", "--c", "2"]);
+                let (_, mut flags) = parse_flags(&args).unwrap();
+                flags.insert(field.to_string(), "0".to_string());
+                match dispatch(command, &strings(positional), &flags) {
+                    Err(CliError::Usage(m)) => {
+                        assert!(m.contains(&format!("opts.{field}")), "{command}: {m}")
+                    }
+                    other => panic!("{command} --{field} 0: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn usage_names_the_limit_and_lenient_parse_flags() {
+        for flag in ["--max-realizations", "--max-messages", "--max-bad-lines"] {
+            assert!(USAGE.contains(flag), "{flag}");
+        }
     }
 }

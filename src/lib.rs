@@ -13,7 +13,7 @@
 //! * [`traces`] — Haggle trace parsing and Cambridge/Infocom-like
 //!   synthetic traces with business-hours gating;
 //! * [`onion_crypto`] — SHA-256 / HMAC / HKDF / ChaCha20 / Poly1305 /
-//!   X25519 / onion packets, all RFC-vector tested;
+//!   HKDF group keys / onion packets, all RFC-vector tested;
 //! * [`dtn_sim`] — the simulator and classical baselines;
 //! * [`onion_routing`] — the paper's protocol, adversary model, realized
 //!   metrics, and the experiment harness;
@@ -58,8 +58,8 @@ pub use traces;
 pub mod prelude {
     pub use analysis::{
         coded_cost_bound, coded_delivery_rate, deadline_for_target, delay_quantile, delivery_rate,
-        delivery_rate_multicopy, expected_traceable_rate, hypoexp_cdf, hypoexp_pdf, median_delay,
-        path_anonymity, uniform_onion_path_rates, HypoExp,
+        delivery_rate_multicopy, expected_traceable_rate, median_delay, path_anonymity,
+        uniform_onion_path_rates, HypoExp,
     };
     pub use contact_graph::{waypoint_schedule, WaypointConfig};
     pub use contact_graph::{
@@ -73,7 +73,7 @@ pub mod prelude {
         SimReport, StreamingStats, WorkloadBuilder, MAX_CODE_FRAGMENTS,
     };
     pub use onion_codec::{CodecError, Gf256, RsCodec};
-    pub use onion_crypto::{EpochKeychain, GroupKeyring, WirePacket};
+    pub use onion_crypto::{GroupKeyring, WirePacket};
     pub use onion_routing::{
         run_random_graph_point, run_schedule_point, run_sparse_point, run_trials,
         run_trials_resilient, trial_rng, trial_rng_attempt, trial_seed, trial_seed_attempt,

@@ -5,7 +5,7 @@
 use onion_crypto::aead::{open, open_in_place, seal, seal_in_place, AeadKey};
 use onion_crypto::hex;
 use onion_crypto::sha256::Sha256;
-use onion_crypto::{chacha20, hkdf, hmac, x25519};
+use onion_crypto::{chacha20, hkdf, hmac, keys};
 use proptest::prelude::*;
 
 proptest! {
@@ -112,9 +112,15 @@ proptest! {
     }
 
     #[test]
-    fn x25519_dh_commutes(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
-        let pa = x25519::public_key(&a);
-        let pb = x25519::public_key(&b);
-        prop_assert_eq!(x25519::shared_secret(&a, &pb), x25519::shared_secret(&b, &pa));
+    fn group_keys_separate_groups_and_masters(master_a in any::<[u8; 32]>(),
+                                              master_b in any::<[u8; 32]>(),
+                                              g in any::<u32>(), h in any::<u32>()) {
+        // Every member of a group derives the same key, and no other
+        // group or network master secret yields it.
+        prop_assume!(master_a != master_b && g != h);
+        let key = keys::derive_group_key(&master_a, g);
+        prop_assert_eq!(&key, &keys::derive_group_key(&master_a, g));
+        prop_assert_ne!(&key, &keys::derive_group_key(&master_a, h));
+        prop_assert_ne!(&key, &keys::derive_group_key(&master_b, g));
     }
 }

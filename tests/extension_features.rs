@@ -1,31 +1,42 @@
 //! Integration coverage for the extensions beyond the paper's minimum
-//! (DESIGN.md §4b): epoch rekeying, constant-size onions, TPS, PRoPHET,
-//! finite buffers, mobility, and the ONE trace format — exercised
-//! together rather than module-by-module.
+//! (DESIGN.md §4b): master-secret rekeying, constant-size onions, TPS,
+//! PRoPHET, finite buffers, and mobility schedules read back through the
+//! Haggle parser — exercised together rather than module-by-module.
 
+use onion_crypto::keys::derive_group_key;
 use onion_dtn::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 #[test]
-fn epoch_rekeying_invalidates_old_onions() {
-    // An onion built under epoch 0 keys must not peel with epoch 1 keys:
-    // captured devices cannot decrypt future traffic and vice versa.
+fn master_rotation_invalidates_old_onions() {
+    // Rekeying the network means a new master secret: an onion built
+    // under the old secret's group keys must not peel with the new ones,
+    // so captured keys cannot open later traffic and vice versa.
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let chain0 = EpochKeychain::new([7u8; 32]);
-    let mut chain1 = chain0.clone();
-    chain1.advance();
-
+    let (old, new) = ([7u8; 32], [8u8; 32]);
     let spec = onion_crypto::OnionLayerSpec {
         group: 4,
-        key: chain0.group_key(4),
+        key: derive_group_key(&old, 4),
     };
-    let mut packet = WirePacket::build(&[spec], 9, b"epoch bound", &mut rng).unwrap();
-    // Next epoch fails (leaving the packet intact); correct epoch peels.
+    let mut packet = WirePacket::build(&[spec], 9, b"master bound", &mut rng).unwrap();
+    // The new secret fails (leaving the packet intact); the old one peels.
+    let before = packet.as_bytes().to_vec();
     assert!(packet
-        .peel_in_place(&chain1.group_key(4), &mut rng)
+        .peel_in_place(&derive_group_key(&new, 4), &mut rng)
         .is_err());
-    assert!(packet.peel_in_place(&chain0.group_key(4), &mut rng).is_ok());
+    assert_eq!(packet.as_bytes(), &before[..]);
+    let peeled = packet
+        .peel_in_place(&derive_group_key(&old, 4), &mut rng)
+        .unwrap();
+    assert_eq!(
+        peeled,
+        onion_crypto::WirePeeled::Delivered {
+            node: 9,
+            payload_len: 12
+        }
+    );
+    assert_eq!(&packet.body()[..12], b"master bound");
 }
 
 #[test]
@@ -179,9 +190,11 @@ fn finite_buffers_hurt_epidemic_more_than_onion() {
 }
 
 #[test]
-fn one_format_feeds_the_same_pipeline() {
-    // Generate a mobility schedule, export it as a ONE event log, parse
-    // it back, and confirm the round trip preserves the contacts.
+fn mobility_schedule_feeds_the_haggle_pipeline() {
+    // `onion-dtn trace` reads Haggle files only, so a mobility schedule
+    // reaches it in that format. Export a waypoint schedule as Haggle
+    // lines, parse it back, and confirm every contact survives with its
+    // endpoints and its time (shifted so the first contact is at 0).
     let mut rng = ChaCha8Rng::seed_from_u64(8);
     let schedule = waypoint_schedule(
         8,
@@ -195,18 +208,41 @@ fn one_format_feeds_the_same_pipeline() {
     );
     assert!(schedule.len() > 20);
 
-    let mut log = String::new();
+    // Device ids start at 1, as in the iMote traces.
+    let mut log = String::from("% waypoint export\n");
     for e in schedule.iter() {
-        log.push_str(&format!(
-            "{} CONN n{} n{} up\n",
-            e.time.as_f64(),
-            e.a.0,
-            e.b.0
-        ));
+        let t = e.time.as_f64();
+        log.push_str(&format!("{} {} {} {}\n", e.a.0 + 1, e.b.0 + 1, t, t + 1.0));
     }
-    let parsed = traces::parse_one_str(&log).unwrap();
+    let parsed = traces::HaggleParser::new().parse_str(&log).unwrap();
     assert_eq!(parsed.schedule.len(), schedule.len());
     assert_eq!(parsed.schedule.node_count(), 8);
+    assert_eq!(parsed.lines_skipped, 0);
+
+    // Compare contacts as sorted (time, device, device) triples: the
+    // parser renumbers devices densely in order of first appearance.
+    let origin = schedule.events()[0].time.as_f64();
+    let mut want: Vec<(u64, u64, u64)> = schedule
+        .iter()
+        .map(|e| {
+            let (a, b) = (u64::from(e.a.0) + 1, u64::from(e.b.0) + 1);
+            ((e.time.as_f64() - origin).to_bits(), a.min(b), a.max(b))
+        })
+        .collect();
+    let mut got: Vec<(u64, u64, u64)> = parsed
+        .schedule
+        .iter()
+        .map(|e| {
+            let (a, b) = (
+                parsed.device_ids[e.a.index()],
+                parsed.device_ids[e.b.index()],
+            );
+            (e.time.as_f64().to_bits(), a.min(b), a.max(b))
+        })
+        .collect();
+    want.sort_unstable();
+    got.sort_unstable();
+    assert_eq!(got, want);
 }
 
 #[test]
