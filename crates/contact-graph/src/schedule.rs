@@ -56,7 +56,14 @@ pub fn sample_intercontact<R: Rng + ?Sized>(rate: Rate, rng: &mut R) -> Option<T
     // Inverse-CDF sampling; `gen::<f64>()` is in [0, 1), so 1 - u is in
     // (0, 1] and the log is finite.
     let u: f64 = rng.gen();
-    Some(TimeDelta::new(-(1.0 - u).ln() / rate.as_f64()))
+    Some(TimeDelta::new(gap(1.0 - u, rate.as_f64())))
+}
+
+/// The exponential gap `−ln v / λ` of a draw's complement `v = 1 − u`:
+/// the one expression behind every sampled inter-contact time.
+#[inline]
+fn gap(v: f64, rate: f64) -> f64 {
+    -v.ln() / rate
 }
 
 /// Contacts per ordering window of [`SampledEvents`], or one per pair
@@ -69,25 +76,155 @@ const WINDOW_CONTACTS: usize = 1 << 15;
 /// step or two.
 const CONTACTS_PER_BUCKET: usize = 2;
 
-/// A pair with at least one sampled contact, and the end of its run of
-/// times in [`SampledContacts`].
+/// A pair with at least one sampled contact, its rate, and the end of
+/// its run of draws in [`SampledContacts`].
 #[derive(Clone, Copy, Debug)]
 struct Run {
     a: NodeId,
     b: NodeId,
+    rate: f64,
     end: usize,
 }
 
-/// The contacts of one dense sample, stored as bare times and put in
-/// time order only as they are read.
+/// 2²⁵⁶, by which a pair's running product is scaled whenever it falls
+/// below [`TINY`]: exact, and it keeps the product a normal float.
+const SCALE: f64 = f64::from_bits((1023 + 256) << 52);
+
+/// 2⁻²⁵⁶.
+const TINY: f64 = f64::from_bits((1023 - 256) << 52);
+
+/// 2⁻⁴⁸, the factor of [`RunEnd`]'s margin.
+const MARGIN: f64 = f64::from_bits((1023 - 48) << 52);
+
+/// Where one pair's run of draws ends, decided without a logarithm.
+///
+/// The exact loop keeps draw `k` while `s_k = fl(s_{k−1} + fl(−ln v_k / λ))
+/// ≤ T`. In real arithmetic `S_k ≤ T` iff `P_k = ∏_{i≤k} v_i ≥ θ = e^{−λT}`,
+/// so the count follows the running product, held as `p = P_k·2^shift`
+/// (λT reaches 1 080 in Table II, and `e^{−1080}` underflows). A draw is
+/// kept when `p > θ'(1 + δ)`, ends the run when `p < θ'(1 − δ)`, and is
+/// otherwise settled by the exact sum over the pair's stored draws, where
+/// `θ' = 2^{shift − λT·log₂e}` is one `exp2`. The crossing draw is drawn
+/// either way, so the RNG ends where the exact loop's does.
+///
+/// The margin `δ`, first order in `u = 2⁻⁵³`, for draw `k` of a run:
+/// - the exact loop: `ln` (≤ 1 ulp, `2u`) and the division (`u`) per gap,
+///   and `k − 1` additions (`u` each) of non-negative terms, so
+///   `|s_k − S_k| ≤ (k + 2)u·S_k`: near `S_k = T` that is `(k + 2)u·λT` in
+///   `ln P_k`, doubled to cover the `1/(1 − (k + 2)u)` of the end side;
+/// - the product: `k − 1` roundings (`p·v₁` and the scalings are exact);
+/// - the threshold: `λ·T`, `log₂e` and their product put `3u` on
+///   `m = λT·log₂e`, the subtraction from `shift ≤ m + 1` (below) at most
+///   `u(m + 1)`, so `4u·λT + u` in `ln θ'`; `exp2` (≤ 1 ulp, `2u`) and
+///   forming `θ'(1 ± δ)` (two roundings) bring it to `4u·λT + 5u`. A
+///   subnormal `θ'` is less exact, but then `θ'(1 + δ) < 2⁻¹⁰²¹` while
+///   `p ≥ 2⁻³⁰⁹` (a kept draw leaves `p ≥ 2⁻²⁵⁶`), so every such draw is
+///   kept, as it must be.
+///
+/// For `k ≥ 1` the sum is `2(k + 2)u·λT + (k − 1)u + 4u·λT + 5u ≤
+/// 4u(λT + 2)(k + 2)`, and `δ = 2⁻⁴⁸(λT + 2)(K + 2)` is eight times that
+/// for every `k ≤ K`, the cap, which covers `ln(1 ± δ)` against `±δ`. A
+/// draw past the cap doubles it, so the common path stays one multiply
+/// and two compares. The product is rescaled only when the end
+/// threshold is below [`TINY`] too (`θ' < 2⁻²⁵⁵` while `δ ≤ ½`), which
+/// keeps `shift ≤ m + 1`.
+#[derive(Debug)]
+struct RunEnd {
+    rate: f64,
+    horizon: f64,
+    /// `m = λT·log₂e`, so `θ = 2^{−m}`.
+    log2_inv_threshold: f64,
+    /// `2⁻⁴⁸(λT + 2)`: the margin per covered draw.
+    margin_per_draw: f64,
+    /// `∏ v · 2^shift` over the draws so far.
+    product: f64,
+    shift: i32,
+    /// Draws the margin covers.
+    cap: usize,
+    /// `θ'(1 + δ)`, or [`TINY`] if more: a product above it is kept
+    /// and needs no rescaling.
+    keep_above: f64,
+    /// `θ'(1 − δ)`: a product below it ends the run.
+    end_below: f64,
+    /// The exact loop's running time over the first `summed` stored
+    /// draws, advanced only by a settle.
+    summed: usize,
+    sum: f64,
+}
+
+impl RunEnd {
+    fn new(rate: f64, horizon: f64) -> Self {
+        let lt = rate * horizon;
+        let mut end = RunEnd {
+            rate,
+            horizon,
+            log2_inv_threshold: lt * std::f64::consts::LOG2_E,
+            margin_per_draw: MARGIN * (lt.max(0.0) + 2.0),
+            product: 1.0,
+            shift: 0,
+            // Room for the mean count λT and then some: a pair almost
+            // never passes it.
+            cap: (2.0 * lt) as usize + 64,
+            keep_above: 0.0,
+            end_below: 0.0,
+            summed: 0,
+            sum: 0.0,
+        };
+        end.set_thresholds();
+        end
+    }
+
+    fn set_thresholds(&mut self) {
+        let delta = self.margin_per_draw * (self.cap + 2) as f64;
+        let theta = (f64::from(self.shift) - self.log2_inv_threshold).exp2();
+        self.keep_above = (theta * (1.0 + delta)).max(TINY);
+        self.end_below = theta * (1.0 - delta);
+    }
+
+    /// Whether the exact loop keeps the draw `v` after the pair's
+    /// `kept` draws, once `product` holds it and the fast test failed.
+    /// Counts a settle in `settles`.
+    #[cold]
+    fn keeps_slow(&mut self, v: f64, kept: &[f64], settles: &mut usize) -> bool {
+        let k = kept.len() + 1;
+        if k > self.cap {
+            self.cap = (2 * self.cap).max(k);
+            self.set_thresholds();
+        }
+        if self.product < TINY && self.end_below < TINY {
+            self.product *= SCALE;
+            self.shift += 256;
+            self.set_thresholds();
+        }
+        if self.product > self.keep_above {
+            return true;
+        }
+        if self.product < self.end_below {
+            return false;
+        }
+        // Inside the margin: the exact loop's own sum decides.
+        *settles += 1;
+        for &w in &kept[self.summed..] {
+            self.sum += gap(w, self.rate);
+        }
+        self.summed = kept.len();
+        self.sum + gap(v, self.rate) <= self.horizon
+    }
+}
+
+/// The contacts of one dense sample, stored as bare draws and timed and
+/// put in time order only as they are read.
 ///
 /// [`SampledContacts::sample`] makes the draws of a pair-major Poisson
 /// sample: pairs in `(a, b)` order, each drawing exponential gaps until
-/// its running time passes the horizon. It keeps each pair's ascending
-/// times (8 bytes a contact) and where each pair's run ends.
-/// [`SampledContacts::events`] yields the contacts in `(time, a, b)`
-/// order — the derived `Ord` of [`ContactEvent`] — ordering one time
-/// window at a time, so a reader that stops early never orders the rest.
+/// its running time passes the horizon. It keeps each draw's complement
+/// `v = 1 − u` (8 bytes a contact, exact for 53-bit uniforms), each
+/// pair's rate and where each pair's run ends, and counts a run from the
+/// running product of its `v`, with no logarithm. [`SampledContacts::events`]
+/// turns a draw into its time only when it gathers the window that holds
+/// it, and yields the contacts in `(time, a, b)` order — the derived
+/// `Ord` of [`ContactEvent`] — ordering one time window at a time, so a
+/// reader that stops early never times or orders the rest.
 /// [`ContactSchedule::sample`] is this stream, collected.
 ///
 /// ```
@@ -104,29 +241,40 @@ struct Run {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SampledContacts {
-    /// Every contact time, grouped by pair in `(a, b)` order; each
-    /// pair's run ascends.
-    times: Vec<Time>,
+    /// Every kept draw's complement `1 − u`, grouped by pair in `(a, b)`
+    /// order, in draw order within a pair.
+    draws: Vec<f64>,
     /// The pairs that met, in `(a, b)` order.
     runs: Vec<Run>,
     horizon: Time,
 }
 
 impl SampledContacts {
-    /// Bytes one stored contact costs: its time alone. Endpoints are
-    /// kept once per pair, and [`SampledContacts::events`] orders a
-    /// bounded window at a time.
-    pub const BYTES_PER_CONTACT: usize = size_of::<Time>();
+    /// Bytes one stored contact costs: its draw alone, from which its
+    /// time is derived on read. Endpoints and rates are kept once per
+    /// pair, and [`SampledContacts::events`] orders a bounded window at
+    /// a time.
+    pub const BYTES_PER_CONTACT: usize = size_of::<f64>();
 
     /// Samples `graph` on `[0, horizon]`: each connected pair generates a
     /// Poisson process of contacts with its rate, drawn pair by pair in
     /// `(a, b)` order from `rng`.
     pub fn sample<R: Rng + ?Sized>(graph: &ContactGraph, horizon: Time, rng: &mut R) -> Self {
+        Self::sample_counting_settles(graph, horizon, rng).0
+    }
+
+    /// [`SampledContacts::sample`], and how many draws fell inside the
+    /// margin of their pair's end and were settled by the exact sum.
+    pub(crate) fn sample_counting_settles<R: Rng + ?Sized>(
+        graph: &ContactGraph,
+        horizon: Time,
+        rng: &mut R,
+    ) -> (Self, usize) {
         let n = graph.len() as u32;
         // Room for the expected count `Σλ·T` and six standard deviations
-        // more, so the times almost never move (or sit twice in memory)
-        // while the draw grows them. A reservation the allocator refuses
-        // is skipped: the vector then grows as it goes.
+        // more, so the draws almost never move (or sit twice in memory)
+        // while they grow. A reservation the allocator refuses is
+        // skipped: the vector then grows as it goes.
         let mut total_rate = 0.0;
         for i in 0..n {
             for j in (i + 1)..n {
@@ -134,40 +282,47 @@ impl SampledContacts {
             }
         }
         let expected = total_rate * horizon.as_f64().max(0.0);
-        let mut times = Vec::new();
-        let _ = times.try_reserve((expected + 6.0 * expected.sqrt()) as usize + 16);
+        let mut draws = Vec::new();
+        let _ = draws.try_reserve((expected + 6.0 * expected.sqrt()) as usize + 16);
         let mut runs = Vec::new();
+        let mut settles = 0;
         for i in 0..n {
             for j in (i + 1)..n {
                 let rate = graph.rate(NodeId(i), NodeId(j));
                 if rate.is_zero() {
                     continue;
                 }
-                let start = times.len();
-                let mut t = Time::ZERO;
-                while let Some(gap) = sample_intercontact(rate, rng) {
-                    t += gap;
-                    if t > horizon {
+                let rate = rate.as_f64();
+                let start = draws.len();
+                let mut end = RunEnd::new(rate, horizon.as_f64());
+                loop {
+                    let u: f64 = rng.gen();
+                    let v = 1.0 - u;
+                    end.product *= v;
+                    let fast = end.product > end.keep_above && draws.len() - start < end.cap;
+                    if !fast && !end.keeps_slow(v, &draws[start..], &mut settles) {
                         break;
                     }
-                    times.push(t);
+                    draws.push(v);
                 }
-                if times.len() > start {
+                if draws.len() > start {
                     // `i < j` by loop construction: the normalized order
                     // `ContactEvent::new` would produce.
                     runs.push(Run {
                         a: NodeId(i),
                         b: NodeId(j),
-                        end: times.len(),
+                        rate,
+                        end: draws.len(),
                     });
                 }
             }
         }
-        SampledContacts {
-            times,
+        let contacts = SampledContacts {
+            draws,
             runs,
             horizon,
-        }
+        };
+        (contacts, settles)
     }
 
     /// The contacts in `(time, a, b)` order, with an exact `size_hint`.
@@ -178,7 +333,7 @@ impl SampledContacts {
     /// [`SampledContacts::events`], ordered in windows of about
     /// `window_contacts` contacts (or of one per pair, if more).
     fn events_in_windows_of(&self, window_contacts: usize) -> SampledEvents<'_> {
-        let total = self.times.len();
+        let total = self.draws.len();
         let windows = total
             .div_ceil(window_contacts.max(self.runs.len()).max(1))
             .max(1);
@@ -186,7 +341,13 @@ impl SampledContacts {
         let cursor = self
             .runs
             .iter()
-            .map(|r| std::mem::replace(&mut start, r.end))
+            .map(|r| {
+                let next = std::mem::replace(&mut start, r.end);
+                // `0.0 +` as the exact loop adds its first gap to
+                // `Time::ZERO`, which turns a `-0.0` gap into `+0.0`.
+                let time = 0.0 + gap(self.draws[next], r.rate);
+                Cursor { next, time }
+            })
             .collect();
         SampledEvents {
             contacts: self,
@@ -204,20 +365,27 @@ impl SampledContacts {
 
     /// Number of sampled contacts.
     pub fn len(&self) -> usize {
-        self.times.len()
+        self.draws.len()
     }
 
     /// Whether no pair met before the horizon.
     pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        self.draws.is_empty()
     }
 
-    /// Heap footprint in bytes, by capacity: the stored times and the
-    /// per-pair runs. A [`SampledEvents`] reader adds a cursor per pair
-    /// and two window buffers of about 32 k contacts.
+    /// Heap footprint in bytes, by capacity: the stored draws and the
+    /// per-pair runs. A [`SampledEvents`] reader adds a 16-byte cursor
+    /// per pair and two window buffers of about 32 k contacts.
     pub fn approx_bytes(&self) -> usize {
-        self.times.capacity() * Self::BYTES_PER_CONTACT + self.runs.capacity() * size_of::<Run>()
+        self.draws.capacity() * Self::BYTES_PER_CONTACT + self.runs.capacity() * size_of::<Run>()
     }
+}
+
+/// A run's next unread draw and its time.
+#[derive(Clone, Copy, Debug)]
+struct Cursor {
+    next: usize,
+    time: f64,
 }
 
 /// The time-ordered stream of a [`SampledContacts`]; see
@@ -226,15 +394,16 @@ impl SampledContacts {
 /// Window `w` holds the contacts with times in `[w·width, (w+1)·width)`
 /// (the last window everything after), about 32 k of them.
 /// Entering a window orders it in three stable steps: gather each pair's
-/// times in the window, in pair order; counting-scatter them on a fine
-/// time key; finish with an insertion pass on the time bits. Windows
-/// split the time axis, a pair's run ascends, and every step keeps ties
-/// in pair order, so the stream is exactly `(time, a, b)` order.
+/// times in the window, in pair order, timing each draw as it goes;
+/// counting-scatter them on a fine time key; finish with an insertion
+/// pass on the time bits. Windows split the time axis, a pair's run
+/// ascends, and every step keeps ties in pair order, so the stream is
+/// exactly `(time, a, b)` order.
 #[derive(Debug)]
 pub struct SampledEvents<'a> {
     contacts: &'a SampledContacts,
-    /// Next unread time of each run.
-    cursor: Vec<usize>,
+    /// Next unread draw of each run, and its time.
+    cursor: Vec<Cursor>,
     /// Time span of one window.
     width: f64,
     windows: usize,
@@ -262,21 +431,26 @@ impl SampledEvents<'_> {
             self.next_window as f64 * self.width
         };
 
-        // Gather: every pair's times below `limit`, in pair order. A run
-        // ascends, so what is left of it starts at or after `lo`.
-        let times = &self.contacts.times;
+        // Gather: every pair's contacts below `limit`, in pair order. A
+        // run ascends, so what is left of it starts at or after `lo`.
+        // Each time is the exact loop's running sum, advanced one gap a
+        // draw.
+        let draws = &self.contacts.draws;
         self.gathered.clear();
         for (run, cursor) in self.contacts.runs.iter().zip(&mut self.cursor) {
-            let mut k = *cursor;
-            while k < run.end && times[k].as_f64() < limit {
+            let Cursor { mut next, mut time } = *cursor;
+            while next < run.end && time < limit {
                 self.gathered.push(ContactEvent {
-                    time: times[k],
+                    time: Time::new(time),
                     a: run.a,
                     b: run.b,
                 });
-                k += 1;
+                next += 1;
+                if next < run.end {
+                    time += gap(draws[next], run.rate);
+                }
             }
-            *cursor = k;
+            *cursor = Cursor { next, time };
         }
         self.pos = 0;
         let m = self.gathered.len();
@@ -521,26 +695,53 @@ mod tests {
         assert_eq!(s.node_count(), 10);
     }
 
-    /// The pair-major draws of `SampledContacts::sample`, pushed as
-    /// events and fully sorted: the order the stream must reproduce.
-    fn sorted_draws<R: Rng>(graph: &ContactGraph, horizon: Time, rng: &mut R) -> Vec<ContactEvent> {
-        let mut events = Vec::new();
+    /// The exact loop: pairs in `(a, b)` order, each adding exponential
+    /// gaps until its running time passes the horizon. Each pair that
+    /// met, with its times.
+    fn exact_runs<R: Rng>(
+        graph: &ContactGraph,
+        horizon: Time,
+        rng: &mut R,
+    ) -> Vec<(NodeId, NodeId, Vec<Time>)> {
+        let mut runs = Vec::new();
         let n = graph.len() as u32;
         for i in 0..n {
             for j in (i + 1)..n {
                 let rate = graph.rate(NodeId(i), NodeId(j));
+                let mut times = Vec::new();
                 let mut t = Time::ZERO;
                 while let Some(gap) = sample_intercontact(rate, rng) {
                     t += gap;
                     if t > horizon {
                         break;
                     }
-                    events.push(ContactEvent::new(t, NodeId(i), NodeId(j)));
+                    times.push(t);
+                }
+                if !times.is_empty() {
+                    runs.push((NodeId(i), NodeId(j), times));
                 }
             }
         }
+        runs
+    }
+
+    /// The exact loop's draws, pushed as events and fully sorted: the
+    /// order the stream must reproduce.
+    fn sorted_draws<R: Rng>(graph: &ContactGraph, horizon: Time, rng: &mut R) -> Vec<ContactEvent> {
+        let mut events: Vec<_> = exact_runs(graph, horizon, rng)
+            .into_iter()
+            .flat_map(|(a, b, times)| times.into_iter().map(move |t| ContactEvent::new(t, a, b)))
+            .collect();
         events.sort();
         events
+    }
+
+    /// Each stored pair and its contact count.
+    fn pair_counts(contacts: &SampledContacts) -> Vec<(NodeId, NodeId, usize)> {
+        let mut start = 0;
+        let runs = contacts.runs.iter();
+        runs.map(|r| (r.a, r.b, r.end - std::mem::replace(&mut start, r.end)))
+            .collect()
     }
 
     /// Drains `events`, checking `size_hint` stays exact at every step.
@@ -624,6 +825,73 @@ mod tests {
                 let mut after_oracle = rng(seed ^ 1);
                 sorted_draws(&graph, horizon, &mut after_oracle);
                 proptest::prop_assert_eq!(draws.next_u64(), after_oracle.next_u64());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The log-free count keeps exactly the exact loop's draws: each
+        /// pair's count, the stream and the RNG's next word agree. Pair
+        /// (1, 2) runs at rate 7, so at horizon 120 its product passes
+        /// `e^{−745}` (where an unscaled one underflows) even in debug
+        /// builds. A horizon on a partial sum `S_k` of pair (0, 1), or
+        /// one ulp to either side, puts its draw `k` inside the margin,
+        /// so it must be settled; away from such horizons no draw of a
+        /// ChaCha stream is.
+        #[test]
+        fn pair_counts_and_rng_end_match_the_exact_loop(
+            seed in proptest::any::<u64>(),
+            n in 3usize..10,
+            kind in 0u8..4,
+            k in 1usize..60,
+            side in 0u8..3,
+            constant in proptest::any::<bool>(),
+            word in (1u64 << 60)..(15u64 << 60),
+            boundary_rate in 0.03f64..7.3,
+        ) {
+            let mut graph = test_graph(seed, n, 0.6, false);
+            graph.set_rate(NodeId(0), NodeId(1), Rate::new(boundary_rate));
+            graph.set_rate(NodeId(1), NodeId(2), Rate::new(7.0));
+            let stream = || -> Box<dyn RngCore> {
+                if constant {
+                    Box::new(StepRng::new(word, 0))
+                } else {
+                    Box::new(rng(seed ^ 1))
+                }
+            };
+            let horizon = match kind {
+                0 => 0.0,
+                1 => 3.0,
+                2 => 120.0,
+                _ => {
+                    // Pair (0, 1) draws first, so its partial sums open
+                    // the stream.
+                    let mut draws = stream();
+                    let mut s = Time::ZERO;
+                    for _ in 0..k {
+                        s += sample_intercontact(Rate::new(boundary_rate), &mut draws).unwrap();
+                    }
+                    let s = s.as_f64();
+                    [s, s.next_down(), s.next_up()][side as usize]
+                }
+            };
+            let horizon = Time::new(horizon);
+            let mut oracle_rng = stream();
+            let oracle = exact_runs(&graph, horizon, &mut oracle_rng);
+            let mut draws = stream();
+            let (contacts, settles) =
+                SampledContacts::sample_counting_settles(&graph, horizon, &mut draws);
+            let expected: Vec<_> = oracle.iter().map(|(a, b, t)| (*a, *b, t.len())).collect();
+            proptest::prop_assert_eq!(pair_counts(&contacts), expected);
+            proptest::prop_assert_eq!(draws.next_u64(), oracle_rng.next_u64());
+            let sorted = sorted_draws(&graph, horizon, &mut stream());
+            proptest::prop_assert_eq!(contacts.events().collect::<Vec<_>>(), sorted);
+            if kind == 3 {
+                proptest::prop_assert!(settles > 0, "a boundary horizon settled nothing");
+            } else if !constant {
+                proptest::prop_assert_eq!(settles, 0);
             }
         }
     }

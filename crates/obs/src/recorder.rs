@@ -105,7 +105,9 @@ pub fn init() {
                 "1" | "true" | "on" => METRICS.store(true, Ordering::Relaxed),
                 _ => {
                     METRICS.store(true, Ordering::Relaxed);
-                    set_metrics_path(Some(Path::new(val.trim())));
+                    // Not `set_metrics_path`: this runs inside the
+                    // `Once`, which must not re-enter.
+                    apply_metrics_path(Some(Path::new(val.trim())));
                 }
             }
         }
@@ -169,6 +171,10 @@ pub fn metrics_enabled() -> bool {
 /// The file is created/truncated immediately so a sweep starts clean.
 pub fn set_metrics_path(path: Option<&Path>) {
     init();
+    apply_metrics_path(path);
+}
+
+fn apply_metrics_path(path: Option<&Path>) {
     if let Some(p) = path {
         if let Err(e) = File::create(p) {
             emit(

@@ -188,20 +188,22 @@ impl<S: Scorer> Ctx<'_, S> {
         let (main, aux) = world.domains(S::AXIS == Some("security"));
         let mut rng = self.rng(main);
         let workload = WorkloadBuilder::new(opts.messages, cfg.deadline).copies(cfg.copies);
+        // Timing is gated so disabled telemetry skips the clock.
+        let clock = obs::metrics_enabled().then(Instant::now);
         let partial = match world {
             World::RandomGraph => {
                 let graph = UniformGraphBuilder::new(cfg.nodes)
                     .mean_intercontact_range(range.0, range.1)
                     .build(&mut rng);
-                // Timing is gated so disabled telemetry skips the clock.
-                let drawing = obs::metrics_enabled().then(Instant::now);
+                let clock = lap(clock, "trial.world_secs");
                 let contacts = SampledContacts::sample(&graph, horizon, &mut rng);
-                if let Some(drawing) = drawing {
-                    obs::record("trial.draw_secs", drawing.elapsed().as_secs_f64());
+                let clock = lap(clock, "trial.draw_secs");
+                if clock.is_some() {
                     obs::gauge_max("dense.contacts_bytes_hwm", contacts.approx_bytes() as i64);
                 }
                 let messages = workload.build(cfg.nodes, &mut rng);
-                self.drive(&graph, horizon, || contacts.events(), messages, &mut rng)
+                let events = || contacts.events();
+                self.drive(&graph, horizon, events, messages, clock, &mut rng)
             }
             World::Schedule(schedule, trained) => {
                 // The paper's "business hours": each message starts at a
@@ -213,7 +215,7 @@ impl<S: Scorer> Ctx<'_, S> {
                     .or(estimated)
                     .expect("run estimates untrained rates");
                 let events = || schedule.iter().copied();
-                self.drive(rates, schedule.horizon(), events, messages, &mut rng)
+                self.drive(rates, schedule.horizon(), events, messages, clock, &mut rng)
             }
             World::Sparse(sparse) => {
                 let contacts = SparseContacts::poisson_proximity(
@@ -222,6 +224,7 @@ impl<S: Scorer> Ctx<'_, S> {
                     range,
                     &mut rng,
                 );
+                let clock = lap(clock, "trial.world_secs");
                 let messages = workload.build(cfg.nodes, &mut rng);
                 let queue = || {
                     let queue = CalendarQueue::from_sparse(&contacts, horizon, self.rng(aux));
@@ -229,7 +232,7 @@ impl<S: Scorer> Ctx<'_, S> {
                     obs::gauge_max("sparse.calendar_bytes_hwm", queue.approx_bytes() as i64);
                     queue
                 };
-                self.drive(&contacts, horizon, queue, messages, &mut rng)
+                self.drive(&contacts, horizon, queue, messages, clock, &mut rng)
             }
         };
         maybe_forced_panic(self.trial);
@@ -239,13 +242,14 @@ impl<S: Scorer> Ctx<'_, S> {
 
     /// Partitions the groups, builds the protocol, then the contact
     /// events, runs the engine over them and scores the run against
-    /// `rates`.
+    /// `rates`. `setup` started when the trial's messages did.
     fn drive<M: ContactModel + ?Sized, I: IntoIterator<Item = ContactEvent>>(
         &self,
         rates: &M,
         horizon: Time,
         events: impl FnOnce() -> I,
         messages: Vec<Message>,
+        setup: Option<Instant>,
         rng: &mut ChaCha8Rng,
     ) -> S::Partial {
         let (cfg, opts) = (self.cfg, self.opts);
@@ -274,10 +278,14 @@ impl<S: Scorer> Ctx<'_, S> {
             .wire_mode(opts.wire)
             .copy_mode(copy_mode)
             .build();
+        let clock = lap(setup, "trial.setup_secs");
+        let events = events();
+        lap(clock, "trial.events_secs");
+        // The engine times itself (`sim.run_secs`).
         let report = run_stream(
             cfg.nodes,
             horizon,
-            events(),
+            events,
             &mut protocol,
             messages.clone(),
             &sim_config,
@@ -286,6 +294,7 @@ impl<S: Scorer> Ctx<'_, S> {
             rng,
         )
         .expect("validated run");
+        let clock = obs::metrics_enabled().then(Instant::now);
         let trial = Trial {
             cfg,
             rates,
@@ -294,8 +303,20 @@ impl<S: Scorer> Ctx<'_, S> {
             report: &report,
             code: opts.code,
         };
-        self.scorer.score(&trial, rng)
+        let partial = self.scorer.score(&trial, rng);
+        lap(clock, "trial.score_secs");
+        partial
     }
+}
+
+/// Records the seconds since `since` under `name` and restarts the
+/// clock; `None`, with telemetry off, reads no clock.
+fn lap(since: Option<Instant>, name: &str) -> Option<Instant> {
+    since.map(|since| {
+        let now = Instant::now();
+        obs::record(name, (now - since).as_secs_f64());
+        now
+    })
 }
 
 /// Panics (on every attempt) when `trial` is the one

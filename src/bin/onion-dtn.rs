@@ -374,11 +374,11 @@ fn open_checkpoint(
     let cp = Checkpoint::open(std::path::Path::new(path), &key)
         .map_err(|e| CliError::Io(format!("checkpoint {path}: {e}")))?;
     arm_crash_sink(path, &key, opts.seed);
-    if cp.resumed_points() > 0 {
+    if !cp.is_empty() {
         obs::info!(
             "onion_dtn",
             "resuming from {path}: {} finished point(s) on record",
-            cp.resumed_points()
+            cp.len()
         );
     }
     Ok(Some(cp))
