@@ -1,14 +1,14 @@
 //! # bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation (Section V). Each `benches/figNN_*.rs` target is a
-//! `harness = false` binary invoked by `cargo bench`; it runs the paired
-//! analysis/simulation sweep and prints the same series the paper plots,
-//! so the *shape* of each figure (who wins, trends, crossovers) can be
-//! checked directly from the bench output.
-//!
-//! This library holds the shared table renderer and the default
-//! experiment sizes, so every figure uses consistent settings.
+//! paper's evaluation (Section V): Figs. 4–19, Table II and the ablations
+//! of DESIGN.md §5, listed once in `figures::FIGURES` and run by the
+//! `figures` bench target (`cargo bench -p bench --bench figures [--
+//! <name prefix>...]`). Each figure prints analysis beside simulation
+//! under a heading that states its sample size, writes
+//! `target/figures/<name>.csv` (pinned by `tests/golden/figures/`), and
+//! checks the shape the paper reports; a failed check prints a `WARN`
+//! line and makes the run exit 1.
 //!
 //! Benches opt into telemetry through the environment: set
 //! `ONION_DTN_METRICS=target/metrics.jsonl` to capture per-point
@@ -16,45 +16,67 @@
 //! `ONION_DTN_PROGRESS=1` for a live trials/s line. Neither affects
 //! figure values.
 
+use std::process::ExitCode;
+
+use figures::{Figure, FIGURES};
 use onion_routing::ExperimentOptions;
 
-/// Worker-thread count for figure regeneration, read from the
-/// `ONION_DTN_THREADS` environment variable (`0` or unset = auto-detect).
-/// Thread count never changes figure values — only wall-clock time — so
-/// an env knob is safe for published numbers.
-pub fn threads_from_env() -> usize {
-    std::env::var("ONION_DTN_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+mod figures;
+mod own;
+mod sweep;
+
+/// The Monte-Carlo sizes a figure runs: base seed, realizations, and
+/// messages per realization.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Sample {
+    seed: u64,
+    realizations: usize,
+    messages: usize,
 }
 
-/// Default experiment sizes for figure regeneration: large enough for
-/// stable trends, small enough that `cargo bench` finishes in minutes.
-pub fn default_opts() -> ExperimentOptions {
-    ExperimentOptions::builder()
-        .messages(30)
-        .realizations(6)
-        .seed(0x5EED_2016)
-        .intercontact_range((1.0, 36.0))
-        .threads(threads_from_env())
-        .build()
+/// The figure default: large enough for stable trends, small enough that
+/// all figures regenerate in well under a minute.
+pub(crate) const FIGURE_SAMPLE: Sample = Sample::new(0x5EED_2016, 6, 30);
+
+/// The lighter sample of the figures that re-simulate per x value.
+pub(crate) const SWEEP_SAMPLE: Sample = Sample::new(0x5EED_2016, 4, 20);
+
+impl Sample {
+    pub(crate) const fn new(seed: u64, realizations: usize, messages: usize) -> Sample {
+        Sample {
+            seed,
+            realizations,
+            messages,
+        }
+    }
+
+    /// These sizes as experiment options (Table II's 1–36 min mean
+    /// inter-contact range) on the worker count `ONION_DTN_THREADS`
+    /// names (`0` or unset = auto-detect). Thread count never changes a
+    /// value, only wall-clock time.
+    pub(crate) fn options(self) -> ExperimentOptions {
+        let threads = std::env::var("ONION_DTN_THREADS").ok();
+        ExperimentOptions::builder()
+            .messages(self.messages)
+            .realizations(self.realizations)
+            .seed(self.seed)
+            .threads(threads.and_then(|v| v.parse().ok()).unwrap_or(0))
+            .build()
+    }
 }
 
-/// Smaller settings for the heavier sweeps (per-x re-simulation).
-pub fn sweep_opts() -> ExperimentOptions {
-    ExperimentOptions::builder()
-        .messages(20)
-        .realizations(4)
-        .seed(0x5EED_2016)
-        .intercontact_range((1.0, 36.0))
-        .threads(threads_from_env())
-        .build()
+/// The sample size a heading states, read from the options a figure ran
+/// with.
+pub(crate) fn sample_size(opts: &ExperimentOptions) -> String {
+    format!(
+        "{} realizations × {} messages",
+        opts.realizations, opts.messages
+    )
 }
 
 /// A printable figure: x column plus named series.
 #[derive(Debug, Clone)]
-pub struct FigureTable {
+pub(crate) struct FigureTable {
     title: String,
     x_label: String,
     columns: Vec<String>,
@@ -62,24 +84,22 @@ pub struct FigureTable {
 }
 
 impl FigureTable {
-    /// Starts a table for `title` with the given x-axis label and series
-    /// names.
-    pub fn new(title: impl Into<String>, x_label: impl Into<String>, columns: Vec<String>) -> Self {
+    pub(crate) fn new(title: &str, x_label: &str, columns: &[impl AsRef<str>]) -> Self {
         FigureTable {
             title: title.into(),
             x_label: x_label.into(),
-            columns,
+            columns: columns.iter().map(|c| c.as_ref().into()).collect(),
             rows: Vec::new(),
         }
     }
 
-    /// Appends one row; `values` must match the column count
-    /// (`None` prints as `-`).
+    /// Appends one row, one value per column (`None` prints as `-`).
     ///
     /// # Panics
     ///
     /// Panics on a column-count mismatch.
-    pub fn push_row(&mut self, x: f64, values: Vec<Option<f64>>) {
+    pub(crate) fn push_row(&mut self, x: f64, values: impl IntoIterator<Item: Into<Option<f64>>>) {
+        let values: Vec<Option<f64>> = values.into_iter().map(Into::into).collect();
         assert_eq!(
             values.len(),
             self.columns.len(),
@@ -88,10 +108,10 @@ impl FigureTable {
         self.rows.push((x, values));
     }
 
-    /// Renders the table to a string.
-    pub fn render(&self) -> String {
+    /// Renders the table under a heading that states the `sample` size.
+    fn render(&self, sample: &str) -> String {
         let mut out = String::new();
-        out.push_str(&format!("\n=== {} ===\n", self.title));
+        out.push_str(&format!("\n=== {} [{sample}] ===\n", self.title));
         let width = 16usize;
         out.push_str(&format!("{:<width$}", self.x_label, width = width));
         for c in &self.columns {
@@ -109,11 +129,6 @@ impl FigureTable {
             out.push('\n');
         }
         out
-    }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 
     /// Renders the table as CSV (header row + data rows; `None` cells are
@@ -139,12 +154,12 @@ impl FigureTable {
         out
     }
 
-    /// Writes the CSV under the workspace's `target/figures/<name>.csv`
-    /// (benches run with the crate directory as cwd, so the path is
-    /// anchored at the workspace root), creating the directory as needed;
-    /// reports the path as an info event. Errors are reported, not
-    /// fatal — a read-only filesystem must not kill a bench run.
-    pub fn save_csv(&self, name: &str) {
+    /// Prints the table, its heading stating the `sample` size, then
+    /// writes the CSV to the workspace's `target/figures/<name>.csv`
+    /// (benches run in the crate directory). A write error is reported,
+    /// not fatal: a read-only filesystem must not kill a bench run.
+    pub(crate) fn publish(&self, name: &str, sample: &str) {
+        print!("{}", self.render(sample));
         let dir =
             std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/figures"));
         let path = dir.join(format!("{name}.csv"));
@@ -157,38 +172,89 @@ impl FigureTable {
     }
 }
 
-/// Checks that a series is (weakly) monotone, with `slack` tolerance for
-/// simulation noise; emits a warning event rather than panicking so a
-/// noisy bench run still produces its full output.
-pub fn check_trend(name: &str, values: &[f64], increasing: bool, slack: f64) {
-    for (i, pair) in values.windows(2).enumerate() {
-        let ok = if increasing {
-            pair[1] >= pair[0] - slack
-        } else {
-            pair[1] <= pair[0] + slack
-        };
+/// The direction a checked series must move in.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Trend {
+    Up,
+    Down,
+}
+
+/// Where one figure reports its checks: every failed check prints one
+/// `WARN` line naming the figure, and makes [`run_figures`] exit 1.
+#[derive(Debug)]
+pub(crate) struct Report {
+    figure: &'static str,
+    failures: usize,
+}
+
+impl Report {
+    pub(crate) fn new(figure: &'static str) -> Report {
+        Report {
+            figure,
+            failures: 0,
+        }
+    }
+
+    /// Records a failed check, described by `what`, unless `ok`.
+    pub(crate) fn check(&mut self, ok: bool, what: impl FnOnce() -> String) {
         if !ok {
-            obs::warn!(
-                "bench",
-                "series {name} violates expected {} trend at index {i}: {} -> {}",
-                if increasing {
-                    "increasing"
-                } else {
-                    "decreasing"
-                },
-                pair[0],
-                pair[1]
-            );
+            obs::warn!("bench", "{}: {}", self.figure, what());
+            self.failures += 1;
+        }
+    }
+
+    /// Checks that `values` move step by step in `trend`, each step
+    /// allowed to go back by `slack` (simulation noise), and records
+    /// every step that does not.
+    pub(crate) fn trend(&mut self, name: &str, values: &[f64], trend: Trend, slack: f64) {
+        for (i, pair) in values.windows(2).enumerate() {
+            let (ok, verb) = match trend {
+                Trend::Up => (pair[1] >= pair[0] - slack, "rise"),
+                Trend::Down => (pair[1] <= pair[0] + slack, "fall"),
+            };
+            let (a, b) = (pair[0], pair[1]);
+            self.check(ok, || {
+                format!("{name} should {verb} (slack {slack}): {a} -> {b} at {i}")
+            });
         }
     }
 }
 
-/// The deadline sweep of the random-graph delivery figures: 60 to 1080
-/// minutes (Table II).
-pub fn deadline_sweep_minutes() -> Vec<f64> {
-    vec![
-        60.0, 120.0, 240.0, 360.0, 480.0, 600.0, 720.0, 840.0, 960.0, 1080.0,
-    ]
+/// Runs, in list order, every figure whose name starts with one of
+/// `filter` (all of them when it is empty). Exits 2 when a filter matches
+/// no figure, 1 when any check failed (after every selected figure ran),
+/// and 0 otherwise.
+pub fn run_figures(filter: &[String]) -> ExitCode {
+    let names: Vec<&str> = FIGURES.iter().map(Figure::name).collect();
+    if let Some(f) = filter
+        .iter()
+        .find(|f| !names.iter().any(|n| n.starts_with(*f)))
+    {
+        eprintln!(
+            "no figure name starts with {f:?}; figures: {}",
+            names.join(" ")
+        );
+        return ExitCode::from(2);
+    }
+    let traces = sweep::Traces::default();
+    let mut failed = Vec::new();
+    for fig in FIGURES {
+        if filter.is_empty() || filter.iter().any(|f| fig.name().starts_with(f)) {
+            let mut report = Report::new(fig.name());
+            match fig {
+                Figure::Sweep(sweep) => sweep.run(&traces, &mut report),
+                Figure::Own(_, run) => run(&mut report),
+            }
+            if report.failures > 0 {
+                failed.push(format!("{} ({})", fig.name(), report.failures));
+            }
+        }
+    }
+    if failed.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("figure checks failed: {}", failed.join(", "));
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]
@@ -197,11 +263,11 @@ mod tests {
 
     #[test]
     fn table_renders_all_rows() {
-        let mut t = FigureTable::new("Test figure", "x", vec!["a".into(), "b".into()]);
-        t.push_row(1.0, vec![Some(0.5), None]);
-        t.push_row(2.0, vec![Some(0.75), Some(0.1)]);
-        let s = t.render();
-        assert!(s.contains("Test figure"));
+        let mut t = FigureTable::new("Test figure", "x", &["a", "b"]);
+        t.push_row(1.0, [Some(0.5), None]);
+        t.push_row(2.0, [0.75, 0.1]);
+        let s = t.render("2 realizations × 3 messages");
+        assert!(s.contains("=== Test figure [2 realizations × 3 messages] ==="));
         assert!(s.contains("0.7500"));
         assert!(s.contains('-'));
         assert_eq!(t.rows.len(), 2);
@@ -209,8 +275,8 @@ mod tests {
 
     #[test]
     fn csv_rendering() {
-        let mut t = FigureTable::new("t", "x,axis", vec!["a".into(), "b,2".into()]);
-        t.push_row(1.5, vec![Some(0.25), None]);
+        let mut t = FigureTable::new("t", "x,axis", &["a", "b,2"]);
+        t.push_row(1.5, [Some(0.25), None]);
         let csv = t.to_csv();
         assert_eq!(csv, "x;axis,a,b;2\n1.5,0.25,\n");
     }
@@ -218,20 +284,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width")]
     fn row_width_checked() {
-        let mut t = FigureTable::new("t", "x", vec!["a".into()]);
-        t.push_row(0.0, vec![]);
-    }
-
-    #[test]
-    fn sweeps_are_sane() {
-        let ds = deadline_sweep_minutes();
-        assert_eq!(ds.first(), Some(&60.0));
-        assert_eq!(ds.last(), Some(&1080.0));
-    }
-
-    #[test]
-    fn trend_check_warns_not_panics() {
-        check_trend("demo", &[0.5, 0.4], true, 0.0);
-        check_trend("demo2", &[0.4, 0.5], false, 0.0);
+        let mut t = FigureTable::new("t", "x", &["a"]);
+        t.push_row(0.0, [0.0; 0]);
     }
 }

@@ -495,15 +495,23 @@ fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 fn cmd_deadline_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
+    let mut deadlines: Vec<f64> = Vec::new();
     let (spec, opts, mut cp) = sweep_command(flags, "deadline-sweep", |spec, _| {
+        // Eight log-spaced deadlines from 0.06·T to T, to 0.1 min; a tiny
+        // T rounds some to one value, kept once.
         let max_t = spec.config.deadline.as_f64();
-        let deadlines: Vec<f64> = (0..8)
-            .map(|i| max_t * (0.06f64).max(2f64.powi(i - 7)))
+        deadlines = (0..8)
+            .map(|i| max_t * 0.06f64.powf(1.0 - f64::from(i) / 7.0))
             .map(|t| (t * 10.0).round() / 10.0)
             .collect();
+        deadlines.dedup();
         Ok((spec.over_deadlines(&deadlines), vec![]))
     })?;
-    let rows: Vec<DeliverySweepRow> = checkpointed(&mut cp, "rows", || {
+    // Keyed by the grid, so a checkpoint written under another grid
+    // recomputes instead of replaying rows for other deadlines.
+    let grid: Vec<String> = deadlines.iter().map(f64::to_string).collect();
+    let key = format!("deadlines={}", grid.join(","));
+    let rows: Vec<DeliverySweepRow> = checkpointed(&mut cp, &key, || {
         spec.run(&opts)
             .into_delivery()
             .expect("deadline axis yields delivery rows")

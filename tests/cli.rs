@@ -555,7 +555,7 @@ fn deadline_sweep_walks_a_log_grid_up_to_the_deadline() {
     assert_eq!(rows.len(), 8, "{stdout}");
     let deadlines = column_f64(&rows, 0);
     assert_eq!(deadlines[7], 240.0);
-    assert!(deadlines.windows(2).all(|w| w[0] <= w[1]), "{deadlines:?}");
+    assert!(deadlines.windows(2).all(|w| w[0] < w[1]), "{deadlines:?}");
     assert!(deadlines[0] > 0.0);
     // The model's delivery rate is a CDF of the deadline.
     let model = column_f64(&rows, 1);
@@ -957,6 +957,32 @@ fn resume_accepts_a_different_thread_count() {
         &["--threads", "2", "--resume", &cp, "--quiet"],
     ));
     assert_eq!(two.expect_ok().stdout, one.expect_ok().stdout);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deadline_sweep_checkpoint_is_keyed_by_its_grid() {
+    let dir = scratch_dir("resume-grid");
+    let cp = dir.join("cp.jsonl");
+    let args = small(
+        "deadline-sweep",
+        &["--threads", "1", "--resume", &path_arg(&cp), "--quiet"],
+    );
+    let first = run(&args).expect_ok().stdout.clone();
+    let deadlines: Vec<String> = table_rows(&first)
+        .into_iter()
+        .map(|r| r[0].clone())
+        .collect();
+    let key = format!("\"key\":\"deadlines={}\"", deadlines.join(","));
+    let recorded = std::fs::read_to_string(&cp).unwrap();
+    assert!(recorded.contains(&key), "{key} in:\n{recorded}");
+    // An entry under any other key, such as the `rows` that once stood for
+    // every grid, is not replayed: the sweep recomputes and records anew.
+    std::fs::write(&cp, recorded.replace(&key, "\"key\":\"rows\"")).unwrap();
+    assert_eq!(run(&args).expect_ok().stdout, first);
+    let resumed = std::fs::read_to_string(&cp).unwrap();
+    assert_eq!(resumed.lines().count(), recorded.lines().count() + 1);
+    assert!(resumed.lines().last().unwrap().contains(&key), "{resumed}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
