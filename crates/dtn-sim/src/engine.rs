@@ -40,7 +40,7 @@ use obs::TraceEvent;
 
 use crate::faults::{ChurnMemory, FaultPlan, FaultState};
 use crate::message::{
-    fragment_id, fragment_parent, CopyState, Message, MessageId, FRAG_BASE, MAX_CODE_FRAGMENTS,
+    check_code_shape, fragment_id, fragment_parent, CopyState, Message, MessageId, FRAG_BASE,
 };
 use crate::protocol::{ContactView, Forward, ForwardKind, RoutingProtocol};
 use crate::report::{CodedOutcome, ForwardRecord, SimCounters, SimReport};
@@ -730,11 +730,7 @@ fn validate_and_expand(
     let (messages, coded) = match config.copy_mode {
         CopyMode::Replica(_) => (messages, None),
         CopyMode::Coded { k, m } => {
-            if k == 0 || k > m || m > MAX_CODE_FRAGMENTS {
-                return Err(SimError::InvalidCodeParameters(format!(
-                    "need 1 <= k <= m <= {MAX_CODE_FRAGMENTS}, got k={k} m={m}"
-                )));
-            }
+            check_code_shape((k, m)).map_err(SimError::InvalidCodeParameters)?;
             if let Some(bad) = messages.iter().find(|msg| msg.id.0 >= FRAG_BASE) {
                 return Err(SimError::InvalidCodeParameters(format!(
                     "message {} lies inside the reserved fragment id band (>= {FRAG_BASE})",
@@ -1650,6 +1646,7 @@ fn apply<P>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::MAX_CODE_FRAGMENTS;
     use contact_graph::{ContactEvent, TimeDelta};
     use rand::rngs::mock::StepRng;
 

@@ -58,7 +58,8 @@ pub use engine::{
 };
 pub use faults::{ChurnConfig, ChurnMemory, FaultPlan, FaultState};
 pub use message::{
-    fragment_id, fragment_parent, CopyState, Message, MessageId, FRAG_BASE, MAX_CODE_FRAGMENTS,
+    check_code_shape, fragment_id, fragment_parent, CopyState, Message, MessageId, FRAG_BASE,
+    MAX_CODE_FRAGMENTS,
 };
 pub use protocol::{ContactView, Forward, ForwardKind, RoutingProtocol};
 pub use report::{CodedOutcome, ForwardRecord, SimCounters, SimReport};

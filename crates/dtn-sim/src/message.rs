@@ -51,6 +51,22 @@ pub const FRAG_BASE: u64 = 1 << 48;
 /// fragment id band dense and bounds per-parent bookkeeping.
 pub const MAX_CODE_FRAGMENTS: u32 = 64;
 
+/// The one rule for an erasure-code shape `(k, m)`: any `k` of `m`
+/// fragments reconstruct a message, `1 <= k <= m <= MAX_CODE_FRAGMENTS`.
+///
+/// # Errors
+///
+/// The rule and the offending shape, e.g. `need 1 <= k <= m <= 64, got 3/2`.
+pub fn check_code_shape((k, m): (u32, u32)) -> Result<(), String> {
+    if 1 <= k && k <= m && m <= MAX_CODE_FRAGMENTS {
+        Ok(())
+    } else {
+        Err(format!(
+            "need 1 <= k <= m <= {MAX_CODE_FRAGMENTS}, got {k}/{m}"
+        ))
+    }
+}
+
 /// The id of fragment `index` of `parent` in coded mode.
 ///
 /// Fragment ids are monotone in `(parent, index)`, so sorting fragments by

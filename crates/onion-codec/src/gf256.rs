@@ -1,4 +1,6 @@
-//! GF(2^8) field arithmetic over the AES reduction polynomial `0x11d`.
+//! GF(2^8) field arithmetic over the reduction polynomial `0x11d`, the
+//! primitive polynomial Reed-Solomon codes commonly use (AES reduces by
+//! `0x11b`, in which `0x02` is not a generator).
 //!
 //! The field is represented through compile-time log/antilog tables built
 //! from the generator `x = 0x02` (a primitive element modulo `0x11d`).

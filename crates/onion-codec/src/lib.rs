@@ -4,7 +4,8 @@
 //! The crate backs the simulator's `CopyMode::Coded { k, m }`: a message
 //! is split into `m` fragments such that **any** `k` of them reconstruct
 //! it exactly. [`gf256`] holds the field core (compile-time log/antilog
-//! tables over the `0x11d` AES polynomial and the [`Gf256`] newtype);
+//! tables over the primitive polynomial `0x11d` — not AES's `0x11b` —
+//! and the [`Gf256`] newtype);
 //! [`rs`] builds the systematic codec on top (Vandermonde-derived
 //! generator, Gaussian-elimination erasure decoding).
 

@@ -2,42 +2,47 @@
 //!
 //! A sweep over many parameter points can die at 97% — a power cut, an
 //! OOM kill, a pre-empted batch job. [`Checkpoint`] makes that cheap to
-//! survive: every completed point is appended to a JSONL file as soon
-//! as it finishes, and a restarted sweep opened against the same file
-//! skips the finished points and replays their recorded results
-//! verbatim. Because replay parses the exact bytes that were written
-//! (the vendored `serde_json` guarantees exact `f64` round-trips), a
-//! resumed sweep's final summary is byte-identical to an uninterrupted
-//! run's.
+//! survive: it is a [`RowCache`], so every finished row is appended to a
+//! JSONL file as soon as it completes, and a restarted run opened
+//! against the same file skips the finished rows and replays their
+//! recorded results verbatim. Because replay parses the exact bytes that
+//! were written (the vendored `serde_json` guarantees exact `f64`
+//! round-trips), a resumed sweep's final summary is byte-identical to an
+//! uninterrupted run's.
 //!
 //! # File format
 //!
-//! Line 1 is a header, every further line one completed point:
+//! Line 1 is a header, every further line one finished row, keyed as
+//! [`RowCache`] documents:
 //!
 //! ```text
 //! {"version":1,"fingerprint":"<sha256 hex of the sweep's config JSON>"}
-//! {"key":"deadline=360","value":"<the point's JSON, string-encoded>"}
+//! {"key":"intensity=0.5","value":"<the row's JSON, string-encoded>"}
 //! ```
 //!
 //! The fingerprint binds the file to the sweep's full configuration
 //! (protocol config, options, fault plan, sweep axis): resuming with
 //! *any* changed parameter is rejected instead of silently splicing
-//! incompatible results. The point value is stored as a JSON string so
+//! incompatible results. The row value is stored as a JSON string so
 //! entries round-trip without an untyped JSON value type.
 //!
 //! A process killed mid-append leaves a partial final line with no
 //! terminating newline; [`Checkpoint::open`] detects and truncates it.
 //! Torn *complete* lines cannot occur (a partial `write` persists a
 //! prefix, and the newline is the last byte), so any complete line that
-//! fails to parse is treated as real corruption.
+//! fails to parse, or whose value is not JSON, is treated as real
+//! corruption.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
 
 use onion_crypto::sha256::Sha256;
-use serde::{Deserialize, DeserializeOwned, Serialize};
+use serde::{Deserialize, Serialize};
+
+use crate::sweep::RowCache;
 
 /// Current checkpoint file format version.
 const VERSION: u32 = 1;
@@ -106,16 +111,25 @@ struct Header {
 #[derive(Serialize, Deserialize)]
 struct Entry {
     key: String,
-    /// The point's own JSON, string-encoded.
+    /// The row's own JSON, string-encoded.
     value: String,
 }
 
-/// An append-only JSONL record of a sweep's completed points.
+/// An append-only JSONL record of a run's finished rows, read and
+/// written through its [`RowCache`] implementation.
 #[derive(Debug)]
 pub struct Checkpoint {
+    inner: Mutex<Inner>,
+}
+
+#[derive(Debug)]
+struct Inner {
     file: File,
     done: BTreeMap<String, String>,
     hits: u64,
+    /// The first append that failed. No row is appended after it: a
+    /// partial line followed by another would corrupt the file.
+    failure: Option<std::io::Error>,
 }
 
 impl Checkpoint {
@@ -137,13 +151,14 @@ impl Checkpoint {
     }
 
     /// Opens (or creates) the checkpoint at `path` for a sweep with the
-    /// given fingerprint, loading every completed point and truncating a
+    /// given fingerprint, loading every finished row and truncating a
     /// torn final line left by a killed process.
     ///
     /// # Errors
     ///
-    /// I/O failure, corruption in a complete line, or a fingerprint
-    /// recorded by a different sweep configuration.
+    /// I/O failure, corruption in a complete line (one that does not
+    /// parse, or whose value is not JSON), or a fingerprint recorded by a
+    /// different sweep configuration.
     pub fn open(path: &Path, fingerprint: &str) -> Result<Checkpoint, CheckpointError> {
         let mut done = BTreeMap::new();
         let mut fresh = true;
@@ -183,11 +198,13 @@ impl Checkpoint {
                     });
                 }
                 for (idx, line) in lines {
-                    let entry: Entry =
-                        serde_json::from_str(line).map_err(|e| CheckpointError::Corrupt {
-                            line: idx + 1,
-                            why: format!("bad entry: {e}"),
-                        })?;
+                    let corrupt = |why| CheckpointError::Corrupt { line: idx + 1, why };
+                    let entry: Entry = serde_json::from_str(line)
+                        .map_err(|e| corrupt(format!("bad entry: {e}")))?;
+                    if let Err(e) = serde_json::parse_value(&entry.value) {
+                        let key = &entry.key;
+                        return Err(corrupt(format!("the value of {key:?} is not JSON: {e}")));
+                    }
                     done.insert(entry.key, entry.value);
                 }
             }
@@ -222,98 +239,87 @@ impl Checkpoint {
             done.len(),
         );
         Ok(Checkpoint {
-            file,
-            done,
-            hits: 0,
+            inner: Mutex::new(Inner {
+                file,
+                done,
+                hits: 0,
+                failure: None,
+            }),
         })
     }
 
-    /// Number of completed points on record.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner
+            .lock()
+            .expect("no checkpoint operation panics while holding the lock")
+    }
+
+    /// Number of finished rows on record.
     pub fn len(&self) -> usize {
-        self.done.len()
+        self.lock().done.len()
     }
 
-    /// Whether no point has completed yet.
+    /// Whether no row has finished yet.
     pub fn is_empty(&self) -> bool {
-        self.done.is_empty()
+        self.lock().done.is_empty()
     }
 
-    /// Number of points served from the record by [`Checkpoint::run_point`]
-    /// since opening.
+    /// Number of rows replayed from the record since opening.
     pub fn resumed_points(&self) -> u64 {
-        self.hits
+        self.lock().hits
     }
 
-    /// Whether `key` has a recorded result.
-    pub fn contains(&self, key: &str) -> bool {
-        self.done.contains_key(key)
+    /// Whether an append has failed since opening; a run polls this to
+    /// stop at the next row.
+    pub fn failed(&self) -> bool {
+        self.lock().failure.is_some()
     }
 
-    /// Parses the recorded result for `key`, if any.
+    /// Reports the first append that failed since opening, if any.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Corrupt`] if the recorded value does not parse
-    /// as `T`.
-    pub fn get<T: DeserializeOwned>(&self, key: &str) -> Result<Option<T>, CheckpointError> {
-        match self.done.get(key) {
-            None => Ok(None),
-            Some(raw) => {
-                serde_json::from_str(raw)
-                    .map(Some)
-                    .map_err(|e| CheckpointError::Corrupt {
-                        line: 0,
-                        why: format!("recorded value for {key:?} does not parse: {e}"),
-                    })
-            }
+    /// [`CheckpointError::Io`] with that append's error.
+    pub fn finish(&self) -> Result<(), CheckpointError> {
+        match self.lock().failure.take() {
+            Some(e) => Err(CheckpointError::Io(e)),
+            None => Ok(()),
         }
     }
+}
 
-    /// Appends a completed point and flushes it to the OS, so a SIGKILL
-    /// immediately afterwards cannot lose it.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure while appending.
-    pub fn record<T: Serialize>(&mut self, key: &str, value: &T) -> Result<(), CheckpointError> {
-        let raw = serde_json::to_string(value).map_err(|e| CheckpointError::Corrupt {
-            line: 0,
-            why: format!("value for {key:?} does not serialize: {e}"),
-        })?;
+impl RowCache for Checkpoint {
+    fn load(&self, key: &str) -> Option<String> {
+        let mut inner = self.lock();
+        let row = inner.done.get(key).cloned()?;
+        inner.hits += 1;
+        obs::info!(
+            "onion_routing::checkpoint",
+            "skipping completed point {key:?} (resumed from checkpoint)",
+        );
+        Some(row)
+    }
+
+    /// Appends the row and flushes it to the OS, so a SIGKILL right
+    /// afterwards cannot lose it. A failed append is kept for
+    /// [`Checkpoint::finish`], and no later row is appended.
+    fn save(&self, key: &str, row_json: &str) {
+        let mut inner = self.lock();
+        if inner.failure.is_some() {
+            return;
+        }
         let line = serde_json::to_string(&Entry {
             key: key.to_string(),
-            value: raw.clone(),
+            value: row_json.to_string(),
         })
         .expect("entry serializes");
-        writeln!(self.file, "{line}")?;
-        self.file.flush()?;
-        self.done.insert(key.to_string(), raw);
-        Ok(())
-    }
-
-    /// Returns the recorded result for `key`, or computes, records, and
-    /// returns it. The replayed value is parsed from the recorded bytes,
-    /// so a resumed sweep reproduces the original run exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Checkpoint::get`] / [`Checkpoint::record`] errors.
-    pub fn run_point<T, F>(&mut self, key: &str, compute: F) -> Result<T, CheckpointError>
-    where
-        T: Serialize + DeserializeOwned,
-        F: FnOnce() -> T,
-    {
-        if let Some(done) = self.get(key)? {
-            self.hits += 1;
-            obs::info!(
-                "onion_routing::checkpoint",
-                "skipping completed point {key:?} (resumed from checkpoint)",
-            );
-            return Ok(done);
+        let inner = &mut *inner;
+        match writeln!(inner.file, "{line}").and_then(|()| inner.file.flush()) {
+            Ok(()) => {
+                inner.done.insert(key.to_string(), row_json.to_string());
+            }
+            Err(e) => inner.failure = Some(e),
         }
-        let value = compute();
-        self.record(key, &value)?;
-        Ok(value)
     }
 }
 
@@ -341,12 +347,6 @@ mod tests {
         }
     }
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    struct Row {
-        x: f64,
-        n: u64,
-    }
-
     #[test]
     fn fingerprint_is_stable_and_config_sensitive() {
         let a = Checkpoint::fingerprint(&("sweep", 1u32, 0.25f64));
@@ -357,50 +357,31 @@ mod tests {
         assert_eq!(a.len(), 64);
     }
 
+    /// A row's JSON, as a run stores it.
+    fn row(x: f64, n: u64) -> String {
+        serde_json::to_string(&(x, n)).unwrap()
+    }
+
     #[test]
-    fn record_and_reopen_replays_points() {
+    fn saved_rows_replay_after_reopen() {
         let scratch = Scratch::new("reopen");
         let path = scratch.file("sweep.jsonl");
         let fp = Checkpoint::fingerprint(&"cfg");
 
-        let mut cp = Checkpoint::open(&path, &fp).unwrap();
+        let cp = Checkpoint::open(&path, &fp).unwrap();
         assert!(cp.is_empty());
-        cp.record("p=1", &Row { x: 0.1 + 0.2, n: 3 }).unwrap();
-        cp.record("p=2", &Row { x: 1.0 / 3.0, n: 9 }).unwrap();
+        cp.save("p=1", &row(0.1 + 0.2, 3));
+        cp.save("p=2", &row(1.0 / 3.0, 9));
+        cp.finish().unwrap();
         drop(cp);
 
         let cp = Checkpoint::open(&path, &fp).unwrap();
         assert_eq!(cp.len(), 2);
-        assert!(cp.contains("p=1"));
-        assert!(!cp.contains("p=3"));
+        assert_eq!(cp.load("p=3"), None);
+        assert_eq!(cp.resumed_points(), 0);
         // Exact f64 round-trip, bit for bit.
-        let row: Row = cp.get("p=2").unwrap().unwrap();
-        assert_eq!(row.x.to_bits(), (1.0f64 / 3.0).to_bits());
-        assert_eq!(row, Row { x: 1.0 / 3.0, n: 9 });
-    }
-
-    #[test]
-    fn run_point_computes_once_then_replays() {
-        let scratch = Scratch::new("run-point");
-        let path = scratch.file("sweep.jsonl");
-        let fp = Checkpoint::fingerprint(&"cfg");
-
-        let mut cp = Checkpoint::open(&path, &fp).unwrap();
-        let mut computed = 0;
-        let first: Row = cp
-            .run_point("p", || {
-                computed += 1;
-                Row { x: 2.5, n: 1 }
-            })
-            .unwrap();
-        let second: Row = cp
-            .run_point("p", || {
-                computed += 1;
-                Row { x: 99.0, n: 99 }
-            })
-            .unwrap();
-        assert_eq!(computed, 1);
-        assert_eq!(first, second);
+        let (x, n): (f64, u64) = serde_json::from_str(&cp.load("p=2").unwrap()).unwrap();
+        assert_eq!((x.to_bits(), n), ((1.0f64 / 3.0).to_bits(), 9));
         assert_eq!(cp.resumed_points(), 1);
     }
 
@@ -408,8 +389,8 @@ mod tests {
     fn fingerprint_mismatch_is_rejected() {
         let scratch = Scratch::new("mismatch");
         let path = scratch.file("sweep.jsonl");
-        let mut cp = Checkpoint::open(&path, &Checkpoint::fingerprint(&"one")).unwrap();
-        cp.record("p", &1u64).unwrap();
+        let cp = Checkpoint::open(&path, &Checkpoint::fingerprint(&"one")).unwrap();
+        cp.save("p", "1");
         drop(cp);
 
         let err = Checkpoint::open(&path, &Checkpoint::fingerprint(&"two")).unwrap_err();
@@ -421,8 +402,8 @@ mod tests {
         let scratch = Scratch::new("torn");
         let path = scratch.file("sweep.jsonl");
         let fp = Checkpoint::fingerprint(&"cfg");
-        let mut cp = Checkpoint::open(&path, &fp).unwrap();
-        cp.record("p=1", &Row { x: 1.5, n: 1 }).unwrap();
+        let cp = Checkpoint::open(&path, &fp).unwrap();
+        cp.save("p=1", &row(1.5, 1));
         drop(cp);
 
         // Simulate a SIGKILL mid-append: a partial line, no newline.
@@ -430,11 +411,11 @@ mod tests {
         file.write_all(b"{\"key\":\"p=2\",\"val").unwrap();
         drop(file);
 
-        let mut cp = Checkpoint::open(&path, &fp).unwrap();
+        let cp = Checkpoint::open(&path, &fp).unwrap();
         assert_eq!(cp.len(), 1);
-        assert!(cp.contains("p=1"));
-        // The torn point simply recomputes and appends cleanly.
-        cp.record("p=2", &Row { x: 2.5, n: 2 }).unwrap();
+        assert!(cp.load("p=1").is_some());
+        // The torn row simply recomputes and appends cleanly.
+        cp.save("p=2", &row(2.5, 2));
         drop(cp);
         let cp = Checkpoint::open(&path, &fp).unwrap();
         assert_eq!(cp.len(), 2);
@@ -455,6 +436,44 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_whose_value_is_not_json_is_an_error() {
+        let scratch = Scratch::new("corrupt-value");
+        let path = scratch.file("sweep.jsonl");
+        let fp = Checkpoint::fingerprint(&"cfg");
+        let cp = Checkpoint::open(&path, &fp).unwrap();
+        cp.save("p=1", &row(1.5, 1));
+        cp.save("p=2", "{\"x\":");
+        drop(cp);
+
+        let err = Checkpoint::open(&path, &fp).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Corrupt { line: 3, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("\"p=2\""), "{err}");
+    }
+
+    #[test]
+    fn a_failed_append_is_reported_and_nothing_is_appended_after_it() {
+        let scratch = Scratch::new("failed-append");
+        let path = scratch.file("sweep.jsonl");
+        let fp = Checkpoint::fingerprint(&"cfg");
+        let cp = Checkpoint::open(&path, &fp).unwrap();
+        cp.save("p=1", &row(1.5, 1));
+        let recorded = std::fs::read(&path).unwrap();
+        // A read-only handle: the next append fails.
+        cp.lock().file = File::open(&path).unwrap();
+        assert!(!cp.failed());
+        cp.save("p=2", &row(2.5, 2));
+        assert!(cp.failed());
+        cp.lock().file = OpenOptions::new().append(true).open(&path).unwrap();
+        cp.save("p=3", &row(3.5, 3));
+        assert_eq!(std::fs::read(&path).unwrap(), recorded);
+        assert_eq!(cp.len(), 1);
+        assert!(matches!(cp.finish(), Err(CheckpointError::Io(_))));
+    }
+
+    #[test]
     fn missing_file_starts_fresh() {
         let scratch = Scratch::new("fresh");
         let path = scratch.file("new.jsonl");
@@ -469,8 +488,8 @@ mod tests {
         let path = scratch.file("empty.jsonl");
         std::fs::write(&path, b"").unwrap();
         let fp = Checkpoint::fingerprint(&"cfg");
-        let mut cp = Checkpoint::open(&path, &fp).unwrap();
-        cp.record("p", &1u64).unwrap();
+        let cp = Checkpoint::open(&path, &fp).unwrap();
+        cp.save("p", "1");
         drop(cp);
         let cp = Checkpoint::open(&path, &fp).unwrap();
         assert_eq!(cp.len(), 1);

@@ -371,8 +371,8 @@ pub fn run_sparse_point(
     point(World::Sparse(sparse), cfg, opts)
 }
 
-/// One point on `world`: the body of every `run_*_point` and of every
-/// fault and code sweep row.
+/// One point on `world`: the body of every `run_*_point`, of the point
+/// axis and of every fault and code sweep row.
 pub(crate) fn point(
     world: World<'_>,
     cfg: &ProtocolConfig,

@@ -1,15 +1,16 @@
 //! The unified sweep builder: one serde-able description of *what* to
-//! sweep, one entry point that runs it.
+//! run, one entry point that runs it.
 //!
 //! A sweep is a [`Scenario`] (where contacts come from) crossed with a
-//! [`SweepAxis`] (which parameter varies):
+//! [`SweepAxis`] (which parameter varies, if any — a spec built without
+//! an `over_*` call runs one point):
 //!
-//! | | `Deadline` | `Security` | `Fault`, `Code` |
-//! |---|---|---|---|
-//! | [`Scenario::RandomGraph`] | Figs. 4, 5, 10 | Figs. 6–9, 12, 13 | fault / code sweep |
-//! | [`Scenario::Schedule`] | Fig. 17 | Figs. 15–19 | fault / code sweep |
-//! | [`Scenario::Trace`] | Fig. 14 (trained rates) | Figs. 15–19 | fault / code sweep |
-//! | [`Scenario::Sparse`] | scale runs (`n = 10⁵⁺`) | scale runs | fault / code sweep |
+//! | | `Point` | `Deadline` | `Security` | `Fault`, `Code` |
+//! |---|---|---|---|---|
+//! | [`Scenario::RandomGraph`] | Fig. 11, Table II, ablations | Figs. 4, 5, 10 | Figs. 6–9, 12, 13 | fault / code sweep |
+//! | [`Scenario::Schedule`] | `onion-dtn trace` | Fig. 17 | Figs. 15–19 | fault / code sweep |
+//! | [`Scenario::Trace`] | trained-rate point | Fig. 14 (trained rates) | Figs. 15–19 | fault / code sweep |
+//! | [`Scenario::Sparse`] | scale points (`n = 10⁵⁺`) | scale runs | scale runs | fault / code sweep |
 //!
 //! ```
 //! use onion_routing::sweep::SweepSpec;
@@ -26,24 +27,26 @@
 //!
 //! Every cell runs the one trial pipeline behind the `run_*_point`
 //! entry points: the scenario picks the world, the axis picks how trials
-//! are scored. The deadline and security axes score a single pass of
-//! trials; each fault and code row runs a full point under an options
+//! are scored. The point, deadline and security axes score a single pass
+//! of trials; each fault and code row runs a full point under an options
 //! override. Seed domains, RNG draw order and f64 summation order are
 //! frozen, and committed goldens pin every cell.
-//! [`SweepSpec::validate`] checks a spec before any trial runs.
-//! `SweepSpec` itself is serde-able, so a sweep description can be
-//! shipped over the serving API, checkpointed, or stored next to its
-//! results.
+//! [`SweepSpec::validate`] checks a spec before any trial runs, and
+//! [`SweepSpec::run_controlled`] is the one entry point: its
+//! [`SweepControls`] carry a cancel hook and the [`RowCache`] that
+//! persists finished rows (the CLI's `--resume` checkpoint, the serving
+//! daemon's disk store). `SweepSpec` itself is serde-able, so a sweep
+//! description can be shipped over the serving API or stored next to
+//! its results.
 
 use contact_graph::{ContactGraph, ContactSchedule, TimeDelta};
-use dtn_sim::{ChurnConfig, ChurnMemory, FaultPlan, MAX_CODE_FRAGMENTS};
+use dtn_sim::{check_code_shape, ChurnConfig, ChurnMemory, FaultPlan};
 use serde::{Deserialize, DeserializeOwned, Serialize};
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::config::ProtocolConfig;
 use crate::experiment::{
     point, CodeSweepRow, DeadlineScorer, DeliverySweepRow, ExperimentOptions, FaultSweepRow,
-    SecurityScorer, SecuritySweepRow,
+    PointSummary, SecurityScorer, SecuritySweepRow,
 };
 use crate::trial::{self, World, SWEEP_SPAN};
 
@@ -95,6 +98,9 @@ pub struct TraceScenario {
 /// Which parameter a sweep varies, with its grid.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum SweepAxis {
+    /// Nothing varies: one [`PointSummary`] at the spec's config, the
+    /// axis of a spec built without an `over_*` call.
+    Point,
     /// Delivery rate vs deadline `T` (one simulation per realization at
     /// the maximum deadline covers the whole curve).
     Deadline(Vec<f64>),
@@ -164,8 +170,9 @@ pub struct CodeAxis {
 
 /// One sweep, fully described: protocol parameters, contact source, and
 /// the swept axis. Construct with [`SweepSpec::random_graph`],
-/// [`SweepSpec::schedule`], or [`SweepSpec::trace`], pick an axis with
-/// an `over_*` method, then call [`SweepSpec::run`].
+/// [`SweepSpec::schedule`], [`SweepSpec::trace`] or [`SweepSpec::sparse`],
+/// pick an axis with an `over_*` method (or none, for one point), then
+/// call [`SweepSpec::run`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Protocol parameters (for deadline sweeps, `config.deadline` is
@@ -178,8 +185,10 @@ pub struct SweepSpec {
 }
 
 /// The rows a sweep produced, tagged by axis kind.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SweepReport {
+    /// The summary of a [`SweepAxis::Point`] run.
+    Point(Box<PointSummary>),
     /// Rows of a [`SweepAxis::Deadline`] sweep.
     Delivery(Vec<DeliverySweepRow>),
     /// Rows of a [`SweepAxis::Security`] sweep.
@@ -193,8 +202,8 @@ pub enum SweepReport {
 /// Why [`SweepSpec::run_controlled`] stopped without a full report.
 #[derive(Debug)]
 pub enum SweepRunError {
-    /// Checkpoint I/O failed (only with a checkpoint installed).
-    Checkpoint(CheckpointError),
+    /// [`SweepSpec::validate`] rejected the spec; no trial ran.
+    Invalid(SweepError),
     /// The cancel hook fired between rows; `completed` rows were
     /// finished (and persisted to any installed [`RowCache`]) before
     /// the sweep stopped.
@@ -209,7 +218,7 @@ pub enum SweepRunError {
 impl std::fmt::Display for SweepRunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SweepRunError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            SweepRunError::Invalid(e) => write!(f, "{e}"),
             SweepRunError::Cancelled { completed, total } => {
                 write!(f, "cancelled after {completed} of {total} row(s)")
             }
@@ -219,19 +228,17 @@ impl std::fmt::Display for SweepRunError {
 
 impl std::error::Error for SweepRunError {}
 
-impl From<CheckpointError> for SweepRunError {
-    fn from(e: CheckpointError) -> Self {
-        SweepRunError::Checkpoint(e)
-    }
-}
-
-/// Per-row persistence hooks for [`SweepSpec::run_controlled`]: lets a
-/// caller (the serving daemon's disk store) replay finished rows and
-/// persist new ones as they complete, so a cancelled sweep's partial
-/// work survives. Row JSON round-trips exactly (the vendored serde
-/// guarantees exact f64 round-trips — the same property checkpoint
-/// replay relies on), so replayed rows are byte-identical to computed
-/// ones.
+/// Where [`SweepSpec::run_controlled`] persists finished rows: the CLI's
+/// `--resume` [`Checkpoint`](crate::Checkpoint) and the serving daemon's
+/// disk store. A stored row is replayed instead of computed, and each
+/// newly computed row is offered as it completes. Fault and code sweeps
+/// store one row per grid entry (`intensity=<v>`, `code=<k>/<m>`), so a
+/// cancelled sweep keeps the rows it finished; a point, deadline or
+/// security run stores its whole result as one row, under a key naming
+/// its grid (`point`, `deadlines=<grid>`, `compromised=<grid>;draws=<n>`).
+/// Row JSON round-trips exactly (the vendored serde guarantees exact f64
+/// round-trips), so replayed rows are byte-identical to computed ones; a
+/// stored row that does not parse as the row type is computed again.
 pub trait RowCache {
     /// Returns the stored JSON for `key`, if any.
     fn load(&self, key: &str) -> Option<String>;
@@ -243,14 +250,12 @@ pub trait RowCache {
 #[derive(Clone, Copy, Default)]
 pub struct SweepControls<'a> {
     /// Polled between rows; returning `true` stops the sweep with
-    /// [`SweepRunError::Cancelled`]. One-pass axes (`Deadline`,
+    /// [`SweepRunError::Cancelled`]. One-pass axes (`Point`, `Deadline`,
     /// `Security`) compute every row from a single realization pass, so
     /// they only poll once, before the pass starts.
     pub cancel: Option<&'a (dyn Fn() -> bool + Sync)>,
-    /// Row replay/persistence hooks; only the fault and code axes have
-    /// per-row granularity. Keys match the checkpoint row keys
-    /// (`intensity=<value>`, `code=<k>/<m>`). Ignored when a checkpoint
-    /// is installed (the checkpoint already provides replay).
+    /// Replays stored rows and persists new ones, under the keys
+    /// [`RowCache`] documents.
     pub rows: Option<&'a (dyn RowCache + Sync)>,
 }
 
@@ -263,9 +268,48 @@ impl SweepControls<'_> {
             false => Ok(()),
         }
     }
+
+    /// The row stored under `key`, or else `compute`'s, offered to the
+    /// row cache under `key`.
+    fn row<R: Serialize + DeserializeOwned>(&self, key: &str, compute: impl FnOnce() -> R) -> R {
+        let Some(cache) = self.rows else {
+            return compute();
+        };
+        if let Some(row) = cache
+            .load(key)
+            .and_then(|json| serde_json::from_str(&json).ok())
+        {
+            return row;
+        }
+        let row = compute();
+        if let Ok(json) = serde_json::to_string(&row) {
+            cache.save(key, &json);
+        }
+        row
+    }
+
+    /// A one-pass axis: one poll, then the whole `total`-row result as
+    /// one stored row.
+    fn one_pass<R: Serialize + DeserializeOwned>(
+        &self,
+        total: usize,
+        key: &str,
+        compute: impl FnOnce() -> R,
+    ) -> Result<R, SweepRunError> {
+        self.poll(0, total)?;
+        Ok(self.row(key, compute))
+    }
 }
 
 impl SweepReport {
+    /// The point summary, if this was a point run.
+    pub fn into_point(self) -> Option<PointSummary> {
+        match self {
+            SweepReport::Point(summary) => Some(*summary),
+            _ => None,
+        }
+    }
+
     /// The delivery rows, if this was a deadline sweep.
     pub fn into_delivery(self) -> Option<Vec<DeliverySweepRow>> {
         match self {
@@ -301,6 +345,7 @@ impl SweepReport {
     /// Number of rows.
     pub fn len(&self) -> usize {
         match self {
+            SweepReport::Point(_) => 1,
             SweepReport::Delivery(rows) => rows.len(),
             SweepReport::Security(rows) => rows.len(),
             SweepReport::Fault(rows) => rows.len(),
@@ -315,9 +360,8 @@ impl SweepReport {
 }
 
 impl SweepSpec {
-    /// A random-graph sweep. Pick an axis with an `over_*` method before
-    /// running; the default axis is an empty deadline grid, which
-    /// [`SweepSpec::run`] rejects.
+    /// A random-graph sweep. Without an `over_*` call it runs one point
+    /// ([`SweepAxis::Point`]).
     pub fn random_graph(config: ProtocolConfig) -> SweepSpec {
         SweepSpec::with_scenario(config, Scenario::RandomGraph)
     }
@@ -344,12 +388,12 @@ impl SweepSpec {
         SweepSpec::with_scenario(config, Scenario::Sparse(SparseScenario { avg_degree }))
     }
 
-    /// A sweep of `scenario` with the default, empty deadline axis.
+    /// One point of `scenario`.
     fn with_scenario(config: ProtocolConfig, scenario: Scenario) -> SweepSpec {
         SweepSpec {
             config,
             scenario,
-            axis: SweepAxis::Deadline(Vec::new()),
+            axis: SweepAxis::Point,
         }
     }
 
@@ -401,6 +445,7 @@ impl SweepSpec {
     pub fn validate(&self, opts: &ExperimentOptions) -> Result<(), SweepError> {
         let invalid = |field, reason: String| Err(SweepError { field, reason });
         match &self.axis {
+            SweepAxis::Point => {}
             SweepAxis::Deadline(deadlines) => {
                 if deadlines.is_empty() || deadlines.iter().any(|&t| !(t.is_finite() && t > 0.0)) {
                     return invalid(
@@ -426,15 +471,18 @@ impl SweepSpec {
                 }
             }
             SweepAxis::Code(axis) => {
-                if axis.rates.is_empty() || !axis.rates.iter().all(|&r| code_is_valid(r)) {
-                    return invalid("rates", code_rule());
+                if axis.rates.is_empty() {
+                    return invalid("rates", "need at least one rate".into());
+                }
+                if let Some(e) = axis.rates.iter().find_map(|&r| check_code_shape(r).err()) {
+                    return invalid("rates", e);
                 }
             }
         }
         check_world(self.world(), &self.run_config(), opts)
     }
 
-    /// Runs the sweep.
+    /// Runs the sweep: [`SweepSpec::run_controlled`] with no hooks.
     ///
     /// # Panics
     ///
@@ -442,76 +490,55 @@ impl SweepSpec {
     /// the spec, or — with `keep_going` unset — when a realization is
     /// quarantined.
     pub fn run(&self, opts: &ExperimentOptions) -> SweepReport {
-        self.run_with_checkpoint(opts, None)
-            .expect("checkpoint errors are impossible without a checkpoint")
+        self.run_controlled(opts, &SweepControls::default())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs the sweep, resuming finished rows from `checkpoint` when one
-    /// is given. Only fault and code sweeps checkpoint per row (keyed
-    /// `intensity=<value>` and `code=<k>/<m>`); the other axes compute
-    /// all rows in one pass and ignore the checkpoint.
+    /// Runs the sweep under [`SweepControls`]: an optional cancel hook
+    /// polled between rows (the serving daemon's request deadline, the
+    /// CLI's failed checkpoint append) and an optional [`RowCache`] that
+    /// replays finished rows and persists new ones as they complete.
     ///
     /// # Errors
     ///
-    /// Returns a [`CheckpointError`] only when `checkpoint` is `Some`
-    /// and the file cannot be read or written.
+    /// [`SweepRunError::Invalid`] when [`SweepSpec::validate`] rejects
+    /// the spec, [`SweepRunError::Cancelled`] when the cancel hook fires
+    /// — rows completed up to that point have already been offered to
+    /// the `RowCache`.
     ///
     /// # Panics
     ///
-    /// As [`SweepSpec::run`].
-    pub fn run_with_checkpoint(
-        &self,
-        opts: &ExperimentOptions,
-        checkpoint: Option<&mut Checkpoint>,
-    ) -> Result<SweepReport, CheckpointError> {
-        self.run_controlled(opts, checkpoint, &SweepControls::default())
-            .map_err(|e| match e {
-                SweepRunError::Checkpoint(c) => c,
-                SweepRunError::Cancelled { .. } => {
-                    unreachable!("no cancel hook was installed")
-                }
-            })
-    }
-
-    /// Runs the sweep under external [`SweepControls`]: an optional
-    /// cancel hook polled between rows (the serving daemon's request
-    /// deadline) and an optional [`RowCache`] that replays finished
-    /// rows and persists new ones as they complete. Checkpoint resume
-    /// composes as in [`SweepSpec::run_with_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// [`SweepRunError::Checkpoint`] on checkpoint I/O failure,
-    /// [`SweepRunError::Cancelled`] when the cancel hook fires — rows
-    /// completed up to that point have already been offered to the
-    /// `RowCache`.
-    ///
-    /// # Panics
-    ///
-    /// As [`SweepSpec::run`].
+    /// With `keep_going` unset, when a realization is quarantined.
     pub fn run_controlled(
         &self,
         opts: &ExperimentOptions,
-        checkpoint: Option<&mut Checkpoint>,
         controls: &SweepControls<'_>,
     ) -> Result<SweepReport, SweepRunError> {
-        if let Err(e) = self.validate(opts) {
-            panic!("{e}");
-        }
+        self.validate(opts).map_err(SweepRunError::Invalid)?;
         let (world, cfg) = (self.world(), self.run_config());
         let label = |axis: &str| format!("{axis}_sweep_{}", world.label());
-        // One-pass axes compute every row at once, so they poll the
-        // cancel hook only before the pass.
         match &self.axis {
+            SweepAxis::Point => controls
+                .one_pass(1, "point", || point(world, &cfg, opts))
+                .map(|summary| SweepReport::Point(Box::new(summary))),
             SweepAxis::Deadline(deadlines) => {
-                controls.poll(0, deadlines.len())?;
-                let (sums, _) = trial::run(world, &cfg, opts, &DeadlineScorer(deadlines));
-                Ok(SweepReport::Delivery(sums.rows(deadlines)))
+                let key = format!("deadlines={}", joined(deadlines));
+                controls
+                    .one_pass(deadlines.len(), &key, || {
+                        let (sums, _) = trial::run(world, &cfg, opts, &DeadlineScorer(deadlines));
+                        sums.rows(deadlines)
+                    })
+                    .map(SweepReport::Delivery)
             }
             SweepAxis::Security(axis) => {
-                controls.poll(0, axis.compromised.len())?;
-                let (sums, _) = trial::run(world, &cfg, opts, &SecurityScorer(axis));
-                Ok(SweepReport::Security(sums.rows(&cfg, &axis.compromised)))
+                let (cs, draws) = (&axis.compromised, axis.adversary_draws);
+                let key = format!("compromised={};draws={draws}", joined(cs));
+                controls
+                    .one_pass(cs.len(), &key, || {
+                        let (sums, _) = trial::run(world, &cfg, opts, &SecurityScorer(axis));
+                        sums.rows(&cfg, cs)
+                    })
+                    .map(SweepReport::Security)
             }
             SweepAxis::Fault(axis) => row_sweep(
                 &label("fault"),
@@ -527,7 +554,6 @@ impl SweepSpec {
                         summary,
                     }
                 },
-                checkpoint,
                 controls,
             )
             .map(SweepReport::Fault),
@@ -540,7 +566,6 @@ impl SweepSpec {
                     let summary = point(world, &cfg, &opts);
                     CodeSweepRow { k, m, summary }
                 },
-                checkpoint,
                 controls,
             )
             .map(SweepReport::Code),
@@ -589,12 +614,9 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-fn code_is_valid((k, m): (u32, u32)) -> bool {
-    k >= 1 && k <= m && m <= MAX_CODE_FRAGMENTS
-}
-
-fn code_rule() -> String {
-    format!("must satisfy 1 <= k <= m <= {MAX_CODE_FRAGMENTS}")
+/// A grid as its row keys name it: the values' `Display`, comma-joined.
+fn joined<T: std::fmt::Display>(grid: &[T]) -> String {
+    grid.iter().map(T::to_string).collect::<Vec<_>>().join(",")
 }
 
 /// Checks what every run needs besides its axis: the config, the
@@ -617,8 +639,8 @@ pub(crate) fn check_world(
     if let Err(e) = opts.faults.validate() {
         return invalid("opts.faults", e);
     }
-    if opts.code.is_some_and(|code| !code_is_valid(code)) {
-        return invalid("opts.code", code_rule());
+    if let Some(Err(e)) = opts.code.map(check_code_shape) {
+        return invalid("opts.code", e);
     }
     let (lo, hi) = opts.intercontact_range;
     match world {
@@ -642,45 +664,21 @@ pub(crate) fn check_world(
     }
 }
 
-/// The fault and code axes' row loop: one full point per grid entry.
-/// With a checkpoint, finished rows (keyed `key(entry)`) replay
-/// byte-identically. The cancel hook is polled before each row, and a
-/// [`RowCache`] (when no checkpoint is installed) replays finished rows
-/// and persists new ones one at a time — so a cancelled sweep keeps the
-/// rows it paid for.
+/// The fault and code axes' row loop: one full point per grid entry,
+/// stored under `key(entry)`. The cancel hook is polled before each row,
+/// so a cancelled sweep keeps the rows it paid for.
 fn row_sweep<T, R: Serialize + DeserializeOwned>(
     label: &str,
     grid: &[T],
     key: impl Fn(&T) -> String,
     compute: impl Fn(&T) -> R,
-    mut checkpoint: Option<&mut Checkpoint>,
     controls: &SweepControls<'_>,
 ) -> Result<Vec<R>, SweepRunError> {
     let span = obs::span(SWEEP_SPAN);
     let mut rows = Vec::with_capacity(grid.len());
     for entry in grid {
         controls.poll(rows.len(), grid.len())?;
-        let key = key(entry);
-        let row = match (checkpoint.as_deref_mut(), controls.rows) {
-            (Some(cp), _) => cp.run_point(&key, || compute(entry))?,
-            (None, Some(cache)) => {
-                match cache
-                    .load(&key)
-                    .and_then(|json| serde_json::from_str(&json).ok())
-                {
-                    Some(row) => row,
-                    None => {
-                        let row = compute(entry);
-                        if let Ok(json) = serde_json::to_string(&row) {
-                            cache.save(&key, &json);
-                        }
-                        row
-                    }
-                }
-            }
-            (None, None) => compute(entry),
-        };
-        rows.push(row);
+        rows.push(controls.row(&key(entry), || compute(entry)));
     }
     drop(span);
     obs::flush_point(label);
@@ -690,7 +688,6 @@ fn row_sweep<T, R: Serialize + DeserializeOwned>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::PointSummary;
     use contact_graph::{Time, UniformGraphBuilder};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -751,9 +748,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive deadline")]
-    fn default_axis_is_rejected() {
-        let _ = SweepSpec::random_graph(ProtocolConfig::table2_defaults()).run(&quick_opts());
+    fn an_invalid_spec_is_a_typed_error_and_run_panics_with_its_text() {
+        let spec = SweepSpec::random_graph(ProtocolConfig::table2_defaults()).over_deadlines(&[]);
+        let err = spec
+            .run_controlled(&quick_opts(), &SweepControls::default())
+            .unwrap_err();
+        let SweepRunError::Invalid(invalid) = &err else {
+            panic!("{err}");
+        };
+        assert_eq!(invalid.field, "deadlines");
+        assert_eq!(err.to_string(), invalid.to_string());
+        let panic = std::panic::catch_unwind(|| spec.run(&quick_opts())).unwrap_err();
+        assert_eq!(panic.downcast_ref::<String>(), Some(&invalid.to_string()));
     }
 
     #[test]
@@ -899,7 +905,6 @@ mod tests {
         let err = spec
             .run_controlled(
                 &opts,
-                None,
                 &SweepControls {
                     cancel: Some(&cancel),
                     rows: Some(&cache),
@@ -925,7 +930,6 @@ mod tests {
         let report = spec
             .run_controlled(
                 &opts,
-                None,
                 &SweepControls {
                     cancel: None,
                     rows: Some(&cache),
@@ -936,6 +940,61 @@ mod tests {
         assert_eq!(cache.0.lock().unwrap().len(), 2);
     }
 
+    /// A point, deadline or security result is one stored row under a
+    /// key naming its grid; a stored row replays, and one that does not
+    /// parse as the row type is computed again.
+    #[test]
+    fn one_pass_results_are_one_row_keyed_by_their_grid() {
+        let cfg = ProtocolConfig {
+            nodes: 24,
+            group_size: 3,
+            onions: 2,
+            compromised: 2,
+            deadline: contact_graph::TimeDelta::new(200.0),
+            ..ProtocolConfig::table2_defaults()
+        };
+        let spec = SweepSpec::random_graph(cfg);
+        let opts = quick_opts();
+        for (spec, key) in [
+            (spec.clone(), "point"),
+            (
+                spec.clone().over_deadlines(&[50.0, 200.0]),
+                "deadlines=50,200",
+            ),
+            (spec.over_security(&[0, 2], 3), "compromised=0,2;draws=3"),
+        ] {
+            let cache = MemRows::default();
+            let controls = SweepControls {
+                cancel: None,
+                rows: Some(&cache),
+            };
+            let computed = spec.run_controlled(&opts, &controls).unwrap();
+            assert_eq!(computed, spec.run(&opts), "{key}");
+            let keys: Vec<String> = cache.0.lock().unwrap().keys().cloned().collect();
+            assert_eq!(keys, [key]);
+            // A stored row replays: here, another seed's result.
+            let other = spec.run(&opts.clone().into_builder().seed(20).build());
+            assert_ne!(other, computed, "{key}");
+            cache.save(key, &report_json(&other));
+            assert_eq!(spec.run_controlled(&opts, &controls).unwrap(), other);
+            // Valid JSON of another type is computed again, stored anew.
+            cache.save(key, "{\"x\":1}");
+            assert_eq!(spec.run_controlled(&opts, &controls).unwrap(), computed);
+            assert_eq!(cache.load(key), Some(report_json(&computed)), "{key}");
+        }
+    }
+
+    /// A one-pass report's stored row: its result's JSON.
+    fn report_json(report: &SweepReport) -> String {
+        match report {
+            SweepReport::Point(p) => serde_json::to_string(&**p),
+            SweepReport::Delivery(rows) => serde_json::to_string(rows),
+            SweepReport::Security(rows) => serde_json::to_string(rows),
+            other => panic!("not one-pass: {other:?}"),
+        }
+        .unwrap()
+    }
+
     #[test]
     fn one_pass_axes_cancel_before_the_pass() {
         let spec = SweepSpec::random_graph(ProtocolConfig::table2_defaults())
@@ -944,7 +1003,6 @@ mod tests {
         let err = spec
             .run_controlled(
                 &quick_opts(),
-                None,
                 &SweepControls {
                     cancel: Some(&cancel),
                     rows: None,

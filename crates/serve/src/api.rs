@@ -38,9 +38,8 @@ use std::time::Instant;
 use contact_graph::SampledContacts;
 use onion_routing::sweep::{default_fault_plan, default_security_grid, DEFAULT_FAULT_INTENSITIES};
 use onion_routing::{
-    run_random_graph_point, run_sparse_point, Checkpoint, ExperimentOptions, ProtocolConfig,
-    RowCache, Scenario, SparseScenario, SweepAxis, SweepControls, SweepReport, SweepRunError,
-    SweepSpec,
+    Checkpoint, ExperimentOptions, ProtocolConfig, RowCache, Scenario, SparseScenario, SweepAxis,
+    SweepControls, SweepReport, SweepRunError, SweepSpec,
 };
 use serde::{Serialize, Value};
 
@@ -130,22 +129,17 @@ impl Api {
         api
     }
 
-    /// Mirrors disk-store health into the per-instance gauges.
+    /// Publishes the disk store's health gauges, the one place that
+    /// sets `serve.store_*`: at start (the recovery scan's findings) and
+    /// after every write.
     fn sync_store_gauges(&self) {
         if let Some(store) = &self.store {
             let s = store.status();
-            self.stats.gauge_level(
-                &self.stats.store_records,
-                "serve.store_records",
-                s.records as i64,
-            );
+            self.stats.store_records.set(s.records as i64);
+            self.stats.store_bytes.set(s.bytes as i64);
             self.stats
-                .gauge_level(&self.stats.store_bytes, "serve.store_bytes", s.bytes as i64);
-            self.stats.gauge_level(
-                &self.stats.store_records_quarantined,
-                "serve.store_records_quarantined",
-                s.quarantined as i64,
-            );
+                .store_records_quarantined
+                .set(s.quarantined as i64);
         }
     }
 
@@ -266,12 +260,6 @@ impl Api {
         let run_opts = job.opts.into_builder().threads(threads).build();
         let spec = &job.spec;
         self.cached_sweep(&job.key, deadline, || {
-            if kind == "point" {
-                return to_json(&match &spec.scenario {
-                    Scenario::Sparse(s) => run_sparse_point(&spec.config, s, &run_opts),
-                    _ => run_random_graph_point(&spec.config, &run_opts),
-                });
-            }
             let cancel = || deadline.is_some_and(|d| Instant::now() >= d);
             let rows = job.row_prefix.filter(|_| self.store.is_some());
             let rows = rows.map(|prefix| StoreRowCache { api: self, prefix });
@@ -279,7 +267,8 @@ impl Api {
                 cancel: Some(&cancel),
                 rows: rows.as_ref().map(|rows| rows as &(dyn RowCache + Sync)),
             };
-            match spec.run_controlled(&run_opts, None, &controls) {
+            match spec.run_controlled(&run_opts, &controls) {
+                Ok(SweepReport::Point(summary)) => to_json(&*summary),
                 Ok(SweepReport::Delivery(rows)) => to_json(&rows),
                 Ok(SweepReport::Security(rows)) => to_json(&rows),
                 Ok(SweepReport::Fault(rows)) => to_json(&rows),
@@ -354,13 +343,8 @@ impl Api {
                     Some(vec![]),
                 )
             }
-            // A point has no axis of its own: it validates as the security
-            // sweep at its own `c` with one draw, which checks exactly the
-            // point's config, options and world.
-            _ => {
-                let c = spec.config.compromised;
-                (spec.over_security(&[c], 1), vec![], None)
-            }
+            // "point": the spec's default axis.
+            _ => (spec, vec![], None),
         };
         spec.validate(&opts).map_err(|e| e.to_string())?;
         check_sweep_limits(&spec, &opts)?;
@@ -389,20 +373,18 @@ impl Api {
         F: FnOnce() -> Result<String, String>,
     {
         if let Some(hit) = self.cache.get(key) {
-            self.stats.bump(&self.stats.cache_hits, "serve.cache_hits");
+            self.stats.cache_hits.bump();
             return Response::json(200, (*hit).clone());
         }
-        self.stats
-            .bump(&self.stats.cache_misses, "serve.cache_misses");
+        self.stats.cache_misses.bump();
         if let Some(store) = &self.store {
             if let Some(body) = store.get(key) {
-                self.stats.bump(&self.stats.store_hits, "serve.store_hits");
+                self.stats.store_hits.bump();
                 let body = Arc::new(body);
                 self.cache.insert(key, Arc::clone(&body));
                 return Response::json(200, (*body).clone());
             }
-            self.stats
-                .bump(&self.stats.store_misses, "serve.store_misses");
+            self.stats.store_misses.bump();
         }
         let (result, role) = self.flight.run(key, || {
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -411,13 +393,11 @@ impl Api {
                 // sweep whose budget is already spent.
                 return Err(format!("{DEADLINE_MARKER}0/0"));
             }
-            self.stats
-                .bump(&self.stats.sweep_computes, "serve.sweep_computes");
+            self.stats.sweep_computes.bump();
             compute().map(Arc::new)
         });
         if role == Role::Coalesced {
-            self.stats
-                .bump(&self.stats.sweep_coalesced, "serve.sweep_coalesced");
+            self.stats.sweep_coalesced.bump();
         }
         match result {
             Ok(body) => {
@@ -426,8 +406,7 @@ impl Api {
                     if let Some(store) = &self.store {
                         match store.put(key, &body) {
                             Ok(()) => {
-                                self.stats
-                                    .bump(&self.stats.store_writes, "serve.store_writes");
+                                self.stats.store_writes.bump();
                             }
                             Err(e) => obs::warn!("serve::store", "persist {key} failed: {e}"),
                         }
@@ -438,8 +417,7 @@ impl Api {
             }
             Err(e) => match e.strip_prefix(DEADLINE_MARKER) {
                 Some(progress) => {
-                    self.stats
-                        .bump(&self.stats.deadline_exceeded, "serve.deadline_exceeded");
+                    self.stats.deadline_exceeded.bump();
                     let (completed, total) = progress.split_once('/').unwrap_or((progress, "?"));
                     Response::error(
                         504,
@@ -468,9 +446,7 @@ impl RowCache for StoreRowCache<'_> {
     fn load(&self, key: &str) -> Option<String> {
         let store = self.api.store.as_ref()?;
         let body = store.get(&format!("{}:{key}", self.prefix))?;
-        self.api
-            .stats
-            .bump(&self.api.stats.store_row_hits, "serve.store_row_hits");
+        self.api.stats.store_row_hits.bump();
         Some(body)
     }
 
@@ -481,9 +457,7 @@ impl RowCache for StoreRowCache<'_> {
         let full = format!("{}:{key}", self.prefix);
         match store.put(&full, row_json) {
             Ok(()) => {
-                self.api
-                    .stats
-                    .bump(&self.api.stats.store_row_writes, "serve.store_row_writes");
+                self.api.stats.store_row_writes.bump();
             }
             Err(e) => obs::warn!("serve::store", "persist row {full} failed: {e}"),
         }
@@ -569,16 +543,22 @@ const MAX_REALIZATION_CONTACTS: f64 =
 /// contacts.
 fn check_sweep_limits(spec: &SweepSpec, opts: &ExperimentOptions) -> Result<(), String> {
     let horizon = spec.config.deadline.as_f64();
-    let (grid, len, horizon) = match &spec.axis {
-        SweepAxis::Deadline(d) => ("deadlines", d.len(), d.iter().cloned().fold(0.0, f64::max)),
+    let (grid, horizon) = match &spec.axis {
+        SweepAxis::Point => (None, horizon),
+        SweepAxis::Deadline(d) => (
+            Some(("deadlines", d.len())),
+            d.iter().cloned().fold(0.0, f64::max),
+        ),
         SweepAxis::Security(a) => {
             check_limit("adversary_draws", a.adversary_draws, MAX_ADVERSARY_DRAWS)?;
-            ("compromised", a.compromised.len(), horizon)
+            (Some(("compromised", a.compromised.len())), horizon)
         }
-        SweepAxis::Fault(a) => ("intensities", a.intensities.len(), horizon),
-        SweepAxis::Code(a) => ("rates", a.rates.len(), horizon),
+        SweepAxis::Fault(a) => (Some(("intensities", a.intensities.len())), horizon),
+        SweepAxis::Code(a) => (Some(("rates", a.rates.len())), horizon),
     };
-    check_limit(&format!("{grid} length"), len, MAX_SWEEP_GRID)?;
+    if let Some((grid, len)) = grid {
+        check_limit(&format!("{grid} length"), len, MAX_SWEEP_GRID)?;
+    }
     let n = spec.config.nodes as f64;
     let (bytes, driver) = realization_bytes(spec, opts, horizon);
     let (mib, limit) = (
@@ -867,6 +847,7 @@ fn model_anonymity(body: &Value) -> Result<String, String> {
 mod tests {
     use super::*;
     use dtn_sim::FaultPlan;
+    use onion_routing::run_random_graph_point;
 
     fn api() -> Api {
         api_with_store(None)
@@ -1254,24 +1235,25 @@ mod tests {
                 body += &format!(",\"sparse\":{}", json(&s));
             }
             let (path, axis) = match &spec.axis {
-                SweepAxis::Deadline(d) => ("deadline", format!("\"deadlines\":{}", json(&d))),
+                SweepAxis::Point => ("point", String::new()),
+                SweepAxis::Deadline(d) => ("deadline", format!(",\"deadlines\":{}", json(&d))),
                 SweepAxis::Security(a) => (
                     "security",
-                    format!("\"compromised\":{}", json(&a.compromised)),
+                    format!(",\"compromised\":{}", json(&a.compromised)),
                 ),
                 SweepAxis::Fault(a) => (
                     "fault",
                     format!(
-                        "\"plan\":{},\"intensities\":{}",
+                        ",\"plan\":{},\"intensities\":{}",
                         json(&a.base_plan),
                         json(&a.intensities)
                     ),
                 ),
-                SweepAxis::Code(a) => ("code", format!("\"rates\":{}", json(&a.rates))),
+                SweepAxis::Code(a) => ("code", format!(",\"rates\":{}", json(&a.rates))),
             };
             api.handle(&post(
                 &format!("/v1/sweep/{path}"),
-                &format!("{{{body},{axis}}}"),
+                &format!("{{{body}{axis}}}"),
             ))
         };
         for (spec, opts, field) in table {
@@ -1297,10 +1279,7 @@ mod tests {
                 SweepSpec::sparse(cfg.clone(), 10.0).over_deadlines(&[1e9]),
                 sparse_named,
             ),
-            (
-                SweepSpec::sparse(at(1e9), 10.0).over_security(&[3], 1),
-                sparse_named,
-            ),
+            (SweepSpec::sparse(at(1e9), 10.0), sparse_named),
             (
                 SweepSpec::sparse(at(1e9), 10.0).over_code_rates(&[(1, 1)]),
                 sparse_named,
@@ -1321,7 +1300,7 @@ mod tests {
             compromised: 10_000,
             ..ProtocolConfig::table2_defaults()
         };
-        let point = SweepSpec::sparse(readme, 10.0).over_security(&[10_000], 1);
+        let point = SweepSpec::sparse(readme, 10.0);
         let defaults = ExperimentOptions::default();
         point.validate(&defaults).expect("README point validates");
         check_sweep_limits(&point, &defaults).expect("README point is admitted");

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use crate::api::{Api, ApiLimits};
 use crate::http::{read_request_within, write_response, HttpError, Response};
 use crate::queue::{BoundedQueue, PushError};
-use crate::stats::ServeStats;
+use crate::stats::{Counter, ServeStats};
 use crate::store::ResponseStore;
 
 /// Default per-connection read timeout (seconds): a client that stalls
@@ -276,13 +276,13 @@ impl Server {
                 accepted: Instant::now(),
             };
             match self.shared.queue.try_push(conn) {
-                Ok(_depth) => {
-                    self.shared
-                        .stats
-                        .gauge(&self.shared.stats.queue_depth, "serve.queue_depth", 1);
-                }
+                Ok(_depth) => self.shared.stats.queue_depth.add(1),
                 Err(PushError::Full(conn) | PushError::Closed(conn)) => {
-                    reject(&self.shared, conn.stream);
+                    shed(
+                        &self.shared.stats.rejected,
+                        conn.stream,
+                        "queue full, retry shortly",
+                    );
                 }
             }
         }
@@ -307,12 +307,15 @@ fn positive_secs(secs: f64) -> Option<Duration> {
     (secs > 0.0 && secs.is_finite()).then(|| Duration::from_secs_f64(secs))
 }
 
-/// Sheds one connection with `503` + `Retry-After: 1`; best-effort.
-fn reject(shared: &Shared, mut stream: TcpStream) {
-    shared.stats.bump(&shared.stats.rejected, "serve.rejected");
+/// Sheds one connection with `503 overloaded` + `Retry-After: 1`,
+/// best-effort, counted under `counter`: a full queue and a deadline
+/// that expired in the queue are told apart by the counter and the
+/// message.
+fn shed(counter: &Counter, mut stream: TcpStream, message: &str) {
+    counter.bump();
     let resp = Response {
         retry_after: Some(1),
-        ..Response::error(503, "overloaded", "queue full, retry shortly")
+        ..Response::error(503, "overloaded", message)
     };
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     let _ = write_response(&mut stream, &resp);
@@ -321,50 +324,24 @@ fn reject(shared: &Shared, mut stream: TcpStream) {
 
 fn worker_loop(shared: &Shared, handle: &ServerHandle) {
     while let Some(conn) = shared.queue.pop() {
-        shared
-            .stats
-            .gauge(&shared.stats.queue_depth, "serve.queue_depth", -1);
+        shared.stats.queue_depth.add(-1);
         // A connection whose deadline already expired while queued gets
         // shed here — answering is cheaper than starting doomed work,
         // and it never counts as in-flight.
         if let Some(deadline) = shared.request_deadline {
             if conn.accepted.elapsed() >= deadline {
-                expire_queued(shared, conn.stream);
+                let expired = "deadline expired while queued, retry shortly";
+                shed(&shared.stats.deadline_queue_expired, conn.stream, expired);
                 continue;
             }
         }
-        shared
-            .stats
-            .gauge(&shared.stats.inflight, "serve.inflight", 1);
+        shared.stats.inflight.add(1);
         let shutdown_after = handle_connection(shared, conn);
-        shared
-            .stats
-            .gauge(&shared.stats.inflight, "serve.inflight", -1);
+        shared.stats.inflight.add(-1);
         if shutdown_after {
             handle.shutdown();
         }
     }
-}
-
-/// Sheds a connection that out-waited its deadline in the queue:
-/// `503` + `Retry-After: 1`, best-effort, counted separately from
-/// queue-full rejections.
-fn expire_queued(shared: &Shared, mut stream: TcpStream) {
-    shared.stats.bump(
-        &shared.stats.deadline_queue_expired,
-        "serve.deadline_queue_expired",
-    );
-    let resp = Response {
-        retry_after: Some(1),
-        ..Response::error(
-            503,
-            "overloaded",
-            "deadline expired while queued, retry shortly",
-        )
-    };
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let _ = write_response(&mut stream, &resp);
-    let _ = stream.flush();
 }
 
 /// Serves one connection end to end; returns whether the response asked

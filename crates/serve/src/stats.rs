@@ -15,111 +15,159 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-/// Lock-free event tallies plus per-endpoint-class latency histograms.
-pub struct ServeStats {
-    started: Instant,
-    /// Total requests that reached the router (rejects excluded).
-    pub requests: AtomicU64,
-    /// Responses with a 2xx status.
-    pub ok: AtomicU64,
-    /// Responses with a 4xx status.
-    pub client_errors: AtomicU64,
-    /// Responses with a 5xx status.
-    pub server_errors: AtomicU64,
-    /// Connections shed with 503 at the acceptor (queue full).
-    pub rejected: AtomicU64,
-    /// Sweep responses served from the LRU cache.
-    pub cache_hits: AtomicU64,
-    /// Sweep requests not present in the cache.
-    pub cache_misses: AtomicU64,
-    /// Sweep computations actually executed (single-flight leaders).
-    pub sweep_computes: AtomicU64,
-    /// Sweep requests that coalesced onto an in-flight computation.
-    pub sweep_coalesced: AtomicU64,
-    /// LRU misses answered from the disk store (promoted to memory).
-    pub store_hits: AtomicU64,
-    /// LRU misses that also missed the disk store.
-    pub store_misses: AtomicU64,
-    /// Computed responses persisted to the disk store.
-    pub store_writes: AtomicU64,
-    /// Individual sweep rows replayed from the disk store.
-    pub store_row_hits: AtomicU64,
-    /// Individual sweep rows persisted to the disk store.
-    pub store_row_writes: AtomicU64,
-    /// Requests whose deadline expired while waiting in the queue (503).
-    pub deadline_queue_expired: AtomicU64,
-    /// Requests whose deadline expired mid-computation (504).
-    pub deadline_exceeded: AtomicU64,
-    /// Connections currently being handled by a worker.
-    pub inflight: AtomicI64,
-    /// Connections currently waiting in the bounded queue.
-    pub queue_depth: AtomicI64,
-    /// Live records in the disk store (0 when no store is configured).
-    pub store_records: AtomicI64,
-    /// Disk-store log length in bytes.
-    pub store_bytes: AtomicI64,
-    /// Bad-CRC records skipped by the store since it was opened.
-    pub store_records_quarantined: AtomicI64,
-    latency: Mutex<BTreeMap<String, obs::Histogram>>,
+/// A monotonic event count, mirrored into the global registry under
+/// its `serve.<name>` obs name.
+pub struct Counter {
+    value: AtomicU64,
+    obs_name: &'static str,
+}
+
+impl Counter {
+    /// The count so far.
+    pub fn load(&self, order: Ordering) -> u64 {
+        self.value.load(order)
+    }
+
+    /// Counts one event here and in the global registry.
+    pub fn bump(&self) {
+        self.value.fetch_add(1, Ordering::Relaxed);
+        obs::counter_add(self.obs_name, 1);
+    }
+}
+
+/// An instantaneous level, mirrored like a [`Counter`].
+pub struct Gauge {
+    value: AtomicI64,
+    obs_name: &'static str,
+}
+
+impl Gauge {
+    /// The current level.
+    pub fn load(&self, order: Ordering) -> i64 {
+        self.value.load(order)
+    }
+
+    /// Moves the level by `delta` and mirrors the new level.
+    pub fn add(&self, delta: i64) {
+        let new = self.value.fetch_add(delta, Ordering::Relaxed) + delta;
+        obs::gauge_set(self.obs_name, new);
+    }
+
+    /// Sets the level and mirrors it.
+    pub fn set(&self, level: i64) {
+        self.value.store(level, Ordering::Relaxed);
+        obs::gauge_set(self.obs_name, level);
+    }
+}
+
+/// Declares every serve counter and gauge once: its field, named as
+/// `/metricsz` names it, and its doc. The obs name `serve.<name>`, the
+/// zero it starts at and its place in [`ServeStats::snapshot`] follow.
+macro_rules! serve_stats {
+    (
+        counters { $( $(#[$cdoc:meta])* $counter:ident, )* }
+        gauges { $( $(#[$gdoc:meta])* $gauge:ident, )* }
+    ) => {
+        /// Lock-free event tallies plus per-endpoint-class latency
+        /// histograms.
+        pub struct ServeStats {
+            started: Instant,
+            $( $(#[$cdoc])* pub $counter: Counter, )*
+            $( $(#[$gdoc])* pub $gauge: Gauge, )*
+            latency: Mutex<BTreeMap<String, obs::Histogram>>,
+        }
+
+        impl ServeStats {
+            /// Fresh stats anchored at "now" for uptime reporting.
+            pub fn new() -> ServeStats {
+                ServeStats {
+                    started: Instant::now(),
+                    $( $counter: Counter {
+                        value: AtomicU64::new(0),
+                        obs_name: concat!("serve.", stringify!($counter)),
+                    }, )*
+                    $( $gauge: Gauge {
+                        value: AtomicI64::new(0),
+                        obs_name: concat!("serve.", stringify!($gauge)),
+                    }, )*
+                    latency: Mutex::new(BTreeMap::new()),
+                }
+            }
+
+            /// Every counter and every gauge, by name.
+            fn levels(&self) -> (BTreeMap<String, u64>, BTreeMap<String, i64>) {
+                let load = Ordering::Relaxed;
+                (
+                    BTreeMap::from([
+                        $( (stringify!($counter).to_string(), self.$counter.load(load)), )*
+                    ]),
+                    BTreeMap::from([
+                        $( (stringify!($gauge).to_string(), self.$gauge.load(load)), )*
+                    ]),
+                )
+            }
+        }
+    };
+}
+
+serve_stats! {
+    counters {
+        /// Total requests that reached the router (rejects excluded).
+        requests,
+        /// Responses with a 2xx status.
+        ok,
+        /// Responses with a 4xx status.
+        client_errors,
+        /// Responses with a 5xx status.
+        server_errors,
+        /// Connections shed with 503 at the acceptor (queue full).
+        rejected,
+        /// Sweep responses served from the LRU cache.
+        cache_hits,
+        /// Sweep requests not present in the cache.
+        cache_misses,
+        /// Sweep computations actually executed (single-flight leaders).
+        sweep_computes,
+        /// Sweep requests that coalesced onto an in-flight computation.
+        sweep_coalesced,
+        /// LRU misses answered from the disk store (promoted to memory).
+        store_hits,
+        /// LRU misses that also missed the disk store.
+        store_misses,
+        /// Computed responses persisted to the disk store.
+        store_writes,
+        /// Individual sweep rows replayed from the disk store.
+        store_row_hits,
+        /// Individual sweep rows persisted to the disk store.
+        store_row_writes,
+        /// Requests whose deadline expired while waiting in the queue (503).
+        deadline_queue_expired,
+        /// Requests whose deadline expired mid-computation (504).
+        deadline_exceeded,
+    }
+    gauges {
+        /// Connections currently being handled by a worker.
+        inflight,
+        /// Connections currently waiting in the bounded queue.
+        queue_depth,
+        /// Live records in the disk store (0 when no store is configured).
+        store_records,
+        /// Disk-store log length in bytes.
+        store_bytes,
+        /// Bad-CRC records skipped by the store since it was opened.
+        store_records_quarantined,
+    }
 }
 
 impl ServeStats {
-    /// Fresh stats anchored at "now" for uptime reporting.
-    pub fn new() -> ServeStats {
-        ServeStats {
-            started: Instant::now(),
-            requests: AtomicU64::new(0),
-            ok: AtomicU64::new(0),
-            client_errors: AtomicU64::new(0),
-            server_errors: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            sweep_computes: AtomicU64::new(0),
-            sweep_coalesced: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
-            store_misses: AtomicU64::new(0),
-            store_writes: AtomicU64::new(0),
-            store_row_hits: AtomicU64::new(0),
-            store_row_writes: AtomicU64::new(0),
-            deadline_queue_expired: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            inflight: AtomicI64::new(0),
-            queue_depth: AtomicI64::new(0),
-            store_records: AtomicI64::new(0),
-            store_bytes: AtomicI64::new(0),
-            store_records_quarantined: AtomicI64::new(0),
-            latency: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Bumps a counter here and mirrors it to the global registry.
-    pub fn bump(&self, which: &AtomicU64, obs_name: &str) {
-        which.fetch_add(1, Ordering::Relaxed);
-        obs::counter_add(obs_name, 1);
-    }
-
-    /// Adjusts a gauge here and mirrors the new level globally.
-    pub fn gauge(&self, which: &AtomicI64, obs_name: &str, delta: i64) {
-        let new = which.fetch_add(delta, Ordering::Relaxed) + delta;
-        obs::gauge_set(obs_name, new);
-    }
-
-    /// Sets a gauge to an absolute level (store health mirroring) and
-    /// mirrors it globally.
-    pub fn gauge_level(&self, which: &AtomicI64, obs_name: &str, value: i64) {
-        which.store(value, Ordering::Relaxed);
-        obs::gauge_set(obs_name, value);
-    }
-
     /// Records one request's latency under its endpoint class and tallies
     /// the status family.
     pub fn observe(&self, class: &str, status: u16, seconds: f64) {
-        self.bump(&self.requests, "serve.requests");
+        self.requests.bump();
         match status {
-            200..=299 => self.bump(&self.ok, "serve.ok"),
-            400..=499 => self.bump(&self.client_errors, "serve.client_errors"),
-            _ => self.bump(&self.server_errors, "serve.server_errors"),
+            200..=299 => self.ok.bump(),
+            400..=499 => self.client_errors.bump(),
+            _ => self.server_errors.bump(),
         }
         self.latency
             .lock()
@@ -132,37 +180,7 @@ impl ServeStats {
 
     /// Point-in-time snapshot for `/metricsz`.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut counters = BTreeMap::new();
-        for (name, v) in [
-            ("requests", &self.requests),
-            ("ok", &self.ok),
-            ("client_errors", &self.client_errors),
-            ("server_errors", &self.server_errors),
-            ("rejected", &self.rejected),
-            ("cache_hits", &self.cache_hits),
-            ("cache_misses", &self.cache_misses),
-            ("sweep_computes", &self.sweep_computes),
-            ("sweep_coalesced", &self.sweep_coalesced),
-            ("store_hits", &self.store_hits),
-            ("store_misses", &self.store_misses),
-            ("store_writes", &self.store_writes),
-            ("store_row_hits", &self.store_row_hits),
-            ("store_row_writes", &self.store_row_writes),
-            ("deadline_queue_expired", &self.deadline_queue_expired),
-            ("deadline_exceeded", &self.deadline_exceeded),
-        ] {
-            counters.insert(name.to_string(), v.load(Ordering::Relaxed));
-        }
-        let mut gauges = BTreeMap::new();
-        for (name, v) in [
-            ("inflight", &self.inflight),
-            ("queue_depth", &self.queue_depth),
-            ("store_records", &self.store_records),
-            ("store_bytes", &self.store_bytes),
-            ("store_records_quarantined", &self.store_records_quarantined),
-        ] {
-            gauges.insert(name.to_string(), v.load(Ordering::Relaxed));
-        }
+        let (counters, gauges) = self.levels();
         let latency = self.latency.lock().unwrap();
         let endpoints = latency
             .iter()
@@ -296,9 +314,9 @@ mod tests {
     #[test]
     fn gauges_track_levels_not_totals() {
         let stats = ServeStats::new();
-        stats.gauge(&stats.inflight, "serve.test_inflight", 1);
-        stats.gauge(&stats.inflight, "serve.test_inflight", 1);
-        stats.gauge(&stats.inflight, "serve.test_inflight", -1);
+        stats.inflight.add(1);
+        stats.inflight.add(1);
+        stats.inflight.add(-1);
         assert_eq!(stats.snapshot().gauges["inflight"], 1);
     }
 
@@ -325,7 +343,7 @@ mod tests {
         let stats = ServeStats::new();
         stats.observe("model", 200, 0.001);
         stats.observe("sweep", 500, 0.5);
-        stats.gauge(&stats.inflight, "serve.test_inflight", 1);
+        stats.inflight.add(1);
         let text = stats.snapshot().to_prometheus();
         assert!(text.contains("# TYPE serve_requests_total counter"));
         assert!(text.contains("serve_requests_total 2"));

@@ -216,7 +216,7 @@ impl ResponseStore {
             path.display()
         );
 
-        let store = ResponseStore {
+        Ok(ResponseStore {
             inner: Mutex::new(Inner {
                 file,
                 path,
@@ -229,9 +229,7 @@ impl ResponseStore {
                 compactions: 0,
             }),
             budget: budget_bytes,
-        };
-        store.sync_gauges();
-        Ok(store)
+        })
     }
 
     /// Looks up the newest record for `fingerprint`, re-verifying its
@@ -250,8 +248,6 @@ impl ResponseStore {
                     "quarantined unreadable record for {fingerprint} at offset {}",
                     loc.offset
                 );
-                drop(inner);
-                self.sync_gauges();
                 None
             }
         }
@@ -291,8 +287,6 @@ impl ResponseStore {
         inner.bytes += record.len() as u64;
         inner.index.insert(fingerprint.to_string(), loc);
         inner.order.push_back((fingerprint.to_string(), loc));
-        drop(inner);
-        self.sync_gauges();
         Ok(())
     }
 
@@ -307,14 +301,6 @@ impl ResponseStore {
             evicted: inner.evicted,
             compactions: inner.compactions,
         }
-    }
-
-    /// Mirrors store health into the global metrics registry.
-    fn sync_gauges(&self) {
-        let s = self.status();
-        obs::gauge_set("serve.store_records", s.records as i64);
-        obs::gauge_set("serve.store_bytes", s.bytes as i64);
-        obs::gauge_set("serve.store_records_quarantined", s.quarantined as i64);
     }
 }
 

@@ -49,6 +49,7 @@ use std::process::ExitCode;
 
 use onion_dtn::prelude::*;
 use onion_routing::sweep::{default_fault_plan, default_security_grid, DEFAULT_FAULT_INTENSITIES};
+use onion_routing::{RowCache, SweepControls};
 use serde::{Serialize, Value};
 
 /// The usage text printed on a usage error.
@@ -276,11 +277,7 @@ fn code_from(flags: &HashMap<String, String>) -> Result<Option<(u32, u32)>, Stri
         .split_once('/')
         .ok_or_else(|| format!("--code expects k/m (e.g. 3/5), got {v:?}"))?;
     let (k, m) = (parse(k)?, parse(m)?);
-    if k == 0 || k > m || m > MAX_CODE_FRAGMENTS {
-        return Err(format!(
-            "--code needs 1 <= k <= m <= {MAX_CODE_FRAGMENTS}, got {k}/{m}"
-        ));
-    }
+    dtn_sim::check_code_shape((k, m)).map_err(|e| format!("--code: {e}"))?;
     Ok(Some((k, m)))
 }
 
@@ -314,15 +311,6 @@ fn sparse_from(flags: &HashMap<String, String>) -> Result<Option<SparseScenario>
         ));
     }
     Ok(Some(SparseScenario { avg_degree: d }))
-}
-
-/// Chooses the sweep scenario: dense Table II random graph, or the
-/// sparse backend when `--sparse-degree` was given.
-fn scenario_spec(cfg: &ProtocolConfig, sparse: Option<&SparseScenario>) -> SweepSpec {
-    match sparse {
-        Some(s) => SweepSpec::sparse(cfg.clone(), s.avg_degree),
-        None => SweepSpec::random_graph(cfg.clone()),
-    }
 }
 
 /// The `--resume` fingerprint: the SHA-256 of the JSON array
@@ -362,15 +350,18 @@ fn resume_key(
 fn open_checkpoint(
     flags: &HashMap<String, String>,
     command: &str,
-    cfg: &ProtocolConfig,
+    spec: &SweepSpec,
     opts: &ExperimentOptions,
-    axis: Vec<Value>,
-    sparse: Option<&SparseScenario>,
+    key_axis: Vec<Value>,
 ) -> Result<Option<Checkpoint>, CliError> {
     let Some(path) = flags.get("resume") else {
         return Ok(None);
     };
-    let key = resume_key(command, cfg, opts, axis, sparse);
+    let sparse = match &spec.scenario {
+        Scenario::Sparse(s) => Some(s),
+        _ => None,
+    };
+    let key = resume_key(command, &spec.config, opts, key_axis, sparse);
     let cp = Checkpoint::open(std::path::Path::new(path), &key)
         .map_err(|e| CliError::Io(format!("checkpoint {path}: {e}")))?;
     arm_crash_sink(path, &key, opts.seed);
@@ -384,32 +375,48 @@ fn open_checkpoint(
     Ok(Some(cp))
 }
 
-/// The shared front of the sweep commands: parses the config, options
-/// and world, lets `axis` pick the swept grid (and the parts of it that
-/// join the `--resume` key), validates the spec — a rejected one is a
-/// usage error — and opens the checkpoint.
+/// Runs one experiment command's spec: validates it (a rejected spec is
+/// a usage error), then runs it through the `--resume` checkpoint, if
+/// any. Rows on record replay, new ones are appended as they finish, and
+/// a failed append stops the run at the next row and exits 3.
+fn run_experiment(
+    flags: &HashMap<String, String>,
+    command: &str,
+    spec: &SweepSpec,
+    opts: &ExperimentOptions,
+    key_axis: Vec<Value>,
+) -> Result<SweepReport, CliError> {
+    spec.validate(opts).map_err(|e| e.to_string())?;
+    let cp = open_checkpoint(flags, command, spec, opts, key_axis)?;
+    let failed = || cp.as_ref().is_some_and(Checkpoint::failed);
+    let controls = SweepControls {
+        cancel: Some(&failed),
+        rows: cp.as_ref().map(|cp| cp as &(dyn RowCache + Sync)),
+    };
+    let report = spec.run_controlled(opts, &controls);
+    if let Some(cp) = &cp {
+        cp.finish()
+            .map_err(|e| CliError::Io(format!("checkpoint: {e}")))?;
+    }
+    report.map_err(|e| CliError::Usage(e.to_string()))
+}
+
+/// The shared front of the commands on a generated world: parses the
+/// config, options and world, lets `axis` pick the swept grid (and the
+/// parts of it that join the `--resume` key), then runs the spec.
 fn sweep_command(
     flags: &HashMap<String, String>,
     command: &str,
     axis: impl FnOnce(SweepSpec, &ExperimentOptions) -> Result<(SweepSpec, Vec<Value>), CliError>,
-) -> Result<(SweepSpec, ExperimentOptions, Option<Checkpoint>), CliError> {
+) -> Result<SweepReport, CliError> {
     let cfg = config_from(flags)?;
     let opts = opts_from(flags)?;
-    let sparse = sparse_from(flags)?;
-    let (spec, key_axis) = axis(scenario_spec(&cfg, sparse.as_ref()), &opts)?;
-    spec.validate(&opts).map_err(|e| e.to_string())?;
-    let cp = open_checkpoint(flags, command, &cfg, &opts, key_axis, sparse.as_ref())?;
-    Ok((spec, opts, cp))
-}
-
-/// Validates a point as `/v1/sweep/point` does: as the security sweep
-/// at the point's own `c` with one draw, which checks exactly the
-/// point's config, options and world. A rejected point is a usage error.
-fn validate_point(spec: SweepSpec, opts: &ExperimentOptions) -> Result<SweepSpec, String> {
-    let c = spec.config.compromised;
-    let spec = spec.over_security(&[c], 1);
-    spec.validate(opts).map_err(|e| e.to_string())?;
-    Ok(spec)
+    let spec = match sparse_from(flags)? {
+        Some(s) => SweepSpec::sparse(cfg, s.avg_degree),
+        None => SweepSpec::random_graph(cfg),
+    };
+    let (spec, key_axis) = axis(spec, &opts)?;
+    run_experiment(flags, command, &spec, &opts, key_axis)
 }
 
 /// Points the flight recorder's crash sink at the checkpoint's
@@ -429,47 +436,28 @@ fn or_dash(value: Option<f64>) -> String {
     value.map_or("   -  ".into(), |v| format!("{v:.4}"))
 }
 
-/// Runs `compute` through the checkpoint when one is open, so a finished
-/// point is replayed instead of recomputed.
-fn checkpointed<T, F>(cp: &mut Option<Checkpoint>, key: &str, compute: F) -> Result<T, CliError>
-where
-    T: serde::Serialize + serde::DeserializeOwned,
-    F: FnOnce() -> T,
-{
-    match cp {
-        Some(cp) => cp
-            .run_point(key, compute)
-            .map_err(|e| CliError::Io(format!("checkpoint: {e}"))),
-        None => Ok(compute()),
-    }
-}
-
 fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let cfg = config_from(flags)?;
-    let opts = opts_from(flags)?;
-    let sparse = sparse_from(flags)?;
-    validate_point(scenario_spec(&cfg, sparse.as_ref()), &opts)?;
-    obs::info!(
-        "onion_dtn",
-        "n={} g={} K={} L={} T={} c={} ({} msgs x {} realizations){}",
-        cfg.nodes,
-        cfg.group_size,
-        cfg.onions,
-        cfg.copies,
-        cfg.deadline.as_f64(),
-        cfg.compromised,
-        opts.messages,
-        opts.realizations,
-        match &sparse {
-            Some(s) => format!(" sparse deg={}", s.avg_degree),
-            None => String::new(),
-        }
-    );
-    let mut cp = open_checkpoint(flags, "point", &cfg, &opts, vec![], sparse.as_ref())?;
-    let p: PointSummary = checkpointed(&mut cp, "point", || match &sparse {
-        Some(s) => run_sparse_point(&cfg, s, &opts),
-        None => run_random_graph_point(&cfg, &opts),
+    let report = sweep_command(flags, "point", |spec, opts| {
+        let cfg = &spec.config;
+        obs::info!(
+            "onion_dtn",
+            "n={} g={} K={} L={} T={} c={} ({} msgs x {} realizations){}",
+            cfg.nodes,
+            cfg.group_size,
+            cfg.onions,
+            cfg.copies,
+            cfg.deadline.as_f64(),
+            cfg.compromised,
+            opts.messages,
+            opts.realizations,
+            match &spec.scenario {
+                Scenario::Sparse(s) => format!(" sparse deg={}", s.avg_degree),
+                _ => String::new(),
+            }
+        );
+        Ok((spec, vec![]))
     })?;
+    let p = report.into_point().expect("point axis yields a point");
     if p.trial_failures > 0 {
         eprintln!("warning: {} realization(s) quarantined", p.trial_failures);
     }
@@ -495,27 +483,26 @@ fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 fn cmd_deadline_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let mut deadlines: Vec<f64> = Vec::new();
-    let (spec, opts, mut cp) = sweep_command(flags, "deadline-sweep", |spec, _| {
+    let report = sweep_command(flags, "deadline-sweep", |spec, _| {
         // Eight log-spaced deadlines from 0.06·T to T, to 0.1 min; a tiny
-        // T rounds some to one value, kept once.
+        // T rounds some to one value, kept once, and some to 0, dropped.
         let max_t = spec.config.deadline.as_f64();
-        deadlines = (0..8)
+        let mut deadlines: Vec<f64> = (0..8)
             .map(|i| max_t * 0.06f64.powf(1.0 - f64::from(i) / 7.0))
             .map(|t| (t * 10.0).round() / 10.0)
+            .filter(|&t| t > 0.0)
             .collect();
         deadlines.dedup();
+        if deadlines.is_empty() {
+            return Err(CliError::Usage(format!(
+                "--t {max_t} leaves no deadline after rounding to 0.1 minutes"
+            )));
+        }
         Ok((spec.over_deadlines(&deadlines), vec![]))
     })?;
-    // Keyed by the grid, so a checkpoint written under another grid
-    // recomputes instead of replaying rows for other deadlines.
-    let grid: Vec<String> = deadlines.iter().map(f64::to_string).collect();
-    let key = format!("deadlines={}", grid.join(","));
-    let rows: Vec<DeliverySweepRow> = checkpointed(&mut cp, &key, || {
-        spec.run(&opts)
-            .into_delivery()
-            .expect("deadline axis yields delivery rows")
-    })?;
+    let rows = report
+        .into_delivery()
+        .expect("deadline axis yields delivery rows");
     println!("{:<12}{:>12}{:>12}", "deadline", "analysis", "simulation");
     for row in rows {
         println!(
@@ -527,15 +514,13 @@ fn cmd_deadline_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 fn cmd_security_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let (spec, opts, mut cp) = sweep_command(flags, "security-sweep", |spec, _| {
+    let report = sweep_command(flags, "security-sweep", |spec, _| {
         let cs = default_security_grid(spec.config.nodes);
         Ok((spec.over_security(&cs, 3), vec![]))
     })?;
-    let rows: Vec<SecuritySweepRow> = checkpointed(&mut cp, "rows", || {
-        spec.run(&opts)
-            .into_security()
-            .expect("security axis yields security rows")
-    })?;
+    let rows = report
+        .into_security()
+        .expect("security axis yields security rows");
     println!(
         "{:<8}{:>12}{:>12}{:>12}{:>12}",
         "c", "trace(A)", "trace(S)", "anon(A)", "anon(S)"
@@ -593,14 +578,10 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         .realizations(flag(flags, "realizations", 4usize)?)
         .seed(flag(flags, "seed", 1u64)?)
         .build();
-    let spec = validate_point(SweepSpec::schedule(cfg.clone(), schedule), &opts)?;
-    let Scenario::Schedule(schedule) = &spec.scenario else {
-        unreachable!("built as a schedule sweep");
-    };
-    let mut cp = open_checkpoint(flags, &format!("trace:{which}"), &cfg, &opts, vec![], None)?;
-    let p: PointSummary = checkpointed(&mut cp, "point", || {
-        run_schedule_point(schedule, &cfg, &opts)
-    })?;
+    let spec = SweepSpec::schedule(cfg, schedule);
+    let p = run_experiment(flags, &format!("trace:{which}"), &spec, &opts, vec![])?
+        .into_point()
+        .expect("point axis yields a point");
     println!(
         "delivery   analysis {:.4} | simulation {:.4}",
         p.analysis_delivery, p.sim_delivery
@@ -614,7 +595,7 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
 }
 
 fn cmd_fault_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let (spec, opts, mut cp) = sweep_command(flags, "fault-sweep", |spec, _| {
+    let report = sweep_command(flags, "fault-sweep", |spec, _| {
         let explicit = faults_from(flags)?;
         let base = if explicit.is_noop() {
             default_fault_plan()
@@ -626,11 +607,7 @@ fn cmd_fault_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
         let key_axis = vec![base.to_value(), DEFAULT_FAULT_INTENSITIES.to_value()];
         Ok((spec.over_faults(base, DEFAULT_FAULT_INTENSITIES), key_axis))
     })?;
-    let rows = spec
-        .run_with_checkpoint(&opts, cp.as_mut())
-        .map_err(|e| CliError::Io(format!("checkpoint: {e}")))?
-        .into_fault()
-        .expect("fault axis yields fault rows");
+    let rows = report.into_fault().expect("fault axis yields fault rows");
     println!(
         "{:<11}{:>12}{:>12}{:>12}{:>12}{:>10}{:>10}",
         "intensity", "deliv(A)", "deliv(S)", "trace(S)", "anon(S)", "crashes", "dropped"
@@ -656,7 +633,7 @@ fn cmd_fault_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
 const DEFAULT_CODE_GRID: &[(u32, u32)] = &[(1, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)];
 
 fn cmd_code_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let (spec, opts, mut cp) = sweep_command(flags, "code-sweep", |spec, opts| {
+    let report = sweep_command(flags, "code-sweep", |spec, opts| {
         // With --code k/m the sweep collapses to that single rate;
         // otherwise it walks the default grid. Each row overrides
         // opts.code itself, so the grid joins the fingerprint explicitly,
@@ -667,11 +644,7 @@ fn cmd_code_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
         };
         Ok((spec.over_code_rates(&rates), vec![rates.to_value()]))
     })?;
-    let rows = spec
-        .run_with_checkpoint(&opts, cp.as_mut())
-        .map_err(|e| CliError::Io(format!("checkpoint: {e}")))?
-        .into_code()
-        .expect("code axis yields code rows");
+    let rows = report.into_code().expect("code axis yields code rows");
     println!(
         "{:<8}{:>12}{:>12}{:>12}{:>12}{:>12}{:>10}",
         "k/m", "deliv(A)", "deliv(S)", "anon(S)", "cost(A)", "tx/msg", "decodes"

@@ -440,6 +440,26 @@ fn resume_into_a_missing_directory_exits_3() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint append that fails exits 3 and prints no row. The failure
+/// here is the file-size limit, with `SIGXFSZ` ignored so the write
+/// returns `EFBIG` instead of killing the process.
+#[cfg(unix)]
+#[test]
+fn a_failed_checkpoint_append_exits_3() {
+    let dir = scratch_dir("resume-too-large");
+    let cp = path_arg(&dir.join("cp.jsonl"));
+    let mut cmd = Command::new("sh");
+    cmd.arg("-c")
+        .arg("trap '' XFSZ; ulimit -f 1; exec \"$0\" \"$@\"")
+        .arg(BIN)
+        .args(small("fault-sweep", &["--resume", &cp, "--quiet"]))
+        .stdin(Stdio::null());
+    let r = finish(cmd, RUN_LIMIT);
+    r.expect_io_error("checkpoint: ");
+    assert!(r.stdout.is_empty(), "{}", r.stdout);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // What the commands print.
 // ---------------------------------------------------------------------
@@ -562,6 +582,18 @@ fn deadline_sweep_walks_a_log_grid_up_to_the_deadline() {
     assert!(model.windows(2).all(|w| w[0] <= w[1]), "{model:?}");
     for rate in model.iter().chain(&column_f64(&rows, 2)) {
         assert!((0.0..=1.0).contains(rate), "{rate}");
+    }
+}
+
+/// Below T ≈ 0.84 the grid's smallest deadlines round to 0 and are
+/// dropped; a `--t` that leaves none is a usage error naming `--t`.
+#[test]
+fn deadline_sweep_at_a_tiny_deadline_drops_the_points_that_round_to_zero() {
+    let r = run(small("deadline-sweep", &["--t", "0.5", "--quiet"]));
+    let rows = table_rows(&r.expect_ok().stdout);
+    assert_eq!(column_f64(&rows, 0), [0.1, 0.2, 0.3, 0.5]);
+    for t in ["0.04", "0"] {
+        run(small("deadline-sweep", &["--t", t])).expect_usage_error(&format!("--t {t}"));
     }
 }
 

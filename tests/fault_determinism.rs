@@ -10,6 +10,7 @@
 //! * a deliberately panicking trial is quarantined without aborting the
 //!   sweep, and the retry seed is deterministic.
 
+use onion_dtn::onion_routing::SweepControls;
 use onion_dtn::prelude::*;
 use proptest::prelude::*;
 
@@ -160,46 +161,41 @@ fn interrupted_fault_sweep_resumes_byte_identically() {
 
     // Uninterrupted reference, no checkpoint involved.
     let spec = SweepSpec::random_graph(cfg.clone()).over_faults(plan, &intensities);
-    let reference = spec
-        .run_with_checkpoint(&opts, None)
-        .unwrap()
-        .into_fault()
-        .expect("fault rows");
+    let reference = spec.run(&opts).into_fault().expect("fault rows");
     let reference_json = serde_json::to_string(&reference).unwrap();
 
     // "Killed" run: only the first two points finish before the crash,
     // and the kill tears the final line of the checkpoint mid-write.
     let path = scratch.path("sweep.jsonl");
     let fingerprint = Checkpoint::fingerprint(&("resume-test", &cfg));
+    let resume = |spec: &SweepSpec, cp: &Checkpoint| {
+        let controls = SweepControls {
+            cancel: None,
+            rows: Some(cp),
+        };
+        let rows = spec.run_controlled(&opts, &controls).unwrap();
+        cp.finish().unwrap();
+        rows.into_fault().expect("fault rows")
+    };
     {
-        let mut cp = Checkpoint::open(&path, &fingerprint).unwrap();
-        SweepSpec::random_graph(cfg.clone())
-            .over_faults(plan, &intensities[..2])
-            .run_with_checkpoint(&opts, Some(&mut cp))
-            .unwrap();
+        let cp = Checkpoint::open(&path, &fingerprint).unwrap();
+        let partial = SweepSpec::random_graph(cfg.clone()).over_faults(plan, &intensities[..2]);
+        resume(&partial, &cp);
     }
     let full = std::fs::read(&path).unwrap();
     std::fs::write(&path, &full[..full.len() - 7]).unwrap(); // torn tail
 
     // Resume: the surviving complete point replays from the file; the
     // torn one and the never-started one are recomputed.
-    let mut cp = Checkpoint::open(&path, &fingerprint).unwrap();
+    let cp = Checkpoint::open(&path, &fingerprint).unwrap();
     assert_eq!(cp.len(), 1, "torn final entry must have been discarded");
-    let resumed = spec
-        .run_with_checkpoint(&opts, Some(&mut cp))
-        .unwrap()
-        .into_fault()
-        .expect("fault rows");
+    let resumed = resume(&spec, &cp);
     assert_eq!(cp.resumed_points(), 1);
     assert_eq!(serde_json::to_string(&resumed).unwrap(), reference_json);
 
     // A second full resume replays every point without recomputing.
-    let mut cp = Checkpoint::open(&path, &fingerprint).unwrap();
-    let replayed = spec
-        .run_with_checkpoint(&opts, Some(&mut cp))
-        .unwrap()
-        .into_fault()
-        .expect("fault rows");
+    let cp = Checkpoint::open(&path, &fingerprint).unwrap();
+    let replayed = resume(&spec, &cp);
     assert_eq!(cp.resumed_points(), intensities.len() as u64);
     assert_eq!(serde_json::to_string(&replayed).unwrap(), reference_json);
 }
@@ -267,8 +263,7 @@ fn faults_degrade_delivery_but_raise_anonymity() {
     };
     let rows = SweepSpec::random_graph(cfg.clone())
         .over_faults(heavy, &[0.0, 1.0])
-        .run_with_checkpoint(&opts, None)
-        .unwrap()
+        .run(&opts)
         .into_fault()
         .expect("fault rows");
     let (clean, faulted) = (&rows[0].summary, &rows[1].summary);

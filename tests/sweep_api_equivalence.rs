@@ -17,7 +17,8 @@
 //!    caller's trained rates) serializes its rows to the exact same bytes
 //!    at threads 1 and 2, as do the schedule point and a wire + coded
 //!    dense point. The sweep output itself is pinned, not an agreement
-//!    between two code paths.
+//!    between two code paths. A spec without an `over_*` call runs the
+//!    point golden of its world.
 //!
 //! A last pair of tests pins the default security grid and fault sweep
 //! that serve and the CLI share.
@@ -31,7 +32,7 @@ use dtn_sim::FaultPlan;
 use onion_routing::sweep::{default_fault_plan, default_security_grid, DEFAULT_FAULT_INTENSITIES};
 use onion_routing::{
     run_random_graph_point, run_schedule_point, run_sparse_point, ExperimentOptions,
-    ProtocolConfig, SparseScenario, SweepSpec,
+    ProtocolConfig, Scenario, SparseScenario, SweepReport, SweepSpec,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -250,8 +251,7 @@ fn fault_random_graph_matches_golden() {
     for threads in [1usize, 2] {
         let rows = SweepSpec::random_graph(cfg.clone())
             .over_faults(plan, &intensities)
-            .run_with_checkpoint(&golden_opts(threads), None)
-            .expect("no checkpoint, no error")
+            .run(&golden_opts(threads))
             .into_fault()
             .expect("fault rows");
         assert_matches_golden(
@@ -295,6 +295,51 @@ fn wire_coded_point_matches_golden() {
     }
 }
 
+/// A spec built without an `over_*` call runs one point: in every world
+/// its report is the `run_*_point` summary and the committed point
+/// golden. The trace world, scored against rates equal to the schedule's
+/// own estimate, reproduces the schedule point.
+#[test]
+fn default_axis_runs_the_point_of_every_world() {
+    let (schedule, cfg) = schedule_fixture();
+    let sparse = sparse_spec();
+    let Scenario::Sparse(scenario) = &sparse.scenario else {
+        unreachable!("sparse_spec is sparse");
+    };
+    let opts = golden_opts(2);
+    let schedule_point = run_schedule_point(&schedule, &cfg, &opts);
+    let worlds = [
+        (
+            SweepSpec::random_graph(golden_cfg()),
+            run_random_graph_point(&golden_cfg(), &opts),
+            "point_fig04_small",
+        ),
+        (
+            SweepSpec::schedule(cfg.clone(), schedule.clone()),
+            schedule_point.clone(),
+            "point_schedule_small",
+        ),
+        (
+            SweepSpec::trace(cfg, schedule.clone(), schedule.estimate_rates()),
+            schedule_point,
+            "point_schedule_small",
+        ),
+        (
+            sparse.clone(),
+            run_sparse_point(&sparse.config, scenario, &opts),
+            "point_sparse_small",
+        ),
+    ];
+    for (spec, direct, golden) in worlds {
+        let point = spec
+            .run(&opts)
+            .into_point()
+            .expect("the default axis is a point");
+        assert_eq!(point, direct, "{golden}");
+        assert_matches_golden(golden, &json(&point), &format!("default-axis {golden}"));
+    }
+}
+
 /// The sparse-world cells share the sparse point golden's shape.
 fn sparse_spec() -> SweepSpec {
     let cfg = ProtocolConfig {
@@ -319,14 +364,12 @@ fn golden_plan() -> FaultPlan {
 /// Runs `spec` at threads 1 and 2 and pins the report's rows to `name`.
 fn assert_spec_matches_golden(spec: &SweepSpec, name: &str) {
     for threads in [1usize, 2] {
-        let report = spec
-            .run_with_checkpoint(&golden_opts(threads), None)
-            .expect("no checkpoint, no error");
-        let rows = match report {
-            onion_routing::SweepReport::Delivery(rows) => json(&rows),
-            onion_routing::SweepReport::Security(rows) => json(&rows),
-            onion_routing::SweepReport::Fault(rows) => json(&rows),
-            onion_routing::SweepReport::Code(rows) => json(&rows),
+        let rows = match spec.run(&golden_opts(threads)) {
+            SweepReport::Point(summary) => json(&*summary),
+            SweepReport::Delivery(rows) => json(&rows),
+            SweepReport::Security(rows) => json(&rows),
+            SweepReport::Fault(rows) => json(&rows),
+            SweepReport::Code(rows) => json(&rows),
         };
         assert_matches_golden(name, &rows, &format!("{name} rows at threads={threads}"));
     }
