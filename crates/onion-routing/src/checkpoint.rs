@@ -16,15 +16,19 @@
 //! [`RowCache`] documents:
 //!
 //! ```text
-//! {"version":1,"fingerprint":"<sha256 hex of the sweep's config JSON>"}
+//! {"version":2,"fingerprint":"<identity key>","identity":{"version":1,"spec":…,"opts":…}}
 //! {"key":"intensity=0.5","value":"<the row's JSON, string-encoded>"}
 //! ```
 //!
-//! The fingerprint binds the file to the sweep's full configuration
-//! (protocol config, options, fault plan, sweep axis): resuming with
-//! *any* changed parameter is rejected instead of silently splicing
-//! incompatible results. The row value is stored as a JSON string so
-//! entries round-trip without an untyped JSON value type.
+//! The header records the run's [`Identity`] — its spec (a contact
+//! schedule as a digest) and options, `threads` left out — and its
+//! [`key`](Identity::key) as the fingerprint. The fingerprint binds the
+//! file to the run: resuming with *any* changed parameter, or over an
+//! edited trace file, is rejected instead of silently splicing
+//! incompatible results. A version-1 file, whose header held the
+//! fingerprint alone, is rejected naming its version. The row value is
+//! stored as a JSON string so entries round-trip without an untyped JSON
+//! value type.
 //!
 //! A process killed mid-append leaves a partial final line with no
 //! terminating newline; [`Checkpoint::open`] detects and truncates it.
@@ -39,13 +43,13 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
-use onion_crypto::sha256::Sha256;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-use crate::sweep::RowCache;
+use crate::sweep::{Identity, RowCache};
 
-/// Current checkpoint file format version.
-const VERSION: u32 = 1;
+/// Current checkpoint file format version: 2 records the run's identity
+/// in the header.
+const VERSION: u32 = 2;
 
 /// Errors opening, reading, or appending a checkpoint file.
 #[derive(Debug)]
@@ -60,6 +64,11 @@ pub enum CheckpointError {
         line: usize,
         /// What went wrong.
         why: String,
+    },
+    /// The file's format version is not the one this build reads (2).
+    Version {
+        /// The version its header names.
+        found: u32,
     },
     /// The file was written by a sweep with a different configuration.
     FingerprintMismatch {
@@ -77,6 +86,11 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Corrupt { line, why } => {
                 write!(f, "checkpoint corrupt at line {line}: {why}")
             }
+            CheckpointError::Version { found } => write!(
+                f,
+                "checkpoint format version {found} is not supported (this build \
+                 reads version {VERSION}); delete the file to start the run afresh"
+            ),
             CheckpointError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "checkpoint belongs to a different sweep configuration \
@@ -105,7 +119,10 @@ impl From<std::io::Error> for CheckpointError {
 #[derive(Serialize, Deserialize)]
 struct Header {
     version: u32,
+    /// The identity's key.
     fingerprint: String,
+    /// The identity's JSON.
+    identity: Value,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -133,33 +150,18 @@ struct Inner {
 }
 
 impl Checkpoint {
-    /// Hex SHA-256 of a configuration's canonical JSON — the value that
-    /// binds a checkpoint file to one exact sweep setup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` cannot be serialized (non-finite floats).
-    pub fn fingerprint<T: Serialize>(config: &T) -> String {
-        let json = serde_json::to_string(config).expect("sweep config must serialize");
-        let digest = Sha256::digest(json.as_bytes());
-        let mut hex = String::with_capacity(digest.len() * 2);
-        for byte in digest {
-            use std::fmt::Write as _;
-            let _ = write!(hex, "{byte:02x}");
-        }
-        hex
-    }
-
-    /// Opens (or creates) the checkpoint at `path` for a sweep with the
-    /// given fingerprint, loading every finished row and truncating a
-    /// torn final line left by a killed process.
+    /// Opens (or creates) the checkpoint at `path` for the run named by
+    /// `identity` ([`SweepSpec::identity`](crate::SweepSpec::identity)),
+    /// loading every finished row and truncating a torn final line left
+    /// by a killed process.
     ///
     /// # Errors
     ///
     /// I/O failure, corruption in a complete line (one that does not
-    /// parse, or whose value is not JSON), or a fingerprint recorded by a
-    /// different sweep configuration.
-    pub fn open(path: &Path, fingerprint: &str) -> Result<Checkpoint, CheckpointError> {
+    /// parse, or whose value is not JSON), a format version other than
+    /// the current one, or a fingerprint recorded by a different run.
+    pub fn open(path: &Path, identity: &Identity) -> Result<Checkpoint, CheckpointError> {
+        let fingerprint = identity.key();
         let mut done = BTreeMap::new();
         let mut fresh = true;
 
@@ -180,20 +182,21 @@ impl Checkpoint {
             let mut lines = text.lines().enumerate();
             if let Some((_, header_line)) = lines.next() {
                 fresh = false;
-                let header: Header =
-                    serde_json::from_str(header_line).map_err(|e| CheckpointError::Corrupt {
-                        line: 1,
-                        why: format!("bad header: {e}"),
-                    })?;
-                if header.version != VERSION {
-                    return Err(CheckpointError::Corrupt {
-                        line: 1,
-                        why: format!("unsupported version {}", header.version),
-                    });
+                let bad_header = |e: String| CheckpointError::Corrupt {
+                    line: 1,
+                    why: format!("bad header: {e}"),
+                };
+                let header =
+                    serde_json::parse_value(header_line).map_err(|e| bad_header(e.to_string()))?;
+                match header.get("version").map(u32::from_value) {
+                    Some(Ok(VERSION)) => {}
+                    Some(Ok(found)) => return Err(CheckpointError::Version { found }),
+                    _ => return Err(bad_header("no format version".into())),
                 }
+                let header = Header::from_value(&header).map_err(|e| bad_header(e.to_string()))?;
                 if header.fingerprint != fingerprint {
                     return Err(CheckpointError::FingerprintMismatch {
-                        expected: fingerprint.to_string(),
+                        expected: fingerprint,
                         found: header.fingerprint,
                     });
                 }
@@ -226,7 +229,8 @@ impl Checkpoint {
         if fresh {
             let header = serde_json::to_string(&Header {
                 version: VERSION,
-                fingerprint: fingerprint.to_string(),
+                fingerprint,
+                identity: identity.to_value(),
             })
             .expect("header serializes");
             writeln!(file, "{header}")?;
@@ -326,6 +330,7 @@ impl RowCache for Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExperimentOptions, ProtocolConfig, SweepSpec};
     use std::path::PathBuf;
 
     /// A scratch directory unique to this test, cleaned up on drop.
@@ -347,14 +352,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fingerprint_is_stable_and_config_sensitive() {
-        let a = Checkpoint::fingerprint(&("sweep", 1u32, 0.25f64));
-        let b = Checkpoint::fingerprint(&("sweep", 1u32, 0.25f64));
-        let c = Checkpoint::fingerprint(&("sweep", 2u32, 0.25f64));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.len(), 64);
+    /// The identity of a Table II point at `seed`.
+    fn identity(seed: u64) -> Identity {
+        let opts = ExperimentOptions::builder().seed(seed).build();
+        SweepSpec::random_graph(ProtocolConfig::table2_defaults()).identity(&opts)
     }
 
     /// A row's JSON, as a run stores it.
@@ -366,7 +367,7 @@ mod tests {
     fn saved_rows_replay_after_reopen() {
         let scratch = Scratch::new("reopen");
         let path = scratch.file("sweep.jsonl");
-        let fp = Checkpoint::fingerprint(&"cfg");
+        let fp = identity(1);
 
         let cp = Checkpoint::open(&path, &fp).unwrap();
         assert!(cp.is_empty());
@@ -389,19 +390,46 @@ mod tests {
     fn fingerprint_mismatch_is_rejected() {
         let scratch = Scratch::new("mismatch");
         let path = scratch.file("sweep.jsonl");
-        let cp = Checkpoint::open(&path, &Checkpoint::fingerprint(&"one")).unwrap();
+        let cp = Checkpoint::open(&path, &identity(1)).unwrap();
         cp.save("p", "1");
         drop(cp);
 
-        let err = Checkpoint::open(&path, &Checkpoint::fingerprint(&"two")).unwrap_err();
+        let err = Checkpoint::open(&path, &identity(2)).unwrap_err();
         assert!(matches!(err, CheckpointError::FingerprintMismatch { .. }));
+    }
+
+    /// The header records the identity and its key; a version-1 header,
+    /// which held the key alone, is refused naming its version.
+    #[test]
+    fn the_header_records_the_identity_and_version_1_is_refused() {
+        let scratch = Scratch::new("header");
+        let path = scratch.file("sweep.jsonl");
+        let id = identity(1);
+        drop(Checkpoint::open(&path, &id).unwrap());
+        let text = std::fs::read_to_string(&path).unwrap();
+        let expected = format!(
+            "{{\"version\":2,\"fingerprint\":\"{}\",\"identity\":{}}}\n",
+            id.key(),
+            id.json()
+        );
+        assert_eq!(text, expected);
+
+        let v1 = format!("{{\"version\":1,\"fingerprint\":\"{}\"}}\n", id.key());
+        std::fs::write(&path, &v1).unwrap();
+        let err = Checkpoint::open(&path, &id).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Version { found: 1 }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("version 1"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), v1);
     }
 
     #[test]
     fn torn_final_line_is_truncated_and_recoverable() {
         let scratch = Scratch::new("torn");
         let path = scratch.file("sweep.jsonl");
-        let fp = Checkpoint::fingerprint(&"cfg");
+        let fp = identity(1);
         let cp = Checkpoint::open(&path, &fp).unwrap();
         cp.save("p=1", &row(1.5, 1));
         drop(cp);
@@ -425,7 +453,7 @@ mod tests {
     fn corrupt_complete_line_is_an_error() {
         let scratch = Scratch::new("corrupt");
         let path = scratch.file("sweep.jsonl");
-        let fp = Checkpoint::fingerprint(&"cfg");
+        let fp = identity(1);
         drop(Checkpoint::open(&path, &fp).unwrap());
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
         file.write_all(b"this is not json\n").unwrap();
@@ -439,7 +467,7 @@ mod tests {
     fn an_entry_whose_value_is_not_json_is_an_error() {
         let scratch = Scratch::new("corrupt-value");
         let path = scratch.file("sweep.jsonl");
-        let fp = Checkpoint::fingerprint(&"cfg");
+        let fp = identity(1);
         let cp = Checkpoint::open(&path, &fp).unwrap();
         cp.save("p=1", &row(1.5, 1));
         cp.save("p=2", "{\"x\":");
@@ -457,7 +485,7 @@ mod tests {
     fn a_failed_append_is_reported_and_nothing_is_appended_after_it() {
         let scratch = Scratch::new("failed-append");
         let path = scratch.file("sweep.jsonl");
-        let fp = Checkpoint::fingerprint(&"cfg");
+        let fp = identity(1);
         let cp = Checkpoint::open(&path, &fp).unwrap();
         cp.save("p=1", &row(1.5, 1));
         let recorded = std::fs::read(&path).unwrap();
@@ -477,7 +505,7 @@ mod tests {
     fn missing_file_starts_fresh() {
         let scratch = Scratch::new("fresh");
         let path = scratch.file("new.jsonl");
-        let cp = Checkpoint::open(&path, &Checkpoint::fingerprint(&"cfg")).unwrap();
+        let cp = Checkpoint::open(&path, &identity(1)).unwrap();
         assert!(cp.is_empty());
         assert!(path.exists());
     }
@@ -487,7 +515,7 @@ mod tests {
         let scratch = Scratch::new("empty");
         let path = scratch.file("empty.jsonl");
         std::fs::write(&path, b"").unwrap();
-        let fp = Checkpoint::fingerprint(&"cfg");
+        let fp = identity(1);
         let cp = Checkpoint::open(&path, &fp).unwrap();
         cp.save("p", "1");
         drop(cp);

@@ -180,21 +180,6 @@ impl ExperimentOptions {
     pub fn runner(&self) -> RunnerConfig {
         RunnerConfig::new(self.threads)
     }
-
-    /// The copy of these options that identifies *results* rather than
-    /// *execution*: `threads` is zeroed because reports are bit-identical
-    /// for every thread count. This canonical form is what joins
-    /// [`Checkpoint::fingerprint`] inputs — both the CLI's `--resume`
-    /// checkpoints and the serving layer's result-cache keys — so a
-    /// checkpoint written at `--threads 8` resumes at `--threads 1`, and
-    /// one cached sweep response is shared by requests differing only in
-    /// thread count.
-    pub fn canonical(&self) -> ExperimentOptions {
-        ExperimentOptions {
-            threads: 0,
-            ..self.clone()
-        }
-    }
 }
 
 /// Builder for [`ExperimentOptions`]. Every setter defaults to the

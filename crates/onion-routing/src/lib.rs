@@ -67,7 +67,7 @@ pub use runner::{
     RunnerConfig, SeedDomain, TrialFailure,
 };
 pub use sweep::{
-    CodeAxis, FaultAxis, RowCache, Scenario, SecurityAxis, SparseScenario, SweepAxis,
+    CodeAxis, FaultAxis, Identity, RowCache, Scenario, SecurityAxis, SparseScenario, SweepAxis,
     SweepControls, SweepError, SweepReport, SweepRunError, SweepSpec, TraceScenario,
 };
 pub use tps::{destination_exposure, run_tps_message, tps_cost_bound, TpsConfig, TpsOutcome};

@@ -36,12 +36,14 @@
 //! [`SweepControls`] carry a cancel hook and the [`RowCache`] that
 //! persists finished rows (the CLI's `--resume` checkpoint, the serving
 //! daemon's disk store). `SweepSpec` itself is serde-able, so a sweep
-//! description can be shipped over the serving API or stored next to
-//! its results.
+//! description can be shipped over the serving API, and
+//! [`SweepSpec::identity`] names its results: one key for the
+//! checkpoint that resumes it and the cache entry that serves it.
 
 use contact_graph::{ContactGraph, ContactSchedule, TimeDelta};
 use dtn_sim::{check_code_shape, ChurnConfig, ChurnMemory, FaultPlan};
-use serde::{Deserialize, DeserializeOwned, Serialize};
+use onion_crypto::sha256::Sha256;
+use serde::{Deserialize, DeserializeOwned, Serialize, Value};
 
 use crate::config::ProtocolConfig;
 use crate::experiment::{
@@ -123,12 +125,14 @@ pub struct SecurityAxis {
 
 /// The compromised-node grid a security sweep over `nodes` runs when the
 /// caller names none: 1, 5, 10, 20, 30, 40 and 50 % of the nodes, rounded,
-/// at least one.
+/// at least one, each count once (below 30 nodes several round alike).
 pub fn default_security_grid(nodes: usize) -> Vec<usize> {
-    [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
+    let mut grid: Vec<usize> = [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
         .iter()
         .map(|f| ((nodes as f64 * f).round() as usize).max(1))
-        .collect()
+        .collect();
+    grid.dedup();
+    grid
 }
 
 /// Payload of [`SweepAxis::Fault`].
@@ -182,6 +186,41 @@ pub struct SweepSpec {
     pub scenario: Scenario,
     /// Swept parameter and grid.
     pub axis: SweepAxis,
+}
+
+/// The version of what joins an [`Identity`]; changing what joins it
+/// means bumping this, which moves every key at once.
+const IDENTITY_VERSION: u32 = 1;
+
+/// What names a run's results: the canonical JSON `{"version", "spec",
+/// "opts"}` that [`SweepSpec::identity`] builds. Its [`key`](Self::key)
+/// is every `--resume` checkpoint fingerprint and every serve cache and
+/// store key, so two runs share a key exactly when they run the same
+/// spec under the same options, `threads` aside.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Identity(Value);
+
+impl Identity {
+    /// The canonical JSON text.
+    pub fn json(&self) -> String {
+        serde_json::to_string(&self.0).expect("a validated spec serializes")
+    }
+
+    /// Hex SHA-256 of [`Identity::json`].
+    pub fn key(&self) -> String {
+        sha256_hex(&self.json())
+    }
+}
+
+impl Serialize for Identity {
+    fn to_value(&self) -> Value {
+        self.0.clone()
+    }
+}
+
+/// Lowercase hex SHA-256 of `text`.
+fn sha256_hex(text: &str) -> String {
+    onion_crypto::hex::encode(&Sha256::digest(text.as_bytes()))
 }
 
 /// The rows a sweep produced, tagged by axis kind.
@@ -482,6 +521,44 @@ impl SweepSpec {
         check_world(self.world(), &self.run_config(), opts)
     }
 
+    /// The identity of this spec's results under `opts`: the spec and the
+    /// options with `threads` zeroed, since results are bit-identical for
+    /// every thread count. A scenario that carries a contact schedule
+    /// (`Schedule`, `Trace`) enters as the SHA-256 of its JSON with the
+    /// schedule's node and contact counts, not inline, so an edited trace
+    /// file gets a new key; the other scenarios enter as themselves.
+    ///
+    /// # Panics
+    ///
+    /// If the spec or options hold a non-finite float, which
+    /// [`SweepSpec::validate`] rejects.
+    pub fn identity(&self, opts: &ExperimentOptions) -> Identity {
+        let SweepSpec {
+            config,
+            scenario,
+            axis,
+        } = self;
+        let scenario = match scenario {
+            Scenario::Schedule(schedule) => digested("Schedule", schedule, schedule),
+            Scenario::Trace(trace) => digested("Trace", trace, &trace.schedule),
+            inline => inline.to_value(),
+        };
+        let spec = Value::Object(vec![
+            ("config".into(), config.to_value()),
+            ("scenario".into(), scenario),
+            ("axis".into(), axis.to_value()),
+        ]);
+        let opts = ExperimentOptions {
+            threads: 0,
+            ..opts.clone()
+        };
+        Identity(Value::Object(vec![
+            ("version".into(), IDENTITY_VERSION.to_value()),
+            ("spec".into(), spec),
+            ("opts".into(), opts.to_value()),
+        ]))
+    }
+
     /// Runs the sweep: [`SweepSpec::run_controlled`] with no hooks.
     ///
     /// # Panics
@@ -614,6 +691,19 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
+/// A schedule-carrying scenario as its identity names it:
+/// `{variant: {"sha256", "nodes", "contacts"}}`, the digest over the
+/// payload's JSON.
+fn digested(variant: &str, payload: &impl Serialize, schedule: &ContactSchedule) -> Value {
+    let json = serde_json::to_string(payload).expect("a contact schedule serializes");
+    let digest = Value::Object(vec![
+        ("sha256".into(), sha256_hex(&json).to_value()),
+        ("nodes".into(), schedule.node_count().to_value()),
+        ("contacts".into(), schedule.len().to_value()),
+    ]);
+    Value::Object(vec![(variant.into(), digest)])
+}
+
 /// A grid as its row keys name it: the values' `Display`, comma-joined.
 fn joined<T: std::fmt::Display>(grid: &[T]) -> String {
     grid.iter().map(T::to_string).collect::<Vec<_>>().join(",")
@@ -708,6 +798,51 @@ mod tests {
         let json = serde_json::to_string(&spec).unwrap();
         let back: SweepSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, spec);
+    }
+
+    /// The identity names the results, not the run: `threads` leaves the
+    /// key alone, any other option or the grid moves it, and a generated
+    /// world's identity holds its spec verbatim. A schedule enters as a
+    /// digest, so an edited schedule moves the key.
+    #[test]
+    fn identity_names_the_results_not_the_run() {
+        let cfg = ProtocolConfig {
+            nodes: 24,
+            group_size: 3,
+            onions: 2,
+            compromised: 2,
+            ..ProtocolConfig::table2_defaults()
+        };
+        let opts = quick_opts();
+        let with = |b: fn(crate::ExperimentOptionsBuilder) -> crate::ExperimentOptionsBuilder| {
+            b(opts.clone().into_builder()).build()
+        };
+        let spec = SweepSpec::random_graph(cfg.clone()).over_deadlines(&[50.0, 200.0]);
+        let key = spec.identity(&opts).key();
+        assert_eq!(key.len(), 64);
+        assert_eq!(spec.identity(&with(|b| b.threads(7))).key(), key);
+        assert_ne!(spec.identity(&with(|b| b.seed(20))).key(), key);
+        assert_ne!(spec.identity(&with(|b| b.keep_going(true))).key(), key);
+        let shorter = spec.clone().over_deadlines(&[50.0]);
+        assert_ne!(shorter.identity(&opts).key(), key);
+        let value = serde_json::parse_value(&spec.identity(&opts).json()).unwrap();
+        assert_eq!(value.get("version"), Some(&Value::UInt(1)));
+        assert_eq!(SweepSpec::from_value(value.get("spec").unwrap()), Ok(spec));
+
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let graph = UniformGraphBuilder::new(24).build(&mut rng);
+        let schedule = ContactSchedule::sample(&graph, Time::new(300.0), &mut rng);
+        let edited = ContactSchedule::sample(&graph, Time::new(300.0), &mut rng);
+        let keyed =
+            |s: &ContactSchedule| SweepSpec::schedule(cfg.clone(), s.clone()).identity(&opts);
+        let json = keyed(&schedule).json();
+        let counts = format!("\"nodes\":24,\"contacts\":{}}}", schedule.len());
+        assert!(json.contains(&counts), "{json}");
+        assert!(json.len() < 1024, "{json}");
+        assert_eq!(keyed(&schedule), keyed(&schedule.clone()));
+        assert_ne!(keyed(&schedule).key(), keyed(&edited).key());
+        let trained = SweepSpec::trace(cfg.clone(), schedule.clone(), schedule.estimate_rates());
+        assert_ne!(trained.identity(&opts).key(), keyed(&schedule).key());
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!   [`MAX_SWEEP_GRID`], and a sparse realization's expected contact
 //!   count); failures answer `400 invalid_argument`.
 //!   Expensive, so responses flow through a sharded LRU cache keyed by
-//!   `Checkpoint::fingerprint` of the *canonical* request (endpoint +
-//!   config + options with `threads` zeroed + the axis grid), with
-//!   single-flight coalescing for identical concurrent misses.
+//!   the spec's identity (`SweepSpec::identity(&opts).key()`: the spec
+//!   and its options with `threads` zeroed, the key a `--resume`
+//!   checkpoint of the same run carries), with single-flight coalescing
+//!   for identical concurrent misses. Fault and code rows are stored
+//!   under the key of the same spec with its grid emptied, so a stored
+//!   row replays in any grid that contains it.
 //!
 //! Request bodies are JSON objects where every field is optional:
 //! missing fields take the paper's Table II defaults. `config` and
@@ -29,8 +32,7 @@
 //! types), while scalar knobs are extracted field-by-field. Sweep
 //! bodies additionally accept `"sparse": {"avg_degree": d}` to run the
 //! CSR + calendar-queue scale backend instead of the dense Table II
-//! world; requests without the field keep their original cache
-//! fingerprints byte-for-byte.
+//! world.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,7 +40,7 @@ use std::time::Instant;
 use contact_graph::SampledContacts;
 use onion_routing::sweep::{default_fault_plan, default_security_grid, DEFAULT_FAULT_INTENSITIES};
 use onion_routing::{
-    Checkpoint, ExperimentOptions, ProtocolConfig, RowCache, Scenario, SparseScenario, SweepAxis,
+    ExperimentOptions, ProtocolConfig, RowCache, Scenario, SparseScenario, SweepAxis,
     SweepControls, SweepReport, SweepRunError, SweepSpec,
 };
 use serde::{Serialize, Value};
@@ -253,15 +255,18 @@ impl Api {
                 Err(e) => return Response::error(400, "invalid_argument", &e),
             },
         };
-        // `threads` is an execution knob the *server* owns; the canonical
-        // form in the cache key already zeroes it, and determinism makes
+        // `threads` is an execution knob the *server* owns; the identity
+        // behind the cache key already zeroes it, and determinism makes
         // the substitution invisible in the response bytes.
         let threads = self.limits.sweep_threads;
         let run_opts = job.opts.into_builder().threads(threads).build();
         let spec = &job.spec;
         self.cached_sweep(&job.key, deadline, || {
             let cancel = || deadline.is_some_and(|d| Instant::now() >= d);
-            let rows = job.row_prefix.filter(|_| self.store.is_some());
+            let rows = self
+                .store
+                .as_ref()
+                .and_then(|_| row_prefix(spec, &run_opts));
             let rows = rows.map(|prefix| StoreRowCache { api: self, prefix });
             let controls = SweepControls {
                 cancel: Some(&cancel),
@@ -283,7 +288,7 @@ impl Api {
 
     /// Parses a request for `/v1/sweep/<kind>` into its spec, checks it
     /// with [`SweepSpec::validate`] and the sweep limits, and derives its
-    /// cache keys.
+    /// cache key.
     fn sweep_job(&self, kind: &str, body: &Value) -> Result<SweepJob, String> {
         let cfg = field_or(body, "config", ProtocolConfig::table2_defaults)?;
         let opts = field_or(body, "opts", ExperimentOptions::default)?;
@@ -304,60 +309,30 @@ impl Api {
             Some(s) => SweepSpec::sparse(cfg, s.avg_degree),
             None => SweepSpec::random_graph(cfg),
         };
-        let (spec, axis, row_axis) = match kind {
-            "deadline" => {
-                let deadlines = field_or(body, "deadlines", || {
-                    vec![60.0, 180.0, 360.0, 720.0, 1080.0]
-                })?;
-                let axis = vec![deadlines.to_value()];
-                (spec.over_deadlines(&deadlines), axis, None)
-            }
+        let spec = match kind {
+            "deadline" => spec.over_deadlines(&field_or(body, "deadlines", || {
+                vec![60.0, 180.0, 360.0, 720.0, 1080.0]
+            })?),
             "security" => {
                 let compromised: Vec<usize> = field_or(body, "compromised", || {
                     default_security_grid(spec.config.nodes)
                 })?;
-                let draws = field_or(body, "adversary_draws", || 3)?;
-                let axis = vec![compromised.to_value(), draws.to_value()];
-                (spec.over_security(&compromised, draws), axis, None)
+                spec.over_security(&compromised, field_or(body, "adversary_draws", || 3)?)
             }
-            "fault" => {
-                let plan = field_or(body, "plan", default_fault_plan)?;
-                let intensities =
-                    field_or(body, "intensities", || DEFAULT_FAULT_INTENSITIES.to_vec())?;
-                // Row-level store keys exclude the intensity list, so a
-                // row computed for one grid is replayable in any other
-                // grid containing the same intensity.
-                let axis = vec![plan.to_value(), intensities.to_value()];
-                let row_axis = Some(vec![plan.to_value()]);
-                (spec.over_faults(plan, &intensities), axis, row_axis)
-            }
-            "code" => {
-                let rates = field_or(body, "rates", || {
-                    vec![(1, 1), (1, 2), (2, 3), (2, 4), (3, 5)]
-                })?;
-                // Like fault rows: row-level store keys exclude the rate
-                // grid, so one computed (k, m) row replays in any grid.
-                (
-                    spec.over_code_rates(&rates),
-                    vec![rates.to_value()],
-                    Some(vec![]),
-                )
-            }
+            "fault" => spec.over_faults(
+                field_or(body, "plan", default_fault_plan)?,
+                &field_or(body, "intensities", || DEFAULT_FAULT_INTENSITIES.to_vec())?,
+            ),
+            "code" => spec.over_code_rates(&field_or(body, "rates", || {
+                vec![(1, 1), (1, 2), (2, 3), (2, 4), (3, 5)]
+            })?),
             // "point": the spec's default axis.
-            _ => (spec, vec![], None),
+            _ => spec,
         };
         spec.validate(&opts).map_err(|e| e.to_string())?;
         check_sweep_limits(&spec, &opts)?;
-        let route = format!("/v1/sweep/{kind}");
-        let row_prefix =
-            row_axis.map(|parts| sweep_key(&format!("{route}#row"), &spec, &opts, parts));
-        let key = sweep_key(&route, &spec, &opts, axis);
-        Ok(SweepJob {
-            spec,
-            opts,
-            key,
-            row_prefix,
-        })
+        let key = spec.identity(&opts).key();
+        Ok(SweepJob { spec, opts, key })
     }
 
     /// The cache → store → single-flight → compute funnel for sweep
@@ -435,8 +410,8 @@ impl Api {
 }
 
 /// A [`RowCache`] backed by the API's durable [`ResponseStore`]: fault
-/// sweep rows persist under `<prefix>:<row key>` so a sweep cancelled
-/// by its deadline resumes from the completed rows on retry.
+/// and code sweep rows persist under `<prefix>:<row key>` so a sweep
+/// cancelled by its deadline resumes from the completed rows on retry.
 struct StoreRowCache<'a> {
     api: &'a Api,
     prefix: String,
@@ -469,38 +444,24 @@ impl RowCache for StoreRowCache<'_> {
 /// summary, the others with their axis rows.
 const SWEEP_KINDS: [&str; 5] = ["point", "deadline", "security", "fault", "code"];
 
-/// A parsed, validated sweep request and its cache keys.
+/// A parsed, validated sweep request and its cache key.
 struct SweepJob {
     spec: SweepSpec,
     opts: ExperimentOptions,
-    /// The response's cache and store key.
+    /// The response's cache and store key: the spec's identity key.
     key: String,
-    /// Store key prefix of per-row results (fault and code sweeps).
-    row_prefix: Option<String>,
 }
 
-/// A sweep cache key: the SHA-256 of the JSON array `[route, config,
-/// canonical opts, axis parts…]`. A sparse request suffixes the route
-/// with `#sparse` and appends its scenario, so dense keys keep the bytes
-/// they had before sparse worlds existed. Keys are frozen:
-/// `tests/golden/sweep_keys.json` pins one per shape.
-fn sweep_key(route: &str, spec: &SweepSpec, opts: &ExperimentOptions, axis: Vec<Value>) -> String {
-    let sparse = match &spec.scenario {
-        Scenario::Sparse(s) => Some(s.to_value()),
-        _ => None,
+/// The store prefix of a fault or code sweep's rows: the key of the same
+/// spec with its grid emptied, so a stored row replays in any grid that
+/// contains it. The other axes store whole responses only.
+fn row_prefix(spec: &SweepSpec, opts: &ExperimentOptions) -> Option<String> {
+    let rows = match &spec.axis {
+        SweepAxis::Fault(axis) => spec.clone().over_faults(axis.base_plan, &[]),
+        SweepAxis::Code(_) => spec.clone().over_code_rates(&[]),
+        _ => return None,
     };
-    let route = match sparse {
-        Some(_) => format!("{route}#sparse"),
-        None => route.to_string(),
-    };
-    let mut parts = vec![
-        route.to_value(),
-        spec.config.to_value(),
-        opts.canonical().to_value(),
-    ];
-    parts.extend(axis);
-    parts.extend(sparse);
-    Checkpoint::fingerprint(&parts)
+    Some(rows.identity(opts).key())
 }
 
 /// Largest estimated memory of one sweep realization: 512 MiB. Dense
@@ -1071,13 +1032,12 @@ mod tests {
         assert_eq!(r.status, 400);
     }
 
-    /// Every serve cache key and row prefix shape, parsed from a request
-    /// body, against the committed fingerprints, which the tuple
-    /// expressions `sweep_key` replaced produced.
+    /// A parsed body is keyed by its spec's identity under its options,
+    /// the key `--resume` gives the same run, and a fault or code sweep's
+    /// rows by the same spec with its grid emptied. Committed keys are
+    /// pinned in `tests/sweep_api_equivalence.rs`.
     #[test]
-    fn sweep_keys_match_committed_golden() {
-        let golden: std::collections::BTreeMap<String, String> =
-            serde_json::from_str(include_str!("../../../tests/golden/sweep_keys.json")).unwrap();
+    fn a_parsed_body_is_keyed_by_its_spec_identity() {
         let cfg = ProtocolConfig {
             nodes: 60,
             group_size: 4,
@@ -1092,47 +1052,62 @@ mod tests {
             .realizations(3)
             .seed(99)
             .threads(4)
-            .faults(FaultPlan {
-                contact_failure: 0.1,
-                ..FaultPlan::default()
-            })
             .wire(true)
-            .code(Some((2, 3)))
             .build();
-        let base = format!(
-            "\"config\":{},\"opts\":{}",
-            serde_json::to_string(&cfg).unwrap(),
-            serde_json::to_string(&opts).unwrap()
-        );
+        let base = format!("\"config\":{},\"opts\":{}", json(&cfg), json(&opts));
+        let plan = FaultPlan {
+            contact_failure: 0.1,
+            ..FaultPlan::default()
+        };
         let api = api();
-        let mut checked = 0;
-        for (name, axis) in [
-            ("point", ""),
-            ("deadline", ",\"deadlines\":[60.0,360.0,720.0]"),
-            ("security", ",\"compromised\":[3,12],\"adversary_draws\":5"),
-            ("fault", ",\"intensities\":[0.0,0.5,1.0]"),
-            ("code", ",\"rates\":[[1,2],[2,3]]"),
-        ] {
-            for (suffix, sparse) in [("", ""), (" sparse", ",\"sparse\":{\"avg_degree\":9.5}")] {
-                let body = parse_body(&format!("{{{base}{axis}{sparse}}}")).unwrap();
-                let job = match api.sweep_job(name, &body) {
-                    Ok(job) => job,
-                    Err(e) => panic!("{name}{suffix}: {e}"),
-                };
-                assert_eq!(
-                    job.key,
-                    golden[&format!("serve {name}{suffix}")],
-                    "{name}{suffix}"
-                );
-                if let Some(prefix) = job.row_prefix {
-                    let row = format!("serve {name}#row{suffix}");
-                    assert_eq!(prefix, golden[&row], "{row}");
-                    checked += 1;
+        for sparse in [None, Some(9.5)] {
+            let world = match sparse {
+                Some(d) => SweepSpec::sparse(cfg.clone(), d),
+                None => SweepSpec::random_graph(cfg.clone()),
+            };
+            let cells = [
+                ("point", String::new(), world.clone(), None),
+                (
+                    "deadline",
+                    ",\"deadlines\":[60.0,720.0]".into(),
+                    world.clone().over_deadlines(&[60.0, 720.0]),
+                    None,
+                ),
+                (
+                    "security",
+                    ",\"compromised\":[3,12]".into(),
+                    world.clone().over_security(&[3, 12], 3),
+                    None,
+                ),
+                (
+                    "fault",
+                    format!(",\"plan\":{},\"intensities\":[0.0,1.0]", json(&plan)),
+                    world.clone().over_faults(plan, &[0.0, 1.0]),
+                    Some(world.clone().over_faults(plan, &[])),
+                ),
+                (
+                    "code",
+                    ",\"rates\":[[1,2],[2,3]]".into(),
+                    world.clone().over_code_rates(&[(1, 2), (2, 3)]),
+                    Some(world.clone().over_code_rates(&[])),
+                ),
+            ];
+            for (kind, axis, spec, rows) in cells {
+                let mut body = format!("{{{base}{axis}");
+                if let Some(d) = sparse {
+                    body += &format!(",\"sparse\":{{\"avg_degree\":{d}}}");
                 }
-                checked += 1;
+                let job = api.sweep_job(kind, &parse_body(&format!("{body}}}")).unwrap());
+                let job = job.unwrap_or_else(|e| panic!("{kind} {sparse:?}: {e}"));
+                assert_eq!(job.spec, spec, "{kind} {sparse:?}");
+                assert_eq!(job.key, spec.identity(&opts).key(), "{kind} {sparse:?}");
+                assert_eq!(
+                    row_prefix(&job.spec, &job.opts),
+                    rows.map(|rows| rows.identity(&opts).key()),
+                    "{kind} {sparse:?}"
+                );
             }
         }
-        assert_eq!(checked, 14);
     }
 
     /// Each invalid spec names its field from `SweepSpec::validate`, and

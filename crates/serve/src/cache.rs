@@ -1,9 +1,9 @@
 //! Sharded LRU result cache.
 //!
-//! Keys are [`Checkpoint::fingerprint`](onion_routing::Checkpoint)
-//! hex digests of the *canonical* request configuration (execution-only
-//! knobs like `threads` excluded), values are finished JSON response
-//! bodies behind an [`Arc`] so hits are O(1) clones. Sharding by key
+//! Keys are [`Identity::key`](onion_routing::Identity::key) hex digests
+//! of the request's spec and options (execution-only knobs like
+//! `threads` excluded), values are finished JSON response bodies behind
+//! an [`Arc`] so hits are O(1) clones. Sharding by key
 //! hash keeps lock contention proportional to `1/shards` under
 //! concurrent workers; within a shard, eviction is exact LRU by a
 //! monotonic touch stamp (an O(shard-size) scan on insert, which is

@@ -18,11 +18,12 @@
 //! Two design decisions carry the weight (details in `DESIGN.md` §5):
 //!
 //! 1. **Cache keys are checkpoint fingerprints.** A sweep response is
-//!    cached under `Checkpoint::fingerprint` of the canonical request —
-//!    the same identity the CLI's `--resume` checkpoints use, with the
-//!    `threads` knob zeroed because results are bit-identical for every
-//!    thread count. Determinism is what makes caching *correct*: a
-//!    cached body is byte-for-byte the body a fresh run would produce.
+//!    cached under `SweepSpec::identity(&opts).key()` of the parsed
+//!    request — the key the CLI's `--resume` checkpoint of the same run
+//!    carries, with the `threads` knob zeroed because results are
+//!    bit-identical for every thread count. Determinism is what makes
+//!    caching *correct*: a cached body is byte-for-byte the body a fresh
+//!    run would produce.
 //! 2. **Explicit backpressure, bounded everything.** Connections flow
 //!    through a bounded queue into a fixed worker pool; when the queue
 //!    is full the accept loop answers `503` + `Retry-After` instead of

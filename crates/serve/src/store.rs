@@ -11,9 +11,11 @@
 //!
 //! where the record payload is `fp_len:u16le ‖ fingerprint bytes ‖
 //! body bytes`, `len` is the payload length, and `crc32` is the IEEE
-//! CRC-32 of the payload. Keys are the serving layer's canonical
-//! [`Checkpoint::fingerprint`](onion_routing::Checkpoint) hex digests;
-//! values are finished JSON response bodies (or single sweep rows).
+//! CRC-32 of the payload. Keys are the serving layer's cache keys,
+//! [`Identity::key`](onion_routing::Identity::key) hex digests, and for
+//! single fault and code rows `<key of the spec with its grid
+//! emptied>:<row key>`; values are finished JSON response bodies (or
+//! single sweep rows). A record names its spec by key alone.
 //!
 //! Durability model (DESIGN.md §4j):
 //!

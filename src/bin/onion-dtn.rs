@@ -50,7 +50,6 @@ use std::process::ExitCode;
 use onion_dtn::prelude::*;
 use onion_routing::sweep::{default_fault_plan, default_security_grid, DEFAULT_FAULT_INTENSITIES};
 use onion_routing::{RowCache, SweepControls};
-use serde::{Serialize, Value};
 
 /// The usage text printed on a usage error.
 const USAGE: &str = "usage: onion-dtn <point|deadline-sweep|security-sweep|fault-sweep|code-sweep|trace|plan|serve|loadgen> [flags]\n\
@@ -313,58 +312,20 @@ fn sparse_from(flags: &HashMap<String, String>) -> Result<Option<SparseScenario>
     Ok(Some(SparseScenario { avg_degree: d }))
 }
 
-/// The `--resume` fingerprint: the SHA-256 of the JSON array
-/// `[command, config, canonical options, axis parts…]`. `threads` is
-/// excluded (results are thread-count-independent, so resuming with a
-/// different `--threads` is legal). A sparse scenario joins only when
-/// present, in one of two frozen layouts: per-row sweeps (with axis
-/// parts) suffix the command with `#sparse` and append the scenario,
-/// the other commands append `"sparse"` and the scenario. Dense
-/// checkpoints keep their original identity byte-for-byte, and
-/// `tests/golden/sweep_keys.json` pins one key per shape.
-fn resume_key(
-    command: &str,
-    cfg: &ProtocolConfig,
-    opts: &ExperimentOptions,
-    axis: Vec<Value>,
-    sparse: Option<&SparseScenario>,
-) -> String {
-    let mut command = command.to_string();
-    let mut parts = vec![cfg.to_value(), opts.canonical().to_value()];
-    let per_row = !axis.is_empty();
-    parts.extend(axis);
-    if let Some(s) = sparse {
-        if per_row {
-            command.push_str("#sparse");
-        } else {
-            parts.push("sparse".to_value());
-        }
-        parts.push(s.to_value());
-    }
-    parts.insert(0, command.to_value());
-    Checkpoint::fingerprint(&parts)
-}
-
-/// Opens the `--resume` checkpoint (if requested) bound to the
-/// command's [`resume_key`].
+/// Opens the `--resume` checkpoint (if requested), bound to the spec's
+/// identity under `opts`.
 fn open_checkpoint(
     flags: &HashMap<String, String>,
-    command: &str,
     spec: &SweepSpec,
     opts: &ExperimentOptions,
-    key_axis: Vec<Value>,
 ) -> Result<Option<Checkpoint>, CliError> {
     let Some(path) = flags.get("resume") else {
         return Ok(None);
     };
-    let sparse = match &spec.scenario {
-        Scenario::Sparse(s) => Some(s),
-        _ => None,
-    };
-    let key = resume_key(command, &spec.config, opts, key_axis, sparse);
-    let cp = Checkpoint::open(std::path::Path::new(path), &key)
+    let identity = spec.identity(opts);
+    let cp = Checkpoint::open(std::path::Path::new(path), &identity)
         .map_err(|e| CliError::Io(format!("checkpoint {path}: {e}")))?;
-    arm_crash_sink(path, &key, opts.seed);
+    arm_crash_sink(path, &identity.key(), opts.seed);
     if !cp.is_empty() {
         obs::info!(
             "onion_dtn",
@@ -381,13 +342,11 @@ fn open_checkpoint(
 /// a failed append stops the run at the next row and exits 3.
 fn run_experiment(
     flags: &HashMap<String, String>,
-    command: &str,
     spec: &SweepSpec,
     opts: &ExperimentOptions,
-    key_axis: Vec<Value>,
 ) -> Result<SweepReport, CliError> {
     spec.validate(opts).map_err(|e| e.to_string())?;
-    let cp = open_checkpoint(flags, command, spec, opts, key_axis)?;
+    let cp = open_checkpoint(flags, spec, opts)?;
     let failed = || cp.as_ref().is_some_and(Checkpoint::failed);
     let controls = SweepControls {
         cancel: Some(&failed),
@@ -402,12 +361,11 @@ fn run_experiment(
 }
 
 /// The shared front of the commands on a generated world: parses the
-/// config, options and world, lets `axis` pick the swept grid (and the
-/// parts of it that join the `--resume` key), then runs the spec.
+/// config, options and world, lets `axis` pick the swept grid, then runs
+/// the spec.
 fn sweep_command(
     flags: &HashMap<String, String>,
-    command: &str,
-    axis: impl FnOnce(SweepSpec, &ExperimentOptions) -> Result<(SweepSpec, Vec<Value>), CliError>,
+    axis: impl FnOnce(SweepSpec, &ExperimentOptions) -> Result<SweepSpec, CliError>,
 ) -> Result<SweepReport, CliError> {
     let cfg = config_from(flags)?;
     let opts = opts_from(flags)?;
@@ -415,8 +373,8 @@ fn sweep_command(
         Some(s) => SweepSpec::sparse(cfg, s.avg_degree),
         None => SweepSpec::random_graph(cfg),
     };
-    let (spec, key_axis) = axis(spec, &opts)?;
-    run_experiment(flags, command, &spec, &opts, key_axis)
+    let spec = axis(spec, &opts)?;
+    run_experiment(flags, &spec, &opts)
 }
 
 /// Points the flight recorder's crash sink at the checkpoint's
@@ -437,7 +395,7 @@ fn or_dash(value: Option<f64>) -> String {
 }
 
 fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let report = sweep_command(flags, "point", |spec, opts| {
+    let report = sweep_command(flags, |spec, opts| {
         let cfg = &spec.config;
         obs::info!(
             "onion_dtn",
@@ -455,7 +413,7 @@ fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 _ => String::new(),
             }
         );
-        Ok((spec, vec![]))
+        Ok(spec)
     })?;
     let p = report.into_point().expect("point axis yields a point");
     if p.trial_failures > 0 {
@@ -483,22 +441,24 @@ fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 fn cmd_deadline_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let report = sweep_command(flags, "deadline-sweep", |spec, _| {
-        // Eight log-spaced deadlines from 0.06·T to T, to 0.1 min; a tiny
-        // T rounds some to one value, kept once, and some to 0, dropped.
+    let report = sweep_command(flags, |spec, _| {
+        // Eight log-spaced deadlines from 0.06·T to T: T itself, and below
+        // it seven rounded to 0.1 min. A small T rounds some of those to
+        // one value, kept once, and some to 0 or up to T, dropped.
         let max_t = spec.config.deadline.as_f64();
-        let mut deadlines: Vec<f64> = (0..8)
-            .map(|i| max_t * 0.06f64.powf(1.0 - f64::from(i) / 7.0))
-            .map(|t| (t * 10.0).round() / 10.0)
-            .filter(|&t| t > 0.0)
-            .collect();
-        deadlines.dedup();
-        if deadlines.is_empty() {
+        if max_t <= 0.0 {
             return Err(CliError::Usage(format!(
-                "--t {max_t} leaves no deadline after rounding to 0.1 minutes"
+                "--t {max_t} leaves no positive deadline to sweep"
             )));
         }
-        Ok((spec.over_deadlines(&deadlines), vec![]))
+        let mut deadlines: Vec<f64> = (0..7)
+            .map(|i| max_t * 0.06f64.powf(1.0 - f64::from(i) / 7.0))
+            .map(|t| (t * 10.0).round() / 10.0)
+            .filter(|&t| t > 0.0 && t < max_t)
+            .collect();
+        deadlines.dedup();
+        deadlines.push(max_t);
+        Ok(spec.over_deadlines(&deadlines))
     })?;
     let rows = report
         .into_delivery()
@@ -514,9 +474,9 @@ fn cmd_deadline_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 fn cmd_security_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let report = sweep_command(flags, "security-sweep", |spec, _| {
+    let report = sweep_command(flags, |spec, _| {
         let cs = default_security_grid(spec.config.nodes);
-        Ok((spec.over_security(&cs, 3), vec![]))
+        Ok(spec.over_security(&cs, 3))
     })?;
     let rows = report
         .into_security()
@@ -579,7 +539,7 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         .seed(flag(flags, "seed", 1u64)?)
         .build();
     let spec = SweepSpec::schedule(cfg, schedule);
-    let p = run_experiment(flags, &format!("trace:{which}"), &spec, &opts, vec![])?
+    let p = run_experiment(flags, &spec, &opts)?
         .into_point()
         .expect("point axis yields a point");
     println!(
@@ -595,17 +555,14 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
 }
 
 fn cmd_fault_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let report = sweep_command(flags, "fault-sweep", |spec, _| {
+    let report = sweep_command(flags, |spec, _| {
         let explicit = faults_from(flags)?;
         let base = if explicit.is_noop() {
             default_fault_plan()
         } else {
             explicit
         };
-        // The base plan is swept (opts.faults is overridden per point), so
-        // it joins the fingerprint explicitly.
-        let key_axis = vec![base.to_value(), DEFAULT_FAULT_INTENSITIES.to_value()];
-        Ok((spec.over_faults(base, DEFAULT_FAULT_INTENSITIES), key_axis))
+        Ok(spec.over_faults(base, DEFAULT_FAULT_INTENSITIES))
     })?;
     let rows = report.into_fault().expect("fault axis yields fault rows");
     println!(
@@ -633,16 +590,14 @@ fn cmd_fault_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
 const DEFAULT_CODE_GRID: &[(u32, u32)] = &[(1, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)];
 
 fn cmd_code_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let report = sweep_command(flags, "code-sweep", |spec, opts| {
+    let report = sweep_command(flags, |spec, opts| {
         // With --code k/m the sweep collapses to that single rate;
-        // otherwise it walks the default grid. Each row overrides
-        // opts.code itself, so the grid joins the fingerprint explicitly,
-        // mirroring fault-sweep's base plan.
-        let rates: Vec<(u32, u32)> = match opts.code {
+        // otherwise it walks the default grid.
+        let rates = match opts.code {
             Some(rate) => vec![rate],
             None => DEFAULT_CODE_GRID.to_vec(),
         };
-        Ok((spec.over_code_rates(&rates), vec![rates.to_value()]))
+        Ok(spec.over_code_rates(&rates))
     })?;
     let rows = report.into_code().expect("code axis yields code rows");
     println!(
@@ -948,56 +903,6 @@ mod tests {
         for bad in ["0", "-3", "inf", "lots"] {
             let (_, flags) = parse_flags(&strings(&["--sparse-degree", bad])).unwrap();
             assert!(sparse_from(&flags).is_err(), "--sparse-degree {bad}");
-        }
-    }
-
-    /// Every `--resume` key shape against the committed fingerprints,
-    /// which the tuple expressions this function replaced produced.
-    #[test]
-    fn resume_keys_match_committed_golden() {
-        let golden: std::collections::BTreeMap<String, String> =
-            serde_json::from_str(include_str!("../../tests/golden/sweep_keys.json")).unwrap();
-        let cfg = ProtocolConfig {
-            nodes: 60,
-            group_size: 4,
-            onions: 2,
-            copies: 2,
-            deadline: TimeDelta::new(720.0),
-            compromised: 6,
-            selection: RouteSelection::Uniform,
-        };
-        let opts = ExperimentOptions::builder()
-            .messages(7)
-            .realizations(3)
-            .seed(99)
-            .threads(4)
-            .faults(FaultPlan {
-                contact_failure: 0.1,
-                ..FaultPlan::default()
-            })
-            .wire(true)
-            .code(Some((2, 3)))
-            .build();
-        let sparse = SparseScenario { avg_degree: 9.5 };
-        let fault = vec![
-            default_fault_plan().to_value(),
-            DEFAULT_FAULT_INTENSITIES.to_value(),
-        ];
-        let code = vec![DEFAULT_CODE_GRID.to_value()];
-        for (command, axis) in [
-            ("point", vec![]),
-            ("deadline-sweep", vec![]),
-            ("security-sweep", vec![]),
-            ("trace:cambridge", vec![]),
-            ("fault-sweep", fault),
-            ("code-sweep", code),
-        ] {
-            let dense = resume_key(command, &cfg, &opts, axis.clone(), None);
-            assert_eq!(dense, golden[&format!("cli {command}")], "{command}");
-            if command != "trace:cambridge" {
-                let key = resume_key(command, &cfg, &opts, axis, Some(&sparse));
-                assert_eq!(key, golden[&format!("cli {command} sparse")], "{command}");
-            }
         }
     }
 

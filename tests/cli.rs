@@ -16,6 +16,7 @@ use obs::MetricsSnapshot;
 use onion_dtn::analysis;
 use onion_dtn::onion_routing::sweep::{default_security_grid, DEFAULT_FAULT_INTENSITIES};
 use onion_dtn::prelude::*;
+use serde::{Deserialize, Value};
 
 const BIN: &str = env!("CARGO_BIN_EXE_onion-dtn");
 
@@ -226,12 +227,13 @@ fn column_f64(rows: &[Vec<String>], index: usize) -> Vec<f64> {
         .collect()
 }
 
-/// A small Haggle trace: eight devices, 48 contacts every five minutes.
-fn haggle_trace() -> String {
+/// A small Haggle trace: eight devices, up to `meetings` one-minute
+/// contacts every five minutes (a device never meets itself).
+fn haggle_trace(meetings: u32) -> String {
     let mut text = String::from("# id_a id_b start end\n");
-    for i in 0..48u32 {
+    for i in 0..meetings {
         let a = 100 + i % 8;
-        let b = 100 + (i * 3 + 1) % 8;
+        let b = 100 + (i * 3 + 1 + i / 8) % 8;
         if a != b {
             let start = 1_000 + 300 * i;
             text.push_str(&format!("{a} {b} {start} {}\n", start + 60));
@@ -410,7 +412,7 @@ fn serve_on_an_occupied_port_exits_3() {
 fn strict_trace_parse_rejects_a_malformed_line_with_exit_3() {
     let dir = scratch_dir("strict-trace");
     let path = dir.join("dirty.txt");
-    std::fs::write(&path, format!("{}101 102 soon 900\n", haggle_trace())).unwrap();
+    std::fs::write(&path, format!("{}101 102 soon 900\n", haggle_trace(48))).unwrap();
     let path = path_arg(&path);
     run(["trace", path.as_str(), "--quiet"]).expect_io_error(&format!("parse {path}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -432,6 +434,20 @@ fn resume_checkpoint_of_another_configuration_exits_3() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A version-1 checkpoint, whose header held a fingerprint alone, is
+/// refused naming its version and left as it was.
+#[test]
+fn a_version_1_checkpoint_exits_3_naming_its_version() {
+    let dir = scratch_dir("resume-v1");
+    let cp = dir.join("cp.jsonl");
+    let v1 = format!("{{\"version\":1,\"fingerprint\":\"{}\"}}\n", "0".repeat(64));
+    std::fs::write(&cp, &v1).unwrap();
+    run(small("point", &["--resume", &path_arg(&cp), "--quiet"]))
+        .expect_io_error("checkpoint format version 1 is not supported");
+    assert_eq!(std::fs::read_to_string(&cp).unwrap(), v1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_into_a_missing_directory_exits_3() {
     let dir = scratch_dir("resume-missing");
@@ -442,7 +458,8 @@ fn resume_into_a_missing_directory_exits_3() {
 
 /// A checkpoint append that fails exits 3 and prints no row. The failure
 /// here is the file-size limit, with `SIGXFSZ` ignored so the write
-/// returns `EFBIG` instead of killing the process.
+/// returns `EFBIG` instead of killing the process. Two blocks hold the
+/// header (~700 bytes with its identity) but not every row after it.
 #[cfg(unix)]
 #[test]
 fn a_failed_checkpoint_append_exits_3() {
@@ -450,7 +467,7 @@ fn a_failed_checkpoint_append_exits_3() {
     let cp = path_arg(&dir.join("cp.jsonl"));
     let mut cmd = Command::new("sh");
     cmd.arg("-c")
-        .arg("trap '' XFSZ; ulimit -f 1; exec \"$0\" \"$@\"")
+        .arg("trap '' XFSZ; ulimit -f 2; exec \"$0\" \"$@\"")
         .arg(BIN)
         .args(small("fault-sweep", &["--resume", &cp, "--quiet"]))
         .stdin(Stdio::null());
@@ -494,7 +511,7 @@ fn point_prints_the_library_summary() {
 fn trace_file_point_prints_the_library_summary() {
     let dir = scratch_dir("trace-file");
     let path = dir.join("trace.txt");
-    let text = haggle_trace();
+    let text = haggle_trace(48);
     std::fs::write(&path, &text).unwrap();
     let r = run(["trace", &path_arg(&path), "--threads", "1", "--quiet"]);
 
@@ -534,8 +551,8 @@ fn lenient_trace_parse_skips_malformed_lines_within_the_ratio() {
     let dir = scratch_dir("lenient-trace");
     let clean = dir.join("clean.txt");
     let dirty = dir.join("dirty.txt");
-    std::fs::write(&clean, haggle_trace()).unwrap();
-    std::fs::write(&dirty, format!("{}101 102 soon 900\n", haggle_trace())).unwrap();
+    std::fs::write(&clean, haggle_trace(48)).unwrap();
+    std::fs::write(&dirty, format!("{}101 102 soon 900\n", haggle_trace(48))).unwrap();
     let clean_run = run(["trace", &path_arg(&clean), "--quiet"]);
     // One bad line among ~50: tolerated at a 10 % ratio, not at 1 %.
     let dirty_run = run([
@@ -585,16 +602,23 @@ fn deadline_sweep_walks_a_log_grid_up_to_the_deadline() {
     }
 }
 
-/// Below T ≈ 0.84 the grid's smallest deadlines round to 0 and are
-/// dropped; a `--t` that leaves none is a usage error naming `--t`.
+/// The grid ends at `--t` itself, unrounded. Below T ≈ 0.84 the smaller
+/// deadlines round to 0 or up to T and are dropped, so a tiny `--t`
+/// walks itself alone; `--t 0` leaves nothing and is a usage error
+/// naming `--t`.
 #[test]
 fn deadline_sweep_at_a_tiny_deadline_drops_the_points_that_round_to_zero() {
-    let r = run(small("deadline-sweep", &["--t", "0.5", "--quiet"]));
-    let rows = table_rows(&r.expect_ok().stdout);
-    assert_eq!(column_f64(&rows, 0), [0.1, 0.2, 0.3, 0.5]);
-    for t in ["0.04", "0"] {
-        run(small("deadline-sweep", &["--t", t])).expect_usage_error(&format!("--t {t}"));
+    for (t, grid) in [
+        ("0.5", &[0.1, 0.2, 0.3, 0.5][..]),
+        ("0.14", &[0.1, 0.14]),
+        ("0.05", &[0.05]),
+        ("0.04", &[0.04]),
+    ] {
+        let r = run(small("deadline-sweep", &["--t", t, "--quiet"]));
+        let rows = table_rows(&r.expect_ok().stdout);
+        assert_eq!(column_f64(&rows, 0), grid, "--t {t}");
     }
+    run(small("deadline-sweep", &["--t", "0"])).expect_usage_error("--t 0");
 }
 
 #[test]
@@ -973,6 +997,73 @@ fn resume_replays_a_finished_point_without_rewriting_the_checkpoint() {
         second.stderr
     );
     assert_eq!(std::fs::read(&cp).unwrap(), recorded);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint's header: its fingerprint and its identity JSON.
+fn checkpoint_header(path: &Path) -> (String, Value) {
+    let text = std::fs::read_to_string(path).expect("checkpoint file");
+    let header = serde_json::parse_value(text.lines().next().expect("header line")).unwrap();
+    let fingerprint = String::from_value(header.get("fingerprint").unwrap()).unwrap();
+    (fingerprint, header.get("identity").unwrap().clone())
+}
+
+/// A `point --resume` header's fingerprint is the key of the spec and
+/// options the flags describe, and its identity alone rebuilds a spec
+/// and options with that key, in a dense and a sparse world.
+#[test]
+fn resume_header_names_the_spec_behind_its_fingerprint() {
+    let dir = scratch_dir("resume-header");
+    for (sparse, spec) in [
+        (&[][..], SweepSpec::random_graph(small_config())),
+        (
+            &["--sparse-degree", "6"][..],
+            SweepSpec::sparse(small_config(), 6.0),
+        ),
+    ] {
+        let cp = dir.join(format!("cp{}.jsonl", sparse.len()));
+        let mut extra = vec!["--resume", cp.to_str().unwrap(), "--quiet"];
+        extra.extend(sparse);
+        run(small("point", &extra)).expect_ok();
+        let (fingerprint, identity) = checkpoint_header(&cp);
+        assert_eq!(fingerprint, spec.identity(&small_options()).key());
+        let rebuilt = SweepSpec::from_value(identity.get("spec").unwrap()).unwrap();
+        let opts = ExperimentOptions::from_value(identity.get("opts").unwrap()).unwrap();
+        assert_eq!(rebuilt, spec);
+        assert_eq!(rebuilt.identity(&opts).key(), fingerprint);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A trace checkpoint names the file's contents, not its path: after the
+/// file changes, its old checkpoint is refused instead of replaying the
+/// old file's rows, and a fresh one prints the new file's result.
+#[test]
+fn trace_resume_after_the_file_changes_never_replays_the_old_rows() {
+    let dir = scratch_dir("resume-trace-edit");
+    let (trace, cp, fresh) = (
+        dir.join("t.txt"),
+        dir.join("cp.jsonl"),
+        dir.join("new.jsonl"),
+    );
+    let args = |cp: &Path| {
+        let resume = ["--t", "36000", "--resume", &path_arg(cp), "--quiet"];
+        let mut args = vec!["trace".to_string(), path_arg(&trace)];
+        args.extend(resume.map(String::from));
+        args
+    };
+    std::fs::write(&trace, haggle_trace(400)).unwrap();
+    let old = run(args(&cp)).expect_ok().stdout.clone();
+    std::fs::write(&trace, haggle_trace(100)).unwrap();
+    let alone = run(["trace", &path_arg(&trace), "--t", "36000", "--quiet"]);
+    let alone = alone.expect_ok().stdout.clone();
+    assert_ne!(alone, old, "the edit must change the result");
+    let before = std::fs::read(&cp).unwrap();
+    let stale = run(args(&cp));
+    stale.expect_io_error("belongs to a different sweep configuration");
+    assert!(stale.stdout.is_empty(), "{}", stale.stdout);
+    assert_eq!(std::fs::read(&cp).unwrap(), before);
+    assert_eq!(run(args(&fresh)).expect_ok().stdout, alone);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -167,7 +167,7 @@ fn interrupted_fault_sweep_resumes_byte_identically() {
     // "Killed" run: only the first two points finish before the crash,
     // and the kill tears the final line of the checkpoint mid-write.
     let path = scratch.path("sweep.jsonl");
-    let fingerprint = Checkpoint::fingerprint(&("resume-test", &cfg));
+    let identity = spec.identity(&opts);
     let resume = |spec: &SweepSpec, cp: &Checkpoint| {
         let controls = SweepControls {
             cancel: None,
@@ -178,7 +178,7 @@ fn interrupted_fault_sweep_resumes_byte_identically() {
         rows.into_fault().expect("fault rows")
     };
     {
-        let cp = Checkpoint::open(&path, &fingerprint).unwrap();
+        let cp = Checkpoint::open(&path, &identity).unwrap();
         let partial = SweepSpec::random_graph(cfg.clone()).over_faults(plan, &intensities[..2]);
         resume(&partial, &cp);
     }
@@ -187,17 +187,29 @@ fn interrupted_fault_sweep_resumes_byte_identically() {
 
     // Resume: the surviving complete point replays from the file; the
     // torn one and the never-started one are recomputed.
-    let cp = Checkpoint::open(&path, &fingerprint).unwrap();
+    let cp = Checkpoint::open(&path, &identity).unwrap();
     assert_eq!(cp.len(), 1, "torn final entry must have been discarded");
     let resumed = resume(&spec, &cp);
     assert_eq!(cp.resumed_points(), 1);
     assert_eq!(serde_json::to_string(&resumed).unwrap(), reference_json);
 
     // A second full resume replays every point without recomputing.
-    let cp = Checkpoint::open(&path, &fingerprint).unwrap();
+    let cp = Checkpoint::open(&path, &identity).unwrap();
     let replayed = resume(&spec, &cp);
     assert_eq!(cp.resumed_points(), intensities.len() as u64);
     assert_eq!(serde_json::to_string(&replayed).unwrap(), reference_json);
+    drop(cp);
+
+    // The same spec under another realization count is another run.
+    let more = opts
+        .clone()
+        .into_builder()
+        .realizations(opts.realizations + 1);
+    let err = Checkpoint::open(&path, &spec.identity(&more.build())).unwrap_err();
+    assert!(
+        matches!(err, CheckpointError::FingerprintMismatch { .. }),
+        "{err}"
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Golden bit-equality suite for the sweep API.
 //!
-//! Two layers of protection:
+//! Three layers of protection:
 //!
 //! 1. **Committed golden `PointSummary` fixtures** — the dense
 //!    (`tests/golden/point_fig04_small.json`) and sparse
@@ -20,6 +20,11 @@
 //!    between two code paths. A spec without an `over_*` call runs the
 //!    point golden of its world.
 //!
+//! 3. **Committed golden keys** (`tests/golden/sweep_keys.json`) — the
+//!    `SweepSpec::identity` key of every scenario × axis cell and of the
+//!    fault and code row prefixes: the names of `--resume` checkpoints
+//!    and of serve's cached and stored responses.
+//!
 //! A last pair of tests pins the default security grid and fault sweep
 //! that serve and the CLI share.
 //!
@@ -36,6 +41,7 @@ use onion_routing::{
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use serde::Value;
 
 fn golden_path(name: &str) -> String {
     format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"))
@@ -443,6 +449,58 @@ fn security_trace_matches_golden() {
     );
 }
 
+/// The key of every scenario × axis cell, and of the fault and code row
+/// prefixes (the same spec with its grid emptied, under which serve
+/// stores each row), against the committed keys. A key names a `--resume`
+/// checkpoint and serve's cached and stored responses, so a drifted key
+/// silently orphans all of them: regenerate only on purpose.
+#[test]
+fn identity_keys_match_committed_golden() {
+    let (schedule, schedule_cfg) = schedule_fixture();
+    let trained = schedule.estimate_rates();
+    let worlds = [
+        ("random_graph", SweepSpec::random_graph(golden_cfg())),
+        (
+            "schedule",
+            SweepSpec::schedule(schedule_cfg.clone(), schedule.clone()),
+        ),
+        ("trace", SweepSpec::trace(schedule_cfg, schedule, trained)),
+        ("sparse", sparse_spec()),
+    ];
+    let opts = golden_opts(4)
+        .into_builder()
+        .faults(golden_plan())
+        .wire(true)
+        .code(Some((2, 3)))
+        .build();
+    let about = "Hex SHA-256 of SweepSpec::identity for each world of this suite \
+                 (its golden configs; a schedule enters as a digest) under its golden \
+                 options at threads 4, with the golden fault plan, wire mode and code \
+                 (2,3): deadlines [60,360,720], compromised [3,12] x 5 draws, the golden \
+                 plan over [0,0.5,1], rates [(1,2),(2,3)]; `rows` is a grid emptied.";
+    let mut keys = vec![("_about".to_string(), Value::Str(about.into()))];
+    let plan = golden_plan();
+    for (world, spec) in worlds {
+        for (axis, spec) in [
+            ("point", spec.clone()),
+            (
+                "deadline",
+                spec.clone().over_deadlines(&[60.0, 360.0, 720.0]),
+            ),
+            ("security", spec.clone().over_security(&[3, 12], 5)),
+            ("fault", spec.clone().over_faults(plan, &[0.0, 0.5, 1.0])),
+            ("fault rows", spec.clone().over_faults(plan, &[])),
+            ("code", spec.clone().over_code_rates(&[(1, 2), (2, 3)])),
+            ("code rows", spec.over_code_rates(&[])),
+        ] {
+            let key = spec.identity(&opts).key();
+            keys.push((format!("{world} {axis}"), Value::Str(key)));
+        }
+    }
+    let keys = serde_json::to_string_pretty(&Value::Object(keys)).unwrap();
+    assert_matches_golden("sweep_keys", &keys, "identity keys");
+}
+
 // ---------------------------------------------------------------------
 // The default grids serve and the CLI both fall back on when a sweep
 // names none. Each lives once, in `onion_routing::sweep`; these pin the
@@ -452,9 +510,11 @@ fn security_trace_matches_golden() {
 fn default_security_grid_is_rounded_percentages_at_least_one() {
     assert_eq!(default_security_grid(100), [1, 5, 10, 20, 30, 40, 50]);
     assert_eq!(default_security_grid(150), [2, 8, 15, 30, 45, 60, 75]);
-    // Small worlds floor every cell at one compromised node.
-    assert_eq!(default_security_grid(10), [1, 1, 1, 2, 3, 4, 5]);
-    assert_eq!(default_security_grid(1), [1, 1, 1, 1, 1, 1, 1]);
+    // Small worlds floor every cell at one compromised node, each count
+    // once.
+    assert_eq!(default_security_grid(12), [1, 2, 4, 5, 6]);
+    assert_eq!(default_security_grid(10), [1, 2, 3, 4, 5]);
+    assert_eq!(default_security_grid(1), [1]);
 }
 
 #[test]
