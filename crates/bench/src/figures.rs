@@ -4,7 +4,7 @@
 //! `tests/golden/figures/`.
 
 use crate::own;
-use crate::sweep::{At::*, Check::*, Dim, Grid, Side::*, SweepFigure, World, G, K, L};
+use crate::sweep::{At::*, Check::*, Dim, Grid, Memo, Side::*, SweepFigure, World, G, K, L};
 use crate::Trend::*;
 use crate::{Report, Sample, FIGURE_SAMPLE, SWEEP_SAMPLE};
 
@@ -14,7 +14,7 @@ pub(crate) enum Figure {
     Sweep(SweepFigure),
     /// A figure with its own code: its name and the function that
     /// prints, publishes and checks it.
-    Own(&'static str, fn(&mut Report)),
+    Own(&'static str, fn(&mut Memo, &mut Report)),
 }
 
 impl Figure {

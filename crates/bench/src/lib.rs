@@ -20,6 +20,7 @@ use std::process::ExitCode;
 
 use figures::{Figure, FIGURES};
 use onion_routing::ExperimentOptions;
+use sweep::Memo;
 
 mod figures;
 mod own;
@@ -236,14 +237,14 @@ pub fn run_figures(filter: &[String]) -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    let traces = sweep::Traces::default();
+    let mut memo = Memo::default();
     let mut failed = Vec::new();
     for fig in FIGURES {
         if filter.is_empty() || filter.iter().any(|f| fig.name().starts_with(f)) {
             let mut report = Report::new(fig.name());
             match fig {
-                Figure::Sweep(sweep) => sweep.run(&traces, &mut report),
-                Figure::Own(_, run) => run(&mut report),
+                Figure::Sweep(sweep) => sweep.run(&mut memo, &mut report),
+                Figure::Own(_, run) => run(&mut memo, &mut report),
             }
             if report.failures > 0 {
                 failed.push(format!("{} ({})", fig.name(), report.failures));

@@ -8,13 +8,13 @@ use dtn_sim::{
     random_endpoints, run, DropPolicy, RoutingProtocol, SimConfig, SimReport, WorkloadBuilder,
 };
 use onion_routing::{
-    destination_exposure, run_random_graph_point, run_tps_message, tps_cost_bound,
-    ExperimentOptions, ForwardingMode, OnionGroups, OnionRouting, ProtocolConfig, RouteSelection,
-    TpsConfig,
+    destination_exposure, run_tps_message, tps_cost_bound, ExperimentOptions, ForwardingMode,
+    OnionGroups, OnionRouting, ProtocolConfig, RouteSelection, TpsConfig,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::sweep::Memo;
 use crate::{sample_size, FigureTable, Report, Sample, Trend, FIGURE_SAMPLE};
 
 /// Figure 11: number of message transmissions w.r.t. the number of copies
@@ -27,7 +27,7 @@ use crate::{sample_size, FigureTable, Report, Sample, Trend, FIGURE_SAMPLE};
 /// Expected shape (paper): cost grows with L; the analysis bound sits just
 /// above the simulation; anonymity costs a constant factor over the
 /// non-anonymous baseline.
-pub(crate) fn fig11_transmission_cost(report: &mut Report) {
+pub(crate) fn fig11_transmission_cost(memo: &mut Memo, report: &mut Report) {
     /// Simulated mean transmissions of non-anonymous source spray-and-wait.
     fn spray_cost(l: u32, opts: &ExperimentOptions) -> f64 {
         let mut total = 0.0;
@@ -79,7 +79,7 @@ pub(crate) fn fig11_transmission_cost(report: &mut Report) {
             copies: l,
             ..ProtocolConfig::table2_defaults()
         };
-        let point = run_random_graph_point(&cfg, &opts);
+        let point = memo.point(&cfg, &opts);
         let spray = spray_cost(l, &opts);
         table.push_row(
             l as f64,
@@ -109,7 +109,7 @@ pub(crate) fn fig11_transmission_cost(report: &mut Report) {
 
 /// Table II: the simulation parameter set, plus a single default-point run
 /// pairing every analytical model with its simulated counterpart.
-pub(crate) fn table2_defaults(_: &mut Report) {
+pub(crate) fn table2_defaults(memo: &mut Memo, _: &mut Report) {
     let cfg = ProtocolConfig::table2_defaults();
 
     println!("\n=== Table II: Simulation parameters ===");
@@ -134,7 +134,7 @@ pub(crate) fn table2_defaults(_: &mut Report) {
     );
 
     let opts = FIGURE_SAMPLE.options();
-    let point = run_random_graph_point(&cfg, &opts);
+    let point = memo.point(&cfg, &opts);
     let mut table = FigureTable::new(
         "Default-point summary (Table II settings)",
         "metric_idx",
@@ -167,7 +167,7 @@ pub(crate) fn table2_defaults(_: &mut Report) {
 /// Shows where the closed form loses precision as stage rates approach
 /// each other, and that the fallback stays accurate (validated against a
 /// 4-stage Erlang reference at exact equality).
-pub(crate) fn ablation_hypoexp(_: &mut Report) {
+pub(crate) fn ablation_hypoexp(_: &mut Memo, _: &mut Report) {
     /// Erlang(k, λ) CDF for the exact-equality reference.
     fn erlang_cdf(k: usize, lambda: f64, t: f64) -> f64 {
         let mut sum = 0.0;
@@ -240,7 +240,7 @@ pub(crate) fn ablation_hypoexp(_: &mut Report) {
 ///
 /// Quantifies the small-`c/n` assumption: the approximation tracks the
 /// exact value for small compromise probabilities and drifts as p grows.
-pub(crate) fn ablation_traceable(_: &mut Report) {
+pub(crate) fn ablation_traceable(_: &mut Memo, _: &mut Report) {
     fn monte_carlo(eta: usize, p: f64, trials: usize, rng: &mut ChaCha8Rng) -> f64 {
         let mut total = 0.0;
         for _ in 0..trials {
@@ -289,7 +289,7 @@ pub(crate) fn ablation_traceable(_: &mut Report) {
 /// The ARDEN variant anchors the last onion group to the destination's
 /// group, trading route randomness for destination anonymity at the final
 /// hop.
-pub(crate) fn ablation_group_selection(_: &mut Report) {
+pub(crate) fn ablation_group_selection(memo: &mut Memo, _: &mut Report) {
     let opts = FIGURE_SAMPLE.options();
     let mut table = FigureTable::new(
         "Ablation: route selection policy (Table II defaults, T = 1080 min)",
@@ -311,7 +311,7 @@ pub(crate) fn ablation_group_selection(_: &mut Report) {
             deadline: TimeDelta::new(1080.0),
             ..ProtocolConfig::table2_defaults()
         };
-        let point = run_random_graph_point(&cfg, &opts);
+        let point = memo.point(&cfg, &opts);
         table.push_row(
             (idx + 1) as f64,
             [
@@ -340,7 +340,7 @@ pub(crate) fn ablation_group_selection(_: &mut Report) {
 /// Expected shape: epidemic delivers most at the highest cost; onion
 /// routing pays the (K + 2)·L detour for anonymity; direct delivery is
 /// cheapest and slowest.
-pub(crate) fn ablation_spray(report: &mut Report) {
+pub(crate) fn ablation_spray(_: &mut Memo, report: &mut Report) {
     fn evaluate<P: RoutingProtocol>(
         label: &str,
         protocol: &mut P,
@@ -443,7 +443,7 @@ pub(crate) fn ablation_spray(report: &mut Report) {
 /// `K`-group detour (lower delay) but reveals the destination to the
 /// pivot — the paper's stated criticism. This bench quantifies both
 /// sides.
-pub(crate) fn ablation_tps(_: &mut Report) {
+pub(crate) fn ablation_tps(memo: &mut Memo, _: &mut Report) {
     let deadline = 120.0;
     let n = 100;
     let sample = Sample {
@@ -490,7 +490,7 @@ pub(crate) fn ablation_tps(_: &mut Report) {
     // Onion side: same network scale, Table II defaults at the same
     // deadline, single copy.
     let opts = sample.options();
-    let onion_point = run_random_graph_point(
+    let onion_point = memo.point(
         &ProtocolConfig {
             deadline: TimeDelta::new(deadline),
             ..ProtocolConfig::table2_defaults()
@@ -548,7 +548,7 @@ pub(crate) fn ablation_tps(_: &mut Report) {
 /// The abstract model assumes nodes always have room; this sweep shows at
 /// what buffer size that assumption starts to matter for the onion
 /// protocol (hardly at all — single-custody) vs epidemic routing (a lot).
-pub(crate) fn ablation_buffers(_: &mut Report) {
+pub(crate) fn ablation_buffers(_: &mut Memo, _: &mut Report) {
     const REPS: u64 = 5;
     fn evaluate<P, F>(make_protocol: F, capacity: Option<usize>) -> (f64, f64)
     where

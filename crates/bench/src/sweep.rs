@@ -3,9 +3,10 @@
 //! analysis beside simulation, publishes the CSV and checks the shape.
 
 use std::cell::OnceCell;
+use std::collections::HashMap;
 
 use contact_graph::{ContactGraph, ContactSchedule, TimeDelta};
-use onion_routing::{ProtocolConfig, SweepReport, SweepSpec};
+use onion_routing::{ExperimentOptions, PointSummary, ProtocolConfig, SweepReport, SweepSpec};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use traces::{estimate_active_rates, ActivityPattern, SyntheticTraceBuilder};
@@ -65,11 +66,11 @@ impl World {
         }
     }
 
-    fn spec(self, config: ProtocolConfig, traces: &Traces) -> SweepSpec {
+    fn spec(self, config: ProtocolConfig, memo: &Memo) -> SweepSpec {
         match self {
             World::RandomGraph => SweepSpec::random_graph(config),
             World::Cambridge { trained } => {
-                let (trace, rates) = traces.cambridge.get_or_init(|| {
+                let (trace, rates) = memo.cambridge.get_or_init(|| {
                     let trace =
                         build_trace("Cambridge", SyntheticTraceBuilder::cambridge_like(), 0xCA3B);
                     let rates = estimate_active_rates(&trace, &ActivityPattern::business_hours());
@@ -82,7 +83,7 @@ impl World {
             }
             World::Infocom => {
                 let infocom = SyntheticTraceBuilder::infocom05_like();
-                let trace = traces
+                let trace = memo
                     .infocom
                     .get_or_init(|| build_trace("Infocom'05", infocom, 0x1F0C));
                 SweepSpec::schedule(config, trace.clone())
@@ -91,12 +92,29 @@ impl World {
     }
 }
 
-/// The synthetic traces (with Cambridge's trained rates), each built on
-/// first use and then shared by every figure that replays it.
+/// What a figures run builds once and every figure shares: the synthetic
+/// traces (with Cambridge's trained rates), and each sweep or point, run
+/// once per [`SweepSpec::identity`] (Table II, say, is Fig. 11 at L = 1).
 #[derive(Default)]
-pub(crate) struct Traces {
+pub(crate) struct Memo {
     cambridge: OnceCell<(ContactSchedule, ContactGraph)>,
     infocom: OnceCell<ContactSchedule>,
+    reports: HashMap<String, SweepReport>,
+}
+
+impl Memo {
+    /// `spec`'s report under `opts`, run on first use.
+    pub(crate) fn run(&mut self, spec: &SweepSpec, opts: &ExperimentOptions) -> SweepReport {
+        let key = spec.identity(opts).key();
+        let report = self.reports.entry(key).or_insert_with(|| spec.run(opts));
+        report.clone()
+    }
+
+    /// The point `run_random_graph_point(cfg, opts)` runs.
+    pub(crate) fn point(&mut self, cfg: &ProtocolConfig, opts: &ExperimentOptions) -> PointSummary {
+        let report = self.run(&SweepSpec::random_graph(cfg.clone()), opts);
+        report.into_point().expect("a point spec")
+    }
 }
 
 fn build_trace(name: &str, builder: SyntheticTraceBuilder, seed: u64) -> ContactSchedule {
@@ -282,7 +300,7 @@ impl Check {
 impl SweepFigure {
     /// Runs the figure: one sweep per distinct config, then the table,
     /// its CSV and the checks.
-    pub(crate) fn run(&self, traces: &Traces, report: &mut Report) {
+    pub(crate) fn run(&self, memo: &mut Memo, report: &mut Report) {
         let opts = self.sample.options();
         let grid = self.grid.values();
         let walks_grid = matches!(self.x, Dim::Grid) || matches!(self.series, Dim::Grid);
@@ -305,30 +323,25 @@ impl SweepFigure {
             Dim::One(label) => vec![label.to_string()],
         };
 
-        let mut sweeps: Vec<(ProtocolConfig, Vec<Cell>)> = Vec::new();
+        // One sweep per pair of field values, in x order: its cells extend
+        // every series when the series walk the grid, else its own.
+        let series_walk_grid = matches!(self.series, Dim::Grid);
+        let fields = |dim| match dim {
+            Dim::Field(field, vals) => vals.iter().map(|&v| Some((field, v))).collect(),
+            Dim::Grid | Dim::One(_) => vec![None],
+        };
         let mut values = vec![Vec::with_capacity(xs.len()); labels.len()];
-        for i in 0..xs.len() {
-            for (j, series) in values.iter_mut().enumerate() {
+        for x in fields(self.x) {
+            for (j, series) in fields(self.series).into_iter().enumerate() {
                 let mut config = self.world.config();
-                for (dim, k) in [(self.x, i), (self.series, j)] {
-                    if let Dim::Field(field, vals) = dim {
-                        (field.0)(&mut config, vals[k]);
-                    }
+                for (field, v) in [x, series].into_iter().flatten() {
+                    (field.0)(&mut config, v);
                 }
-                let k = match sweeps.iter().position(|(c, _)| *c == config) {
-                    Some(k) => k,
-                    None => {
-                        let spec = self.grid.over(self.world.spec(config.clone(), traces));
-                        sweeps.push((config, self.grid.cells(spec.run(&opts))));
-                        sweeps.len() - 1
-                    }
-                };
-                let at = match (self.x, self.series) {
-                    (Dim::Grid, _) => i,
-                    (_, Dim::Grid) => j,
-                    _ => 0,
-                };
-                series.push(sweeps[k].1[at]);
+                let spec = self.grid.over(self.world.spec(config, memo));
+                let cells = self.grid.cells(memo.run(&spec, &opts));
+                for (k, cell) in cells.into_iter().enumerate() {
+                    values[if series_walk_grid { k } else { j }].push(cell);
+                }
             }
         }
 
@@ -423,5 +436,42 @@ mod tests {
             check.apply(curves, &mut report);
             assert_eq!(report.failures, failures, "{check:?}");
         }
+    }
+
+    /// The memo computes each identity once: its point equals the
+    /// library's, and a second request for the same spec and options,
+    /// at another thread count, replays the stored report (here a
+    /// planted one) instead of running.
+    #[test]
+    fn the_memo_computes_each_identity_once() {
+        let cfg = ProtocolConfig {
+            nodes: 20,
+            group_size: 2,
+            onions: 2,
+            compromised: 2,
+            deadline: contact_graph::TimeDelta::new(120.0),
+            ..ProtocolConfig::table2_defaults()
+        };
+        let opts = |threads| {
+            Sample::new(7, 2, 3)
+                .options()
+                .into_builder()
+                .threads(threads)
+                .build()
+        };
+        let mut memo = Memo::default();
+        let point = memo.point(&cfg, &opts(1));
+        assert_eq!(point, onion_routing::run_random_graph_point(&cfg, &opts(1)));
+        let planted = PointSummary {
+            delivered: point.delivered + 1,
+            ..point
+        };
+        let key = SweepSpec::random_graph(cfg.clone())
+            .identity(&opts(1))
+            .key();
+        memo.reports
+            .insert(key, SweepReport::Point(Box::new(planted.clone())));
+        assert_eq!(memo.point(&cfg, &opts(2)), planted);
+        assert_eq!(memo.reports.len(), 1);
     }
 }

@@ -24,7 +24,8 @@
 //! setting. Realizations run panic-isolated
 //! ([`crate::runner::run_trials_resilient`]): a panicking trial is
 //! retried once on a deterministic disambiguated sub-seed and quarantined
-//! if it fails again.
+//! if it fails again, which stops the run with a typed
+//! [`SweepRunError::Quarantined`] unless `keep_going` tolerates it.
 
 use contact_graph::{ContactModel, ContactSchedule, NodeId};
 use dtn_sim::{fragment_id, FaultPlan, Message, MessageId, SimCounters, StreamingStats};
@@ -35,7 +36,7 @@ use crate::adversary::Adversary;
 use crate::config::ProtocolConfig;
 use crate::metrics;
 use crate::runner::RunnerConfig;
-use crate::sweep::{check_world, SecurityAxis, SparseScenario};
+use crate::sweep::{check_world, SecurityAxis, SparseScenario, SweepRunError};
 use crate::trial::{self, Scorer, Trial, World};
 
 /// Knobs that are about the experiment, not the protocol.
@@ -68,7 +69,8 @@ pub struct ExperimentOptions {
     /// Whether quarantined trial failures (a trial panicking on both its
     /// original seed and its deterministic retry) are tolerated: `true`
     /// records them in the summary and continues, `false` (the default)
-    /// aborts the experiment with a [`TRIAL_FAILURE_ABORT`] panic.
+    /// stops the run with [`SweepRunError::Quarantined`]. A run policy,
+    /// like `threads`: the identity zeroes it.
     pub keep_going: bool,
     /// Wire mode: move (and peel) real constant-size ciphertext on every
     /// forward, tallying bytes and AEAD operations into the summary's
@@ -259,11 +261,6 @@ impl ExperimentOptionsBuilder {
     }
 }
 
-/// Marker prefix of the panic raised when quarantined trial failures
-/// abort an experiment (`keep_going == false`). The CLI maps panics
-/// carrying this prefix to its trial-failure exit code.
-pub const TRIAL_FAILURE_ABORT: &str = "experiment aborted: quarantined trial failure";
-
 /// Aggregated analysis-vs-simulation values for one parameter point.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PointSummary {
@@ -306,10 +303,11 @@ pub struct PointSummary {
 ///
 /// # Panics
 ///
-/// Panics if `cfg` or `opts` fail validation (see
-/// [`SweepSpec::validate`](crate::SweepSpec::validate)).
+/// With the [`SweepRunError`]'s text if `cfg` or `opts` fail validation
+/// (see [`SweepSpec::validate`](crate::SweepSpec::validate)) or, with
+/// `keep_going` unset, when a realization is quarantined.
 pub fn run_random_graph_point(cfg: &ProtocolConfig, opts: &ExperimentOptions) -> PointSummary {
-    point(World::RandomGraph, cfg, opts)
+    point(World::RandomGraph, cfg, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs one trace-driven data point over `schedule` (synthetic or parsed
@@ -318,14 +316,14 @@ pub fn run_random_graph_point(cfg: &ProtocolConfig, opts: &ExperimentOptions) ->
 ///
 /// # Panics
 ///
-/// Panics if `cfg.nodes` does not match the schedule's node count or the
-/// config is otherwise invalid.
+/// As [`run_random_graph_point`], and if `cfg.nodes` does not match the
+/// schedule's node count.
 pub fn run_schedule_point(
     schedule: &ContactSchedule,
     cfg: &ProtocolConfig,
     opts: &ExperimentOptions,
 ) -> PointSummary {
-    point(World::Schedule(schedule, None), cfg, opts)
+    point(World::Schedule(schedule, None), cfg, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs one data point on sparse proximity worlds: each realization
@@ -346,14 +344,14 @@ pub fn run_schedule_point(
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails validation or `sparse.avg_degree` is not
+/// As [`run_random_graph_point`], and if `sparse.avg_degree` is not
 /// positive and finite.
 pub fn run_sparse_point(
     cfg: &ProtocolConfig,
     sparse: &SparseScenario,
     opts: &ExperimentOptions,
 ) -> PointSummary {
-    point(World::Sparse(sparse), cfg, opts)
+    point(World::Sparse(sparse), cfg, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One point on `world`: the body of every `run_*_point`, of the point
@@ -362,15 +360,13 @@ pub(crate) fn point(
     world: World<'_>,
     cfg: &ProtocolConfig,
     opts: &ExperimentOptions,
-) -> PointSummary {
-    if let Err(e) = check_world(world, cfg, opts) {
-        panic!("{e}");
-    }
-    let (acc, failures) = trial::run(world, cfg, opts, &PointScorer);
-    PointSummary {
+) -> Result<PointSummary, SweepRunError> {
+    check_world(world, cfg, opts).map_err(SweepRunError::Invalid)?;
+    let (acc, failures) = trial::run(world, cfg, opts, &PointScorer)?;
+    Ok(PointSummary {
         trial_failures: failures,
         ..acc.finish(cfg, opts.code)
-    }
+    })
 }
 
 /// The point scorer: every series of a [`PointSummary`], with one

@@ -58,7 +58,6 @@ pub use crypto::{OnionCryptoContext, WalkError};
 pub use experiment::{
     run_random_graph_point, run_schedule_point, run_sparse_point, CodeSweepRow, DeliverySweepRow,
     ExperimentOptions, ExperimentOptionsBuilder, FaultSweepRow, PointSummary, SecuritySweepRow,
-    TRIAL_FAILURE_ABORT,
 };
 pub use groups::{GroupId, OnionGroups};
 pub use protocol::{ForwardingMode, OnionRouting, CODED_PAYLOAD_LEN};

@@ -324,7 +324,7 @@ pub struct TrialFailure {
 }
 
 /// Renders a `catch_unwind` payload as text.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -345,7 +345,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// trial order — so when no trial fails the result is bit-identical to
 /// the non-resilient path, and the outcome is deterministic in general
 /// because the retry stream is a pure function of `(trial, attempt)`.
-/// Failures are returned in ascending trial order.
+/// Failures are returned in ascending trial order, for the caller to
+/// report.
 ///
 /// The process-global panic hook still prints each caught panic to
 /// stderr; quarantine only controls propagation, not reporting.
@@ -403,15 +404,7 @@ where
     };
     run_trials(config, trials, guarded, acc, |acc, i, out| match out {
         Ok(out) => fold(acc, i, out),
-        Err(failure) => {
-            obs::error!(
-                "onion_routing::runner",
-                "trial {i} quarantined after {} attempts: {}",
-                failure.attempts,
-                failure.message,
-            );
-            failures.push(failure);
-        }
+        Err(failure) => failures.push(failure),
     });
     if !failures.is_empty() {
         obs::counter_add("runner.trials_quarantined", failures.len() as u64);

@@ -35,7 +35,8 @@
 //! [`SweepSpec::run_controlled`] is the one entry point: its
 //! [`SweepControls`] carry a cancel hook and the [`RowCache`] that
 //! persists finished rows (the CLI's `--resume` checkpoint, the serving
-//! daemon's disk store). `SweepSpec` itself is serde-able, so a sweep
+//! daemon's disk store), and returns every way a run stops short as one
+//! [`SweepRunError`]. `SweepSpec` itself is serde-able, so a sweep
 //! description can be shipped over the serving API, and
 //! [`SweepSpec::identity`] names its results: one key for the
 //! checkpoint that resumes it and the cache entry that serves it.
@@ -50,6 +51,7 @@ use crate::experiment::{
     point, CodeSweepRow, DeadlineScorer, DeliverySweepRow, ExperimentOptions, FaultSweepRow,
     PointSummary, SecurityScorer, SecuritySweepRow,
 };
+use crate::runner::TrialFailure;
 use crate::trial::{self, World, SWEEP_SPAN};
 
 /// Where a sweep's contacts (and analysis-side rates) come from.
@@ -196,7 +198,8 @@ const IDENTITY_VERSION: u32 = 1;
 /// "opts"}` that [`SweepSpec::identity`] builds. Its [`key`](Self::key)
 /// is every `--resume` checkpoint fingerprint and every serve cache and
 /// store key, so two runs share a key exactly when they run the same
-/// spec under the same options, `threads` aside.
+/// spec under the same options, the run policies `threads` and
+/// `keep_going` aside.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Identity(Value);
 
@@ -239,7 +242,7 @@ pub enum SweepReport {
 }
 
 /// Why [`SweepSpec::run_controlled`] stopped without a full report.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SweepRunError {
     /// [`SweepSpec::validate`] rejected the spec; no trial ran.
     Invalid(SweepError),
@@ -252,6 +255,14 @@ pub enum SweepRunError {
         /// Rows the sweep would have produced.
         total: usize,
     },
+    /// A trial panicked on its seed and on its retry, and
+    /// [`ExperimentOptions::keep_going`] was unset.
+    Quarantined {
+        /// The run that lost them: `<world>_point`, `<axis>_sweep_<world>`.
+        label: String,
+        /// The quarantined trials, in trial order.
+        failures: Vec<TrialFailure>,
+    },
 }
 
 impl std::fmt::Display for SweepRunError {
@@ -260,6 +271,11 @@ impl std::fmt::Display for SweepRunError {
             SweepRunError::Invalid(e) => write!(f, "{e}"),
             SweepRunError::Cancelled { completed, total } => {
                 write!(f, "cancelled after {completed} of {total} row(s)")
+            }
+            SweepRunError::Quarantined { label, failures } => {
+                let TrialFailure { trial, message, .. } = &failures[0];
+                write!(f, "{label}: {} trial(s) failed twice", failures.len())?;
+                write!(f, ", first trial {trial}: {message}")
             }
         }
     }
@@ -277,7 +293,9 @@ impl std::error::Error for SweepRunError {}
 /// its grid (`point`, `deadlines=<grid>`, `compromised=<grid>;draws=<n>`).
 /// Row JSON round-trips exactly (the vendored serde guarantees exact f64
 /// round-trips), so replayed rows are byte-identical to computed ones; a
-/// stored row that does not parse as the row type is computed again.
+/// stored row that does not parse as the row type is computed again. A
+/// row is offered only when none of its trials was quarantined, so a
+/// replayed row is never missing trials.
 pub trait RowCache {
     /// Returns the stored JSON for `key`, if any.
     fn load(&self, key: &str) -> Option<String>;
@@ -298,45 +316,39 @@ pub struct SweepControls<'a> {
     pub rows: Option<&'a (dyn RowCache + Sync)>,
 }
 
+/// A computed row and the count of quarantined trials it tolerated.
+type Counted<R> = Result<(R, u64), SweepRunError>;
+
 impl SweepControls<'_> {
     /// Polls the cancel hook, stopping the sweep after `completed` of
-    /// `total` rows when it fires.
-    fn poll(&self, completed: usize, total: usize) -> Result<(), SweepRunError> {
-        match self.cancel.is_some_and(|hook| hook()) {
-            true => Err(SweepRunError::Cancelled { completed, total }),
-            false => Ok(()),
+    /// `total` rows when it fires; then the row stored under `key`, or
+    /// else `compute`'s, offered to the row cache only when it tolerated
+    /// no quarantined trial.
+    fn row<R: Serialize + DeserializeOwned>(
+        &self,
+        (completed, total): (usize, usize),
+        key: &str,
+        compute: impl FnOnce() -> Counted<R>,
+    ) -> Result<R, SweepRunError> {
+        if self.cancel.is_some_and(|hook| hook()) {
+            return Err(SweepRunError::Cancelled { completed, total });
         }
-    }
-
-    /// The row stored under `key`, or else `compute`'s, offered to the
-    /// row cache under `key`.
-    fn row<R: Serialize + DeserializeOwned>(&self, key: &str, compute: impl FnOnce() -> R) -> R {
         let Some(cache) = self.rows else {
-            return compute();
+            return compute().map(|(row, _)| row);
         };
         if let Some(row) = cache
             .load(key)
             .and_then(|json| serde_json::from_str(&json).ok())
         {
-            return row;
+            return Ok(row);
         }
-        let row = compute();
-        if let Ok(json) = serde_json::to_string(&row) {
-            cache.save(key, &json);
+        let (row, tolerated) = compute()?;
+        if tolerated == 0 {
+            if let Ok(json) = serde_json::to_string(&row) {
+                cache.save(key, &json);
+            }
         }
-        row
-    }
-
-    /// A one-pass axis: one poll, then the whole `total`-row result as
-    /// one stored row.
-    fn one_pass<R: Serialize + DeserializeOwned>(
-        &self,
-        total: usize,
-        key: &str,
-        compute: impl FnOnce() -> R,
-    ) -> Result<R, SweepRunError> {
-        self.poll(0, total)?;
-        Ok(self.row(key, compute))
+        Ok(row)
     }
 }
 
@@ -522,8 +534,9 @@ impl SweepSpec {
     }
 
     /// The identity of this spec's results under `opts`: the spec and the
-    /// options with `threads` zeroed, since results are bit-identical for
-    /// every thread count. A scenario that carries a contact schedule
+    /// options with `threads` and `keep_going` zeroed, since results are
+    /// bit-identical for every thread count and one that tolerated a
+    /// quarantine is never stored. A scenario that carries a contact schedule
     /// (`Schedule`, `Trace`) enters as the SHA-256 of its JSON with the
     /// schedule's node and contact counts, not inline, so an edited trace
     /// file gets a new key; the other scenarios enter as themselves.
@@ -550,6 +563,7 @@ impl SweepSpec {
         ]);
         let opts = ExperimentOptions {
             threads: 0,
+            keep_going: false,
             ..opts.clone()
         };
         Identity(Value::Object(vec![
@@ -563,8 +577,8 @@ impl SweepSpec {
     ///
     /// # Panics
     ///
-    /// Panics with the error's text if [`SweepSpec::validate`] rejects
-    /// the spec, or — with `keep_going` unset — when a realization is
+    /// With the [`SweepRunError`]'s text: when [`SweepSpec::validate`]
+    /// rejects the spec or, with `keep_going` unset, when a realization is
     /// quarantined.
     pub fn run(&self, opts: &ExperimentOptions) -> SweepReport {
         self.run_controlled(opts, &SweepControls::default())
@@ -579,13 +593,10 @@ impl SweepSpec {
     /// # Errors
     ///
     /// [`SweepRunError::Invalid`] when [`SweepSpec::validate`] rejects
-    /// the spec, [`SweepRunError::Cancelled`] when the cancel hook fires
-    /// — rows completed up to that point have already been offered to
-    /// the `RowCache`.
-    ///
-    /// # Panics
-    ///
-    /// With `keep_going` unset, when a realization is quarantined.
+    /// the spec, [`SweepRunError::Cancelled`] when the cancel hook fires,
+    /// and [`SweepRunError::Quarantined`] when a realization is
+    /// quarantined with `keep_going` unset. Rows completed before either
+    /// of the last two have already been offered to the `RowCache`.
     pub fn run_controlled(
         &self,
         opts: &ExperimentOptions,
@@ -594,16 +605,23 @@ impl SweepSpec {
         self.validate(opts).map_err(SweepRunError::Invalid)?;
         let (world, cfg) = (self.world(), self.run_config());
         let label = |axis: &str| format!("{axis}_sweep_{}", world.label());
+        let point_row = |opts: &ExperimentOptions| {
+            point(world, &cfg, opts).map(|summary| {
+                let tolerated = summary.trial_failures;
+                (summary, tolerated)
+            })
+        };
         match &self.axis {
             SweepAxis::Point => controls
-                .one_pass(1, "point", || point(world, &cfg, opts))
+                .row((0, 1), "point", || point_row(opts))
                 .map(|summary| SweepReport::Point(Box::new(summary))),
             SweepAxis::Deadline(deadlines) => {
                 let key = format!("deadlines={}", joined(deadlines));
                 controls
-                    .one_pass(deadlines.len(), &key, || {
-                        let (sums, _) = trial::run(world, &cfg, opts, &DeadlineScorer(deadlines));
-                        sums.rows(deadlines)
+                    .row((0, deadlines.len()), &key, || {
+                        let (sums, tolerated) =
+                            trial::run(world, &cfg, opts, &DeadlineScorer(deadlines))?;
+                        Ok((sums.rows(deadlines), tolerated))
                     })
                     .map(SweepReport::Delivery)
             }
@@ -611,9 +629,10 @@ impl SweepSpec {
                 let (cs, draws) = (&axis.compromised, axis.adversary_draws);
                 let key = format!("compromised={};draws={draws}", joined(cs));
                 controls
-                    .one_pass(cs.len(), &key, || {
-                        let (sums, _) = trial::run(world, &cfg, opts, &SecurityScorer(axis));
-                        sums.rows(&cfg, cs)
+                    .row((0, cs.len()), &key, || {
+                        let (sums, tolerated) =
+                            trial::run(world, &cfg, opts, &SecurityScorer(axis))?;
+                        Ok((sums.rows(&cfg, cs), tolerated))
                     })
                     .map(SweepReport::Security)
             }
@@ -623,13 +642,14 @@ impl SweepSpec {
                 |intensity| format!("intensity={intensity}"),
                 |&intensity| {
                     let plan = axis.base_plan.scaled(intensity);
-                    let opts = opts.clone().into_builder().faults(plan).build();
-                    let summary = point(world, &cfg, &opts);
-                    FaultSweepRow {
+                    let (summary, tolerated) =
+                        point_row(&opts.clone().into_builder().faults(plan).build())?;
+                    let row = FaultSweepRow {
                         intensity,
                         plan,
                         summary,
-                    }
+                    };
+                    Ok((row, tolerated))
                 },
                 controls,
             )
@@ -639,9 +659,9 @@ impl SweepSpec {
                 &axis.rates,
                 |(k, m)| format!("code={k}/{m}"),
                 |&(k, m)| {
-                    let opts = opts.clone().into_builder().code(Some((k, m))).build();
-                    let summary = point(world, &cfg, &opts);
-                    CodeSweepRow { k, m, summary }
+                    let (summary, tolerated) =
+                        point_row(&opts.clone().into_builder().code(Some((k, m))).build())?;
+                    Ok((CodeSweepRow { k, m, summary }, tolerated))
                 },
                 controls,
             )
@@ -756,19 +776,19 @@ pub(crate) fn check_world(
 
 /// The fault and code axes' row loop: one full point per grid entry,
 /// stored under `key(entry)`. The cancel hook is polled before each row,
-/// so a cancelled sweep keeps the rows it paid for.
+/// so a cancelled or quarantined sweep keeps the rows it paid for.
 fn row_sweep<T, R: Serialize + DeserializeOwned>(
     label: &str,
     grid: &[T],
     key: impl Fn(&T) -> String,
-    compute: impl Fn(&T) -> R,
+    compute: impl Fn(&T) -> Counted<R>,
     controls: &SweepControls<'_>,
 ) -> Result<Vec<R>, SweepRunError> {
     let span = obs::span(SWEEP_SPAN);
     let mut rows = Vec::with_capacity(grid.len());
     for entry in grid {
-        controls.poll(rows.len(), grid.len())?;
-        rows.push(controls.row(&key(entry), || compute(entry)));
+        let done = (rows.len(), grid.len());
+        rows.push(controls.row(done, &key(entry), || compute(entry))?);
     }
     drop(span);
     obs::flush_point(label);
@@ -800,8 +820,10 @@ mod tests {
         assert_eq!(back, spec);
     }
 
-    /// The identity names the results, not the run: `threads` leaves the
-    /// key alone, any other option or the grid moves it, and a generated
+    /// The identity names the results, not the run: the run policies
+    /// `threads` and `keep_going` leave the key alone (a result that
+    /// tolerated a quarantine is never stored), any other option or the
+    /// grid moves it, and a generated
     /// world's identity holds its spec verbatim. A schedule enters as a
     /// digest, so an edited schedule moves the key.
     #[test]
@@ -822,7 +844,7 @@ mod tests {
         assert_eq!(key.len(), 64);
         assert_eq!(spec.identity(&with(|b| b.threads(7))).key(), key);
         assert_ne!(spec.identity(&with(|b| b.seed(20))).key(), key);
-        assert_ne!(spec.identity(&with(|b| b.keep_going(true))).key(), key);
+        assert_eq!(spec.identity(&with(|b| b.keep_going(true))).key(), key);
         let shorter = spec.clone().over_deadlines(&[50.0]);
         assert_ne!(shorter.identity(&opts).key(), key);
         let value = serde_json::parse_value(&spec.identity(&opts).json()).unwrap();
@@ -1117,6 +1139,39 @@ mod tests {
             assert_eq!(spec.run_controlled(&opts, &controls).unwrap(), computed);
             assert_eq!(cache.load(key), Some(report_json(&computed)), "{key}");
         }
+    }
+
+    /// A row that tolerated a quarantined trial is returned but never
+    /// offered to the row cache, and one stopped by a quarantine saves
+    /// nothing: only a complete row is ever replayed.
+    #[test]
+    fn only_a_row_without_quarantined_trials_is_saved() {
+        let cache = MemRows::default();
+        let controls = SweepControls {
+            cancel: None,
+            rows: Some(&cache),
+        };
+        assert_eq!(
+            controls.row((0, 1), "tolerated", || Ok((0.25, 1))),
+            Ok(0.25)
+        );
+        assert_eq!(cache.load("tolerated"), None);
+        let failures = vec![TrialFailure {
+            trial: 0,
+            attempts: 2,
+            message: "boom".into(),
+        }];
+        let stopped = SweepRunError::Quarantined {
+            label: "random_graph_point".into(),
+            failures,
+        };
+        let row = controls.row::<f64>((0, 1), "stopped", || Err(stopped.clone()));
+        assert_eq!(row, Err(stopped));
+        assert_eq!(cache.load("stopped"), None);
+        assert_eq!(controls.row((0, 1), "complete", || Ok((0.5, 0))), Ok(0.5));
+        assert_eq!(cache.load("complete"), Some("0.5".into()));
+        // A saved row replays instead of computing.
+        assert_eq!(controls.row((0, 1), "complete", || Ok((0.75, 1))), Ok(0.5));
     }
 
     /// A one-pass report's stored row: its result's JSON.

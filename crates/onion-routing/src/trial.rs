@@ -4,7 +4,9 @@
 //! the engine, and hands the finished run to a [`Scorer`]: the point
 //! accumulator, the deadline axis's per-deadline sums, or the security
 //! axis's per-`c` adversary draws. [`run`] fans the trials across the
-//! resilient runner and folds them in trial order.
+//! resilient runner and folds them in trial order; a trial quarantined
+//! after its retry stops the run with [`SweepRunError::Quarantined`]
+//! unless the options keep going.
 //!
 //! Each trial's main stream comes from one [`SeedDomain`] per world and
 //! scorer, fixed forever because every published number depends on it:
@@ -34,11 +36,11 @@ use dtn_sim::{
 use rand_chacha::ChaCha8Rng;
 
 use crate::config::ProtocolConfig;
-use crate::experiment::{ExperimentOptions, TRIAL_FAILURE_ABORT};
+use crate::experiment::ExperimentOptions;
 use crate::groups::OnionGroups;
 use crate::protocol::{ForwardingMode, OnionRouting};
-use crate::runner::{run_trials_resilient, trial_rng_attempt, SeedDomain, TrialFailure};
-use crate::sweep::SparseScenario;
+use crate::runner::{run_trials_resilient, trial_rng_attempt, SeedDomain};
+use crate::sweep::{SparseScenario, SweepRunError};
 
 /// Where a run's contacts come from, borrowed for the run.
 #[derive(Clone, Copy)]
@@ -120,17 +122,19 @@ pub(crate) const SWEEP_SPAN: &str = "experiment.sweep_secs";
 
 /// Runs `opts.realizations` trials of `world` under `scorer`, timed and
 /// flushed as one metrics point, and returns the folded total with the
-/// count of tolerated quarantined trials.
+/// count of tolerated quarantined trials. Each quarantined trial is
+/// logged once, under the run's label.
 ///
-/// # Panics
+/// # Errors
 ///
-/// With `keep_going` unset, when a trial is quarantined.
+/// [`SweepRunError::Quarantined`] when a trial is quarantined and
+/// `keep_going` is unset.
 pub(crate) fn run<S: Scorer>(
     world: World<'_>,
     cfg: &ProtocolConfig,
     opts: &ExperimentOptions,
     scorer: &S,
-) -> (S::Partial, u64) {
+) -> Result<(S::Partial, u64), SweepRunError> {
     let (label, span) = match S::AXIS {
         None => (format!("{}_point", world.label()), "experiment.point_secs"),
         Some(axis) => (format!("{axis}_sweep_{}", world.label()), SWEEP_SPAN),
@@ -158,10 +162,21 @@ pub(crate) fn run<S: Scorer>(
         &mut total,
         |total, _realization, partial| S::merge(total, &partial),
     );
-    let tolerated = resolve_failures(&label, &failures, opts);
     drop(span);
     obs::flush_point(&label);
-    (total, tolerated)
+    for f in &failures {
+        obs::error!(
+            "onion_routing::experiment",
+            "{label}: trial {} quarantined after {} attempts: {}",
+            f.trial,
+            f.attempts,
+            f.message,
+        );
+    }
+    if failures.is_empty() || opts.keep_going {
+        return Ok((total, failures.len() as u64));
+    }
+    Err(SweepRunError::Quarantined { label, failures })
 }
 
 /// One `(trial, attempt)` of a run.
@@ -335,30 +350,4 @@ fn maybe_forced_panic(trial: u64) {
         *forced != Some(trial),
         "forced panic for trial {trial} (ONION_DTN_PANIC_TRIAL)"
     );
-}
-
-/// Logs quarantined failures and either panics (`keep_going == false`)
-/// or returns how many were tolerated.
-fn resolve_failures(label: &str, failures: &[TrialFailure], opts: &ExperimentOptions) -> u64 {
-    if failures.is_empty() {
-        return 0;
-    }
-    for f in failures {
-        obs::error!(
-            "onion_routing::experiment",
-            "{label}: trial {} quarantined after {} attempts: {}",
-            f.trial,
-            f.attempts,
-            f.message,
-        );
-    }
-    assert!(
-        opts.keep_going,
-        "{TRIAL_FAILURE_ABORT}: {label}: {} trial(s) failed \
-         (first: trial {}: {}); pass keep_going to tolerate quarantined trials",
-        failures.len(),
-        failures[0].trial,
-        failures[0].message,
-    );
-    failures.len() as u64
 }

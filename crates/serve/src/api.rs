@@ -19,11 +19,14 @@
 //!   count); failures answer `400 invalid_argument`.
 //!   Expensive, so responses flow through a sharded LRU cache keyed by
 //!   the spec's identity (`SweepSpec::identity(&opts).key()`: the spec
-//!   and its options with `threads` zeroed, the key a `--resume`
-//!   checkpoint of the same run carries), with single-flight coalescing
-//!   for identical concurrent misses. Fault and code rows are stored
-//!   under the key of the same spec with its grid emptied, so a stored
-//!   row replays in any grid that contains it.
+//!   and its options with `threads` and `keep_going` zeroed, the key a
+//!   `--resume` checkpoint of the same run carries), with single-flight
+//!   coalescing for identical concurrent misses. Fault and code rows are
+//!   stored under the key of the same spec with its grid emptied, so a
+//!   stored row replays in any grid that contains it. The daemon runs
+//!   every sweep without `keep_going`: a `SweepRunError` answers `504
+//!   deadline_exceeded` when cancelled and `500 trial_failed` when
+//!   quarantined, and no result missing trials is cached or stored.
 //!
 //! Request bodies are JSON objects where every field is optional:
 //! missing fields take the paper's Table II defaults. `config` and
@@ -46,17 +49,10 @@ use onion_routing::{
 use serde::{Serialize, Value};
 
 use crate::cache::ShardedLru;
-use crate::flight::{Role, SingleFlight};
+use crate::flight::{Panicked, Role, SingleFlight};
 use crate::http::{Request, Response};
 use crate::stats::ServeStats;
 use crate::store::ResponseStore;
-
-/// Internal error-string prefix that carries a mid-sweep deadline
-/// expiry through the single-flight layer (whose error channel is a
-/// plain `String`). Shape: `<marker><completed>/<total>`. Followers
-/// coalesced onto a leader that ran out of deadline share its 504 —
-/// their retry will resume from the persisted rows.
-const DEADLINE_MARKER: &str = "\u{1}deadline:";
 
 /// Mean pairwise contact rate of the Table II random graph, the default
 /// `lambda` of `/v1/model/delivery`.
@@ -103,7 +99,7 @@ impl Default for ApiLimits {
 pub struct Api {
     cache: ShardedLru,
     store: Option<Arc<ResponseStore>>,
-    flight: SingleFlight,
+    flight: SingleFlight<SweepFailure>,
     stats: Arc<ServeStats>,
     limits: ApiLimits,
 }
@@ -122,7 +118,7 @@ impl Api {
         let api = Api {
             cache: ShardedLru::new(cache_capacity, cache_shards),
             store,
-            flight: SingleFlight::new(),
+            flight: SingleFlight::default(),
             stats,
             limits,
         };
@@ -255,11 +251,11 @@ impl Api {
                 Err(e) => return Response::error(400, "invalid_argument", &e),
             },
         };
-        // `threads` is an execution knob the *server* owns; the identity
-        // behind the cache key already zeroes it, and determinism makes
-        // the substitution invisible in the response bytes.
-        let threads = self.limits.sweep_threads;
-        let run_opts = job.opts.into_builder().threads(threads).build();
+        // The *server* owns the run policies the identity zeroes: the
+        // thread count never shows in a response, and without `keep_going`
+        // a result missing trials is never cached or stored.
+        let run_opts = job.opts.into_builder().keep_going(false);
+        let run_opts = run_opts.threads(self.limits.sweep_threads).build();
         let spec = &job.spec;
         self.cached_sweep(&job.key, deadline, || {
             let cancel = || deadline.is_some_and(|d| Instant::now() >= d);
@@ -272,17 +268,15 @@ impl Api {
                 cancel: Some(&cancel),
                 rows: rows.as_ref().map(|rows| rows as &(dyn RowCache + Sync)),
             };
-            match spec.run_controlled(&run_opts, &controls) {
-                Ok(SweepReport::Point(summary)) => to_json(&*summary),
-                Ok(SweepReport::Delivery(rows)) => to_json(&rows),
-                Ok(SweepReport::Security(rows)) => to_json(&rows),
-                Ok(SweepReport::Fault(rows)) => to_json(&rows),
-                Ok(SweepReport::Code(rows)) => to_json(&rows),
-                Err(SweepRunError::Cancelled { completed, total }) => {
-                    Err(format!("{DEADLINE_MARKER}{completed}/{total}"))
-                }
-                Err(other) => Err(format!("sweep: {other}")),
-            }
+            let report = spec.run_controlled(&run_opts, &controls);
+            let json = match report.map_err(SweepFailure::Stopped)? {
+                SweepReport::Point(summary) => to_json(&*summary),
+                SweepReport::Delivery(rows) => to_json(&rows),
+                SweepReport::Security(rows) => to_json(&rows),
+                SweepReport::Fault(rows) => to_json(&rows),
+                SweepReport::Code(rows) => to_json(&rows),
+            };
+            json.map_err(SweepFailure::Internal)
         })
     }
 
@@ -340,12 +334,12 @@ impl Api {
     /// store is configured it acts as a write-through second tier: a
     /// store hit promotes the body back into the LRU, and single-flight
     /// leaders persist their result before answering. A `deadline` in
-    /// the past by the time the leader would start computing — or an
-    /// expiry signalled mid-sweep via [`DEADLINE_MARKER`] — maps to a
-    /// `504 deadline_exceeded` envelope instead of a 500.
+    /// the past by the time the leader would start computing cancels it
+    /// after 0 of 0 rows, as an expiry mid-sweep does after the rows it
+    /// finished: `504 deadline_exceeded`.
     fn cached_sweep<F>(&self, key: &str, deadline: Option<Instant>, compute: F) -> Response
     where
-        F: FnOnce() -> Result<String, String>,
+        F: FnOnce() -> Result<String, SweepFailure>,
     {
         if let Some(hit) = self.cache.get(key) {
             self.stats.cache_hits.bump();
@@ -366,7 +360,11 @@ impl Api {
                 // Expired while waiting in the single-flight queue:
                 // report zero completed work rather than starting a
                 // sweep whose budget is already spent.
-                return Err(format!("{DEADLINE_MARKER}0/0"));
+                let cancelled = SweepRunError::Cancelled {
+                    completed: 0,
+                    total: 0,
+                };
+                return Err(SweepFailure::Stopped(cancelled));
             }
             self.stats.sweep_computes.bump();
             compute().map(Arc::new)
@@ -390,22 +388,40 @@ impl Api {
                 }
                 Response::json(200, (*body).clone())
             }
-            Err(e) => match e.strip_prefix(DEADLINE_MARKER) {
-                Some(progress) => {
-                    self.stats.deadline_exceeded.bump();
-                    let (completed, total) = progress.split_once('/').unwrap_or((progress, "?"));
-                    Response::error(
-                        504,
-                        "deadline_exceeded",
-                        &format!(
-                            "request deadline exceeded after {completed} of {total} sweep \
-                             row(s); completed rows are persisted — retry to resume"
-                        ),
-                    )
-                }
-                None => Response::error(500, "internal", &e),
-            },
+            Err(SweepFailure::Stopped(SweepRunError::Cancelled { completed, total })) => {
+                self.stats.deadline_exceeded.bump();
+                Response::error(
+                    504,
+                    "deadline_exceeded",
+                    &format!(
+                        "request deadline exceeded after {completed} of {total} sweep \
+                         row(s); completed rows are persisted — retry to resume"
+                    ),
+                )
+            }
+            Err(SweepFailure::Stopped(e @ SweepRunError::Quarantined { .. })) => {
+                Response::error(500, "trial_failed", &e.to_string())
+            }
+            Err(SweepFailure::Stopped(e)) => {
+                Response::error(500, "internal", &format!("sweep: {e}"))
+            }
+            Err(SweepFailure::Internal(e)) => Response::error(500, "internal", &e),
         }
+    }
+}
+
+/// Why a sweep computation answered no body.
+#[derive(Clone, Debug)]
+enum SweepFailure {
+    /// The run stopped short.
+    Stopped(SweepRunError),
+    /// The computation panicked, or its report did not serialize.
+    Internal(String),
+}
+
+impl From<Panicked> for SweepFailure {
+    fn from(Panicked(text): Panicked) -> Self {
+        SweepFailure::Internal(text)
     }
 }
 
@@ -1015,11 +1031,14 @@ mod tests {
             .threads(1)
             .build();
         let b = a.clone().into_builder().threads(8).build();
-        let body_a = format!("{{\"opts\":{}}}", serde_json::to_string(&a).unwrap());
-        let body_b = format!("{{\"opts\":{}}}", serde_json::to_string(&b).unwrap());
-        let ra = api.handle(&post("/v1/sweep/point", &body_a));
-        let rb = api.handle(&post("/v1/sweep/point", &body_b));
+        // Nor does `keep_going`, the other run policy the daemon owns.
+        let c = a.clone().into_builder().keep_going(true).build();
+        let [ra, rb, rc] = [a, b, c].map(|opts| {
+            let body = format!("{{\"opts\":{}}}", serde_json::to_string(&opts).unwrap());
+            api.handle(&post("/v1/sweep/point", &body))
+        });
         assert_eq!(ra.body, rb.body);
+        assert_eq!(ra.body, rc.body);
         assert_eq!(api.stats.snapshot().counters["sweep_computes"], 1);
     }
 
@@ -1362,11 +1381,10 @@ mod tests {
         let req = post("/v1/sweep/point", &body);
         let expired = api.handle_at(&req, Some(Instant::now()));
         assert_eq!(expired.status, 504, "{}", expired.body);
-        assert!(
-            expired.body.contains("deadline_exceeded"),
-            "{}",
-            expired.body
-        );
+        let message = "request deadline exceeded after 0 of 0 sweep row(s); \
+                       completed rows are persisted — retry to resume";
+        let envelope = Response::error(504, "deadline_exceeded", message);
+        assert_eq!(expired.body, envelope.body);
         assert_eq!(api.stats.snapshot().counters["deadline_exceeded"], 1);
         assert_eq!(api.stats.snapshot().counters["sweep_computes"], 0);
         // An expired leader must not poison the cache: a retry without a

@@ -6,19 +6,27 @@
 //! is the classic inference-serving request-coalescing shape: a burst
 //! of identical expensive sweep requests costs one sweep, not N.
 //!
-//! A panicking leader publishes an error instead of wedging its
-//! followers: the computation runs under `catch_unwind` and the panic
-//! text is propagated to every waiter as an `Err`.
+//! A failed computation's typed error `E` reaches every waiter, so a
+//! follower answers exactly as its leader does. A panicking leader
+//! publishes an error instead of wedging its followers: the computation
+//! runs under `catch_unwind` and the panic reaches every waiter as
+//! `E::from(Panicked(text))`.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 
+use onion_routing::runner::panic_message;
+
 /// Shared state of one in-flight computation.
-struct Flight {
-    result: Mutex<Option<Result<Arc<String>, String>>>,
+struct Flight<E> {
+    result: Mutex<Option<Result<Arc<String>, E>>>,
     ready: Condvar,
 }
+
+/// A panic caught inside a [`SingleFlight::run`] computation: its text.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Panicked(pub String);
 
 /// How a [`SingleFlight::run`] call obtained its result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,35 +37,28 @@ pub enum Role {
     Coalesced,
 }
 
-/// A keyed single-flight group.
-#[derive(Default)]
-pub struct SingleFlight {
-    inflight: Mutex<HashMap<String, Arc<Flight>>>,
+/// A keyed single-flight group whose computations fail with `E`.
+pub struct SingleFlight<E> {
+    inflight: Mutex<HashMap<String, Arc<Flight<E>>>>,
 }
 
-impl SingleFlight {
-    /// An empty group.
-    pub fn new() -> SingleFlight {
-        SingleFlight::default()
+impl<E> Default for SingleFlight<E> {
+    fn default() -> Self {
+        SingleFlight {
+            inflight: Mutex::default(),
+        }
     }
+}
 
-    /// Number of distinct keys currently in flight.
-    pub fn len(&self) -> usize {
-        self.inflight.lock().unwrap().len()
-    }
-
-    /// Whether nothing is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
+impl<E: Clone + From<Panicked>> SingleFlight<E> {
     /// Runs `compute` for `key`, coalescing with any identical call
     /// already in flight. Returns the result and whether this call led
-    /// or coalesced. A panic inside `compute` is caught and surfaced as
-    /// `Err(panic text)` to the leader *and* every follower.
-    pub fn run<F>(&self, key: &str, compute: F) -> (Result<Arc<String>, String>, Role)
+    /// or coalesced. The leader's error reaches every follower as it is;
+    /// a panic inside `compute` is caught and surfaced as
+    /// `Err(E::from(Panicked(text)))` to the leader *and* every follower.
+    pub fn run<F>(&self, key: &str, compute: F) -> (Result<Arc<String>, E>, Role)
     where
-        F: FnOnce() -> Result<Arc<String>, String>,
+        F: FnOnce() -> Result<Arc<String>, E>,
     {
         let (flight, leader) = {
             let mut map = self.inflight.lock().unwrap();
@@ -84,7 +85,10 @@ impl SingleFlight {
 
         let outcome = match std::panic::catch_unwind(AssertUnwindSafe(compute)) {
             Ok(result) => result,
-            Err(payload) => Err(panic_text(payload.as_ref())),
+            Err(payload) => {
+                let text = panic_message(payload.as_ref());
+                Err(Panicked(format!("computation panicked: {text}")).into())
+            }
         };
         // Publish before unregistering: a request arriving in between
         // simply joins as a follower and reads the fresh result.
@@ -98,39 +102,43 @@ impl SingleFlight {
     }
 }
 
-/// Best-effort text of a panic payload.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("computation panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("computation panicked: {s}")
-    } else {
-        "computation panicked".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
 
+    /// A computation's own failure, or the panic it raised.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Failure {
+        Typed(u32),
+        Panic(String),
+    }
+
+    impl From<Panicked> for Failure {
+        fn from(Panicked(text): Panicked) -> Self {
+            Failure::Panic(text)
+        }
+    }
+
+    type Group = SingleFlight<Failure>;
+
     #[test]
     fn sequential_calls_each_lead() {
-        let flight = SingleFlight::new();
+        let flight = Group::default();
         let (r1, role1) = flight.run("k", || Ok(Arc::new("a".to_string())));
         let (r2, role2) = flight.run("k", || Ok(Arc::new("b".to_string())));
         assert_eq!(role1, Role::Led);
         assert_eq!(role2, Role::Led);
         assert_eq!(r1.unwrap().as_str(), "a");
         assert_eq!(r2.unwrap().as_str(), "b");
-        assert!(flight.is_empty());
+        assert!(flight.inflight.lock().unwrap().is_empty());
     }
 
     #[test]
     fn concurrent_identical_calls_compute_once() {
         const N: usize = 8;
-        let flight = SingleFlight::new();
+        let flight = Group::default();
         let computes = AtomicU64::new(0);
         let arrived = AtomicU64::new(0);
         // Every thread bumps `arrived` just before calling run(); the
@@ -169,12 +177,12 @@ mod tests {
             roles.iter().filter(|r| **r == Role::Coalesced).count(),
             N - 1
         );
-        assert!(flight.is_empty());
+        assert!(flight.inflight.lock().unwrap().is_empty());
     }
 
     #[test]
     fn distinct_keys_do_not_coalesce() {
-        let flight = SingleFlight::new();
+        let flight = Group::default();
         std::thread::scope(|scope| {
             let a = scope.spawn(|| flight.run("a", || Ok(Arc::new("1".into()))));
             let b = scope.spawn(|| flight.run("b", || Ok(Arc::new("2".into()))));
@@ -185,7 +193,7 @@ mod tests {
 
     #[test]
     fn leader_panic_releases_followers_with_an_error() {
-        let flight = SingleFlight::new();
+        let flight = Group::default();
         let gate = Barrier::new(2);
         std::thread::scope(|scope| {
             let leader = scope.spawn(|| {
@@ -202,17 +210,48 @@ mod tests {
             });
             let (leader_result, _) = leader.join().unwrap();
             let (follower_result, follower_role) = follower.join().unwrap();
-            assert!(leader_result.unwrap_err().contains("sweep exploded"));
+            let exploded = Failure::Panic("computation panicked: sweep exploded".into());
+            assert_eq!(leader_result.unwrap_err(), exploded);
             // The follower either coalesced onto the panicking flight
             // (gets the error) or arrived after unregistration (leads a
             // fresh, successful flight) — both are sound.
             match follower_role {
-                Role::Coalesced => {
-                    assert!(follower_result.unwrap_err().contains("sweep exploded"));
-                }
+                Role::Coalesced => assert_eq!(follower_result.unwrap_err(), exploded),
                 Role::Led => assert_eq!(follower_result.unwrap().as_str(), "never"),
             }
         });
-        assert!(flight.is_empty());
+        assert!(flight.inflight.lock().unwrap().is_empty());
+    }
+
+    /// A follower answers with its leader's own error, unchanged. The
+    /// leader fails only once the follower holds its flight (the map,
+    /// the leader and the follower each hold one `Arc`).
+    #[test]
+    fn followers_receive_the_leaders_typed_failure() {
+        let flight = Group::default();
+        let gate = Barrier::new(2);
+        let holders = || {
+            let map = flight.inflight.lock().unwrap();
+            map.get("k").map_or(0, Arc::strong_count)
+        };
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                flight.run("k", || {
+                    gate.wait();
+                    while holders() < 3 {
+                        std::thread::yield_now();
+                    }
+                    Err(Failure::Typed(7))
+                })
+            });
+            let follower = scope.spawn(|| {
+                gate.wait();
+                flight.run("k", || Err(Failure::Typed(8)))
+            });
+            assert_eq!(leader.join().unwrap(), (Err(Failure::Typed(7)), Role::Led));
+            let followed = follower.join().unwrap();
+            assert_eq!(followed, (Err(Failure::Typed(7)), Role::Coalesced));
+        });
+        assert!(flight.inflight.lock().unwrap().is_empty());
     }
 }

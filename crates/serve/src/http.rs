@@ -134,6 +134,7 @@ impl Response {
 /// | `method_not_allowed` | endpoint exists, wrong method | 405 |
 /// | `too_large` | head or body over its size cap | 413 |
 /// | `internal` | computation failed server-side | 500 |
+/// | `trial_failed` | a Monte-Carlo trial failed its retry; nothing was cached or stored | 500 |
 /// | `overloaded` | accept queue full or deadline expired while queued, retry later | 503 |
 /// | `deadline_exceeded` | request deadline expired mid-computation; completed rows persisted | 504 |
 #[derive(serde::Serialize, serde::Deserialize)]

@@ -58,7 +58,7 @@ pub use api::{
     MAX_SWEEP_GRID, MAX_SWEEP_REALIZATION_BYTES, TABLE2_MEAN_RATE,
 };
 pub use cache::ShardedLru;
-pub use flight::{Role, SingleFlight};
+pub use flight::{Panicked, Role, SingleFlight};
 pub use http::{Request, Response, CONTENT_TYPE_JSON, CONTENT_TYPE_PROMETHEUS};
 pub use loadgen::{run_loadgen, ClassStats, LoadReport, LoadgenConfig, LOAD_REPORT_SCHEMA};
 pub use queue::{BoundedQueue, PushError};

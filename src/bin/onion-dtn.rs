@@ -26,6 +26,8 @@
 //! `--keep-going` tolerates quarantined trial
 //! failures instead of aborting; `--resume <path>` checkpoints finished
 //! points to a JSONL file and skips them on restart, byte-identically.
+//! A rerun with `--keep-going` resumes the same file, and a row that
+//! tolerated a quarantine is never checkpointed.
 //!
 //! Exit codes: `0` success, `2` usage error, `3` I/O error, `4` a trial
 //! failed its retry and the run aborted (rerun with `--keep-going`).
@@ -45,6 +47,7 @@
 //! events into `crash-trial<N>.jsonl` next to the checkpoint file.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::process::ExitCode;
 
 use onion_dtn::prelude::*;
@@ -323,9 +326,14 @@ fn open_checkpoint(
         return Ok(None);
     };
     let identity = spec.identity(opts);
-    let cp = Checkpoint::open(std::path::Path::new(path), &identity)
+    let cp = Checkpoint::open(Path::new(path), &identity)
         .map_err(|e| CliError::Io(format!("checkpoint {path}: {e}")))?;
-    arm_crash_sink(path, &identity.key(), opts.seed);
+    // A quarantined trial dumps its last traced events, the fingerprint
+    // and the base seed into a crash bundle next to the checkpoint.
+    let dir = Path::new(path)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty());
+    obs::set_crash_sink(dir.unwrap_or(Path::new(".")), &identity.key(), opts.seed);
     if !cp.is_empty() {
         obs::info!(
             "onion_dtn",
@@ -339,7 +347,8 @@ fn open_checkpoint(
 /// Runs one experiment command's spec: validates it (a rejected spec is
 /// a usage error), then runs it through the `--resume` checkpoint, if
 /// any. Rows on record replay, new ones are appended as they finish, and
-/// a failed append stops the run at the next row and exits 3.
+/// a failed append stops the run at the next row and exits 3. A
+/// quarantined trial without `--keep-going` exits 4.
 fn run_experiment(
     flags: &HashMap<String, String>,
     spec: &SweepSpec,
@@ -357,7 +366,12 @@ fn run_experiment(
         cp.finish()
             .map_err(|e| CliError::Io(format!("checkpoint: {e}")))?;
     }
-    report.map_err(|e| CliError::Usage(e.to_string()))
+    report.map_err(|e| match e {
+        SweepRunError::Quarantined { .. } => CliError::Trial(format!(
+            "{e}; rerun with --keep-going to tolerate quarantined trials"
+        )),
+        _ => CliError::Usage(e.to_string()),
+    })
 }
 
 /// The shared front of the commands on a generated world: parses the
@@ -375,18 +389,6 @@ fn sweep_command(
     };
     let spec = axis(spec, &opts)?;
     run_experiment(flags, &spec, &opts)
-}
-
-/// Points the flight recorder's crash sink at the checkpoint's
-/// directory: a quarantined trial then dumps its last traced events,
-/// the run fingerprint, and the base seed into a JSONL crash bundle
-/// next to the checkpoint file.
-fn arm_crash_sink(checkpoint_path: &str, fingerprint: &str, seed: u64) {
-    let dir = match std::path::Path::new(checkpoint_path).parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
-    obs::set_crash_sink(&dir, fingerprint, seed);
 }
 
 /// A four-decimal value, or a dash when there is none.
@@ -760,17 +762,6 @@ fn dispatch(
     }
 }
 
-/// Best-effort text of a panic payload.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first().cloned() else {
@@ -782,24 +773,7 @@ fn main() -> ExitCode {
         Err(e) => Err(CliError::Usage(e)),
         Ok((positional, flags)) => match apply_telemetry(&flags) {
             Err(e) => Err(CliError::Usage(e)),
-            Ok(()) => {
-                // Quarantined trial failures abort experiments by panicking
-                // with a marker prefix; translate that to exit code 4 instead
-                // of a raw abort. Any other panic is re-raised untouched.
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    dispatch(&command, &positional, &flags)
-                })) {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        let text = panic_text(payload.as_ref());
-                        if text.contains(TRIAL_FAILURE_ABORT) {
-                            Err(CliError::Trial(text))
-                        } else {
-                            std::panic::resume_unwind(payload)
-                        }
-                    }
-                }
-            }
+            Ok(()) => dispatch(&command, &positional, &flags),
         },
     };
     match result {

@@ -81,8 +81,8 @@ pub mod prelude {
         ExperimentOptions, ExperimentOptionsBuilder, FaultAxis, FaultSweepRow, ForwardingMode,
         OnionCryptoContext, OnionGroups, OnionRouting, PointSummary, ProtocolConfig,
         RouteSelection, RunnerConfig, Scenario, SecurityAxis, SecuritySweepRow, SeedDomain,
-        SparseScenario, SweepAxis, SweepError, SweepReport, SweepSpec, TraceScenario, TrialFailure,
-        TRIAL_FAILURE_ABORT,
+        SparseScenario, SweepAxis, SweepError, SweepReport, SweepRunError, SweepSpec,
+        TraceScenario, TrialFailure,
     };
     pub use serve::{
         run_loadgen, LoadReport, LoadgenConfig, ServeConfig, ServeError, Server, ServerHandle,

@@ -2,12 +2,15 @@
 //! built binary: usage and I/O exit codes, that printed results equal
 //! the library's, the thread-count determinism contract for every
 //! experiment command, the telemetry side channels (`--quiet`,
-//! `--metrics-out`, `--trace-out`), checkpoint resume, and the
-//! `serve`/`loadgen` round trip. Every run has a time limit, so a hung
-//! process fails its test instead of stalling the suite.
+//! `--metrics-out`, `--trace-out`), checkpoint resume, a trial
+//! quarantined by the `ONION_DTN_PANIC_TRIAL` hook (exit 4, `--keep-going`
+//! and the daemon's `500 trial_failed`), and the `serve`/`loadgen` round
+//! trip. Every run has a time limit, so a hung process fails its test
+//! instead of stalling the suite.
 
 use std::ffi::OsStr;
 use std::io::{BufRead, BufReader, Read};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -16,6 +19,7 @@ use obs::MetricsSnapshot;
 use onion_dtn::analysis;
 use onion_dtn::onion_routing::sweep::{default_security_grid, DEFAULT_FAULT_INTENSITIES};
 use onion_dtn::prelude::*;
+use onion_dtn::serve::http::{read_response, write_request, Response};
 use serde::{Deserialize, Value};
 
 const BIN: &str = env!("CARGO_BIN_EXE_onion-dtn");
@@ -1131,6 +1135,106 @@ fn partial_fault_sweep_checkpoint_completes_byte_identically() {
 }
 
 // ---------------------------------------------------------------------
+// A quarantined trial: `ONION_DTN_PANIC_TRIAL=0` panics trial 0 on its
+// seed and on its retry, in every run of the process.
+// ---------------------------------------------------------------------
+
+/// `args` run with trial 0 forced to panic on both attempts.
+fn quarantined<I, S>(args: I) -> Run
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<OsStr>,
+{
+    let mut cmd = command(args);
+    cmd.env("ONION_DTN_PANIC_TRIAL", "0");
+    finish(cmd, RUN_LIMIT)
+}
+
+/// A small point whose trial 0 the hook quarantines.
+const QUARANTINED_POINT: &[&str] = &[
+    "point",
+    "--n",
+    "20",
+    "--g",
+    "2",
+    "--k",
+    "2",
+    "--c",
+    "2",
+    "--messages",
+    "3",
+    "--realizations",
+    "2",
+];
+
+/// The stderr lines of `run` that contain `needle`.
+fn stderr_lines<'a>(run: &'a Run, needle: &str) -> Vec<&'a str> {
+    run.stderr.lines().filter(|l| l.contains(needle)).collect()
+}
+
+/// Without `--keep-going` a quarantine stops the run through one typed
+/// error: exit 4, the trial's two panics and no third one aborting the
+/// run, one line per quarantined trial and one error naming the flag.
+/// With it, the run finishes and warns.
+#[test]
+fn a_quarantined_trial_exits_4_and_keep_going_tolerates_it() {
+    let stopped = quarantined(QUARANTINED_POINT);
+    stopped.expect_exit(4);
+    assert!(stopped.stdout.is_empty(), "{}", stopped.stdout);
+    assert_eq!(
+        stderr_lines(&stopped, "panicked at").len(),
+        2,
+        "{}",
+        stopped.stderr
+    );
+    let quarantine = stderr_lines(&stopped, "quarantined after");
+    assert_eq!(quarantine.len(), 1, "{}", stopped.stderr);
+    assert!(
+        quarantine[0].contains("random_graph_point"),
+        "{}",
+        quarantine[0]
+    );
+    let errors = stderr_lines(&stopped, "error:");
+    assert_eq!(errors.len(), 1, "{}", stopped.stderr);
+    assert!(errors[0].contains("--keep-going"), "{}", errors[0]);
+
+    let kept = quarantined(QUARANTINED_POINT.iter().chain(&["--keep-going"]));
+    kept.expect_ok();
+    assert!(
+        kept.stderr.contains("1 realization(s) quarantined"),
+        "{}",
+        kept.stderr
+    );
+}
+
+/// The rerun a quarantine recommends resumes the same checkpoint, and no
+/// row that tolerated the quarantine is checkpointed: a clean run on the
+/// file afterwards prints what a run without `--resume` prints and leaves
+/// the file a clean run writes.
+#[test]
+fn a_keep_going_rerun_resumes_the_checkpoint_and_records_no_quarantined_row() {
+    let dir = scratch_dir("resume-quarantine");
+    let (cp, clean) = (dir.join("cp.jsonl"), dir.join("clean.jsonl"));
+    let args = |cp: &Path| small("fault-sweep", &["--resume", &path_arg(cp), "--quiet"]);
+    quarantined(args(&cp)).expect_exit(4);
+    let kept = quarantined(args(&cp).into_iter().chain(["--keep-going".into()]));
+    kept.expect_ok();
+    let recorded = std::fs::read_to_string(&cp).unwrap();
+    assert_eq!(recorded.lines().count(), 1, "the header alone:\n{recorded}");
+
+    let resumed = run(args(&cp));
+    let alone = run(small("fault-sweep", &["--quiet"]));
+    assert_eq!(resumed.expect_ok().stdout, alone.expect_ok().stdout);
+    assert_ne!(kept.stdout, alone.stdout, "trial 0 was left out");
+    run(args(&clean)).expect_ok();
+    assert_eq!(
+        std::fs::read_to_string(&cp).unwrap(),
+        std::fs::read_to_string(&clean).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
 // The serving daemon and its load generator.
 // ---------------------------------------------------------------------
 
@@ -1146,11 +1250,10 @@ impl Drop for Daemon {
     }
 }
 
-#[test]
-fn serve_and_loadgen_round_trip_drains_gracefully() {
-    let dir = scratch_dir("serve");
-    let report = dir.join("loadgen.json");
-    let mut child = command(["serve", "--port", "0", "--workers", "2", "--quiet"])
+/// Starts `cmd`, a `serve --port 0` command, and returns the daemon with
+/// the address its banner names.
+fn start_daemon(mut cmd: Command) -> (Daemon, String) {
+    let mut child = cmd
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -1159,12 +1262,60 @@ fn serve_and_loadgen_round_trip_drains_gracefully() {
     BufReader::new(child.stdout.as_mut().expect("piped stdout"))
         .read_line(&mut banner)
         .expect("read the serving banner");
-    let mut daemon = Daemon(Some(child));
+    let daemon = Daemon(Some(child));
     let addr = banner
         .strip_prefix("serving on http://")
         .and_then(|rest| rest.split_whitespace().next())
         .unwrap_or_else(|| panic!("banner {banner:?}"))
         .to_string();
+    (daemon, addr)
+}
+
+/// One request to the daemon at `addr` on a fresh connection.
+fn exchange(addr: &str, method: &str, path: &str, body: &str) -> Response {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write_request(&mut stream, method, path, body).expect("write request");
+    read_response(&mut stream).expect("read response")
+}
+
+/// A daemon owns `keep_going` as it owns `threads`: a quarantine answers
+/// `500 trial_failed` even when the body asks to keep going, and nothing
+/// is cached, so the same request computes again.
+#[test]
+fn a_daemon_answers_a_quarantine_with_trial_failed_and_caches_nothing() {
+    let mut cmd = command(["serve", "--port", "0", "--workers", "1", "--quiet"]);
+    cmd.env("ONION_DTN_PANIC_TRIAL", "0");
+    let (mut daemon, addr) = start_daemon(cmd);
+    let opts = small_options().into_builder().realizations(2);
+    for keep_going in [false, true] {
+        let body = format!(
+            "{{\"config\":{},\"opts\":{}}}",
+            serde_json::to_string(&small_config()).unwrap(),
+            serde_json::to_string(&opts.clone().keep_going(keep_going).build()).unwrap(),
+        );
+        let resp = exchange(&addr, "POST", "/v1/sweep/point", &body);
+        assert_eq!(resp.status, 500, "{}", resp.body);
+        assert!(resp.body.contains("\"trial_failed\""), "{}", resp.body);
+        assert!(resp.body.contains("random_graph_point"), "{}", resp.body);
+    }
+    let metrics = exchange(&addr, "GET", "/metricsz", "");
+    let metrics = serde_json::parse_value(&metrics.body).expect("metrics parse");
+    let computes = metrics
+        .get("counters")
+        .and_then(|c| c.get("sweep_computes"));
+    assert_eq!(computes, Some(&Value::UInt(2)), "{metrics:?}");
+    let drained = exchange(&addr, "POST", "/v1/admin/shutdown", "");
+    assert_eq!(drained.status, 200, "{}", drained.body);
+    let served = wait_with_limit(daemon.0.take().unwrap(), Duration::from_secs(60));
+    served.expect_ok();
+}
+
+#[test]
+fn serve_and_loadgen_round_trip_drains_gracefully() {
+    let dir = scratch_dir("serve");
+    let report = dir.join("loadgen.json");
+    let serve = command(["serve", "--port", "0", "--workers", "2", "--quiet"]);
+    let (mut daemon, addr) = start_daemon(serve);
 
     let load = run([
         "loadgen",
