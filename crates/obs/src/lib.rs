@@ -58,7 +58,7 @@ pub use recorder::{
 pub use span::{span, Span};
 pub use trace::{
     clear_crash_sink, dump_crash_bundle, set_crash_sink, set_trace_capacity, set_trace_enabled,
-    set_trace_path, trace_capacity, trace_enabled, trace_event, trace_ring_begin, trace_ring_flush,
+    set_trace_path, trace_append, trace_capacity, trace_enabled, trace_event, trace_ring_begin,
     trace_ring_take, CrashBundleHeader, TraceEvent, TraceRing, CRASH_BUNDLE_SCHEMA,
     DEFAULT_TRACE_CAP,
 };

@@ -107,7 +107,14 @@ pub fn init() {
                     METRICS.store(true, Ordering::Relaxed);
                     // Not `set_metrics_path`: this runs inside the
                     // `Once`, which must not re-enter.
-                    apply_metrics_path(Some(Path::new(val.trim())));
+                    let path = Path::new(val.trim());
+                    if let Err(e) = apply_metrics_path(Some(path)) {
+                        emit(
+                            Level::Error,
+                            "obs",
+                            format_args!("cannot create metrics file {}: {e}", path.display()),
+                        );
+                    }
                 }
             }
         }
@@ -168,24 +175,19 @@ pub fn metrics_enabled() -> bool {
 }
 
 /// Sets (or clears) the JSONL file that [`flush_point`] appends to.
-/// The file is created/truncated immediately so a sweep starts clean.
-pub fn set_metrics_path(path: Option<&Path>) {
+/// The file is created/truncated immediately so a sweep starts clean;
+/// a create error is returned and leaves the previous path in place.
+pub fn set_metrics_path(path: Option<&Path>) -> std::io::Result<()> {
     init();
-    apply_metrics_path(path);
+    apply_metrics_path(path)
 }
 
-fn apply_metrics_path(path: Option<&Path>) {
+fn apply_metrics_path(path: Option<&Path>) -> std::io::Result<()> {
     if let Some(p) = path {
-        if let Err(e) = File::create(p) {
-            emit(
-                Level::Error,
-                "obs",
-                format_args!("cannot create metrics file {}: {e}", p.display()),
-            );
-            return;
-        }
+        File::create(p)?;
     }
     *metrics_path().lock().unwrap() = path.map(Path::to_path_buf);
+    Ok(())
 }
 
 /// Turns the live progress line on or off programmatically.

@@ -15,11 +15,12 @@
 //! installed by [`trace_ring_begin`] at the start of a trial. The ring
 //! keeps the **last** `cap` events (FIFO eviction, oldest first) plus a
 //! count of everything it evicted, so memory stays bounded no matter
-//! how long a trial runs. A finished trial calls [`trace_ring_flush`]
-//! to append its events as JSONL to the `--trace-out` path (one object
-//! per line, tagged with the trial id); a *panicked* trial leaves its
-//! ring in place, where the runner's quarantine path salvages it into a
-//! crash bundle via [`dump_crash_bundle`].
+//! how long a trial runs. A finished trial returns its ring with its
+//! result, and the run appends it ([`trace_append`]) as JSONL to the
+//! `--trace-out` path (one object per line, tagged with the trial id)
+//! in trial order; a *panicked* trial leaves its ring in place, where
+//! the runner's quarantine path salvages it into a crash bundle via
+//! [`dump_crash_bundle`].
 //!
 //! # Crash bundles
 //!
@@ -368,7 +369,14 @@ pub(crate) fn init_from_env(val: &str) {
             TRACE.store(true, Ordering::Relaxed);
             // Not `set_trace_path`: this runs inside `init`'s `Once`,
             // which must not re-enter.
-            apply_trace_path(Some(Path::new(val.trim())));
+            let path = Path::new(val.trim());
+            if let Err(e) = apply_trace_path(Some(path)) {
+                emit(
+                    Level::Error,
+                    "obs",
+                    format_args!("cannot create trace file {}: {e}", path.display()),
+                );
+            }
         }
     }
 }
@@ -386,26 +394,20 @@ pub fn set_trace_enabled(on: bool) {
     TRACE.store(on, Ordering::Relaxed);
 }
 
-/// Sets (or clears) the JSONL file that [`trace_ring_flush`] appends
-/// to. The file is created/truncated immediately so a sweep starts
-/// clean.
-pub fn set_trace_path(path: Option<&Path>) {
+/// Sets (or clears) the JSONL file that [`trace_append`] appends to.
+/// The file is created/truncated immediately so a sweep starts clean;
+/// a create error is returned and leaves the previous path in place.
+pub fn set_trace_path(path: Option<&Path>) -> std::io::Result<()> {
     init();
-    apply_trace_path(path);
+    apply_trace_path(path)
 }
 
-fn apply_trace_path(path: Option<&Path>) {
+fn apply_trace_path(path: Option<&Path>) -> std::io::Result<()> {
     if let Some(p) = path {
-        if let Err(e) = File::create(p) {
-            emit(
-                Level::Error,
-                "obs",
-                format_args!("cannot create trace file {}: {e}", p.display()),
-            );
-            return;
-        }
+        File::create(p)?;
     }
     *trace_path().lock().unwrap() = path.map(Path::to_path_buf);
+    Ok(())
 }
 
 /// Sets the per-trial ring capacity used by [`trace_ring_begin`]
@@ -449,21 +451,17 @@ pub fn trace_ring_take() -> Option<TraceRing> {
     RING.with(|cell| cell.borrow_mut().take())
 }
 
-/// Finishes a successful trial: takes this thread's ring and appends
-/// its events to the trace path (one JSON object per line, tagged with
-/// the trial id and per-trial sequence number). Events are discarded
-/// when no trace path is set.
-pub fn trace_ring_flush() {
-    let Some(ring) = trace_ring_take() else {
-        return;
-    };
+/// Appends a finished trial's ring to the trace path (one JSON object
+/// per line, tagged with the trial id and per-trial sequence number).
+/// Events are discarded when no trace path is set.
+pub fn trace_append(ring: &TraceRing) {
     let guard = trace_path().lock().unwrap();
     let Some(path) = guard.as_ref() else {
         return;
     };
     // Written while holding the path lock so each trial's lines stay
-    // contiguous even when worker threads finish concurrently.
-    if let Err(e) = append_ring(path, &ring) {
+    // contiguous when concurrent runs (daemon requests) share the file.
+    if let Err(e) = append_ring(path, ring) {
         emit(
             Level::Error,
             "obs",

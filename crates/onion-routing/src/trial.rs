@@ -160,7 +160,11 @@ pub(crate) fn run<S: Scorer>(
             ctx.realize(world, estimated.as_ref())
         },
         &mut total,
-        |total, _realization, partial| S::merge(total, &partial),
+        // On this thread in trial order: the trace leaves as rows do.
+        |total, _realization, (partial, ring)| {
+            S::merge(total, &partial);
+            ring.iter().for_each(obs::trace_append);
+        },
     );
     drop(span);
     obs::flush_point(&label);
@@ -194,7 +198,11 @@ impl<S: Scorer> Ctx<'_, S> {
     }
 
     /// Realizes the world and the messages, then drives the engine.
-    fn realize(&self, world: World<'_>, estimated: Option<&ContactGraph>) -> S::Partial {
+    fn realize(
+        &self,
+        world: World<'_>,
+        estimated: Option<&ContactGraph>,
+    ) -> (S::Partial, Option<obs::TraceRing>) {
         let (cfg, opts) = (self.cfg, self.opts);
         obs::trace_ring_begin(self.trial);
         let horizon = Time::ZERO + cfg.deadline;
@@ -251,8 +259,7 @@ impl<S: Scorer> Ctx<'_, S> {
             }
         };
         maybe_forced_panic(self.trial);
-        obs::trace_ring_flush();
-        partial
+        (partial, obs::trace_ring_take())
     }
 
     /// Partitions the groups, builds the protocol, then the contact

@@ -390,12 +390,17 @@ impl Api {
             }
             Err(SweepFailure::Stopped(SweepRunError::Cancelled { completed, total })) => {
                 self.stats.deadline_exceeded.bump();
+                // Finished rows outlive the request only in a store.
+                let kept = match self.store {
+                    Some(_) => "completed rows are persisted — retry to resume",
+                    None => "finished rows were not kept — a retry starts over",
+                };
                 Response::error(
                     504,
                     "deadline_exceeded",
                     &format!(
                         "request deadline exceeded after {completed} of {total} sweep \
-                         row(s); completed rows are persisted — retry to resume"
+                         row(s); {kept}"
                     ),
                 )
             }
@@ -1381,8 +1386,9 @@ mod tests {
         let req = post("/v1/sweep/point", &body);
         let expired = api.handle_at(&req, Some(Instant::now()));
         assert_eq!(expired.status, 504, "{}", expired.body);
+        // Without a store nothing outlives the request.
         let message = "request deadline exceeded after 0 of 0 sweep row(s); \
-                       completed rows are persisted — retry to resume";
+                       finished rows were not kept — a retry starts over";
         let envelope = Response::error(504, "deadline_exceeded", message);
         assert_eq!(expired.body, envelope.body);
         assert_eq!(api.stats.snapshot().counters["deadline_exceeded"], 1);
@@ -1391,6 +1397,20 @@ mod tests {
         // deadline computes normally.
         let retry = api.handle(&req);
         assert_eq!(retry.status, 200, "{}", retry.body);
+    }
+
+    #[test]
+    fn expired_deadline_with_a_store_says_completed_rows_are_persisted() {
+        let scratch = Scratch::new("expired-store");
+        let store = Arc::new(ResponseStore::open(&scratch.0, 1 << 20).unwrap());
+        let api = api_with_store(Some(store));
+        let req = post("/v1/sweep/point", &small_sweep_body());
+        let expired = api.handle_at(&req, Some(Instant::now()));
+        let message = "request deadline exceeded after 0 of 0 sweep row(s); \
+                       completed rows are persisted — retry to resume";
+        let envelope = Response::error(504, "deadline_exceeded", message);
+        assert_eq!(expired.status, 504, "{}", expired.body);
+        assert_eq!(expired.body, envelope.body);
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl Response {
 /// | `internal` | computation failed server-side | 500 |
 /// | `trial_failed` | a Monte-Carlo trial failed its retry; nothing was cached or stored | 500 |
 /// | `overloaded` | accept queue full or deadline expired while queued, retry later | 503 |
-/// | `deadline_exceeded` | request deadline expired mid-computation; completed rows persisted | 504 |
+/// | `deadline_exceeded` | request deadline expired mid-computation; completed rows persisted with a store, lost without | 504 |
 #[derive(serde::Serialize, serde::Deserialize)]
 pub struct ErrorBody {
     /// The nested error detail.

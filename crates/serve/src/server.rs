@@ -16,8 +16,9 @@
 //! anchors the request deadline: a connection that already waited past
 //! the deadline in the queue is shed at dequeue with `503` +
 //! `Retry-After` (cheaper than starting doomed work), and one that
-//! expires mid-sweep gets `504 deadline_exceeded` with completed rows
-//! persisted to the durable store for the retry to resume from.
+//! expires mid-sweep gets `504 deadline_exceeded`; with `--store`, its
+//! completed rows are persisted for the retry to resume from, and
+//! without one the retry starts over.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};

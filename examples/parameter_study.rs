@@ -48,7 +48,10 @@ fn main() {
                 });
                 obs::init();
                 obs::set_metrics_enabled(true);
-                obs::set_metrics_path(Some(std::path::Path::new(path)));
+                if let Err(e) = obs::set_metrics_path(Some(std::path::Path::new(path))) {
+                    eprintln!("parameter_study: cannot create metrics file {path}: {e}");
+                    std::process::exit(3);
+                }
                 metrics = true;
                 i += 2;
             }

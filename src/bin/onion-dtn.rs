@@ -29,15 +29,15 @@
 //! A rerun with `--keep-going` resumes the same file, and a row that
 //! tolerated a quarantine is never checkpointed.
 //!
-//! Exit codes: `0` success, `2` usage error, `3` I/O error, `4` a trial
-//! failed its retry and the run aborted (rerun with `--keep-going`).
+//! Exit codes: `0` success, `2` usage error (also any flag or word the
+//! command does not read), `3` I/O error (also an output file that
+//! cannot be created), `4` a trial failed its retry and the run aborted
+//! (rerun with `--keep-going`).
 //!
 //! Telemetry flags (any command): `--metrics-out <path>` appends one
 //! JSON object per experiment point to `<path>`, `--trace-out <path>`
 //! appends one JSON object per message-lifecycle event (bounded per
-//! trial by `--trace-cap <n>`, default 4096; each trial's block is
-//! deterministic and blocks land in the order trials finish, so
-//! `--threads 1` gives a byte-stable file; tracing never perturbs
+//! trial by `--trace-cap <n>`, default 4096; tracing never perturbs
 //! results), `--progress` shows a live trials/s + ETA line on stderr,
 //! and `--quiet` silences all status output below the error level.
 //! `ONION_DTN_LOG`, `ONION_DTN_METRICS`, `ONION_DTN_TRACE`, and
@@ -46,7 +46,8 @@
 //! panics on both its seed and retry seed dumps its last traced
 //! events into `crash-trial<N>.jsonl` next to the checkpoint file.
 
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -93,10 +94,8 @@ const USAGE: &str = "usage: onion-dtn <point|deadline-sweep|security-sweep|fault
          \t                                 jittered exponential backoff)\n\
          \t--chaos --chaos-share 0.25 (inject drops/stalls/half-closes/garbage)\n\
          telemetry: --metrics-out <path> (JSONL per experiment point)\n\
-         \t--trace-out <path> (JSONL message-lifecycle trace; each trial's block\n\
-         \t                    is deterministic, blocks land as trials finish, so\n\
-         \t                    --threads 1 gives a byte-stable file; never\n\
-         \t                    perturbs results)  --trace-cap <n> (per-trial\n\
+         \t--trace-out <path> (JSONL message-lifecycle trace; never perturbs\n\
+         \t                    results)  --trace-cap <n> (per-trial\n\
          \t                    ring-buffer capacity, default 4096)\n\
          \t--progress (live trials/s + ETA on stderr)  --quiet (errors only)\n\
          exit codes: 0 ok | 2 usage | 3 I/O | 4 trial failed its retry";
@@ -153,64 +152,105 @@ impl From<String> for CliError {
     }
 }
 
-/// Parses `--key value` pairs; returns positional args and the flag map.
-fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
-    let mut positional = Vec::new();
-    let mut flags = HashMap::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if let Some(key) = arg.strip_prefix("--") {
-            if BOOL_FLAGS.contains(&key) {
-                flags.insert(key.to_string(), "true".to_string());
-                continue;
-            }
-            let value = iter
-                .next()
-                .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            flags.insert(key.to_string(), value.clone());
-        } else {
-            positional.push(arg.clone());
-        }
-    }
-    Ok((positional, flags))
+/// A command's arguments after its name: `--key value` pairs, the
+/// value-less [`BOOL_FLAGS`] and positional words. Every read is
+/// recorded, so [`Flags::reject_unread`] refuses what no read asked for.
+#[derive(Default)]
+struct Flags {
+    values: BTreeMap<String, String>,
+    words: Vec<String>,
+    read: RefCell<HashSet<String>>,
+    words_read: Cell<usize>,
 }
 
-/// Applies the telemetry flags to the global `obs` recorder. Env vars
-/// (`ONION_DTN_*`) set the defaults; explicit flags override them.
-fn apply_telemetry(flags: &HashMap<String, String>) -> Result<(), String> {
-    obs::init();
-    if let Some(path) = flags.get("metrics-out") {
-        obs::set_metrics_enabled(true);
-        obs::set_metrics_path(Some(std::path::Path::new(path)));
+impl Flags {
+    /// The value of `--key`, if given.
+    fn get(&self, key: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(key.to_string());
+        self.values.get(key)
     }
-    if let Some(path) = flags.get("trace-out") {
-        obs::set_trace_path(Some(std::path::Path::new(path)));
+
+    /// The positional word at `index`, if given.
+    fn word(&self, index: usize) -> Option<&String> {
+        self.words_read.set(self.words_read.get().max(index + 1));
+        self.words.get(index)
+    }
+
+    /// Refuses the first word, then the first flag, that no read asked for.
+    fn reject_unread(&self) -> Result<(), String> {
+        if let Some(word) = self.words.get(self.words_read.get()) {
+            return Err(format!("unexpected argument {word:?}"));
+        }
+        let read = self.read.borrow();
+        match self.values.keys().find(|key| !read.contains(key.as_str())) {
+            Some(key) => Err(format!("unexpected flag --{key}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Parses `--key value` pairs and positional words. A value that starts
+/// with `--` is the next flag, so the flag before it has no value.
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
+    let mut flags = Flags::default();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            flags.words.push(arg.clone());
+            continue;
+        };
+        let value = if BOOL_FLAGS.contains(&key) {
+            "true"
+        } else {
+            iter.next()
+                .filter(|value| !value.starts_with("--"))
+                .ok_or_else(|| format!("flag --{key} needs a value"))?
+        };
+        flags.values.insert(key.to_string(), value.to_string());
+    }
+    Ok(flags)
+}
+
+/// Applies the telemetry flags every command takes to the global `obs`
+/// recorder; env vars (`ONION_DTN_*`) set the defaults and explicit
+/// flags override them. Each command calls it once it has read its own
+/// flags and before it does any work, so it first refuses any flag or
+/// word no read asked for (exit 2); an output file that cannot be
+/// created exits 3.
+fn apply_telemetry(flags: &Flags) -> Result<(), CliError> {
+    let metrics = flags.get("metrics-out");
+    let trace = flags.get("trace-out");
+    let cap = flag(flags, "trace-cap", obs::trace_capacity())?;
+    if cap == 0 {
+        return Err(CliError::Usage("--trace-cap must be at least 1".into()));
+    }
+    let progress = flags.get("progress").is_some();
+    let quiet = flags.get("quiet").is_some();
+    flags.reject_unread()?;
+    let create = |what: &str, path: &str, set: fn(Option<&Path>) -> std::io::Result<()>| {
+        set(Some(Path::new(path)))
+            .map_err(|e| CliError::Io(format!("cannot create {what} file {path}: {e}")))
+    };
+    if let Some(path) = metrics {
+        obs::set_metrics_enabled(true);
+        create("metrics", path, obs::set_metrics_path)?;
+    }
+    if let Some(path) = trace {
+        create("trace", path, obs::set_trace_path)?;
         obs::set_trace_enabled(true);
     }
-    if let Some(cap) = flags.get("trace-cap") {
-        let cap: usize = cap
-            .parse()
-            .map_err(|_| format!("cannot parse --trace-cap value {cap:?}"))?;
-        if cap == 0 {
-            return Err("--trace-cap must be at least 1".to_string());
-        }
-        obs::set_trace_capacity(cap);
-    }
-    if flags.contains_key("progress") {
+    obs::set_trace_capacity(cap);
+    if progress {
         obs::set_progress(true);
     }
-    if flags.contains_key("quiet") {
+    if quiet {
         obs::set_filter("error");
         obs::set_progress(false);
     }
     Ok(())
 }
 
-fn flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
+fn flag<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String> {
     match flags.get(key) {
         Some(v) => v
             .parse()
@@ -221,7 +261,7 @@ fn flag<T: std::str::FromStr>(
 
 /// The `--t` deadline. A NaN is a usage error here, not a panic in
 /// `TimeDelta::new`; an infinite one fails `ProtocolConfig::validate`.
-fn deadline_flag(flags: &HashMap<String, String>, default: f64) -> Result<TimeDelta, String> {
+fn deadline_flag(flags: &Flags, default: f64) -> Result<TimeDelta, String> {
     let t = flag(flags, "t", default)?;
     if t.is_nan() {
         return Err("--t must be a number".to_string());
@@ -229,7 +269,7 @@ fn deadline_flag(flags: &HashMap<String, String>, default: f64) -> Result<TimeDe
     Ok(TimeDelta::new(t))
 }
 
-fn config_from(flags: &HashMap<String, String>) -> Result<ProtocolConfig, String> {
+fn config_from(flags: &Flags) -> Result<ProtocolConfig, String> {
     let cfg = ProtocolConfig {
         nodes: flag(flags, "n", 100usize)?,
         group_size: flag(flags, "g", 5usize)?,
@@ -244,12 +284,12 @@ fn config_from(flags: &HashMap<String, String>) -> Result<ProtocolConfig, String
 }
 
 /// Builds the fault plan from `--fault-*` flags; all default to off.
-fn faults_from(flags: &HashMap<String, String>) -> Result<FaultPlan, String> {
+fn faults_from(flags: &Flags) -> Result<FaultPlan, String> {
     let crash_rate = flag(flags, "fault-churn", 0.0f64)?;
     let churn = (crash_rate > 0.0).then_some(ChurnConfig {
         crash_rate,
         mean_downtime: flag(flags, "fault-downtime", 60.0f64)?,
-        memory: if flags.contains_key("fault-forget") {
+        memory: if flags.get("fault-forget").is_some() {
             ChurnMemory::Forget
         } else {
             ChurnMemory::Persist
@@ -266,7 +306,7 @@ fn faults_from(flags: &HashMap<String, String>) -> Result<FaultPlan, String> {
 }
 
 /// Parses `--code k/m` into the erasure-code rate, e.g. `--code 3/5`.
-fn code_from(flags: &HashMap<String, String>) -> Result<Option<(u32, u32)>, String> {
+fn code_from(flags: &Flags) -> Result<Option<(u32, u32)>, String> {
     let Some(v) = flags.get("code") else {
         return Ok(None);
     };
@@ -283,7 +323,7 @@ fn code_from(flags: &HashMap<String, String>) -> Result<Option<(u32, u32)>, Stri
     Ok(Some((k, m)))
 }
 
-fn opts_from(flags: &HashMap<String, String>) -> Result<ExperimentOptions, String> {
+fn opts_from(flags: &Flags) -> Result<ExperimentOptions, String> {
     Ok(ExperimentOptions::builder()
         .messages(flag(flags, "messages", 25usize)?)
         .realizations(flag(flags, "realizations", 5usize)?)
@@ -291,15 +331,15 @@ fn opts_from(flags: &HashMap<String, String>) -> Result<ExperimentOptions, Strin
         .intercontact_range((1.0, 36.0))
         .threads(flag(flags, "threads", 0usize)?)
         .faults(faults_from(flags)?)
-        .keep_going(flags.contains_key("keep-going"))
-        .wire(flags.contains_key("wire"))
+        .keep_going(flags.get("keep-going").is_some())
+        .wire(flags.get("wire").is_some())
         .code(code_from(flags)?)
         .build())
 }
 
 /// Parses `--sparse-degree`: present selects the sparse CSR +
 /// calendar-queue backend with that mean contact degree.
-fn sparse_from(flags: &HashMap<String, String>) -> Result<Option<SparseScenario>, String> {
+fn sparse_from(flags: &Flags) -> Result<Option<SparseScenario>, String> {
     let Some(v) = flags.get("sparse-degree") else {
         return Ok(None);
     };
@@ -315,16 +355,13 @@ fn sparse_from(flags: &HashMap<String, String>) -> Result<Option<SparseScenario>
     Ok(Some(SparseScenario { avg_degree: d }))
 }
 
-/// Opens the `--resume` checkpoint (if requested), bound to the spec's
+/// Opens the `--resume` checkpoint at `path`, bound to the spec's
 /// identity under `opts`.
 fn open_checkpoint(
-    flags: &HashMap<String, String>,
+    path: &str,
     spec: &SweepSpec,
     opts: &ExperimentOptions,
-) -> Result<Option<Checkpoint>, CliError> {
-    let Some(path) = flags.get("resume") else {
-        return Ok(None);
-    };
+) -> Result<Checkpoint, CliError> {
     let identity = spec.identity(opts);
     let cp = Checkpoint::open(Path::new(path), &identity)
         .map_err(|e| CliError::Io(format!("checkpoint {path}: {e}")))?;
@@ -341,7 +378,7 @@ fn open_checkpoint(
             cp.len()
         );
     }
-    Ok(Some(cp))
+    Ok(cp)
 }
 
 /// Runs one experiment command's spec: validates it (a rejected spec is
@@ -350,12 +387,14 @@ fn open_checkpoint(
 /// a failed append stops the run at the next row and exits 3. A
 /// quarantined trial without `--keep-going` exits 4.
 fn run_experiment(
-    flags: &HashMap<String, String>,
+    resume: Option<&String>,
     spec: &SweepSpec,
     opts: &ExperimentOptions,
 ) -> Result<SweepReport, CliError> {
     spec.validate(opts).map_err(|e| e.to_string())?;
-    let cp = open_checkpoint(flags, spec, opts)?;
+    let cp = resume
+        .map(|path| open_checkpoint(path, spec, opts))
+        .transpose()?;
     let failed = || cp.as_ref().is_some_and(Checkpoint::failed);
     let controls = SweepControls {
         cancel: Some(&failed),
@@ -374,21 +413,24 @@ fn run_experiment(
     })
 }
 
-/// The shared front of the commands on a generated world: parses the
-/// config, options and world, lets `axis` pick the swept grid, then runs
-/// the spec.
+/// The shared front of the commands on a generated world: reads the
+/// config, options, world and checkpoint path, applies telemetry, lets
+/// `axis` pick the swept grid, then runs the spec.
 fn sweep_command(
-    flags: &HashMap<String, String>,
+    flags: &Flags,
     axis: impl FnOnce(SweepSpec, &ExperimentOptions) -> Result<SweepSpec, CliError>,
 ) -> Result<SweepReport, CliError> {
     let cfg = config_from(flags)?;
     let opts = opts_from(flags)?;
-    let spec = match sparse_from(flags)? {
+    let sparse = sparse_from(flags)?;
+    let resume = flags.get("resume");
+    apply_telemetry(flags)?;
+    let spec = match sparse {
         Some(s) => SweepSpec::sparse(cfg, s.avg_degree),
         None => SweepSpec::random_graph(cfg),
     };
     let spec = axis(spec, &opts)?;
-    run_experiment(flags, &spec, &opts)
+    run_experiment(resume, &spec, &opts)
 }
 
 /// A four-decimal value, or a dash when there is none.
@@ -396,7 +438,7 @@ fn or_dash(value: Option<f64>) -> String {
     value.map_or("   -  ".into(), |v| format!("{v:.4}"))
 }
 
-fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_point(flags: &Flags) -> Result<(), CliError> {
     let report = sweep_command(flags, |spec, opts| {
         let cfg = &spec.config;
         obs::info!(
@@ -442,7 +484,7 @@ fn cmd_point(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_deadline_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_deadline_sweep(flags: &Flags) -> Result<(), CliError> {
     let report = sweep_command(flags, |spec, _| {
         // Eight log-spaced deadlines from 0.06·T to T: T itself, and below
         // it seven rounded to 0.1 min. A small T rounds some of those to
@@ -475,7 +517,7 @@ fn cmd_deadline_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_security_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_security_sweep(flags: &Flags) -> Result<(), CliError> {
     let report = sweep_command(flags, |spec, _| {
         let cs = default_security_grid(spec.config.nodes);
         Ok(spec.over_security(&cs, 3))
@@ -500,22 +542,41 @@ fn cmd_security_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_trace(flags: &Flags) -> Result<(), CliError> {
     use rand::SeedableRng;
-    let which = positional.first().ok_or_else(|| {
+    let which = flags.word(0).ok_or_else(|| {
         CliError::Usage("trace needs an argument: cambridge | infocom | <file>".to_string())
     })?;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(flag(flags, "seed", 1u64)?);
-    let schedule = match which.as_str() {
-        "cambridge" => SyntheticTraceBuilder::cambridge_like().build(&mut rng),
-        "infocom" => SyntheticTraceBuilder::infocom05_like().build(&mut rng),
-        path => {
-            let file =
-                std::fs::File::open(path).map_err(|e| CliError::Io(format!("open {path}: {e}")))?;
+    let synthetic = match which.as_str() {
+        "cambridge" => Some(SyntheticTraceBuilder::cambridge_like()),
+        "infocom" => Some(SyntheticTraceBuilder::infocom05_like()),
+        _ => None,
+    };
+    // Only a file has lines to skip.
+    let lenient = match synthetic {
+        Some(_) => 0.0,
+        None => flag(flags, "max-bad-lines", 0.0f64)?,
+    };
+    let seed = flag(flags, "seed", 1u64)?;
+    let (group_size, onions) = (flag(flags, "g", 1usize)?, flag(flags, "k", 3usize)?);
+    let (copies, deadline) = (flag(flags, "l", 1u32)?, deadline_flag(flags, 3600.0)?);
+    let opts = opts_from(flags)?
+        .into_builder()
+        .realizations(flag(flags, "realizations", 4usize)?)
+        .seed(seed)
+        .build();
+    let resume = flags.get("resume");
+    apply_telemetry(flags)?;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let schedule = match synthetic {
+        Some(builder) => builder.build(&mut rng),
+        None => {
+            let file = std::fs::File::open(which)
+                .map_err(|e| CliError::Io(format!("open {which}: {e}")))?;
             HaggleParser::new()
-                .lenient(flag(flags, "max-bad-lines", 0.0f64)?)
+                .lenient(lenient)
                 .parse_reader(std::io::BufReader::new(file))
-                .map_err(|e| CliError::Io(format!("parse {path}: {e}")))?
+                .map_err(|e| CliError::Io(format!("parse {which}: {e}")))?
                 .schedule
         }
     };
@@ -528,20 +589,15 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
     );
     let cfg = ProtocolConfig {
         nodes: n,
-        group_size: flag(flags, "g", 1usize)?,
-        onions: flag(flags, "k", 3usize)?,
-        copies: flag(flags, "l", 1u32)?,
-        deadline: deadline_flag(flags, 3600.0)?,
+        group_size,
+        onions,
+        copies,
+        deadline,
         compromised: (n / 10).max(1),
         selection: RouteSelection::Uniform,
     };
-    let opts = opts_from(flags)?
-        .into_builder()
-        .realizations(flag(flags, "realizations", 4usize)?)
-        .seed(flag(flags, "seed", 1u64)?)
-        .build();
     let spec = SweepSpec::schedule(cfg, schedule);
-    let p = run_experiment(flags, &spec, &opts)?
+    let p = run_experiment(resume, &spec, &opts)?
         .into_point()
         .expect("point axis yields a point");
     println!(
@@ -556,9 +612,9 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
     Ok(())
 }
 
-fn cmd_fault_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let report = sweep_command(flags, |spec, _| {
-        let explicit = faults_from(flags)?;
+fn cmd_fault_sweep(flags: &Flags) -> Result<(), CliError> {
+    let report = sweep_command(flags, |spec, opts| {
+        let explicit = opts.faults;
         let base = if explicit.is_noop() {
             default_fault_plan()
         } else {
@@ -591,7 +647,7 @@ fn cmd_fault_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// replica baselines (k = 1) next to genuine codes at matching overhead.
 const DEFAULT_CODE_GRID: &[(u32, u32)] = &[(1, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)];
 
-fn cmd_code_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_code_sweep(flags: &Flags) -> Result<(), CliError> {
     let report = sweep_command(flags, |spec, opts| {
         // With --code k/m the sweep collapses to that single rate;
         // otherwise it walks the default grid.
@@ -622,7 +678,7 @@ fn cmd_code_sweep(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_plan(flags: &Flags) -> Result<(), CliError> {
     let target: f64 = flag(flags, "target", 0.95f64)?;
     // The /v1/model/* size limits, so a plan is never slower than the
     // daemon would allow.
@@ -632,6 +688,7 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), CliError> {
         .map_err(CliError::Usage)?;
     let l = serve::api::check_limit("l", flag(flags, "l", 1u32)?, serve::MAX_MODEL_COPIES)
         .map_err(CliError::Usage)?;
+    apply_telemetry(flags)?;
     let rates = analysis::uniform_onion_path_rates(analysis::TABLE2_MEAN_RATE, g, k)
         .map_err(|e| CliError::Usage(e.to_string()))?;
     let t = analysis::deadline_for_target(&rates, l, target)
@@ -650,7 +707,7 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
     let host: String = flag(flags, "host", "127.0.0.1".to_string())?;
     let port: u16 = flag(flags, "port", 7070u16)?;
     let cfg = ServeConfig {
@@ -679,6 +736,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
             serve::server::DEFAULT_READ_TIMEOUT_SECS,
         )?,
     };
+    apply_telemetry(flags)?;
     let server = Server::bind(&cfg).map_err(|e| CliError::Io(serve_error_text(e)))?;
     let addr = server.local_addr();
     println!("serving on http://{addr} (POST /v1/admin/shutdown to drain and exit)");
@@ -693,7 +751,7 @@ fn serve_error_text(e: ServeError) -> String {
     }
 }
 
-fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_loadgen(flags: &Flags) -> Result<(), CliError> {
     let cfg = LoadgenConfig {
         addr: flag(flags, "addr", "127.0.0.1:7070".to_string())?,
         metrics_out: flags.get("metrics-out").cloned(),
@@ -701,12 +759,14 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), CliError> {
         duration_secs: flag(flags, "duration", 10.0f64)?,
         sweep_share: flag(flags, "sweep-share", 0.1f64)?,
         seed: flag(flags, "seed", 1u64)?,
-        shutdown_after: flags.contains_key("shutdown"),
+        shutdown_after: flags.get("shutdown").is_some(),
         max_retries: flag(flags, "max-retries", 3u32)?,
         backoff_base_ms: flag(flags, "backoff-ms", 50u64)?,
-        chaos: flags.contains_key("chaos"),
+        chaos: flags.get("chaos").is_some(),
         chaos_share: flag(flags, "chaos-share", 0.25f64)?,
     };
+    let report_path = flags.get("report");
+    apply_telemetry(flags)?;
     let report = run_loadgen(&cfg).map_err(CliError::Usage)?;
     println!(
         "loadgen: {} requests in {:.1}s ({:.1} req/s) — ok {}, rejected {}, failed {}, \
@@ -727,7 +787,7 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), CliError> {
             s.count, s.p50_ms, s.p90_ms, s.p99_ms, s.max_ms
         );
     }
-    if let Some(path) = flags.get("report") {
+    if let Some(path) = report_path {
         let json = serde_json::to_string(&report)
             .map_err(|e| CliError::Io(format!("cannot serialize report: {e}")))?;
         std::fs::write(path, json)
@@ -743,18 +803,14 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn dispatch(
-    command: &str,
-    positional: &[String],
-    flags: &HashMap<String, String>,
-) -> Result<(), CliError> {
+fn dispatch(command: &str, flags: &Flags) -> Result<(), CliError> {
     match command {
         "point" => cmd_point(flags),
         "deadline-sweep" => cmd_deadline_sweep(flags),
         "security-sweep" => cmd_security_sweep(flags),
         "fault-sweep" => cmd_fault_sweep(flags),
         "code-sweep" => cmd_code_sweep(flags),
-        "trace" => cmd_trace(positional, flags),
+        "trace" => cmd_trace(flags),
         "plan" => cmd_plan(flags),
         "serve" => cmd_serve(flags),
         "loadgen" => cmd_loadgen(flags),
@@ -769,13 +825,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let rest = &args[1..];
-    let result = match parse_flags(rest) {
-        Err(e) => Err(CliError::Usage(e)),
-        Ok((positional, flags)) => match apply_telemetry(&flags) {
-            Err(e) => Err(CliError::Usage(e)),
-            Ok(()) => dispatch(&command, &positional, &flags),
-        },
-    };
+    let result = parse_flags(rest)
+        .map_err(CliError::Usage)
+        .and_then(|flags| dispatch(&command, &flags));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -798,8 +850,8 @@ mod tests {
 
     #[test]
     fn flag_parsing() {
-        let (pos, flags) = parse_flags(&strings(&["cambridge", "--g", "5", "--t", "60"])).unwrap();
-        assert_eq!(pos, vec!["cambridge"]);
+        let flags = parse_flags(&strings(&["cambridge", "--g", "5", "--t", "60"])).unwrap();
+        assert_eq!(flags.words, vec!["cambridge"]);
         assert_eq!(flags.get("g").map(String::as_str), Some("5"));
         assert_eq!(flag(&flags, "t", 0.0f64).unwrap(), 60.0);
         assert_eq!(flag(&flags, "missing", 7u32).unwrap(), 7);
@@ -808,7 +860,7 @@ mod tests {
     #[test]
     fn non_finite_deadline_is_a_usage_error() {
         for t in ["nan", "NaN", "inf", "infinity"] {
-            let (_, flags) = parse_flags(&strings(&["--t", t])).unwrap();
+            let flags = parse_flags(&strings(&["--t", t])).unwrap();
             assert!(config_from(&flags).is_err(), "--t {t}");
         }
     }
@@ -820,17 +872,17 @@ mod tests {
 
     #[test]
     fn bad_value_is_error() {
-        let (_, flags) = parse_flags(&strings(&["--g", "five"])).unwrap();
+        let flags = parse_flags(&strings(&["--g", "five"])).unwrap();
         assert!(flag(&flags, "g", 1usize).is_err());
     }
 
     #[test]
     fn threads_flag_reaches_experiment_options() {
-        let (_, flags) = parse_flags(&strings(&["--threads", "4"])).unwrap();
+        let flags = parse_flags(&strings(&["--threads", "4"])).unwrap();
         let opts = opts_from(&flags).unwrap();
         assert_eq!(opts.threads, 4);
         // Default is auto-detect.
-        let (_, flags) = parse_flags(&strings(&[])).unwrap();
+        let flags = parse_flags(&strings(&[])).unwrap();
         assert_eq!(opts_from(&flags).unwrap().threads, 0);
     }
 
@@ -838,7 +890,7 @@ mod tests {
     fn bool_flags_take_no_value() {
         // `--progress` and `--quiet` must not consume the token after
         // them, so they can precede positionals and other flags.
-        let (pos, flags) = parse_flags(&strings(&[
+        let flags = parse_flags(&strings(&[
             "--progress",
             "cambridge",
             "--quiet",
@@ -846,7 +898,7 @@ mod tests {
             "5",
         ]))
         .unwrap();
-        assert_eq!(pos, vec!["cambridge"]);
+        assert_eq!(flags.words, vec!["cambridge"]);
         assert_eq!(flags.get("progress").map(String::as_str), Some("true"));
         assert_eq!(flags.get("quiet").map(String::as_str), Some("true"));
         assert_eq!(flags.get("g").map(String::as_str), Some("5"));
@@ -854,8 +906,7 @@ mod tests {
 
     #[test]
     fn metrics_out_flag_takes_a_path() {
-        let (_, flags) =
-            parse_flags(&strings(&["--metrics-out", "target/m.jsonl", "--quiet"])).unwrap();
+        let flags = parse_flags(&strings(&["--metrics-out", "target/m.jsonl", "--quiet"])).unwrap();
         assert_eq!(
             flags.get("metrics-out").map(String::as_str),
             Some("target/m.jsonl")
@@ -865,43 +916,46 @@ mod tests {
 
     #[test]
     fn sparse_degree_flag_parses_and_validates() {
-        let (_, flags) = parse_flags(&strings(&["--sparse-degree", "12.5"])).unwrap();
+        let flags = parse_flags(&strings(&["--sparse-degree", "12.5"])).unwrap();
         assert_eq!(
             sparse_from(&flags).unwrap(),
             Some(SparseScenario { avg_degree: 12.5 })
         );
         // Absent means dense mode.
-        let (_, flags) = parse_flags(&strings(&[])).unwrap();
+        let flags = parse_flags(&strings(&[])).unwrap();
         assert_eq!(sparse_from(&flags).unwrap(), None);
         // Zero, negative, and non-numeric degrees are usage errors.
         for bad in ["0", "-3", "inf", "lots"] {
-            let (_, flags) = parse_flags(&strings(&["--sparse-degree", bad])).unwrap();
+            let flags = parse_flags(&strings(&["--sparse-degree", bad])).unwrap();
             assert!(sparse_from(&flags).is_err(), "--sparse-degree {bad}");
         }
     }
 
     #[test]
     fn config_respects_flags_and_validates() {
-        let (_, flags) = parse_flags(&strings(&["--g", "2", "--k", "4"])).unwrap();
+        let flags = parse_flags(&strings(&["--g", "2", "--k", "4"])).unwrap();
         let cfg = config_from(&flags).unwrap();
         assert_eq!((cfg.group_size, cfg.onions), (2, 4));
         // Invalid: K exceeds the group count.
-        let (_, flags) = parse_flags(&strings(&["--n", "10", "--g", "5", "--k", "3"])).unwrap();
+        let flags = parse_flags(&strings(&["--n", "10", "--g", "5", "--k", "3"])).unwrap();
         assert!(config_from(&flags).is_err());
     }
 
     #[test]
     fn zero_trials_are_usage_errors_that_name_the_field() {
-        for (command, positional) in [
-            ("point", &[][..]),
+        // A trace's schedule fixes its node and compromised counts.
+        let world = &["--n", "20", "--c", "2"][..];
+        for (command, own) in [
+            ("point", world),
             ("trace", &["cambridge"][..]),
-            ("deadline-sweep", &[][..]),
+            ("deadline-sweep", world),
         ] {
             for field in ["messages", "realizations"] {
-                let args = strings(&["--n", "20", "--g", "2", "--k", "2", "--c", "2"]);
-                let (_, mut flags) = parse_flags(&args).unwrap();
-                flags.insert(field.to_string(), "0".to_string());
-                match dispatch(command, &strings(positional), &flags) {
+                let mut args = strings(own);
+                args.extend(strings(&["--g", "2", "--k", "2"]));
+                args.extend([format!("--{field}"), "0".to_string()]);
+                let flags = parse_flags(&args).unwrap();
+                match dispatch(command, &flags) {
                     Err(CliError::Usage(m)) => {
                         assert!(m.contains(&format!("opts.{field}")), "{command}: {m}")
                     }

@@ -387,6 +387,54 @@ fn loadgen_rejects_zero_workers() {
     run(["loadgen", "--workers", "0"]).expect_usage_error("at least one worker");
 }
 
+// A command takes exactly the flags and words it reads; anything else is
+// a usage error naming it, before any work.
+
+#[test]
+fn a_misspelt_flag_is_a_usage_error_naming_it() {
+    run(small("point", &["--realisations", "1"]))
+        .expect_usage_error("unexpected flag --realisations");
+}
+
+#[test]
+fn a_flag_is_never_the_value_of_the_flag_before_it() {
+    // Run where a stray `--quiet` checkpoint would land.
+    let dir = scratch_dir("flag-as-value");
+    let mut cmd = command(small("point", &["--resume", "--quiet"]));
+    cmd.current_dir(&dir);
+    finish(cmd, RUN_LIMIT).expect_usage_error("flag --resume needs a value");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_flag_cannot_swallow_the_next_one() {
+    run(small("point", &["--wire-mode", "--quiet"]))
+        .expect_usage_error("flag --wire-mode needs a value");
+}
+
+#[test]
+fn a_stray_word_is_a_usage_error_naming_it() {
+    run(small("point", &["foo"])).expect_usage_error("unexpected argument \"foo\"");
+}
+
+#[test]
+fn trace_takes_one_source_word() {
+    run(["trace", "cambridge", "extra", "--messages", "2"])
+        .expect_usage_error("unexpected argument \"extra\"");
+}
+
+#[test]
+fn plan_refuses_a_flag_it_does_not_read() {
+    run(["plan", "--messages", "5"]).expect_usage_error("unexpected flag --messages");
+}
+
+#[test]
+fn trace_refuses_a_node_count_its_schedule_fixes() {
+    run(["trace", "cambridge", "--n", "99", "--messages", "2"])
+        .expect_usage_error("unexpected flag --n");
+}
+
 // ---------------------------------------------------------------------
 // I/O errors: exit 3, no usage text.
 // ---------------------------------------------------------------------
@@ -449,6 +497,26 @@ fn a_version_1_checkpoint_exits_3_naming_its_version() {
     run(small("point", &["--resume", &path_arg(&cp), "--quiet"]))
         .expect_io_error("checkpoint format version 1 is not supported");
     assert_eq!(std::fs::read_to_string(&cp).unwrap(), v1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn trace_out_into_a_missing_directory_exits_3() {
+    let dir = scratch_dir("trace-out-missing");
+    let trace = path_arg(&dir.join("absent").join("t.jsonl"));
+    let r = run(small("point", &["--trace-out", &trace, "--quiet"]));
+    r.expect_io_error(&format!("cannot create trace file {trace}"));
+    assert!(r.stdout.is_empty(), "{}", r.stdout);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn metrics_out_into_a_missing_directory_exits_3() {
+    let dir = scratch_dir("metrics-out-missing");
+    let metrics = path_arg(&dir.join("absent").join("m.jsonl"));
+    let r = run(small("point", &["--metrics-out", &metrics, "--quiet"]));
+    r.expect_io_error(&format!("cannot create metrics file {metrics}"));
+    assert!(r.stdout.is_empty(), "{}", r.stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -918,29 +986,94 @@ fn sparse_point_reports_its_memory_gauges() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn trace_out_is_byte_stable_at_one_thread() {
-    let dir = scratch_dir("trace-stable");
-    let (a, b) = (dir.join("a.jsonl"), dir.join("b.jsonl"));
-    for path in [&a, &b] {
-        run(small(
-            "point",
-            &["--threads", "1", "--quiet", "--trace-out", &path_arg(path)],
-        ))
-        .expect_ok();
-    }
-    let a = std::fs::read_to_string(&a).unwrap();
-    assert_eq!(a, std::fs::read_to_string(&b).unwrap());
-    let mut trials = std::collections::BTreeSet::new();
-    for line in a.lines() {
+/// The `--trace-out` file a run of `args` writes at each `--threads`
+/// value of `threads`, all under `dir`.
+fn trace_files(dir: &Path, args: &[String], threads: &[&str]) -> Vec<String> {
+    let traces = threads.iter().map(|t| {
+        let path = dir.join(format!("trace-{t}.jsonl"));
+        let mut args = args.to_vec();
+        args.extend(["--threads", t, "--quiet", "--trace-out", &path_arg(&path)].map(String::from));
+        run(&args).expect_ok();
+        std::fs::read_to_string(&path).unwrap()
+    });
+    traces.collect()
+}
+
+/// The trial of each block of `trace`, in file order.
+fn trace_blocks(trace: &str) -> Vec<u64> {
+    let mut blocks = Vec::new();
+    for line in trace.lines() {
         let event = serde_json::parse_value(line).expect("trace line parses");
-        match event.get("trial") {
-            Some(serde::Value::UInt(t)) => trials.insert(*t),
+        assert!(event.get("event").is_some(), "{line}");
+        let trial = match event.get("trial") {
+            Some(serde::Value::UInt(t)) => *t,
             other => panic!("trial field {other:?} in {line}"),
         };
-        assert!(event.get("event").is_some(), "{line}");
+        if blocks.last() != Some(&trial) {
+            blocks.push(trial);
+        }
     }
-    assert_eq!(trials.into_iter().collect::<Vec<_>>(), [0, 1, 2]);
+    blocks
+}
+
+/// Trials fold in trial order at every thread count, and so do their
+/// trace blocks: six trials a row give the workers room to finish out
+/// of order.
+#[test]
+fn trace_out_is_byte_identical_at_every_thread_count() {
+    let dir = scratch_dir("trace-threads");
+    let args = small(
+        "fault-sweep",
+        &["--realizations", "6", "--trace-cap", "256"],
+    );
+    let traces = trace_files(&dir, &args, &["1", "2", "4", "0"]);
+    for (trace, threads) in traces.iter().zip(["1", "2", "4", "auto"]).skip(1) {
+        assert!(*trace == traces[0], "--threads 1 vs {threads}");
+    }
+    let rows = DEFAULT_FAULT_INTENSITIES.len();
+    let expected: Vec<u64> = (0..rows).flat_map(|_| 0..6).collect();
+    assert_eq!(trace_blocks(&traces[0]), expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A quarantined trial writes no trace block at any thread count, and
+/// its events go to its crash bundle instead.
+#[test]
+fn a_quarantined_trial_leaves_the_trace_and_fills_its_crash_bundle() {
+    let dir = scratch_dir("trace-quarantine");
+    let mut bundles = Vec::new();
+    let mut traces = Vec::new();
+    for threads in ["1", "2"] {
+        let run_dir = dir.join(threads);
+        std::fs::create_dir_all(&run_dir).unwrap();
+        let trace = run_dir.join("trace.jsonl");
+        let cp = path_arg(&run_dir.join("cp.jsonl"));
+        let args = small(
+            "fault-sweep",
+            &["--realizations", "6", "--keep-going", "--resume", &cp],
+        );
+        let extra = [
+            "--threads",
+            threads,
+            "--quiet",
+            "--trace-out",
+            &path_arg(&trace),
+        ];
+        quarantined(args.iter().map(String::as_str).chain(extra)).expect_ok();
+        traces.push(std::fs::read_to_string(&trace).unwrap());
+        bundles.push(std::fs::read_to_string(run_dir.join("crash-trial0.jsonl")).unwrap());
+    }
+    assert!(traces[0] == traces[1], "--threads 1 vs 2");
+    let rows = DEFAULT_FAULT_INTENSITIES.len();
+    let expected: Vec<u64> = (0..rows).flat_map(|_| 1..6).collect();
+    assert_eq!(trace_blocks(&traces[0]), expected, "no trial-0 block");
+    assert_eq!(bundles[0], bundles[1]);
+    let mut lines = bundles[0].lines();
+    let header: obs::CrashBundleHeader =
+        serde_json::from_str(lines.next().expect("header")).expect("header parses");
+    assert_eq!(header.trial, 0);
+    assert!(header.events > 0, "{header:?}");
+    assert_eq!(trace_blocks(&lines.collect::<Vec<_>>().join("\n")), [0]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,9 +1,10 @@
 //! The lifecycle trace must be a pure observer, exactly like metrics:
 //! enabling tracing may not perturb a single bit of the experiment
-//! results, at any thread count. Also covered here: ring-buffer
-//! eviction semantics (a proptest) and the flight recorder's crash
-//! bundle — written exactly once for a quarantined trial, parseable,
-//! and carrying the seed that deterministically reproduces the panic.
+//! results, at any thread count, and the trace file itself is the same
+//! at every thread count. Also covered here: ring-buffer eviction
+//! semantics (a proptest) and the flight recorder's crash bundle —
+//! written exactly once for a quarantined trial, parseable, and
+//! carrying the seed that deterministically reproduces the panic.
 
 use std::path::PathBuf;
 
@@ -49,11 +50,12 @@ fn trace_on_and_off_produce_bit_identical_summaries_and_crash_bundles() {
     let quiet = run_random_graph_point(&cfg, &opts);
 
     let dir = scratch_dir("trace-det");
-    let trace_path = dir.join("trace.jsonl");
-    obs::set_trace_path(Some(&trace_path));
     obs::set_trace_capacity(64); // small cap: exercise eviction mid-run
     obs::set_trace_enabled(true);
+    let mut files = Vec::new();
     for threads in [1usize, 2, 8] {
+        let trace_path = dir.join(format!("trace-{threads}.jsonl"));
+        obs::set_trace_path(Some(&trace_path)).expect("create trace file");
         let traced =
             run_random_graph_point(&cfg, &opts.clone().into_builder().threads(threads).build());
         assert_eq!(
@@ -65,17 +67,29 @@ fn trace_on_and_off_produce_bit_identical_summaries_and_crash_bundles() {
             serde_json::to_string(&traced).unwrap(),
             "serialized summaries must be byte-identical (threads={threads})"
         );
+        files.push(std::fs::read_to_string(&trace_path).expect("trace file written"));
     }
 
-    // The trace file filled with parseable per-trial JSONL lines.
-    let text = std::fs::read_to_string(&trace_path).expect("trace file written");
+    // The runs' blocks are written in trial order, so the files are one.
+    assert_eq!(files[0], files[1], "trace at threads 1 vs 2");
+    assert_eq!(files[0], files[2], "trace at threads 1 vs 8");
+    // It holds parseable per-trial JSONL lines, one block per trial.
+    let text = &files[0];
     assert!(!text.trim().is_empty(), "trace output is non-empty");
+    let mut blocks = Vec::new();
     for line in text.lines() {
         let value = serde_json::parse_value(line).expect("trace line parses as JSON");
-        assert!(value.get("trial").is_some(), "line carries trial: {line}");
+        let trial = match value.get("trial") {
+            Some(serde::Value::UInt(trial)) => *trial,
+            other => panic!("line carries trial {other:?}: {line}"),
+        };
+        if blocks.last() != Some(&trial) {
+            blocks.push(trial);
+        }
         assert!(value.get("seq").is_some(), "line carries seq: {line}");
         assert!(value.get("event").is_some(), "line carries event: {line}");
     }
+    assert_eq!(blocks, [0, 1, 2, 3], "one block per trial, in trial order");
 
     // ---- Flight recorder: quarantined trial -> exactly one bundle. ----
     let crash_dir = scratch_dir("trace-crash");
@@ -101,7 +115,6 @@ fn trace_on_and_off_produce_bit_identical_summaries_and_crash_bundles() {
             trial != poisoned_trial,
             "poisoned trial {trial} panics deterministically"
         );
-        obs::trace_ring_flush();
         trial
     };
     let mut done = Vec::new();
@@ -159,7 +172,7 @@ fn trace_on_and_off_produce_bit_identical_summaries_and_crash_bundles() {
     // ---- Teardown: leave the global recorder as we found it. ----
     obs::clear_crash_sink();
     obs::set_trace_enabled(false);
-    obs::set_trace_path(None);
+    obs::set_trace_path(None).expect("clear trace path");
     obs::set_trace_capacity(obs::DEFAULT_TRACE_CAP);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
