@@ -21,9 +21,11 @@
 //!   the spec's identity (`SweepSpec::identity(&opts).key()`: the spec
 //!   and its options with `threads` and `keep_going` zeroed, the key a
 //!   `--resume` checkpoint of the same run carries), with single-flight
-//!   coalescing for identical concurrent misses. Fault and code rows are
-//!   stored under the key of the same spec with its grid emptied, so a
-//!   stored row replays in any grid that contains it. The daemon runs
+//!   coalescing for identical concurrent misses. A durable store is the
+//!   run's row cache: every row is stored under the key of the same spec
+//!   with its grid emptied (a point under its own key), so a stored row
+//!   replays in any grid that contains it and a restarted daemon
+//!   rebuilds a body from its rows. The daemon runs
 //!   every sweep without `keep_going`: a `SweepRunError` answers `504
 //!   deadline_exceeded` when cancelled and `500 trial_failed` when
 //!   quarantined, and no result missing trials is cached or stored.
@@ -35,7 +37,10 @@
 //! types), while scalar knobs are extracted field-by-field. Sweep
 //! bodies additionally accept `"sparse": {"avg_degree": d}` to run the
 //! CSR + calendar-queue scale backend instead of the dense Table II
-//! world.
+//! world. Every read records its field, and a top-level field that no
+//! read asked for answers `400 invalid_argument` naming it: the model
+//! endpoints share one query of seven fields, and a sweep body carries
+//! `config`, `opts`, `sparse` and its kind's own axis fields.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,7 +112,7 @@ pub struct Api {
 impl Api {
     /// Builds the router around a result cache of `cache_capacity`
     /// entries over `cache_shards` locks, with an optional disk store
-    /// as the write-through second tier beneath the LRU.
+    /// that persists every sweep's rows beneath the LRU.
     pub fn new(
         cache_capacity: usize,
         cache_shards: usize,
@@ -222,18 +227,18 @@ impl Api {
     }
 
     fn model(&self, req: &Request) -> Response {
-        let body = match parse_body(&req.body) {
+        let mut body = match Body::parse(&req.body) {
             Ok(v) => v,
             Err(e) => return Response::error(400, "malformed_request", &e),
         };
-        let result = match req.path.as_str() {
-            "/v1/model/delivery" => model_delivery(&body),
-            "/v1/model/cost" => model_cost(&body),
-            "/v1/model/traceable" => model_traceable(&body),
-            "/v1/model/anonymity" => model_anonymity(&body),
+        let model: fn(&ModelQuery) -> Result<String, String> = match req.path.as_str() {
+            "/v1/model/delivery" => model_delivery,
+            "/v1/model/cost" => model_cost,
+            "/v1/model/traceable" => model_traceable,
+            "/v1/model/anonymity" => model_anonymity,
             _ => return Response::error(404, "not_found", "no such model endpoint"),
         };
-        match result {
+        match ModelQuery::read(&mut body).and_then(|query| model(&query)) {
             Ok(json) => Response::json(200, json),
             Err(e) => Response::error(400, "invalid_argument", &e),
         }
@@ -241,34 +246,33 @@ impl Api {
 
     fn sweep(&self, req: &Request, deadline: Option<Instant>) -> Response {
         let kind = req.path.trim_start_matches("/v1/sweep/");
-        let job = match parse_body(&req.body) {
+        let job = match Body::parse(&req.body) {
             Err(e) => return Response::error(400, "malformed_request", &e),
             Ok(_) if !SWEEP_KINDS.contains(&kind) => {
                 return Response::error(404, "not_found", "no such sweep endpoint")
             }
-            Ok(body) => match self.sweep_job(kind, &body) {
+            Ok(mut body) => match self.sweep_job(kind, &mut body) {
                 Ok(job) => job,
                 Err(e) => return Response::error(400, "invalid_argument", &e),
             },
         };
-        // The *server* owns the run policies the identity zeroes: the
-        // thread count never shows in a response, and without `keep_going`
-        // a result missing trials is never cached or stored.
-        let run_opts = job.opts.into_builder().keep_going(false);
-        let run_opts = run_opts.threads(self.limits.sweep_threads).build();
-        let spec = &job.spec;
         self.cached_sweep(&job.key, deadline, || {
+            // The *server* owns the run policies the identity zeroes: the
+            // thread count never shows in a response, and without
+            // `keep_going` a result missing trials is never cached or stored.
+            let run_opts = job.opts.clone().into_builder().keep_going(false);
+            let run_opts = run_opts.threads(self.limits.sweep_threads).build();
             let cancel = || deadline.is_some_and(|d| Instant::now() >= d);
-            let rows = self
-                .store
-                .as_ref()
-                .and_then(|_| row_prefix(spec, &run_opts));
-            let rows = rows.map(|prefix| StoreRowCache { api: self, prefix });
+            let rows = self.store.as_deref().map(|store| StoreRowCache {
+                api: self,
+                store,
+                prefix: job.row_prefix(),
+            });
             let controls = SweepControls {
                 cancel: Some(&cancel),
                 rows: rows.as_ref().map(|rows| rows as &(dyn RowCache + Sync)),
             };
-            let report = spec.run_controlled(&run_opts, &controls);
+            let report = job.spec.run_controlled(&run_opts, &controls);
             let json = match report.map_err(SweepFailure::Stopped)? {
                 SweepReport::Point(summary) => to_json(&*summary),
                 SweepReport::Delivery(rows) => to_json(&rows),
@@ -280,12 +284,36 @@ impl Api {
         })
     }
 
-    /// Parses a request for `/v1/sweep/<kind>` into its spec, checks it
-    /// with [`SweepSpec::validate`] and the sweep limits, and derives its
-    /// cache key.
-    fn sweep_job(&self, kind: &str, body: &Value) -> Result<SweepJob, String> {
-        let cfg = field_or(body, "config", ProtocolConfig::table2_defaults)?;
-        let opts = field_or(body, "opts", ExperimentOptions::default)?;
+    /// Parses a request for `/v1/sweep/<kind>` into its spec, refuses a
+    /// field the kind does not read, checks the spec with
+    /// [`SweepSpec::validate`] and the sweep limits, and derives its cache
+    /// key.
+    fn sweep_job(&self, kind: &str, body: &mut Body) -> Result<SweepJob, String> {
+        let cfg = body.or("config", ProtocolConfig::table2_defaults)?;
+        let opts = body.or("opts", ExperimentOptions::default)?;
+        let spec = match body.or::<Option<SparseScenario>>("sparse", || None)? {
+            Some(s) => SweepSpec::sparse(cfg, s.avg_degree),
+            None => SweepSpec::random_graph(cfg),
+        };
+        let spec = match kind {
+            "deadline" => spec
+                .over_deadlines(&body.or("deadlines", || vec![60.0, 180.0, 360.0, 720.0, 1080.0])?),
+            "security" => {
+                let compromised: Vec<usize> =
+                    body.or("compromised", || default_security_grid(spec.config.nodes))?;
+                spec.over_security(&compromised, body.or("adversary_draws", || 3)?)
+            }
+            "fault" => spec.over_faults(
+                body.or("plan", default_fault_plan)?,
+                &body.or("intensities", || DEFAULT_FAULT_INTENSITIES.to_vec())?,
+            ),
+            "code" => spec.over_code_rates(
+                &body.or("rates", || vec![(1, 1), (1, 2), (2, 3), (2, 4), (3, 5)])?,
+            ),
+            // "point": the spec's default axis.
+            _ => spec,
+        };
+        body.reject_unread()?;
         let limits = &self.limits;
         for (field, value, max) in [
             (
@@ -299,44 +327,20 @@ impl Api {
                 return Err(format!("{field} must be within 1..={max}"));
             }
         }
-        let spec = match opt_field::<SparseScenario>(body, "sparse")? {
-            Some(s) => SweepSpec::sparse(cfg, s.avg_degree),
-            None => SweepSpec::random_graph(cfg),
-        };
-        let spec = match kind {
-            "deadline" => spec.over_deadlines(&field_or(body, "deadlines", || {
-                vec![60.0, 180.0, 360.0, 720.0, 1080.0]
-            })?),
-            "security" => {
-                let compromised: Vec<usize> = field_or(body, "compromised", || {
-                    default_security_grid(spec.config.nodes)
-                })?;
-                spec.over_security(&compromised, field_or(body, "adversary_draws", || 3)?)
-            }
-            "fault" => spec.over_faults(
-                field_or(body, "plan", default_fault_plan)?,
-                &field_or(body, "intensities", || DEFAULT_FAULT_INTENSITIES.to_vec())?,
-            ),
-            "code" => spec.over_code_rates(&field_or(body, "rates", || {
-                vec![(1, 1), (1, 2), (2, 3), (2, 4), (3, 5)]
-            })?),
-            // "point": the spec's default axis.
-            _ => spec,
-        };
         spec.validate(&opts).map_err(|e| e.to_string())?;
         check_sweep_limits(&spec, &opts)?;
         let key = spec.identity(&opts).key();
         Ok(SweepJob { spec, opts, key })
     }
 
-    /// The cache → store → single-flight → compute funnel for sweep
-    /// endpoints. The in-memory LRU is the first tier; when a durable
-    /// store is configured it acts as a write-through second tier: a
-    /// store hit promotes the body back into the LRU, and single-flight
-    /// leaders persist their result before answering. A `deadline` in
-    /// the past by the time the leader would start computing cancels it
-    /// after 0 of 0 rows, as an expiry mid-sweep does after the rows it
-    /// finished: `504 deadline_exceeded`.
+    /// The cache → single-flight → compute funnel for sweep endpoints.
+    /// The in-memory LRU holds whole bodies; a miss runs `compute` once
+    /// per key however many requests wait on it, and the leader caches
+    /// the body before answering. A durable store sits beneath `compute`
+    /// alone, as its row cache. A `deadline` in the past by the time the
+    /// leader would start computing cancels it after 0 of 0 rows, as an
+    /// expiry mid-sweep does after the rows it finished: `504
+    /// deadline_exceeded`.
     fn cached_sweep<F>(&self, key: &str, deadline: Option<Instant>, compute: F) -> Response
     where
         F: FnOnce() -> Result<String, SweepFailure>,
@@ -346,15 +350,6 @@ impl Api {
             return Response::json(200, (*hit).clone());
         }
         self.stats.cache_misses.bump();
-        if let Some(store) = &self.store {
-            if let Some(body) = store.get(key) {
-                self.stats.store_hits.bump();
-                let body = Arc::new(body);
-                self.cache.insert(key, Arc::clone(&body));
-                return Response::json(200, (*body).clone());
-            }
-            self.stats.store_misses.bump();
-        }
         let (result, role) = self.flight.run(key, || {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 // Expired while waiting in the single-flight queue:
@@ -376,15 +371,6 @@ impl Api {
             Ok(body) => {
                 if role == Role::Led {
                     self.cache.insert(key, Arc::clone(&body));
-                    if let Some(store) = &self.store {
-                        match store.put(key, &body) {
-                            Ok(()) => {
-                                self.stats.store_writes.bump();
-                            }
-                            Err(e) => obs::warn!("serve::store", "persist {key} failed: {e}"),
-                        }
-                        self.sync_store_gauges();
-                    }
                 }
                 Response::json(200, (*body).clone())
             }
@@ -430,31 +416,31 @@ impl From<Panicked> for SweepFailure {
     }
 }
 
-/// A [`RowCache`] backed by the API's durable [`ResponseStore`]: fault
-/// and code sweep rows persist under `<prefix>:<row key>` so a sweep
-/// cancelled by its deadline resumes from the completed rows on retry.
+/// The API's durable [`ResponseStore`] as a [`RowCache`], the one way a
+/// sweep reaches it: every row persists under `<prefix>:<row key>`, so a
+/// restarted daemon rebuilds a body from its rows and a sweep cancelled
+/// by its deadline resumes from the rows it finished.
 struct StoreRowCache<'a> {
     api: &'a Api,
+    store: &'a ResponseStore,
     prefix: String,
 }
 
 impl RowCache for StoreRowCache<'_> {
     fn load(&self, key: &str) -> Option<String> {
-        let store = self.api.store.as_ref()?;
-        let body = store.get(&format!("{}:{key}", self.prefix))?;
-        self.api.stats.store_row_hits.bump();
-        Some(body)
+        let row = self.store.get(&format!("{}:{key}", self.prefix));
+        let stats = &self.api.stats;
+        match row {
+            Some(_) => stats.store_hits.bump(),
+            None => stats.store_misses.bump(),
+        }
+        row
     }
 
     fn save(&self, key: &str, row_json: &str) {
-        let Some(store) = self.api.store.as_ref() else {
-            return;
-        };
         let full = format!("{}:{key}", self.prefix);
-        match store.put(&full, row_json) {
-            Ok(()) => {
-                self.api.stats.store_row_writes.bump();
-            }
+        match self.store.put(&full, row_json) {
+            Ok(()) => self.api.stats.store_writes.bump(),
             Err(e) => obs::warn!("serve::store", "persist row {full} failed: {e}"),
         }
         self.api.sync_store_gauges();
@@ -469,20 +455,25 @@ const SWEEP_KINDS: [&str; 5] = ["point", "deadline", "security", "fault", "code"
 struct SweepJob {
     spec: SweepSpec,
     opts: ExperimentOptions,
-    /// The response's cache and store key: the spec's identity key.
+    /// The response's cache key: the spec's identity key.
     key: String,
 }
 
-/// The store prefix of a fault or code sweep's rows: the key of the same
-/// spec with its grid emptied, so a stored row replays in any grid that
-/// contains it. The other axes store whole responses only.
-fn row_prefix(spec: &SweepSpec, opts: &ExperimentOptions) -> Option<String> {
-    let rows = match &spec.axis {
-        SweepAxis::Fault(axis) => spec.clone().over_faults(axis.base_plan, &[]),
-        SweepAxis::Code(_) => spec.clone().over_code_rates(&[]),
-        _ => return None,
-    };
-    Some(rows.identity(opts).key())
+impl SweepJob {
+    /// The store prefix of the sweep's rows: the key of the same spec
+    /// with its grid emptied, so a stored row replays in any grid that
+    /// contains it. A point has no grid, so its prefix is its own key.
+    fn row_prefix(&self) -> String {
+        let mut rows = self.spec.clone();
+        match &mut rows.axis {
+            SweepAxis::Point => return self.key.clone(),
+            SweepAxis::Deadline(grid) => grid.clear(),
+            SweepAxis::Security(axis) => axis.compromised.clear(),
+            SweepAxis::Fault(axis) => axis.intensities.clear(),
+            SweepAxis::Code(axis) => axis.rates.clear(),
+        }
+        rows.identity(&self.opts).key()
+    }
 }
 
 /// Largest estimated memory of one sweep realization: 512 MiB. Dense
@@ -607,32 +598,50 @@ fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
         .find_map(|(k, v)| (k == key).then_some(v))
 }
 
-/// An empty body parses as an empty object; anything else must be JSON.
-fn parse_body(body: &str) -> Result<Value, String> {
-    if body.is_empty() {
-        return Ok(Value::Object(Vec::new()));
+/// A request body's top-level JSON object. Each read records its field,
+/// so [`Body::reject_unread`] refuses a field no read asked for.
+struct Body {
+    value: Value,
+    read: Vec<&'static str>,
+}
+
+impl Body {
+    /// An empty body parses as an empty object; anything else must be JSON.
+    fn parse(body: &str) -> Result<Body, String> {
+        let value = if body.is_empty() {
+            Value::Object(Vec::new())
+        } else {
+            serde_json::parse_value(body).map_err(|e| format!("invalid JSON body: {e}"))?
+        };
+        Ok(Body {
+            value,
+            read: Vec::new(),
+        })
     }
-    serde_json::parse_value(body).map_err(|e| format!("invalid JSON body: {e}"))
-}
 
-fn deserialize<T: serde::DeserializeOwned>(value: &Value, what: &str) -> Result<T, String> {
-    T::from_value(value).map_err(|e| format!("{what}: {e}"))
-}
+    /// A typed field, or `default()` when absent or null.
+    fn or<T: serde::DeserializeOwned>(
+        &mut self,
+        key: &'static str,
+        default: impl FnOnce() -> T,
+    ) -> Result<T, String> {
+        self.read.push(key);
+        match self.value.get(key) {
+            None | Some(Value::Null) => Ok(default()),
+            Some(v) => T::from_value(v).map_err(|e| format!("{key}: {e}")),
+        }
+    }
 
-/// A typed field of the request object, or `default()` when absent.
-fn field_or<T: serde::DeserializeOwned>(
-    body: &Value,
-    key: &str,
-    default: impl FnOnce() -> T,
-) -> Result<T, String> {
-    Ok(opt_field(body, key)?.unwrap_or_else(default))
-}
-
-/// Extracts an optional typed field from the request object.
-fn opt_field<T: serde::DeserializeOwned>(body: &Value, key: &str) -> Result<Option<T>, String> {
-    match body.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => deserialize::<T>(v, key).map(Some),
+    /// Refuses the first field that no read asked for.
+    fn reject_unread(&self) -> Result<(), String> {
+        if let Value::Object(fields) = &self.value {
+            for (key, _) in fields {
+                if !self.read.contains(&key.as_str()) {
+                    return Err(format!("unexpected field {key:?}"));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -678,42 +687,55 @@ pub struct DeliveryModel {
     pub median_delay: f64,
 }
 
-/// A model request's `group_size` (default 5), checked against its limit.
-fn group_size_field(body: &Value) -> Result<usize, String> {
-    let group_size = opt_field::<usize>(body, "group_size")?.unwrap_or(5);
-    check_limit("group_size", group_size, MAX_MODEL_GROUP_SIZE)
+/// The one query every `/v1/model/*` endpoint reads: seven fields, each
+/// with one default, under one set of checks.
+struct ModelQuery {
+    lambda: f64,
+    group_size: usize,
+    onions: usize,
+    copies: u32,
+    deadline: f64,
+    nodes: usize,
+    compromised: usize,
 }
 
-/// A model request's `onions` (default 3), checked against its limit.
-fn onions_field(body: &Value) -> Result<usize, String> {
-    let onions = opt_field::<usize>(body, "onions")?.unwrap_or(3);
-    check_limit("onions", onions, MAX_MODEL_ONIONS)
+impl ModelQuery {
+    /// Reads the query, refuses any other field, and checks the sizes
+    /// against their limits and `0 < nodes`, `compromised <= nodes`.
+    fn read(body: &mut Body) -> Result<ModelQuery, String> {
+        let query = ModelQuery {
+            lambda: body.or("lambda", || TABLE2_MEAN_RATE)?,
+            group_size: body.or("group_size", || 5)?,
+            onions: body.or("onions", || 3)?,
+            copies: body.or("copies", || 1)?,
+            deadline: body.or("deadline", || 1080.0)?,
+            nodes: body.or("nodes", || 100)?,
+            compromised: body.or("compromised", || 10)?,
+        };
+        body.reject_unread()?;
+        check_limit("group_size", query.group_size, MAX_MODEL_GROUP_SIZE)?;
+        check_limit("onions", query.onions, MAX_MODEL_ONIONS)?;
+        check_limit("copies", query.copies, MAX_MODEL_COPIES)?;
+        if query.nodes == 0 || query.compromised > query.nodes {
+            return Err("need 0 < nodes and compromised <= nodes".to_string());
+        }
+        Ok(query)
+    }
 }
 
-/// A model request's `copies` (default 1), checked against its limit.
-fn copies_field(body: &Value) -> Result<u32, String> {
-    let copies = opt_field::<u32>(body, "copies")?.unwrap_or(1);
-    check_limit("copies", copies, MAX_MODEL_COPIES)
-}
-
-fn model_delivery(body: &Value) -> Result<String, String> {
-    let lambda = opt_field::<f64>(body, "lambda")?.unwrap_or(TABLE2_MEAN_RATE);
-    let group_size = group_size_field(body)?;
-    let onions = onions_field(body)?;
-    let copies = copies_field(body)?;
-    let deadline = opt_field::<f64>(body, "deadline")?.unwrap_or(1080.0);
-    let rates = analysis::uniform_onion_path_rates(lambda, group_size, onions)
+fn model_delivery(q: &ModelQuery) -> Result<String, String> {
+    let rates = analysis::uniform_onion_path_rates(q.lambda, q.group_size, q.onions)
         .map_err(|e| e.to_string())?;
-    let delivery_rate =
-        analysis::delivery_rate_multicopy(&rates, copies, deadline).map_err(|e| e.to_string())?;
+    let delivery_rate = analysis::delivery_rate_multicopy(&rates, q.copies, q.deadline)
+        .map_err(|e| e.to_string())?;
     let mean_delay = analysis::expected_delay(&rates).map_err(|e| e.to_string())?;
     let median_delay = analysis::median_delay(&rates).map_err(|e| e.to_string())?;
     to_json(&DeliveryModel {
-        lambda,
-        group_size,
-        onions,
-        copies,
-        deadline,
+        lambda: q.lambda,
+        group_size: q.group_size,
+        onions: q.onions,
+        copies: q.copies,
+        deadline: q.deadline,
         rates,
         delivery_rate,
         mean_delay,
@@ -736,20 +758,18 @@ pub struct CostModel {
     pub anonymity_cost_factor: f64,
 }
 
-fn model_cost(body: &Value) -> Result<String, String> {
-    let onions = onions_field(body)?;
-    let copies = copies_field(body)?;
-    let bound = if copies == 1 {
-        analysis::single_copy_cost(onions)
+fn model_cost(q: &ModelQuery) -> Result<String, String> {
+    let bound = if q.copies == 1 {
+        analysis::single_copy_cost(q.onions)
     } else {
-        analysis::multi_copy_bound(onions, copies).map_err(|e| e.to_string())?
+        analysis::multi_copy_bound(q.onions, q.copies).map_err(|e| e.to_string())?
     };
     to_json(&CostModel {
-        onions,
-        copies,
+        onions: q.onions,
+        copies: q.copies,
         bound,
-        non_anonymous: analysis::non_anonymous_bound(copies),
-        anonymity_cost_factor: analysis::anonymity_cost_factor(onions),
+        non_anonymous: analysis::non_anonymous_bound(q.copies),
+        anonymity_cost_factor: analysis::anonymity_cost_factor(q.onions),
     })
 }
 
@@ -770,20 +790,14 @@ pub struct TraceableModel {
     pub traceable_rate: f64,
 }
 
-fn model_traceable(body: &Value) -> Result<String, String> {
-    let nodes = opt_field::<usize>(body, "nodes")?.unwrap_or(100);
-    let compromised = opt_field::<usize>(body, "compromised")?.unwrap_or(10);
-    let onions = onions_field(body)?;
-    if nodes == 0 || compromised > nodes {
-        return Err("need 0 < nodes and compromised <= nodes".to_string());
-    }
-    let eta = onions + 1;
-    let p = compromised as f64 / nodes as f64;
+fn model_traceable(q: &ModelQuery) -> Result<String, String> {
+    let eta = q.onions + 1;
+    let p = q.compromised as f64 / q.nodes as f64;
     let traceable_rate = analysis::expected_traceable_rate(eta, p).map_err(|e| e.to_string())?;
     to_json(&TraceableModel {
-        nodes,
-        compromised,
-        onions,
+        nodes: q.nodes,
+        compromised: q.compromised,
+        onions: q.onions,
         eta,
         compromise_probability: p,
         traceable_rate,
@@ -807,20 +821,16 @@ pub struct AnonymityModel {
     pub anonymity: f64,
 }
 
-fn model_anonymity(body: &Value) -> Result<String, String> {
-    let nodes = opt_field::<usize>(body, "nodes")?.unwrap_or(100);
-    let group_size = group_size_field(body)?;
-    let onions = onions_field(body)?;
-    let compromised = opt_field::<usize>(body, "compromised")?.unwrap_or(10);
-    let copies = copies_field(body)?;
-    let anonymity = analysis::path_anonymity(nodes, group_size, onions, compromised, copies)
-        .map_err(|e| e.to_string())?;
+fn model_anonymity(q: &ModelQuery) -> Result<String, String> {
+    let anonymity =
+        analysis::path_anonymity(q.nodes, q.group_size, q.onions, q.compromised, q.copies)
+            .map_err(|e| e.to_string())?;
     to_json(&AnonymityModel {
-        nodes,
-        group_size,
-        onions,
-        compromised,
-        copies,
+        nodes: q.nodes,
+        group_size: q.group_size,
+        onions: q.onions,
+        compromised: q.compromised,
+        copies: q.copies,
         anonymity,
     })
 }
@@ -991,9 +1001,133 @@ mod tests {
                 r.body
             );
         }
-        // Fields an endpoint does not read are not checked there.
+        // Every endpoint reads the one query, so each checks every size.
         let r = api.handle(&post("/v1/model/traceable", "{\"group_size\":1000000}"));
-        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(
+            r.body.contains("group_size must be at most 100"),
+            "{}",
+            r.body
+        );
+    }
+
+    const MODEL_PATHS: [&str; 4] = [
+        "/v1/model/delivery",
+        "/v1/model/cost",
+        "/v1/model/traceable",
+        "/v1/model/anonymity",
+    ];
+
+    /// Asserts a `400 invalid_argument` whose message names `field`.
+    fn assert_unexpected_field(r: &Response, field: &str) {
+        let message = format!("unexpected field {field:?}");
+        assert_eq!(
+            r.body,
+            Response::error(400, "invalid_argument", &message).body
+        );
+        assert_eq!(r.status, 400);
+    }
+
+    #[test]
+    fn a_model_field_outside_the_query_answers_400_naming_it() {
+        let api = api();
+        for path in MODEL_PATHS {
+            assert_unexpected_field(&api.handle(&post(path, "{\"onoins\":5}")), "onoins");
+        }
+    }
+
+    /// The body perfbench's serve mix posts to every model endpoint
+    /// answers 200 on each, with the bytes of the direct evaluation.
+    #[test]
+    fn one_model_body_answers_every_model_endpoint() {
+        let (g, k, l, t, n, c) = (4, 3, 2, 360.0, 120, 17);
+        let body = format!(
+            "{{\"group_size\":{g},\"onions\":{k},\"copies\":{l},\"deadline\":{t:?},\
+             \"nodes\":{n},\"compromised\":{c}}}"
+        );
+        let rates = analysis::uniform_onion_path_rates(TABLE2_MEAN_RATE, g, k).unwrap();
+        let p = c as f64 / n as f64;
+        let expected = [
+            json(&DeliveryModel {
+                lambda: TABLE2_MEAN_RATE,
+                group_size: g,
+                onions: k,
+                copies: l,
+                deadline: t,
+                delivery_rate: analysis::delivery_rate_multicopy(&rates, l, t).unwrap(),
+                mean_delay: analysis::expected_delay(&rates).unwrap(),
+                median_delay: analysis::median_delay(&rates).unwrap(),
+                rates,
+            }),
+            json(&CostModel {
+                onions: k,
+                copies: l,
+                bound: analysis::multi_copy_bound(k, l).unwrap(),
+                non_anonymous: analysis::non_anonymous_bound(l),
+                anonymity_cost_factor: analysis::anonymity_cost_factor(k),
+            }),
+            json(&TraceableModel {
+                nodes: n,
+                compromised: c,
+                onions: k,
+                eta: k + 1,
+                compromise_probability: p,
+                traceable_rate: analysis::expected_traceable_rate(k + 1, p).unwrap(),
+            }),
+            json(&AnonymityModel {
+                nodes: n,
+                group_size: g,
+                onions: k,
+                compromised: c,
+                copies: l,
+                anonymity: analysis::path_anonymity(n, g, k, c, l).unwrap(),
+            }),
+        ];
+        let api = api();
+        for (path, expected) in MODEL_PATHS.into_iter().zip(expected) {
+            let r = api.handle(&post(path, &body));
+            assert_eq!(r.status, 200, "{path}: {}", r.body);
+            assert_eq!(r.body, expected, "{path}");
+        }
+    }
+
+    #[test]
+    fn a_sweep_field_its_kind_does_not_read_answers_400_naming_it() {
+        let api = api();
+        for (body, field) in [
+            ("{\"confg\":{}}", "confg"),
+            ("{\"deadlines\":[60]}", "deadlines"),
+        ] {
+            assert_unexpected_field(&api.handle(&post("/v1/sweep/point", body)), field);
+        }
+        // Each kind reads `config`, `opts`, `sparse` and its own axis
+        // fields, and refuses every other kind's.
+        let plan = json(&FaultPlan::default());
+        let fields = [
+            ("deadlines", "[60.0]".to_string(), "deadline"),
+            ("compromised", "[1]".into(), "security"),
+            ("adversary_draws", "2".into(), "security"),
+            ("plan", plan, "fault"),
+            ("intensities", "[0.5]".into(), "fault"),
+            ("rates", "[[1,2]]".into(), "code"),
+        ];
+        let base = format!(
+            "\"config\":{},\"opts\":{},\"sparse\":null",
+            json(&ProtocolConfig::table2_defaults()),
+            json(&ExperimentOptions::builder().realizations(1).build())
+        );
+        for kind in SWEEP_KINDS {
+            for (field, value, reader) in &fields {
+                let mut body = Body::parse(&format!("{{{base},\"{field}\":{value}}}")).unwrap();
+                match api.sweep_job(kind, &mut body) {
+                    Ok(_) => assert_eq!(kind, *reader, "{kind} read {field}"),
+                    Err(e) => {
+                        assert_ne!(kind, *reader, "{kind} refused {field}: {e}");
+                        assert_eq!(e, format!("unexpected field {field:?}"));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1057,9 +1191,9 @@ mod tests {
     }
 
     /// A parsed body is keyed by its spec's identity under its options,
-    /// the key `--resume` gives the same run, and a fault or code sweep's
-    /// rows by the same spec with its grid emptied. Committed keys are
-    /// pinned in `tests/sweep_api_equivalence.rs`.
+    /// the key `--resume` gives the same run, and its stored rows by the
+    /// same spec with its grid emptied (a point by its own key).
+    /// Committed keys are pinned in `tests/sweep_api_equivalence.rs`.
     #[test]
     fn a_parsed_body_is_keyed_by_its_spec_identity() {
         let cfg = ProtocolConfig {
@@ -1090,30 +1224,30 @@ mod tests {
                 None => SweepSpec::random_graph(cfg.clone()),
             };
             let cells = [
-                ("point", String::new(), world.clone(), None),
+                ("point", String::new(), world.clone(), world.clone()),
                 (
                     "deadline",
                     ",\"deadlines\":[60.0,720.0]".into(),
                     world.clone().over_deadlines(&[60.0, 720.0]),
-                    None,
+                    world.clone().over_deadlines(&[]),
                 ),
                 (
                     "security",
                     ",\"compromised\":[3,12]".into(),
                     world.clone().over_security(&[3, 12], 3),
-                    None,
+                    world.clone().over_security(&[], 3),
                 ),
                 (
                     "fault",
                     format!(",\"plan\":{},\"intensities\":[0.0,1.0]", json(&plan)),
                     world.clone().over_faults(plan, &[0.0, 1.0]),
-                    Some(world.clone().over_faults(plan, &[])),
+                    world.clone().over_faults(plan, &[]),
                 ),
                 (
                     "code",
                     ",\"rates\":[[1,2],[2,3]]".into(),
                     world.clone().over_code_rates(&[(1, 2), (2, 3)]),
-                    Some(world.clone().over_code_rates(&[])),
+                    world.clone().over_code_rates(&[]),
                 ),
             ];
             for (kind, axis, spec, rows) in cells {
@@ -1121,13 +1255,14 @@ mod tests {
                 if let Some(d) = sparse {
                     body += &format!(",\"sparse\":{{\"avg_degree\":{d}}}");
                 }
-                let job = api.sweep_job(kind, &parse_body(&format!("{body}}}")).unwrap());
+                let mut body = Body::parse(&format!("{body}}}")).unwrap();
+                let job = api.sweep_job(kind, &mut body);
                 let job = job.unwrap_or_else(|e| panic!("{kind} {sparse:?}: {e}"));
                 assert_eq!(job.spec, spec, "{kind} {sparse:?}");
                 assert_eq!(job.key, spec.identity(&opts).key(), "{kind} {sparse:?}");
                 assert_eq!(
-                    row_prefix(&job.spec, &job.opts),
-                    rows.map(|rows| rows.identity(&opts).key()),
+                    job.row_prefix(),
+                    rows.identity(&opts).key(),
                     "{kind} {sparse:?}"
                 );
             }
@@ -1351,7 +1486,7 @@ mod tests {
 
     #[test]
     fn store_survives_restart_and_promotes_to_lru() {
-        let scratch = Scratch::new("write-through");
+        let scratch = Scratch::new("restart");
         let body = small_sweep_body();
         let first = {
             let store = Arc::new(ResponseStore::open(&scratch.0, 1 << 20).unwrap());
@@ -1360,6 +1495,7 @@ mod tests {
             assert_eq!(r.status, 200, "{}", r.body);
             let snap = api.stats.snapshot();
             assert_eq!(snap.counters["sweep_computes"], 1);
+            assert_eq!(snap.counters["store_misses"], 1);
             assert_eq!(snap.counters["store_writes"], 1);
             assert_eq!(snap.gauges["store_records"], 1);
             r.body
@@ -1370,10 +1506,11 @@ mod tests {
         let warm = api.handle(&post("/v1/sweep/point", &body));
         assert_eq!(warm.status, 200, "{}", warm.body);
         assert_eq!(warm.body, first, "store must replay byte-identical bodies");
+        // A row is computed exactly when its lookup misses.
         let snap = api.stats.snapshot();
-        assert_eq!(snap.counters["sweep_computes"], 0);
+        assert_eq!(snap.counters["store_misses"], 0);
         assert_eq!(snap.counters["store_hits"], 1);
-        // The store hit promoted the body into the LRU.
+        // The leader rebuilt the body from its stored row into the LRU.
         let again = api.handle(&post("/v1/sweep/point", &body));
         assert_eq!(again.body, first);
         assert_eq!(api.stats.snapshot().counters["cache_hits"], 1);
@@ -1428,7 +1565,9 @@ mod tests {
         let api = api_with_store(Some(Arc::clone(&store)));
         let r = api.handle(&post("/v1/sweep/fault", &grid));
         assert_eq!(r.status, 200, "{}", r.body);
-        assert_eq!(api.stats.snapshot().counters["store_row_writes"], 2);
+        assert_eq!(api.stats.snapshot().counters["store_writes"], 2);
+        // One record per row, and no body that repeats them.
+        assert_eq!(store.status().records, 2);
 
         // Fresh stats + LRU, same store: a different grid sharing one
         // intensity replays that row instead of recomputing it, and the
@@ -1437,11 +1576,59 @@ mod tests {
         let warm = api2.handle(&post("/v1/sweep/fault", &single));
         assert_eq!(warm.status, 200, "{}", warm.body);
         let snap = api2.stats.snapshot();
-        assert_eq!(snap.counters["store_row_hits"], 1);
-        assert_eq!(snap.counters["store_row_writes"], 0);
+        assert_eq!(snap.counters["store_hits"], 1);
+        assert_eq!(snap.counters["store_writes"], 0);
 
         let cold = api_with_store(None);
         let reference = cold.handle(&post("/v1/sweep/fault", &single));
         assert_eq!(warm.body, reference.body);
+    }
+
+    /// Every kind, dense and sparse, answers a restart onto its store
+    /// with the body it computed cold, rebuilt from its stored rows
+    /// without computing one.
+    #[test]
+    fn every_kind_rebuilds_its_body_from_stored_rows_after_a_restart() {
+        let cfg = ProtocolConfig {
+            nodes: 20,
+            group_size: 2,
+            onions: 2,
+            deadline: contact_graph::TimeDelta::new(120.0),
+            compromised: 2,
+            ..ProtocolConfig::table2_defaults()
+        };
+        let opts = ExperimentOptions::builder()
+            .messages(2)
+            .realizations(2)
+            .build();
+        let base = format!("\"config\":{},\"opts\":{}", json(&cfg), json(&opts));
+        for sparse in ["", ",\"sparse\":{\"avg_degree\":4.0}"] {
+            for (kind, axis) in [
+                ("point", ""),
+                ("deadline", ",\"deadlines\":[60.0,120.0]"),
+                ("security", ",\"compromised\":[1,4],\"adversary_draws\":2"),
+                ("fault", ",\"intensities\":[0.0,0.5]"),
+                ("code", ",\"rates\":[[1,1],[1,2]]"),
+            ] {
+                let case = format!("{kind}{}", if sparse.is_empty() { "" } else { "-sparse" });
+                let req = post(
+                    &format!("/v1/sweep/{kind}"),
+                    &format!("{{{base}{axis}{sparse}}}"),
+                );
+                let reference = api().handle(&req);
+                assert_eq!(reference.status, 200, "{case}: {}", reference.body);
+                let scratch = Scratch::new(&format!("rebuild-{case}"));
+                let open = || Some(Arc::new(ResponseStore::open(&scratch.0, 1 << 20).unwrap()));
+                let cold = api_with_store(open()).handle(&req);
+                assert_eq!(cold.body, reference.body, "{case}: cold");
+                let api = api_with_store(open());
+                let warm = api.handle(&req);
+                assert_eq!(warm.body, reference.body, "{case}: after a restart");
+                let snap = api.stats.snapshot();
+                assert_eq!(snap.counters["store_misses"], 0, "{case}");
+                assert!(snap.counters["store_hits"] >= 1, "{case}");
+                assert_eq!(snap.counters["store_writes"], 0, "{case}");
+            }
+        }
     }
 }

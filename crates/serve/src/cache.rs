@@ -1,19 +1,19 @@
 //! Sharded LRU result cache.
 //!
 //! Keys are [`Identity::key`](onion_routing::Identity::key) hex digests
-//! of the request's spec and options (execution-only knobs like
-//! `threads` excluded), values are finished JSON response bodies behind
+//! of the request's spec and options (the run policies `threads` and
+//! `keep_going` excluded), values are whole JSON response bodies behind
 //! an [`Arc`] so hits are O(1) clones. Sharding by key
 //! hash keeps lock contention proportional to `1/shards` under
 //! concurrent workers; within a shard, eviction is exact LRU by a
 //! monotonic touch stamp (an O(shard-size) scan on insert, which is
 //! fine at the few-hundred-entry capacities this daemon runs with).
 //!
-//! This is the *first* tier of the response cache. When the daemon
-//! runs with `--store <dir>`, the durable [`crate::store`] log sits
-//! beneath it as a write-through second tier: an LRU miss consults the
-//! store, and a store hit is promoted back in here — so eviction from
-//! this map never loses a computed result, only its memory residency.
+//! This is the only cache of whole responses. When the daemon runs
+//! with `--store <dir>`, the durable [`crate::store`] log sits beneath
+//! the computation instead, as its row cache: an LRU miss reruns the
+//! sweep, which replays every stored row — so eviction from this map
+//! never loses a computed result, only its memory residency.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

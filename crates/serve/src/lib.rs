@@ -7,10 +7,10 @@
 //!
 //! * `/v1/model/{delivery,cost,traceable,anonymity}` — the closed-form
 //!   analytical models (`analysis` crate), evaluated per request.
-//! * `/v1/sweep/{point,deadline,security,fault}` — full Monte-Carlo
+//! * `/v1/sweep/{point,deadline,security,fault,code}` — full Monte-Carlo
 //!   experiments (`onion_routing` harness), with a sharded LRU result
-//!   cache, an optional crash-safe disk store beneath it, and
-//!   single-flight request coalescing.
+//!   cache, an optional crash-safe disk store of their rows beneath it,
+//!   and single-flight request coalescing.
 //! * `/healthz`, `/metricsz` — liveness and the per-instance
 //!   counters/gauges/latency snapshot.
 //! * `/v1/admin/shutdown` — graceful drain-and-exit.
@@ -33,9 +33,10 @@
 //!    a wall-clock deadline: expiry in the queue is shed with `503`,
 //!    expiry mid-sweep returns `504` with completed rows persisted.
 //!
-//! With `--store <dir>` the daemon adds a durable second tier beneath
-//! the LRU: an append-only, CRC-framed record log (DESIGN.md §4j) that
-//! survives `kill -9` and replays byte-identical responses on restart.
+//! With `--store <dir>` the daemon persists every sweep row in an
+//! append-only, CRC-framed record log (DESIGN.md §4j), the row cache of
+//! each run beneath the LRU: it survives `kill -9`, and a restarted
+//! daemon rebuilds byte-identical responses from the stored rows.
 //!
 //! Everything is hand-rolled on `std::net` — no async runtime, no HTTP
 //! library — matching the workspace's vendored-shims-only constraint.

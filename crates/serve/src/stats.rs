@@ -126,20 +126,18 @@ serve_stats! {
         cache_hits,
         /// Sweep requests not present in the cache.
         cache_misses,
-        /// Sweep computations actually executed (single-flight leaders).
+        /// Sweeps run by single-flight leaders, whether each row was
+        /// computed or replayed from the disk store.
         sweep_computes,
         /// Sweep requests that coalesced onto an in-flight computation.
         sweep_coalesced,
-        /// LRU misses answered from the disk store (promoted to memory).
+        /// Sweep rows replayed from the disk store.
         store_hits,
-        /// LRU misses that also missed the disk store.
+        /// Sweep rows looked up in the disk store and not found; each is
+        /// then computed.
         store_misses,
-        /// Computed responses persisted to the disk store.
+        /// Sweep rows persisted to the disk store.
         store_writes,
-        /// Individual sweep rows replayed from the disk store.
-        store_row_hits,
-        /// Individual sweep rows persisted to the disk store.
-        store_row_writes,
         /// Requests whose deadline expired while waiting in the queue (503).
         deadline_queue_expired,
         /// Requests whose deadline expired mid-computation (504).

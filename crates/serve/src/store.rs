@@ -1,5 +1,6 @@
-//! Crash-safe, disk-backed response store: the durable second tier
-//! beneath the in-memory [`ShardedLru`](crate::cache::ShardedLru).
+//! Crash-safe, disk-backed store: the durable row cache of every sweep
+//! the daemon runs, beneath the in-memory
+//! [`ShardedLru`](crate::cache::ShardedLru).
 //!
 //! The format is a single append-only record log (`store.log` inside
 //! the store directory):
@@ -11,11 +12,11 @@
 //!
 //! where the record payload is `fp_len:u16le ‖ fingerprint bytes ‖
 //! body bytes`, `len` is the payload length, and `crc32` is the IEEE
-//! CRC-32 of the payload. Keys are the serving layer's cache keys,
-//! [`Identity::key`](onion_routing::Identity::key) hex digests, and for
-//! single fault and code rows `<key of the spec with its grid
-//! emptied>:<row key>`; values are finished JSON response bodies (or
-//! single sweep rows). A record names its spec by key alone.
+//! CRC-32 of the payload. The serving layer stores one sweep row per
+//! record, keyed `<key of the spec with its grid emptied>:<row key>`
+//! (the key an [`Identity::key`](onion_routing::Identity::key) hex
+//! digest, the row key one that `onion_routing::RowCache` documents);
+//! values are the rows' JSON. A record names its spec by key alone.
 //!
 //! Durability model (DESIGN.md §4j):
 //!

@@ -30,9 +30,9 @@
 //! tolerated a quarantine is never checkpointed.
 //!
 //! Exit codes: `0` success, `2` usage error (also any flag or word the
-//! command does not read), `3` I/O error (also an output file that
-//! cannot be created), `4` a trial failed its retry and the run aborted
-//! (rerun with `--keep-going`).
+//! command does not read, and a flag given twice), `3` I/O error (also
+//! an output file that cannot be created), `4` a trial failed its retry
+//! and the run aborted (rerun with `--keep-going`).
 //!
 //! Telemetry flags (any command): `--metrics-out <path>` appends one
 //! JSON object per experiment point to `<path>`, `--trace-out <path>`
@@ -82,7 +82,7 @@ const USAGE: &str = "usage: onion-dtn <point|deadline-sweep|security-sweep|fault
          serve: onion-dtn serve [--port 7070 --host 127.0.0.1 --workers 0 --queue 128\n\
          \t--cache 512 --shards 8 --sweep-threads 1] (HTTP daemon; /healthz /metricsz\n\
          \t/v1/model/* /v1/sweep/* — POST /v1/admin/shutdown drains and exits)\n\
-         \t--store <dir> (crash-safe disk response store; survives kill -9)\n\
+         \t--store <dir> (crash-safe disk store of sweep rows; survives kill -9)\n\
          \t--store-budget <bytes> (store size budget, default 256 MiB)\n\
          \t--max-realizations 64 --max-messages 200 (largest accepted sweep\n\
          \t                                          body; bigger ones answer 400)\n\
@@ -190,7 +190,8 @@ impl Flags {
 }
 
 /// Parses `--key value` pairs and positional words. A value that starts
-/// with `--` is the next flag, so the flag before it has no value.
+/// with `--` is the next flag, so the flag before it has no value, and a
+/// flag given twice is refused rather than read once.
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::default();
     let mut iter = args.iter();
@@ -206,7 +207,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 .filter(|value| !value.starts_with("--"))
                 .ok_or_else(|| format!("flag --{key} needs a value"))?
         };
-        flags.values.insert(key.to_string(), value.to_string());
+        if flags.values.insert(key.into(), value.into()).is_some() {
+            return Err(format!("flag --{key} given twice"));
+        }
     }
     Ok(flags)
 }

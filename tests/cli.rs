@@ -71,10 +71,12 @@ fn small_options() -> ExperimentOptions {
         .build()
 }
 
-/// `command`, then [`SMALL`], then `extra`.
+/// `command`, then [`SMALL`] without the flags `extra` gives, then
+/// `extra`: a flag may be given once.
 fn small(command: &str, extra: &[&str]) -> Vec<String> {
+    let kept = SMALL.chunks(2).filter(|pair| !extra.contains(&pair[0]));
     std::iter::once(command)
-        .chain(SMALL.iter().copied())
+        .chain(kept.flatten().copied())
         .chain(extra.iter().copied())
         .map(String::from)
         .collect()
@@ -315,9 +317,7 @@ fn more_onions_than_groups_is_a_usage_error() {
 
 #[test]
 fn more_compromised_nodes_than_nodes_is_a_usage_error() {
-    let mut args = small("security-sweep", &[]);
-    args.extend(["--c".to_string(), "31".to_string()]);
-    run(&args).expect_usage_error("c must not exceed n");
+    run(small("security-sweep", &["--c", "31"])).expect_usage_error("c must not exceed n");
 }
 
 #[test]
@@ -411,6 +411,13 @@ fn a_flag_is_never_the_value_of_the_flag_before_it() {
 fn an_unknown_flag_cannot_swallow_the_next_one() {
     run(small("point", &["--wire-mode", "--quiet"]))
         .expect_usage_error("flag --wire-mode needs a value");
+}
+
+#[test]
+fn a_repeated_flag_is_a_usage_error_naming_it() {
+    run(small("point", &["--messages", "2", "--messages", "3"]))
+        .expect_usage_error("flag --messages given twice");
+    run(small("point", &["--quiet", "--quiet"])).expect_usage_error("flag --quiet given twice");
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //!
 //! * a server restarted onto a tampered store directory — torn tail
 //!   appended mid-record plus a bad-CRC record, exactly what a
-//!   `kill -9` mid-write leaves behind — replays byte-identical warm
-//!   responses without recomputing, and quarantines the damage;
+//!   `kill -9` mid-write leaves behind — rebuilds byte-identical warm
+//!   responses from its stored rows without recomputing one, and
+//!   quarantines the damage;
 //! * requests that out-wait their deadline in the queue are shed with
 //!   `503` + `Retry-After` before any work starts;
 //! * a fault sweep that runs out of deadline mid-way returns
@@ -155,7 +156,8 @@ fn tampered_store_replays_byte_identical_warm_responses_after_restart() {
 
     // Phase 3: restart onto the tampered directory. Recovery must keep
     // the good record, quarantine the bad-CRC one, truncate the tear —
-    // and the warm response must come back byte-identical from disk.
+    // and the warm response must come back byte-identical, rebuilt from
+    // the stored row.
     let (handle, join) = start(ServeConfig {
         workers: 2,
         store_dir: Some(scratch.0.to_string_lossy().into_owned()),
@@ -173,13 +175,13 @@ fn tampered_store_replays_byte_identical_warm_responses_after_restart() {
     assert_eq!(warm.status, 200, "{}", warm.body);
     assert_eq!(warm.body, warm_body, "store replay must be byte-identical");
     assert_eq!(
-        stats.sweep_computes.load(Ordering::SeqCst),
+        stats.store_misses.load(Ordering::SeqCst),
         0,
-        "the warm response must not be recomputed"
+        "no row of the warm response is recomputed"
     );
     assert!(stats.store_hits.load(Ordering::SeqCst) >= 1);
 
-    // The promoted LRU entry serves the next hit without the store.
+    // The rebuilt body is in the LRU and serves the next hit.
     let again = exchange(addr, "POST", "/v1/sweep/point", &body);
     assert_eq!(again.body, warm_body);
     assert!(stats.cache_hits.load(Ordering::SeqCst) >= 1);
@@ -288,7 +290,7 @@ fn mid_sweep_deadline_returns_504_and_a_retry_resumes_from_persisted_rows() {
     );
     assert_eq!(stats.deadline_exceeded.load(Ordering::SeqCst), 1);
     assert_eq!(
-        stats.store_row_writes.load(Ordering::SeqCst),
+        stats.store_writes.load(Ordering::SeqCst),
         1,
         "the completed row is persisted before the 504"
     );
@@ -297,7 +299,7 @@ fn mid_sweep_deadline_returns_504_and_a_retry_resumes_from_persisted_rows() {
     // within the deadline and — once started — runs to completion.
     let retry = exchange(addr, "POST", "/v1/sweep/fault", &body);
     assert_eq!(retry.status, 200, "{}", retry.body);
-    assert!(stats.store_row_hits.load(Ordering::SeqCst) >= 1);
+    assert!(stats.store_hits.load(Ordering::SeqCst) >= 1);
 
     // The resumed answer is byte-identical to an uninterrupted offline
     // run of the same sweep.
