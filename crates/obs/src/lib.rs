@@ -13,9 +13,10 @@
 //!   p50/p90/p99 summaries ([`record`], [`Histogram`]).
 //! - **Spans** — RAII wall-time measurement into a histogram
 //!   ([`span`], [`Span`]), plus a throttled live [`Progress`] line.
-//! - **Traces** — bounded per-trial message-lifecycle journals and the
-//!   crash-bundle flight recorder ([`trace_event`], [`TraceRing`],
-//!   [`dump_crash_bundle`]), gated by `ONION_DTN_TRACE` /
+//! - **Traces** — bounded per-trial message-lifecycle journals
+//!   ([`trace_event`], [`TraceRing`]), written in trial order by
+//!   [`trace_append`]; a quarantined trial's journal ends with a
+//!   [`TraceEvent::Quarantine`] event. Gated by `ONION_DTN_TRACE` /
 //!   [`set_trace_enabled`].
 //!
 //! Everything funnels through one global recorder. The design contract
@@ -57,9 +58,8 @@ pub use recorder::{
 };
 pub use span::{span, Span};
 pub use trace::{
-    clear_crash_sink, dump_crash_bundle, set_crash_sink, set_trace_capacity, set_trace_enabled,
-    set_trace_path, trace_append, trace_capacity, trace_enabled, trace_event, trace_ring_begin,
-    trace_ring_take, CrashBundleHeader, TraceEvent, TraceRing, CRASH_BUNDLE_SCHEMA,
+    set_trace_capacity, set_trace_enabled, set_trace_path, trace_append, trace_capacity,
+    trace_enabled, trace_event, trace_ring_begin, trace_ring_take, TraceEvent, TraceRing,
     DEFAULT_TRACE_CAP,
 };
 

@@ -1,5 +1,4 @@
-//! Message-lifecycle tracing: bounded per-trial event journals and the
-//! crash-bundle flight recorder.
+//! Message-lifecycle tracing: bounded per-trial event journals.
 //!
 //! Tracing follows the same contract as the metric registry: the
 //! disabled fast path is **one relaxed atomic load** ([`trace_enabled`])
@@ -12,23 +11,20 @@
 //! # Per-trial rings
 //!
 //! Events accumulate in a thread-local fixed-capacity [`TraceRing`]
-//! installed by [`trace_ring_begin`] at the start of a trial. The ring
-//! keeps the **last** `cap` events (FIFO eviction, oldest first) plus a
-//! count of everything it evicted, so memory stays bounded no matter
-//! how long a trial runs. A finished trial returns its ring with its
-//! result, and the run appends it ([`trace_append`]) as JSONL to the
-//! `--trace-out` path (one object per line, tagged with the trial id)
-//! in trial order; a *panicked* trial leaves its ring in place, where
-//! the runner's quarantine path salvages it into a crash bundle via
-//! [`dump_crash_bundle`].
+//! installed by [`trace_ring_begin`] before each attempt of a trial and
+//! removed by [`trace_ring_take`] after it. The ring keeps the **last**
+//! `cap` events (FIFO eviction, oldest first) plus a count of everything
+//! it evicted, so memory stays bounded no matter how long a trial runs.
+//! The trial runner carries each trial's ring beside its result and
+//! appends it ([`trace_append`]) as JSONL to the `--trace-out` path (one
+//! object per line, tagged with the trial id) in trial order.
 //!
-//! # Crash bundles
+//! # Flight recorder
 //!
-//! When a crash sink is configured ([`set_crash_sink`], typically
-//! pointed next to a sweep checkpoint), a quarantined trial produces
-//! `crash-trial<N>.jsonl`: a [`CrashBundleHeader`] line (config
-//! fingerprint, base seed, trial, panic message) followed by the ring's
-//! surviving events — enough to replay the exact trial that died.
+//! A trial that panics on its retry too is quarantined, and its ring is
+//! kept: the runner closes it with one [`TraceEvent::Quarantine`] event
+//! (attempts and panic message) and appends it at the trial's position
+//! like any other, so the trace holds the last events before the panic.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -46,9 +42,6 @@ use crate::recorder::{emit, init};
 /// Default per-trial ring capacity (events kept per trial).
 pub const DEFAULT_TRACE_CAP: usize = 4096;
 
-/// Crash bundle schema version (the header's `schema` field).
-pub const CRASH_BUNDLE_SCHEMA: u32 = 1;
-
 static TRACE: AtomicBool = AtomicBool::new(false);
 static TRACE_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_TRACE_CAP);
 
@@ -57,20 +50,15 @@ fn trace_path() -> &'static Mutex<Option<PathBuf>> {
     &PATH
 }
 
-fn crash_sink() -> &'static Mutex<Option<CrashSink>> {
-    static SINK: Mutex<Option<CrashSink>> = Mutex::new(None);
-    &SINK
-}
-
 thread_local! {
     static RING: RefCell<Option<TraceRing>> = const { RefCell::new(None) };
 }
 
 /// Declares every [`TraceEvent`] once — its variant, doc, JSON tag and
-/// fields in serialization order — and generates the enum, `name()`,
-/// `time()` and the serde impls from that one list, so a new event is a
-/// one-entry change. Every event carries its simulation `time`, which
-/// serializes right after the tag.
+/// fields in serialization order — and generates the enum, `time()`, a
+/// test-only `name()` and the serde impls from that one list, so a new
+/// event is a one-entry change. Every event carries its simulation
+/// `time`, which serializes right after the tag.
 ///
 /// The JSON form is one flat object per event with a leading `event`
 /// tag, e.g. `{"event":"forward","time":3.5,"message":0,"from":1,"to":2,
@@ -102,6 +90,13 @@ macro_rules! trace_events {
         }
 
         impl TraceEvent {
+            /// The event's simulation time.
+            pub fn time(&self) -> f64 {
+                match self {
+                    $( TraceEvent::$variant { time, .. } => *time, )*
+                }
+            }
+
             /// The event's kind tag (the JSON `event` field).
             #[cfg(test)]
             fn name(&self) -> &'static str {
@@ -109,7 +104,6 @@ macro_rules! trace_events {
                     $( TraceEvent::$variant { .. } => $tag, )*
                 }
             }
-
         }
 
         impl Serialize for TraceEvent {
@@ -256,6 +250,15 @@ trace_events! {
             /// Receiver that got nothing.
             to: u64,
         },
+        /// The trial panicked on every attempt and was quarantined: the
+        /// last event of its block, at the time of the event before it
+        /// (0 when there is none).
+        Quarantine = "quarantine" {
+            /// Attempts made (the original run and its retry).
+            attempts: u32,
+            /// The panic message of the final attempt.
+            message: String,
+        },
     }
 }
 
@@ -329,35 +332,6 @@ impl TraceRing {
     }
 }
 
-/// First line of a crash bundle: everything needed to identify and
-/// replay the quarantined trial that produced it.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CrashBundleHeader {
-    /// Bundle format version ([`CRASH_BUNDLE_SCHEMA`]).
-    pub schema: u32,
-    /// Fingerprint of the sweep configuration (the checkpoint's).
-    pub fingerprint: String,
-    /// Base seed of the run; with `trial` it reproduces the panic.
-    pub seed: u64,
-    /// Zero-based index of the quarantined trial.
-    pub trial: u64,
-    /// Attempts made before quarantine (normally 2: first run + retry).
-    pub attempts: u32,
-    /// The panic message of the final attempt.
-    pub message: String,
-    /// Number of event lines following the header.
-    pub events: u64,
-    /// Ring evictions: lifecycle events lost before the crash.
-    pub dropped: u64,
-}
-
-#[derive(Clone)]
-struct CrashSink {
-    dir: PathBuf,
-    fingerprint: String,
-    seed: u64,
-}
-
 /// Parses the `ONION_DTN_TRACE` env value (called from `init`):
 /// `1`/`true`/`on` enables tracing; any other non-empty value enables
 /// tracing *and* is taken as the JSONL output path.
@@ -421,9 +395,8 @@ pub fn trace_capacity() -> usize {
     TRACE_CAP.load(Ordering::Relaxed)
 }
 
-/// Installs a fresh ring for `trial` on this thread, replacing any
-/// stale ring left by a previously panicked attempt. No-op when
-/// tracing is disabled.
+/// Installs a fresh ring for `trial` on this thread, replacing any ring
+/// still installed. No-op when tracing is disabled.
 pub fn trace_ring_begin(trial: u64) {
     if !trace_enabled() {
         return;
@@ -489,83 +462,6 @@ fn append_ring(path: &Path, ring: &TraceRing) -> std::io::Result<()> {
         out.push('\n');
     }
     f.write_all(out.as_bytes())
-}
-
-/// Configures where quarantined trials dump crash bundles: `dir` is the
-/// directory (typically the checkpoint's), `fingerprint` binds the
-/// bundle to the sweep configuration, and `seed` is the run's base
-/// seed.
-pub fn set_crash_sink(dir: &Path, fingerprint: &str, seed: u64) {
-    init();
-    *crash_sink().lock().unwrap() = Some(CrashSink {
-        dir: dir.to_path_buf(),
-        fingerprint: fingerprint.to_string(),
-        seed,
-    });
-}
-
-/// Clears the crash sink; quarantined trials stop producing bundles.
-pub fn clear_crash_sink() {
-    *crash_sink().lock().unwrap() = None;
-}
-
-/// Dumps `crash-trial<N>.jsonl` into the crash sink directory: a
-/// [`CrashBundleHeader`] line followed by this thread's surviving ring
-/// events (the flight-recorder tail of the trial that panicked). Must
-/// run on the thread that executed the trial. Returns the bundle path,
-/// or `None` when no sink is configured or the write fails.
-///
-/// The quarantine path in the runner calls this exactly once per
-/// failed trial (after the retry also panics), so each trial writes at
-/// most one bundle; the file is truncated on create, so a stale bundle
-/// from an earlier run is replaced, not appended to.
-pub fn dump_crash_bundle(trial: u64, attempts: u32, message: &str) -> Option<PathBuf> {
-    let sink = crash_sink().lock().unwrap().clone()?;
-    // Only attribute ring events that belong to this trial; a ring from
-    // a different trial (panic before `trace_ring_begin`) is discarded.
-    let ring = trace_ring_take().filter(|r| r.trial() == trial);
-    let (events, dropped) = ring
-        .as_ref()
-        .map_or((0, 0), |r| (r.len() as u64, r.dropped()));
-    let header = CrashBundleHeader {
-        schema: CRASH_BUNDLE_SCHEMA,
-        fingerprint: sink.fingerprint,
-        seed: sink.seed,
-        trial,
-        attempts,
-        message: message.to_string(),
-        events,
-        dropped,
-    };
-    let path = sink.dir.join(format!("crash-trial{trial}.jsonl"));
-    match write_bundle(&path, &header, ring.as_ref()) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            emit(
-                Level::Error,
-                "obs",
-                format_args!("cannot write crash bundle {}: {e}", path.display()),
-            );
-            None
-        }
-    }
-}
-
-fn write_bundle(
-    path: &Path,
-    header: &CrashBundleHeader,
-    ring: Option<&TraceRing>,
-) -> std::io::Result<()> {
-    let mut f = File::create(path)?;
-    let head = serde_json::to_string(header)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    writeln!(f, "{head}")?;
-    if let Some(ring) = ring {
-        for (seq, event) in (ring.dropped()..).zip(ring.iter()) {
-            writeln!(f, "{}", event_line(header.trial, seq, event))?;
-        }
-    }
-    f.flush()
 }
 
 #[cfg(test)]
@@ -670,6 +566,11 @@ mod tests {
                 from: 1,
                 to: 2,
             },
+            TraceEvent::Quarantine {
+                time: 6.0,
+                attempts: 2,
+                message: "boom at \"trial\" 1".to_string(),
+            },
         ];
         for event in events {
             let text = serde_json::to_string(&event).expect("serialize");
@@ -686,22 +587,5 @@ mod tests {
     fn unknown_tag_is_rejected() {
         let err = serde_json::from_str::<TraceEvent>("{\"event\":\"warp\",\"time\":0.0}");
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn crash_bundle_header_roundtrips() {
-        let header = CrashBundleHeader {
-            schema: CRASH_BUNDLE_SCHEMA,
-            fingerprint: "ab".repeat(32),
-            seed: 0xF1_604,
-            trial: 12,
-            attempts: 2,
-            message: "boom".to_string(),
-            events: 3,
-            dropped: 1,
-        };
-        let text = serde_json::to_string(&header).unwrap();
-        let back: CrashBundleHeader = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, header);
     }
 }

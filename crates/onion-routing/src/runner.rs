@@ -348,6 +348,14 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Failures are returned in ascending trial order, for the caller to
 /// report.
 ///
+/// This is the one owner of a trial's trace ring: each attempt runs on
+/// a fresh ring (`obs::trace_ring_begin`), the last attempt's ring
+/// travels beside its result, and every trial's ring is appended
+/// (`obs::trace_append`) in the in-order fold, so the trace is the same
+/// at every thread count. A quarantined trial keeps its block, closed by
+/// a [`obs::TraceEvent::Quarantine`] event at the time of its last
+/// recorded event (0 when there is none).
+///
 /// The process-global panic hook still prints each caught panic to
 /// stderr; quarantine only controls propagation, not reporting.
 pub fn run_trials_resilient<T, Job, Acc, Fold>(
@@ -364,47 +372,46 @@ where
 {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    let mut failures = Vec::new();
-    let guarded = |i: usize| -> Result<T, TrialFailure> {
-        // AssertUnwindSafe: a panicking attempt leaves no state behind —
-        // every attempt rebuilds its full world from the trial seed.
-        match catch_unwind(AssertUnwindSafe(|| job(i, 0))) {
-            Ok(out) => Ok(out),
-            Err(first) => {
-                obs::warn!(
-                    "onion_routing::runner",
-                    "trial {i} panicked ({}); retrying with sub-seed attempt 1",
-                    panic_message(first.as_ref()),
-                );
-                match catch_unwind(AssertUnwindSafe(|| job(i, 1))) {
-                    Ok(out) => Ok(out),
-                    Err(second) => {
-                        let message = panic_message(second.as_ref());
-                        // Flight recorder: still on the thread that ran the
-                        // trial, so its thread-local trace ring holds the
-                        // last events before the panic. Dump them (plus the
-                        // config fingerprint and seed) as a crash bundle
-                        // next to the checkpoint, when a sink is armed.
-                        if let Some(path) = obs::dump_crash_bundle(i as u64, 2, &message) {
-                            obs::warn!(
-                                "onion_routing::runner",
-                                "trial {i} crash bundle written to {}",
-                                path.display(),
-                            );
-                        }
-                        Err(TrialFailure {
-                            trial: i,
-                            attempts: 2,
-                            message,
-                        })
-                    }
-                }
-            }
-        }
+    // AssertUnwindSafe: a panicking attempt leaves no state behind —
+    // every attempt rebuilds its full world from the trial seed.
+    let run_attempt = |i: usize, attempt: u32| {
+        obs::trace_ring_begin(i as u64);
+        let out = catch_unwind(AssertUnwindSafe(|| job(i, attempt)));
+        (out, obs::trace_ring_take())
     };
-    run_trials(config, trials, guarded, acc, |acc, i, out| match out {
-        Ok(out) => fold(acc, i, out),
-        Err(failure) => failures.push(failure),
+    let guarded = |i: usize| -> (Result<T, TrialFailure>, Option<obs::TraceRing>) {
+        let payload = match run_attempt(i, 0) {
+            (Ok(out), ring) => return (Ok(out), ring),
+            (Err(payload), _) => payload,
+        };
+        obs::warn!(
+            "onion_routing::runner",
+            "trial {i} panicked ({}); retrying with sub-seed attempt 1",
+            panic_message(payload.as_ref()),
+        );
+        let (out, mut ring) = run_attempt(i, 1);
+        let out = out.map_err(|payload| TrialFailure {
+            trial: i,
+            attempts: 2,
+            message: panic_message(payload.as_ref()),
+        });
+        if let (Err(failure), Some(ring)) = (&out, ring.as_mut()) {
+            let time = ring.iter().last().map_or(0.0, obs::TraceEvent::time);
+            ring.push(obs::TraceEvent::Quarantine {
+                time,
+                attempts: failure.attempts,
+                message: failure.message.clone(),
+            });
+        }
+        (out, ring)
+    };
+    let mut failures = Vec::new();
+    run_trials(config, trials, guarded, acc, |acc, i, (out, ring)| {
+        ring.iter().for_each(obs::trace_append);
+        match out {
+            Ok(out) => fold(acc, i, out),
+            Err(failure) => failures.push(failure),
+        }
     });
     if !failures.is_empty() {
         obs::counter_add("runner.trials_quarantined", failures.len() as u64);

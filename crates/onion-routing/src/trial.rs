@@ -160,11 +160,7 @@ pub(crate) fn run<S: Scorer>(
             ctx.realize(world, estimated.as_ref())
         },
         &mut total,
-        // On this thread in trial order: the trace leaves as rows do.
-        |total, _realization, (partial, ring)| {
-            S::merge(total, &partial);
-            ring.iter().for_each(obs::trace_append);
-        },
+        |total, _realization, partial| S::merge(total, &partial),
     );
     drop(span);
     obs::flush_point(&label);
@@ -198,13 +194,8 @@ impl<S: Scorer> Ctx<'_, S> {
     }
 
     /// Realizes the world and the messages, then drives the engine.
-    fn realize(
-        &self,
-        world: World<'_>,
-        estimated: Option<&ContactGraph>,
-    ) -> (S::Partial, Option<obs::TraceRing>) {
+    fn realize(&self, world: World<'_>, estimated: Option<&ContactGraph>) -> S::Partial {
         let (cfg, opts) = (self.cfg, self.opts);
-        obs::trace_ring_begin(self.trial);
         let horizon = Time::ZERO + cfg.deadline;
         let (lo, hi) = opts.intercontact_range;
         let range = (TimeDelta::new(lo), TimeDelta::new(hi));
@@ -259,7 +250,7 @@ impl<S: Scorer> Ctx<'_, S> {
             }
         };
         maybe_forced_panic(self.trial);
-        (partial, obs::trace_ring_take())
+        partial
     }
 
     /// Partitions the groups, builds the protocol, then the contact
@@ -343,10 +334,9 @@ fn lap(since: Option<Instant>, name: &str) -> Option<Instant> {
 
 /// Panics (on every attempt) when `trial` is the one
 /// `ONION_DTN_PANIC_TRIAL` names (parsed once per process) — a CI/test
-/// hook for exercising quarantine and the crash-bundle flight recorder
-/// deterministically. Called after the realization ran, so the trial's
-/// trace ring holds real lifecycle events when the flight recorder
-/// dumps it.
+/// hook for exercising quarantine deterministically. Called after the
+/// realization ran, so the quarantined trial's trace block holds real
+/// lifecycle events before its closing `quarantine` event.
 fn maybe_forced_panic(trial: u64) {
     static FORCED: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
     let forced = FORCED.get_or_init(|| {

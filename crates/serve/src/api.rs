@@ -601,22 +601,33 @@ fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
 /// A request body's top-level JSON object. Each read records its field,
 /// so [`Body::reject_unread`] refuses a field no read asked for.
 struct Body {
-    value: Value,
+    fields: Vec<(String, Value)>,
     read: Vec<&'static str>,
 }
 
 impl Body {
-    /// An empty body parses as an empty object; anything else must be JSON.
+    /// An empty body parses as an empty object; anything else must be a
+    /// JSON object, and the error names the type of any other value.
     fn parse(body: &str) -> Result<Body, String> {
         let value = if body.is_empty() {
             Value::Object(Vec::new())
         } else {
             serde_json::parse_value(body).map_err(|e| format!("invalid JSON body: {e}"))?
         };
-        Ok(Body {
-            value,
-            read: Vec::new(),
-        })
+        let kind = match value {
+            Value::Object(fields) => {
+                return Ok(Body {
+                    fields,
+                    read: Vec::new(),
+                })
+            }
+            Value::Null => "null",
+            Value::Bool(_) => "a boolean",
+            Value::Int(_) | Value::UInt(_) | Value::Float(_) => "a number",
+            Value::Str(_) => "a string",
+            Value::Array(_) => "an array",
+        };
+        Err(format!("the body must be a JSON object, got {kind}"))
     }
 
     /// A typed field, or `default()` when absent or null.
@@ -626,19 +637,17 @@ impl Body {
         default: impl FnOnce() -> T,
     ) -> Result<T, String> {
         self.read.push(key);
-        match self.value.get(key) {
-            None | Some(Value::Null) => Ok(default()),
-            Some(v) => T::from_value(v).map_err(|e| format!("{key}: {e}")),
+        match self.fields.iter().find(|(k, _)| k == key) {
+            None | Some((_, Value::Null)) => Ok(default()),
+            Some((_, v)) => T::from_value(v).map_err(|e| format!("{key}: {e}")),
         }
     }
 
     /// Refuses the first field that no read asked for.
     fn reject_unread(&self) -> Result<(), String> {
-        if let Value::Object(fields) = &self.value {
-            for (key, _) in fields {
-                if !self.read.contains(&key.as_str()) {
-                    return Err(format!("unexpected field {key:?}"));
-                }
+        for (key, _) in &self.fields {
+            if !self.read.contains(&key.as_str()) {
+                return Err(format!("unexpected field {key:?}"));
             }
         }
         Ok(())

@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! onion-dtn point   [--n 100] [--g 5] [--k 3] [--l 1] [--t 1080] [--c 10]
-//!                   [--messages 25] [--realizations 5] [--seed 1] [--threads 0]
+//!                   [--messages 25] [--realizations 5] [--seed 219174885]
+//!                   [--threads 0]
 //! onion-dtn deadline-sweep [same flags; sweeps T over a log grid]
 //! onion-dtn security-sweep [same flags; sweeps c from 1% to 50%]
 //! onion-dtn fault-sweep    [same flags; sweeps fault intensity 0 -> 1]
@@ -42,9 +43,9 @@
 //! and `--quiet` silences all status output below the error level.
 //! `ONION_DTN_LOG`, `ONION_DTN_METRICS`, `ONION_DTN_TRACE`, and
 //! `ONION_DTN_PROGRESS` set the same defaults from the environment
-//! (see the `obs` crate). When `--resume` is active, a trial that
-//! panics on both its seed and retry seed dumps its last traced
-//! events into `crash-trial<N>.jsonl` next to the checkpoint file.
+//! (see the `obs` crate). A trial that panics on both its seed and
+//! retry seed keeps its block in the `--trace-out` file, at its trial
+//! position, closed by a `quarantine` event.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashSet};
@@ -365,15 +366,8 @@ fn open_checkpoint(
     spec: &SweepSpec,
     opts: &ExperimentOptions,
 ) -> Result<Checkpoint, CliError> {
-    let identity = spec.identity(opts);
-    let cp = Checkpoint::open(Path::new(path), &identity)
+    let cp = Checkpoint::open(Path::new(path), &spec.identity(opts))
         .map_err(|e| CliError::Io(format!("checkpoint {path}: {e}")))?;
-    // A quarantined trial dumps its last traced events, the fingerprint
-    // and the base seed into a crash bundle next to the checkpoint.
-    let dir = Path::new(path)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty());
-    obs::set_crash_sink(dir.unwrap_or(Path::new(".")), &identity.key(), opts.seed);
     if !cp.is_empty() {
         obs::info!(
             "onion_dtn",

@@ -1043,14 +1043,14 @@ fn trace_out_is_byte_identical_at_every_thread_count() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A quarantined trial writes no trace block at any thread count, and
-/// its events go to its crash bundle instead.
+/// A quarantined trial keeps its trace block at its trial position at
+/// every thread count, closed by a `quarantine` event, and the run
+/// writes no other file.
 #[test]
-fn a_quarantined_trial_leaves_the_trace_and_fills_its_crash_bundle() {
+fn a_quarantined_trial_closes_its_trace_block() {
     let dir = scratch_dir("trace-quarantine");
-    let mut bundles = Vec::new();
     let mut traces = Vec::new();
-    for threads in ["1", "2"] {
+    for threads in ["1", "2", "0"] {
         let run_dir = dir.join(threads);
         std::fs::create_dir_all(&run_dir).unwrap();
         let trace = run_dir.join("trace.jsonl");
@@ -1068,19 +1068,36 @@ fn a_quarantined_trial_leaves_the_trace_and_fills_its_crash_bundle() {
         ];
         quarantined(args.iter().map(String::as_str).chain(extra)).expect_ok();
         traces.push(std::fs::read_to_string(&trace).unwrap());
-        bundles.push(std::fs::read_to_string(run_dir.join("crash-trial0.jsonl")).unwrap());
+        let mut files: Vec<String> = std::fs::read_dir(&run_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["cp.jsonl", "trace.jsonl"], "--threads {threads}");
     }
     assert!(traces[0] == traces[1], "--threads 1 vs 2");
+    assert!(traces[0] == traces[2], "--threads 1 vs auto");
     let rows = DEFAULT_FAULT_INTENSITIES.len();
-    let expected: Vec<u64> = (0..rows).flat_map(|_| 1..6).collect();
-    assert_eq!(trace_blocks(&traces[0]), expected, "no trial-0 block");
-    assert_eq!(bundles[0], bundles[1]);
-    let mut lines = bundles[0].lines();
-    let header: obs::CrashBundleHeader =
-        serde_json::from_str(lines.next().expect("header")).expect("header parses");
-    assert_eq!(header.trial, 0);
-    assert!(header.events > 0, "{header:?}");
-    assert_eq!(trace_blocks(&lines.collect::<Vec<_>>().join("\n")), [0]);
+    let expected: Vec<u64> = (0..rows).flat_map(|_| 0..6).collect();
+    assert_eq!(trace_blocks(&traces[0]), expected);
+    // Each trial-0 block, and no other line, ends with the quarantine.
+    let lines: Vec<Value> = traces[0]
+        .lines()
+        .map(|line| serde_json::parse_value(line).unwrap())
+        .collect();
+    let nexts = lines.iter().skip(1).map(Some).chain([None]);
+    let mut closed = 0;
+    for (line, next) in lines.iter().zip(nexts) {
+        let last_in_block = next.is_none_or(|next| next.get("trial") != line.get("trial"));
+        let closes_trial_0 = last_in_block && line.get("trial") == Some(&Value::UInt(0));
+        let quarantine = line.get("event") == Some(&Value::Str("quarantine".into()));
+        assert_eq!(quarantine, closes_trial_0, "{line:?}");
+        if quarantine {
+            assert_eq!(line.get("attempts"), Some(&Value::UInt(2)), "{line:?}");
+            closed += 1;
+        }
+    }
+    assert_eq!(closed, rows);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -341,6 +341,11 @@ fn trace_event_roundtrip_covers_every_variant() {
             from: 1,
             to: 2,
         },
+        TraceEvent::Quarantine {
+            time: 7.0,
+            attempts: 2,
+            message: "boom".to_string(),
+        },
     ];
     for event in &events {
         assert_eq!(&json_roundtrip(event), event);
@@ -353,28 +358,23 @@ fn trace_event_roundtrip_covers_every_variant() {
 }
 
 #[test]
-fn crash_bundle_header_roundtrip() {
-    use obs::{CrashBundleHeader, CRASH_BUNDLE_SCHEMA};
+fn quarantine_event_roundtrip() {
+    use obs::TraceEvent;
 
-    let header = CrashBundleHeader {
-        schema: CRASH_BUNDLE_SCHEMA,
-        fingerprint: "deadbeef".to_string(),
-        seed: 0xF1_604,
-        trial: 3,
+    // A panic message may carry quotes, backslashes and any Unicode.
+    let event = TraceEvent::Quarantine {
+        time: 239.983,
         attempts: 2,
-        message: "forced panic for trial 3".to_string(),
-        events: 17,
-        dropped: 5,
+        message: "forced \"panic\" in C:\\trial 3 — naïve 🚀".to_string(),
     };
-    let back = json_roundtrip(&header);
-    assert_eq!(back.schema, header.schema);
-    assert_eq!(back.fingerprint, header.fingerprint);
-    assert_eq!(back.seed, header.seed);
-    assert_eq!(back.trial, header.trial);
-    assert_eq!(back.attempts, header.attempts);
-    assert_eq!(back.message, header.message);
-    assert_eq!(back.events, header.events);
-    assert_eq!(back.dropped, header.dropped);
+    assert_eq!(json_roundtrip(&event), event);
+    let text = serde_json::to_string(&event).unwrap();
+    let head = "{\"event\":\"quarantine\",\"time\":";
+    assert!(text.starts_with(head), "{text}");
+    // A trace-file line decodes to the event: `trial` and `seq` are
+    // ignored.
+    let line = format!("{{\"trial\":0,\"seq\":6328,{}", &text[1..]);
+    assert_eq!(serde_json::from_str::<TraceEvent>(&line).unwrap(), event);
 }
 
 #[test]

@@ -10,9 +10,11 @@
 //! * a saturated request queue sheds load with `503` + `Retry-After`;
 //! * shutdown drains the in-flight request before the listener dies.
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use onion_dtn::prelude::*;
 use onion_dtn::serve::http::{read_response, write_request, Response};
@@ -37,6 +39,28 @@ fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response 
     read_response(&mut stream).expect("read response")
 }
 
+/// `write_request`'s bytes for one request, split before its last three
+/// body bytes: a client that sends the head alone holds a worker on the
+/// request for as long as it chooses, at any machine speed.
+fn held_request(method: &str, path: &str, body: &str) -> (Vec<u8>, Vec<u8>) {
+    let mut request = Vec::new();
+    write_request(&mut request, method, path, body).unwrap();
+    let tail = request.split_off(request.len() - 3);
+    (request, tail)
+}
+
+/// Polls `ready` every few milliseconds; fails after 10 s.
+fn wait_until(what: &str, ready: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !ready() {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "waited for {what}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// The canonical sweep request body used by the concurrency tests:
 /// full structs serialized with the same serde the server parses with.
 fn sweep_body(cfg: &ProtocolConfig, opts: &ExperimentOptions) -> String {
@@ -45,26 +69,6 @@ fn sweep_body(cfg: &ProtocolConfig, opts: &ExperimentOptions) -> String {
         serde_json::to_string(cfg).unwrap(),
         serde_json::to_string(opts).unwrap(),
     )
-}
-
-/// A sweep heavy enough (full Table II graph) to reliably hold a
-/// worker for several seconds in debug builds — the saturation and
-/// drain tests need the daemon to be genuinely busy while the test
-/// opens more connections. Sized against the arena/dense-state engine
-/// (which is ~3× faster per trial than the original) and the lazily
-/// ordered contact stream (~2.7× faster again): the realization count
-/// keeps the run comfortably multi-second.
-fn slow_point() -> (ProtocolConfig, ExperimentOptions) {
-    let cfg = ProtocolConfig {
-        deadline: TimeDelta::new(1080.0),
-        ..ProtocolConfig::table2_defaults()
-    };
-    let opts = ExperimentOptions::builder()
-        .messages(10)
-        .realizations(48)
-        .seed(0x5EED)
-        .build();
-    (cfg, opts)
 }
 
 fn small_point() -> (ProtocolConfig, ExperimentOptions) {
@@ -262,6 +266,41 @@ fn oversized_model_parameters_get_400_naming_field_and_limit() {
 }
 
 #[test]
+fn a_body_that_is_not_a_json_object_gets_400() {
+    let (handle, join) = start(ServeConfig::default());
+    let addr = handle.local_addr();
+    let paths = [
+        "/v1/model/delivery",
+        "/v1/model/cost",
+        "/v1/model/traceable",
+        "/v1/model/anonymity",
+        "/v1/sweep/point",
+    ];
+    for path in paths {
+        for (body, kind) in [
+            ("[1]", "an array"),
+            ("5", "a number"),
+            ("\"x\"", "a string"),
+            ("null", "null"),
+        ] {
+            let resp = exchange(addr, "POST", path, body);
+            assert_eq!(assert_error_envelope(&resp, 400), "malformed_request");
+            assert!(resp.body.contains(kind), "{path} {body}: {}", resp.body);
+        }
+        // An empty body still reads as `{}`: every default.
+        let empty = exchange(addr, "POST", path, "");
+        assert_eq!(empty.status, 200, "{path}: {}", empty.body);
+        assert_eq!(
+            exchange(addr, "POST", path, "{}").body,
+            empty.body,
+            "{path}"
+        );
+    }
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn slowest_admissible_delivery_request_is_fast_and_saturates() {
     let (handle, join) = start(ServeConfig::default());
     let addr = handle.local_addr();
@@ -352,27 +391,31 @@ fn saturated_queue_sheds_load_with_503() {
         ..ServeConfig::default()
     });
     let addr = handle.local_addr();
-    let (cfg, opts) = slow_point();
-    let body = sweep_body(&cfg, &opts);
+    let stats = handle.stats();
 
-    // Occupy the worker with a slow sweep...
+    // Occupy the worker with a request whose last body bytes arrive
+    // only after the shedding...
+    let (head, tail) = held_request("POST", "/v1/model/cost", "{\"onions\":3}");
     let mut busy = TcpStream::connect(addr).expect("connect busy");
-    write_request(&mut busy, "POST", "/v1/sweep/point", &body).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(400));
+    busy.write_all(&head).unwrap();
+    wait_until("the worker", || stats.inflight.load(Ordering::SeqCst) == 1);
 
     // ...fill the single queue slot...
     let mut queued = TcpStream::connect(addr).expect("connect queued");
     write_request(&mut queued, "GET", "/healthz", "").unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(200));
+    wait_until("the queue", || {
+        stats.queue_depth.load(Ordering::SeqCst) == 1
+    });
 
     // ...and watch the next connection get shed immediately.
     let mut shed = TcpStream::connect(addr).expect("connect shed");
     let refusal = read_response(&mut shed).expect("read 503");
     assert_eq!(assert_error_envelope(&refusal, 503), "overloaded");
     assert_eq!(refusal.retry_after, Some(1));
-    assert!(handle.stats().rejected.load(Ordering::SeqCst) >= 1);
+    assert!(stats.rejected.load(Ordering::SeqCst) >= 1);
 
     // The accepted requests were unaffected by the shedding.
+    busy.write_all(&tail).unwrap();
     assert_eq!(read_response(&mut busy).unwrap().status, 200);
     assert_eq!(read_response(&mut queued).unwrap().status, 200);
 
@@ -387,17 +430,19 @@ fn shutdown_drains_the_in_flight_request() {
         ..ServeConfig::default()
     });
     let addr = handle.local_addr();
-    let (cfg, opts) = slow_point();
-    let body = sweep_body(&cfg, &opts);
+    let stats = handle.stats();
+    let (cfg, opts) = small_point();
 
-    // Get a slow sweep in flight, then pull the plug mid-compute.
+    // Get a sweep in flight, pull the plug, then send the rest of it.
+    let (head, tail) = held_request("POST", "/v1/sweep/point", &sweep_body(&cfg, &opts));
     let mut inflight = TcpStream::connect(addr).expect("connect");
-    write_request(&mut inflight, "POST", "/v1/sweep/point", &body).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(400));
+    inflight.write_all(&head).unwrap();
+    wait_until("the worker", || stats.inflight.load(Ordering::SeqCst) == 1);
     handle.shutdown();
+    inflight.write_all(&tail).unwrap();
 
-    // The in-flight request is still served to completion, with the
-    // full (offline-identical) payload.
+    // The in-flight request is still read, computed and served to
+    // completion, with the full (offline-identical) payload.
     let served = read_response(&mut inflight).expect("drained response");
     assert_eq!(served.status, 200);
     let offline = serde_json::to_string(&run_random_graph_point(&cfg, &opts)).unwrap();

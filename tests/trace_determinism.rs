@@ -2,13 +2,14 @@
 //! enabling tracing may not perturb a single bit of the experiment
 //! results, at any thread count, and the trace file itself is the same
 //! at every thread count. Also covered here: ring-buffer eviction
-//! semantics (a proptest) and the flight recorder's crash bundle —
-//! written exactly once for a quarantined trial, parseable, and
-//! carrying the seed that deterministically reproduces the panic.
+//! semantics (a proptest) and the flight recorder — a quarantined
+//! trial keeps its block at its trial position, closed by a
+//! `quarantine` event, and a trial whose retry succeeds keeps only the
+//! retry's events.
 
 use std::path::PathBuf;
 
-use obs::{CrashBundleHeader, TraceEvent, TraceRing};
+use obs::{TraceEvent, TraceRing};
 use onion_dtn::prelude::*;
 use onion_routing::{run_trials_resilient, RunnerConfig};
 use proptest::prelude::*;
@@ -42,7 +43,7 @@ fn scratch_dir(label: &str) -> PathBuf {
 /// race between parallel test threads within this binary — the same
 /// structure `telemetry_determinism.rs` uses for the metrics gate.
 #[test]
-fn trace_on_and_off_produce_bit_identical_summaries_and_crash_bundles() {
+fn trace_on_and_off_produce_bit_identical_summaries_and_trial_blocks() {
     let (cfg, opts) = small_point();
 
     // ---- Purity: trace off vs on, across thread counts. ----
@@ -91,91 +92,101 @@ fn trace_on_and_off_produce_bit_identical_summaries_and_crash_bundles() {
     }
     assert_eq!(blocks, [0, 1, 2, 3], "one block per trial, in trial order");
 
-    // ---- Flight recorder: quarantined trial -> exactly one bundle. ----
-    let crash_dir = scratch_dir("trace-crash");
-    for stale in std::fs::read_dir(&crash_dir).expect("list crash dir") {
-        std::fs::remove_file(stale.expect("entry").path()).expect("clean crash dir");
-    }
-    obs::set_crash_sink(&crash_dir, "fingerprint-under-test", 0xF1_604);
-    let poisoned_trial = 1usize;
-    let job = |trial: usize, _attempt: u32| -> usize {
-        obs::trace_ring_begin(trial as u64);
+    // ---- Flight recorder: every trial's block, in trial order. ----
+    // Trial 1 panics on both attempts; trial 2 only on its first.
+    let (poisoned, flaky) = (1usize, 2usize);
+    let job = |trial: usize, attempt: u32| -> usize {
+        let (message, node) = (trial as u64, u64::from(attempt));
         obs::trace_event(|| TraceEvent::Inject {
-            time: 0.0,
-            message: trial as u64,
-            source: 0,
+            time: 0.5,
+            message,
+            source: node,
             destination: 9,
         });
         obs::trace_event(|| TraceEvent::Deliver {
-            time: 1.0,
-            message: trial as u64,
-            node: 9,
+            time: 1.5 + f64::from(attempt),
+            message,
+            node,
         });
         assert!(
-            trial != poisoned_trial,
+            trial != poisoned,
             "poisoned trial {trial} panics deterministically"
+        );
+        assert!(
+            (trial, attempt) != (flaky, 0),
+            "flaky trial {trial} panics on its first attempt"
         );
         trial
     };
-    let mut done = Vec::new();
-    let failures = run_trials_resilient(&RunnerConfig::new(2), 4, job, &mut done, |acc, _, v| {
-        acc.push(v)
-    });
-    assert_eq!(failures.len(), 1);
-    assert_eq!(failures[0].trial, poisoned_trial);
-    assert_eq!(failures[0].attempts, 2);
-    assert_eq!(done.len(), 3, "the other trials completed");
-
-    let bundles: Vec<PathBuf> = std::fs::read_dir(&crash_dir)
-        .expect("list crash dir")
-        .map(|e| e.expect("entry").path())
-        .collect();
-    assert_eq!(
-        bundles.len(),
-        1,
-        "exactly one crash bundle per quarantined trial: {bundles:?}"
-    );
-    assert_eq!(
-        bundles[0].file_name().and_then(|n| n.to_str()),
-        Some("crash-trial1.jsonl")
-    );
-    let bundle = std::fs::read_to_string(&bundles[0]).expect("read bundle");
-    let mut lines = bundle.lines();
-    let header: CrashBundleHeader =
-        serde_json::from_str(lines.next().expect("header line")).expect("header parses");
-    assert_eq!(header.schema, obs::CRASH_BUNDLE_SCHEMA);
-    assert_eq!(header.fingerprint, "fingerprint-under-test");
-    assert_eq!(header.seed, 0xF1_604);
-    assert_eq!(header.trial, poisoned_trial as u64);
-    assert_eq!(header.attempts, 2);
-    assert!(header.message.contains("poisoned trial 1"));
-    assert_eq!(header.events, 2, "both ring events were dumped");
-    let events: Vec<TraceEvent> = lines
-        .map(|l| {
-            let value = serde_json::parse_value(l).expect("event line parses");
-            assert!(value.get("seq").is_some());
-            // Extra `trial`/`seq` keys are ignored by the decoder: the
-            // event fields are flattened into the same object.
-            serde_json::from_str::<TraceEvent>(l).expect("event decodes")
-        })
-        .collect();
-    assert_eq!(events.len(), header.events as usize);
-    assert!(matches!(events[0], TraceEvent::Inject { message: 1, .. }));
-    assert!(matches!(events[1], TraceEvent::Deliver { message: 1, .. }));
+    let mut files = Vec::new();
+    for threads in [1usize, 2] {
+        let trace_path = dir.join(format!("resilient-{threads}.jsonl"));
+        obs::set_trace_path(Some(&trace_path)).expect("create trace file");
+        let mut done = Vec::new();
+        let failures = run_trials_resilient(
+            &RunnerConfig::new(threads),
+            4,
+            job,
+            &mut done,
+            |acc, _, v| acc.push(v),
+        );
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].trial, poisoned);
+        assert_eq!(failures[0].attempts, 2);
+        assert_eq!(done, [0, 2, 3], "the other trials folded");
+        files.push(std::fs::read_to_string(&trace_path).expect("trace file written"));
+    }
+    assert_eq!(files[0], files[1], "trace at threads 1 vs 2");
+    let mut blocks: Vec<(u64, Vec<TraceEvent>)> = Vec::new();
+    for line in files[0].lines() {
+        let value = serde_json::parse_value(line).expect("trace line parses");
+        let Some(serde::Value::UInt(trial)) = value.get("trial") else {
+            panic!("line carries no trial: {line}");
+        };
+        if blocks.last().map(|b| b.0) != Some(*trial) {
+            blocks.push((*trial, Vec::new()));
+        }
+        // The decoder ignores the extra `trial`/`seq` keys.
+        let event = serde_json::from_str(line).expect("event decodes");
+        blocks.last_mut().expect("a block").1.push(event);
+    }
+    let trials: Vec<u64> = blocks.iter().map(|b| b.0).collect();
+    assert_eq!(trials, [0, 1, 2, 3], "one block per trial, in trial order");
+    // The quarantined block: its retry's events, then the quarantine at
+    // the time of the last of them.
+    let events = &blocks[poisoned].1;
+    assert_eq!(events.len(), 3, "{events:?}");
+    assert!(matches!(events[0], TraceEvent::Inject { source: 1, .. }));
+    assert!(matches!(events[1], TraceEvent::Deliver { node: 1, .. }));
+    match &events[2] {
+        TraceEvent::Quarantine {
+            time,
+            attempts,
+            message,
+        } => {
+            assert_eq!(*time, events[1].time());
+            assert_eq!(*attempts, 2);
+            assert!(message.contains("poisoned trial 1"), "{message}");
+        }
+        other => panic!("the block ends with {other:?}"),
+    }
+    // The recovered block holds only the retry's events.
+    let events = &blocks[flaky].1;
+    assert_eq!(events.len(), 2, "{events:?}");
+    assert!(matches!(events[0], TraceEvent::Inject { source: 1, .. }));
+    assert!(matches!(events[1], TraceEvent::Deliver { node: 1, .. }));
 
     // Replay: the recorded trial id reproduces the panic deterministically.
     let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        job(header.trial as usize, 0)
+        job(trials[poisoned] as usize, 1)
     }));
     assert!(replay.is_err(), "recorded trial must reproduce its panic");
 
     // ---- Teardown: leave the global recorder as we found it. ----
-    obs::clear_crash_sink();
     obs::set_trace_enabled(false);
     obs::set_trace_path(None).expect("clear trace path");
     obs::set_trace_capacity(obs::DEFAULT_TRACE_CAP);
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&crash_dir);
 }
 
 proptest! {
